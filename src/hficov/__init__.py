@@ -26,7 +26,6 @@ from .kernels import (
     weights_from_kernel,
 )
 from .timefuncs import (
-    LasaFunction,
     StepFunction,
     SyncOverlap,
     TimeCovariationBundle,
@@ -36,7 +35,6 @@ from .timefuncs import (
     time_covariations,
     weighted_lasa,
     weighted_lasa_function,
-    wlsa_term,
 )
 from .estimators import (
     CovEstimate,
@@ -46,8 +44,6 @@ from .estimators import (
     estimate_matrix,
     generalized_multiscale,
     hayashi_yoshida,
-    hayashi_yoshida_refresh,
-    kernel_adjusted,
     kernel_estimator,
     multiscale,
     multiscale_adjusted,
@@ -85,6 +81,6 @@ from .sim import (
     sample_scheme,
     simulate_paths,
 )
-from .tickio import RunReport, TickFileRecord, load_ticks, write_ticks
+from .tickio import RunReport, load_ticks, write_ticks
 
 __version__ = "0.1.0"

@@ -26,20 +26,33 @@ see the notes in that module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .estimators import EstimatorConfig, TickSeries, end_effect_adjust, generalized_multiscale, noise_moments
+from .estimators import (
+    EstimatorConfig,
+    TickSeries,
+    _clamp_frequency,
+    _ms_frequency,
+    _same_times,
+    end_effect_adjust,
+    generalized_multiscale,
+    noise_moments,
+    svec_index,
+    svec_pack,
+    svec_pairs,
+    svec_unpack,
+)
 from .kernels import KernelConstants, WeightScheme, kernel_constants
-from .sampling import SyncGrid, global_refresh, pairwise_refresh
+from .sampling import SamplingScheme, SyncGrid, global_refresh, pairwise_refresh
 from .timefuncs import (
-    LasaFunction,
     StepFunction,
     SyncOverlap,
     TimeCovariationBundle,
     sync_overlap,
+    time_covariations,
     weighted_lasa_function,
 )
 
@@ -73,49 +86,16 @@ def isserlis_cov(sigma: np.ndarray, idx: tuple[int, int, int, int]) -> float:
     sigma_lm``.  Indices are 1-based.
     """
     s = np.asarray(sigma, dtype=float)
-    i, l, m, u = idx
-    p = s.shape[0]
-    for v in idx:
-        if not 1 <= v <= p:
-            raise IndexError(f"index {v} out of range 1..{p}")
-    i, l, m, u = i - 1, l - 1, m - 1, u - 1
+    i, l, m, u = _zero_based(idx, s.shape[0])
     return float(s[i, m] * s[l, u] + s[i, u] * s[l, m])
 
 
-def svec_index(p: int, k: int, l: int) -> int:
-    """0-based position of entry (k, l), 1 <= k <= l <= p, in the svec layout
-    (row-wise upper triangle: 11, 12, ..., 1p, 22, 23, ...)."""
-    if not 1 <= k <= l <= p:
-        raise ValueError(f"need 1 <= k <= l <= p, got ({k}, {l}) for p={p}")
-    return (k - 1) * (2 * p - k + 2) // 2 + (l - k)
-
-
-def svec_pairs(p: int) -> list[tuple[int, int]]:
-    """The (k, l) pairs (1-based, k <= l) in svec order."""
-    return [(k, l) for k in range(1, p + 1) for l in range(k, p + 1)]
-
-
-def svec_pack(matrix: np.ndarray) -> np.ndarray:
-    """Pack a symmetric matrix's upper triangle row-wise into a vector."""
-    m = np.asarray(matrix, dtype=float)
-    p = m.shape[0]
-    return np.concatenate([m[k, k:] for k in range(p)])
-
-
-def svec_unpack(vec: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`svec_pack`."""
-    v = np.asarray(vec, dtype=float)
-    q = v.size
-    p = int(round((math.isqrt(8 * q + 1) - 1) / 2))
-    if p * (p + 1) // 2 != q:
-        raise ValueError(f"length {q} is not p(p+1)/2 for integer p")
-    out = np.zeros((p, p))
-    pos = 0
-    for k in range(p):
-        out[k, k:] = v[pos : pos + p - k]
-        out[k:, k] = v[pos : pos + p - k]
-        pos += p - k
-    return out
+def _zero_based(idx, p: int) -> tuple[int, ...]:
+    """Check 1-based component indices against ``1..p`` and shift them to 0-based."""
+    for v in idx:
+        if not 1 <= v <= p:
+            raise IndexError(f"component {v} out of range 1..{p}")
+    return tuple(int(v) - 1 for v in idx)
 
 
 def dimension_identity(p: int) -> tuple[int, int]:
@@ -153,7 +133,7 @@ class TheoryInputs:
     sigma: np.ndarray
     noise: np.ndarray | None = None
     c: float = 1.0
-    lasa: LasaFunction | None = None
+    lasa: StepFunction | None = None
     lasa_slope: float | None = None
     timecov: TimeCovariationBundle | None = None
     overlap: SyncOverlap | None = None
@@ -194,9 +174,40 @@ class TheoryInputs:
         return float(np.sum(f_of_sigma(self.sigma_at(b)) * inc))
 
 
-def _pairs_1based(pairs) -> tuple[int, int, int, int]:
+def _pair_components(pairs, p: int) -> tuple[int, ...]:
+    """0-based components ``(k, l, r, q)`` of 1-based pairs ``((k, l), (r, q))``."""
     (k, l), (r, q) = pairs
-    return int(k), int(l), int(r), int(q)
+    return _zero_based((k, l, r, q), p)
+
+
+def _noise_addends(kc: KernelConstants, c: float, eta: np.ndarray, ov: SyncOverlap | None, cross_integral):
+    """Pure-noise, end-effect and signal-noise addends ``(noise2, ends, cross)``
+    of the multi-scale asymptotic covariance of pairs ``((k, l), (r, q))``.
+
+    ``eta`` is the 4 x 4 noise covariance of the components (k, l, r, q).
+    ``ov`` supplies the synchronous-overlap weights; ``None`` means a common
+    grid, where every weight is 1.  ``cross_integral(step, (x, y))``
+    integrates the spot covariance of components x and y against the slot's
+    shared-timestamp function ``step`` (``None`` on a common grid).  A slot
+    with zero noise covariance contributes exactly 0 and is not integrated.
+    """
+    if ov is None:
+        hat_a = hat_b = tilde_a = tilde_b = 1.0
+        steps = (None,) * 4
+    else:
+        hat_a, hat_b, tilde_a, tilde_b = ov.s_hat_13_24, ov.s_hat_14_23, ov.s_tilde_13_24, ov.s_tilde_14_23
+        steps = (ov.s_13, ov.s_24, ov.s_14, ov.s_23)
+    e_kr, e_lq, e_kq, e_lr = eta[0, 2], eta[1, 3], eta[0, 3], eta[1, 2]
+    noise2 = c**-3 * kc.noise_coeff * (hat_a * e_kr * e_lq + hat_b * e_kq * e_lr)
+    ends = c**-1 * kc.end_coeff * (tilde_a * e_kr * e_lq + tilde_b * e_kq * e_lr)
+    # each slot pairs its noise covariance with the spot covariance of the
+    # other two components: kr with lq, lq with kr, kq with lr, lr with kq
+    t = [
+        e * cross_integral(step, other) if e != 0.0 else 0.0
+        for e, step, other in zip((e_kr, e_lq, e_kq, e_lr), steps, ((1, 3), (0, 2), (1, 2), (0, 3)))
+    ]
+    cross = c**-1 * kc.cross_coeff * (t[0] + t[1] + t[2] + t[3])
+    return noise2, ends, cross
 
 
 def acov_theory(inputs: TheoryInputs, regime: str, pairs) -> float:
@@ -222,12 +233,8 @@ def acov_theory(inputs: TheoryInputs, regime: str, pairs) -> float:
         overlap counts (exactly the signal term when no synchronous
         observations exist).
     """
-    k, l, r, q = _pairs_1based(pairs)
-    p = inputs.sigma.shape[1]
-    for v in (k, l, r, q):
-        if not 1 <= v <= p:
-            raise IndexError(f"component {v} out of range 1..{p}")
-    k, l, r, q = k - 1, l - 1, r - 1, q - 1
+    comps = _pair_components(pairs, inputs.sigma.shape[1])
+    k, l, r, q = comps
     T = inputs.T
 
     def prod_a(s):  # s_kr * s_lq
@@ -248,21 +255,17 @@ def acov_theory(inputs: TheoryInputs, regime: str, pairs) -> float:
         c = inputs.c
         kc = inputs.constants
         if inputs.lasa is not None:
-            signal = 2.0 * c * T * inputs.stieltjes(inputs.lasa.func, prod_sum)
+            signal = 2.0 * c * T * inputs.stieltjes(inputs.lasa, prod_sum)
         else:
             slope = inputs.lasa_slope if inputs.lasa_slope is not None else kc.lasa_slope
             signal = 2.0 * c * T * slope * inputs.integral(prod_sum)
-        H = inputs.noise
-        if H is None:
+        if inputs.noise is None:
             return signal
-        eta_a = H[k, r] * H[l, q] + H[k, q] * H[l, r]
-        cross = (
-            H[k, r] * inputs.integral(lambda s: s[..., l, q])
-            + H[l, q] * inputs.integral(lambda s: s[..., k, r])
-            + H[k, q] * inputs.integral(lambda s: s[..., l, r])
-            + H[l, r] * inputs.integral(lambda s: s[..., k, q])
-        )
-        return signal + kc.noise_coeff * c**-3 * eta_a + kc.cross_coeff * c**-1 * cross + kc.end_coeff * c**-1 * eta_a
+        def cross_integral(_, xy):
+            return inputs.integral(lambda s: s[..., comps[xy[0]], comps[xy[1]]])
+
+        noise2, ends, cross = _noise_addends(kc, c, inputs.noise[np.ix_(comps, comps)], None, cross_integral)
+        return signal + noise2 + cross + ends
 
     if regime == "hy":
         if inputs.timecov is None:
@@ -281,24 +284,34 @@ def acov_theory(inputs: TheoryInputs, regime: str, pairs) -> float:
         if inputs.lasa is None:
             raise ValueError("gms regime needs the weighted sampling autocorrelation")
         c = inputs.c
-        signal = 2.0 * c * T * inputs.stieltjes(inputs.lasa.func, prod_sum)
+        signal = 2.0 * c * T * inputs.stieltjes(inputs.lasa, prod_sum)
         ov, H = inputs.overlap, inputs.noise
         if ov is None or H is None or ov.all_zero():
             return signal
         if inputs.constants is None:
             raise ValueError("gms regime with synchronous overlap needs kernel constants")
-        kc = inputs.constants
-        noise2 = c**-3 * kc.noise_coeff * (ov.s_hat_13_24 * H[k, r] * H[l, q] + ov.s_hat_14_23 * H[k, q] * H[l, r])
-        ends = c**-1 * kc.end_coeff * (ov.s_tilde_13_24 * H[k, r] * H[l, q] + ov.s_tilde_14_23 * H[k, q] * H[l, r])
-        cross = c**-1 * kc.cross_coeff * (
-            H[k, r] * inputs.stieltjes(ov.s_13, lambda s: s[..., l, q])
-            + H[l, q] * inputs.stieltjes(ov.s_24, lambda s: s[..., k, r])
-            + H[k, q] * inputs.stieltjes(ov.s_14, lambda s: s[..., l, r])
-            + H[l, r] * inputs.stieltjes(ov.s_23, lambda s: s[..., k, q])
-        )
+        def cross_integral(step, xy):
+            return inputs.stieltjes(step, lambda s: s[..., comps[xy[0]], comps[xy[1]]])
+
+        noise2, ends, cross = _noise_addends(inputs.constants, c, H[np.ix_(comps, comps)], ov, cross_integral)
         return signal + noise2 + ends + cross
 
     raise ValueError(f"unknown regime {regime!r}")
+
+
+def _global_grids(schemes) -> tuple[SyncGrid, SyncGrid, SyncGrid]:
+    """Pairwise refresh grids of schemes (1, 2) and (3, 4), and their global grid."""
+    g12 = pairwise_refresh(schemes[0], schemes[1])
+    g34 = pairwise_refresh(schemes[2], schemes[3])
+    return g12, g34, global_refresh(g12, g34)
+
+
+def _gms_frequencies(g12: SyncGrid, g34: SyncGrid, glob: SyncGrid, c: float) -> tuple[int, int, int]:
+    """Pairwise frequencies ``M_12``, ``M_34`` and the global-lag frequency
+    ``min(M_12 N/N_12, M_34 N/N_34)`` (``min(M_12, M_34)`` when synchronous)."""
+    N, n12, n34 = len(glob) - 1, len(g12) - 1, len(g34) - 1
+    m12, m34 = _ms_frequency(c, n12), _ms_frequency(c, n34)
+    return m12, m34, _clamp_frequency(min(m12 * N / n12, m34 * N / n34), N)
 
 
 def hy_theory_inputs(schemes, times: np.ndarray, sigma: np.ndarray) -> tuple[TheoryInputs, dict]:
@@ -309,11 +322,7 @@ def hy_theory_inputs(schemes, times: np.ndarray, sigma: np.ndarray) -> tuple[The
     times are computed on their realized global refresh grid; the matching
     empirical normalization is ``N * Cov`` with the returned refresh count.
     """
-    from .timefuncs import time_covariations
-
-    g12 = pairwise_refresh(schemes[0], schemes[1])
-    g34 = pairwise_refresh(schemes[2], schemes[3])
-    glob = global_refresh(g12, g34)
+    g12, g34, glob = _global_grids(schemes)
     bundle = time_covariations(glob)
     inputs = TheoryInputs(times=times, sigma=sigma, timecov=bundle)
     return inputs, {"N": len(glob) - 1, "N12": len(g12) - 1, "N34": len(g34) - 1}
@@ -337,17 +346,10 @@ def gms_theory_inputs(
     weight, which removes most of the finite-frequency bias of the signal
     term.  The matching empirical normalization is ``sqrt(N) * Cov``.
     """
-    from .timefuncs import sync_overlap, weighted_lasa_function
-
-    cfg = EstimatorConfig(kernel=kernel, c=c)
-    g12 = pairwise_refresh(schemes[0], schemes[1])
-    g34 = pairwise_refresh(schemes[2], schemes[3])
-    glob = global_refresh(g12, g34)
+    g12, g34, glob = _global_grids(schemes)
     N, n12, n34 = len(glob) - 1, len(g12) - 1, len(g34) - 1
-    m12 = max(2, min(int(round(c * math.sqrt(n12))), n12))
-    m34 = max(2, min(int(round(c * math.sqrt(n34))), n34))
-    mg = max(2, min(int(round(min(m12 * N / n12, m34 * N / n34))), N))
-    w = cfg.weights(mg)
+    m12, m34, mg = _gms_frequencies(g12, g34, glob, c)
+    w = EstimatorConfig(kernel=kernel, c=c).weights(mg)
     lasa = weighted_lasa_function(glob, w, lag0="half")
     ov = sync_overlap(tuple(schemes), g12, g34, m12, m34) if with_overlap else None
     inputs = TheoryInputs(
@@ -375,21 +377,15 @@ def acov_rc_hat(data: Sequence[TickSeries], pairs) -> float:
                   + sym(d_{i+1}(k) d_i(l) d_i(r) d_{i+1}(q)) ]``
 
     The second addend is symmetrized in the two pairs so that the estimator
-    is exactly invariant под pair swap; the one-dimensional case reduces to
+    is exactly invariant under pair swap; the one-dimensional case reduces to
     ``2 n sum_i d_i^2 d_{i+1}^2``.  The leading factor ``n`` (rather than
     ``n/T``) makes the estimator consistent for the ``T int ...`` limit at
     every horizon.
     """
-    k, l, r, q = _pairs_1based(pairs)
-    p = len(data)
-    for v in (k, l, r, q):
-        if not 1 <= v <= p:
-            raise IndexError(f"component {v} out of range 1..{p}")
-    t0 = data[0].scheme.times
-    for s in data[1:]:
-        if not np.array_equal(s.scheme.times, t0):
-            raise ValueError("acov_rc_hat requires synchronous schemes")
-    dk, dl, dr, dq = (data[v - 1].increments() for v in (k, l, r, q))
+    comps = _pair_components(pairs, len(data))
+    if not _same_times([s.scheme for s in data]):
+        raise ValueError("acov_rc_hat requires synchronous schemes")
+    dk, dl, dr, dq = (data[v].increments() for v in comps)
     n = dk.size
     # products grouped per pair so the estimator is bit-exact under pair swap
     t1 = np.sum((dk[:-1] * dl[1:]) * (dr[:-1] * dq[1:]))
@@ -410,15 +406,12 @@ class GmsAcovConfig:
     c: float = 1.0
     bins: int | None = None
     include_noise_terms: bool = True
-    adjusted: bool = True
 
 
 def _slice_series(s: TickSeries, lo: float, hi: float) -> TickSeries | None:
     mask = (s.scheme.times > lo) & (s.scheme.times <= hi)
     if mask.sum() < 3:
         return None
-    from .sampling import SamplingScheme
-
     # rebase on the common bin origin so the relative alignment of two
     # sliced series (and hence their refresh structure) is preserved
     t = s.scheme.times[mask]
@@ -436,8 +429,9 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
-def _binned_bracket(a: TickSeries, b: TickSeries, edges: np.ndarray, weights_for, adjusted: bool) -> np.ndarray:
-    """Generalized multi-scale bracket increment estimates per bin.
+def _binned_bracket(a: TickSeries, b: TickSeries, edges: np.ndarray, weights_for) -> np.ndarray:
+    """End-effect adjusted generalized multi-scale bracket increment
+    estimates per bin.
 
     Per-bin frequencies are of order N^(3/5) on bins of order N^(4/5)
     observations, so the multi-scale finite-sample factor
@@ -461,8 +455,7 @@ def _binned_bracket(a: TickSeries, b: TickSeries, edges: np.ndarray, weights_for
         w = weights_for(N)
         if w is None:
             continue
-        if adjusted:
-            w = end_effect_adjust(w, N)
+        w = end_effect_adjust(w, N)
         finite_factor = (N + 1 - float(np.sum(w.alphas * w.scales))) / N
         if finite_factor <= 0:
             continue
@@ -492,11 +485,9 @@ def acov_gms_hat(
     disjoint schemes every one of them is exactly zero.
     """
     cfg = config or GmsAcovConfig()
-    k, l, r, q = _pairs_1based(pairs)
-    comps = [data[v - 1] for v in (k, l, r, q)]
-    g12 = pairwise_refresh(comps[0].scheme, comps[1].scheme)
-    g34 = pairwise_refresh(comps[2].scheme, comps[3].scheme)
-    glob = global_refresh(g12, g34)
+    comps = [data[v] for v in _pair_components(pairs, len(data))]
+    schemes = tuple(s.scheme for s in comps)
+    g12, g34, glob = _global_grids(schemes)
     N = len(glob) - 1
     if N < 8:
         raise ValueError("too few global refresh times for the histogram estimator")
@@ -505,12 +496,8 @@ def acov_gms_hat(
         raise ValueError("need at least 2 bins")
     T = glob.horizon
 
-    n12, n34 = len(g12) - 1, len(g34) - 1
-    M12 = max(2, min(int(round(cfg.c * math.sqrt(n12))), n12))
-    M34 = max(2, min(int(round(cfg.c * math.sqrt(n34))), n34))
     # estimator frequencies in global-lag units, matching the closed form
-    # (see gms_theory_inputs); identical to min(M12, M34) when synchronous
-    M_glob = max(2, min(int(round(min(M12 * N / n12, M34 * N / n34))), N))
+    M12, M34, M_glob = _gms_frequencies(g12, g34, glob, cfg.c)
     c_eff = M_glob / math.sqrt(N)
 
     base_cfg = EstimatorConfig(kernel=cfg.kernel, c=cfg.c)
@@ -530,10 +517,10 @@ def acov_gms_hat(
     # the autocorrelation measure) and only cross-half products are used --
     # disjoint data makes them conditionally unbiased for the local
     # spot-covariance products
-    half_edges = _bin_edges_from_step(lasa.func, 2 * K, T)
+    half_edges = _bin_edges_from_step(lasa, 2 * K, T)
     brackets = {}
     for key, (x, y) in {"kr": (0, 2), "lq": (1, 3), "kq": (0, 3), "lr": (1, 2)}.items():
-        brackets[key] = _binned_bracket(comps[x], comps[y], half_edges, weights_for, cfg.adjusted)
+        brackets[key] = _binned_bracket(comps[x], comps[y], half_edges, weights_for)
     dt_half = np.diff(half_edges)
     a, b = slice(0, 2 * K, 2), slice(1, 2 * K, 2)
     denom = 2.0 * dt_half[a] * dt_half[b]
@@ -549,31 +536,22 @@ def acov_gms_hat(
 
     if not cfg.include_noise_terms:
         return first
-    ov = sync_overlap((comps[0].scheme, comps[1].scheme, comps[2].scheme, comps[3].scheme), g12, g34, M12, M34)
+    ov = sync_overlap(schemes, g12, g34, M12, M34)
     if ov.all_zero():
         return first
-    kc = kernel_constants(w_glob)
-    nm = noise_moments(comps)
-    e_kr, e_lq, e_kq, e_lr = nm.h_hat[0, 2], nm.h_hat[1, 3], nm.h_hat[0, 3], nm.h_hat[1, 2]
-    noise2 = c_eff**-3 * kc.noise_coeff * (ov.s_hat_13_24 * e_kr * e_lq + ov.s_hat_14_23 * e_kq * e_lr)
-    ends = c_eff**-1 * kc.end_coeff * (ov.s_tilde_13_24 * e_kr * e_lq + ov.s_tilde_14_23 * e_kq * e_lr)
 
-    def cross_term(step: StepFunction, a: TickSeries, b: TickSeries, eta: float) -> float:
-        if eta == 0.0 or step.total == 0.0:
+    def binned_integral(step: StepFunction, xy: tuple[int, int]) -> float:
+        if step.total == 0.0:
             return 0.0
         se = _bin_edges_from_step(step, K, T)
         sdt = np.diff(se)
-        br = _binned_bracket(a, b, se, weights_for, cfg.adjusted)
+        br = _binned_bracket(comps[xy[0]], comps[xy[1]], se, weights_for)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(sdt > 0, br / sdt, 0.0)
-        return float(np.sum(vals)) * step.total / K * eta
+        return float(np.sum(vals)) * step.total / K
 
-    cross = c_eff**-1 * kc.cross_coeff * (
-        cross_term(ov.s_13, comps[1], comps[3], e_kr)
-        + cross_term(ov.s_24, comps[0], comps[2], e_lq)
-        + cross_term(ov.s_14, comps[1], comps[2], e_kq)
-        + cross_term(ov.s_23, comps[0], comps[3], e_lr)
-    )
+    eta = noise_moments(comps).h_hat
+    noise2, ends, cross = _noise_addends(kernel_constants(w_glob), c_eff, eta, ov, binned_integral)
     return first + noise2 + ends + cross
 
 

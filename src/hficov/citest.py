@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avar import AcovMatrix, acov_matrix_hat, svec_index
-from .estimators import EstimatorConfig, TickSeries, estimate_matrix
+from .avar import AcovMatrix, acov_matrix_hat
+from .estimators import EstimatorConfig, TickSeries, estimate_matrix, svec_index
 
 __all__ = ["CiTestResult", "ci_statistic", "ci_avar", "ci_test"]
 
@@ -101,7 +101,8 @@ def ci_test(
     Estimates the four brackets with ``method`` (``rc`` or ``gms``; ``ms``
     and ``kernel`` are accepted on synchronous schemes), pulls the ten
     relevant asymptotic covariance entries from the full 6 x 6 matrix of
-    the 3-asset system, standardizes on the raw covariance scale (the rate
+    the 3-asset system (estimated with the same kernel and ``c`` as the
+    brackets), standardizes on the raw covariance scale (the rate
     factors cancel between numerator and denominator), and reports a
     two-sided normal p-value.
     """
@@ -112,8 +113,7 @@ def ci_test(
     # bracket order: b1 = [X1,Z], b2 = [X2,Z], b3 = [X1,X2], b4 = [Z]
     brackets = (m[0, 2], m[1, 2], m[0, 1], m[2, 2])
 
-    acov_method = "rc" if method == "rc" else "gms"
-    am: AcovMatrix = acov_matrix_hat(data, acov_method, cfg if acov_method == "rc" else None)
+    am: AcovMatrix = acov_matrix_hat(data, "rc" if method == "rc" else "gms", cfg)
     p = 3
     order = [(1, 3), (2, 3), (1, 2), (3, 3)]
     idx = [svec_index(p, k, l) for (k, l) in order]

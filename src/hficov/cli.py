@@ -43,7 +43,13 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--method", choices=["rc", "ms", "kernel", "hy", "gms"], default="gms")
         q.add_argument("--kernel", default="cubic", help="cubic | parzen | th<r>")
         q.add_argument("--c", type=float, default=1.0)
-        q.add_argument("--adjusted", choices=["true", "false"], default="true")
+        q.add_argument(
+            "--adjusted",
+            choices=["true", "false"],
+            default="true",
+            help="end-effect correction of the point estimates only; "
+            "the acov histogram estimator always adjusts its bin brackets",
+        )
         q.add_argument("--out", default=None)
 
     est = sub.add_parser("estimate", help="estimate the integrated covariance matrix")

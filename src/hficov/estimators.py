@@ -6,10 +6,10 @@ The menu, in increasing generality:
   without noise, biased under microstructure noise.
 * ``multiscale`` / ``kernel_estimator`` — noise-smoothing estimators for
   synchronous data (weighted subsampling scales / weighted realized
-  autocovariances); ``*_adjusted`` variants remove the additive end-effect
-  noise bias.
+  autocovariances); ``multiscale_adjusted`` and ``kernel_estimator(...,
+  adjusted=True)`` remove the additive end-effect noise bias.
 * ``hayashi_yoshida`` — overlap-indicator estimator for asynchronous data
-  without noise, with an exactly equivalent refresh-time evaluation path.
+  without noise.
 * ``generalized_multiscale`` — multi-scale smoothing on the pairwise
   refresh-time skeleton with next-/previous-tick interpolation; handles
   noise and asynchronicity together.
@@ -21,7 +21,8 @@ machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +39,14 @@ __all__ = [
     "multiscale",
     "multiscale_adjusted",
     "kernel_estimator",
-    "kernel_adjusted",
     "hayashi_yoshida",
-    "hayashi_yoshida_refresh",
     "generalized_multiscale",
     "noise_moments",
     "estimate_matrix",
+    "svec_index",
+    "svec_pairs",
+    "svec_pack",
+    "svec_unpack",
 ]
 
 
@@ -73,9 +76,38 @@ class TickSeries:
         return np.diff(self.values)
 
 
+def _same_times(schemes: Sequence[SamplingScheme]) -> bool:
+    """Whether all schemes observe at exactly the same times."""
+    return all(np.array_equal(s.times, schemes[0].times) for s in schemes[1:])
+
+
 def _require_synchronous(a: TickSeries, b: TickSeries, who: str) -> None:
-    if len(a) != len(b) or not np.array_equal(a.scheme.times, b.scheme.times):
+    if not _same_times((a.scheme, b.scheme)):
         raise ValueError(f"{who} requires synchronous schemes; use hayashi_yoshida or generalized_multiscale")
+
+
+def _clamp_frequency(m: float, n: int) -> int:
+    """Round a multi-scale frequency to an integer in ``[2, n]``."""
+    return max(2, min(int(round(m)), n))
+
+
+def _ms_frequency(c: float, n: int) -> int:
+    """The frequency rule ``M = round(c sqrt(n))``, clamped to ``[2, n]``.
+
+    The estimators, the closed forms and the histogram estimator all take
+    their frequencies from here.
+    """
+    return _clamp_frequency(c * math.sqrt(n), n)
+
+
+def _multiscale_sum(up_a: np.ndarray, lo_a: np.ndarray, up_b: np.ndarray, lo_b: np.ndarray, w: WeightScheme) -> float:
+    """``sum_i (a_i/i) sum_j (up_a[j] - lo_a[j-i]) (up_b[j] - lo_b[j-i])``."""
+    total = 0.0
+    for i in range(1, w.M + 1):
+        da = up_a[i:] - lo_a[:-i]
+        db = up_b[i:] - lo_b[:-i]
+        total += (w.alphas[i - 1] / i) * float(np.dot(da, db))
+    return total
 
 
 def realized_cov(a: TickSeries, b: TickSeries) -> float:
@@ -93,13 +125,7 @@ def multiscale(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
     n = a.n_increments
     if w.M > n:
         raise ValueError(f"multi-scale frequency M={w.M} exceeds n={n}")
-    va, vb = a.values, b.values
-    total = 0.0
-    for i in range(1, w.M + 1):
-        da = va[i:] - va[:-i]
-        db = vb[i:] - vb[:-i]
-        total += (w.alphas[i - 1] / i) * float(np.dot(da, db))
-    return total
+    return _multiscale_sum(a.values, a.values, b.values, b.values, w)
 
 
 def multiscale_adjusted(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
@@ -141,11 +167,6 @@ def kernel_estimator(
     return total
 
 
-def kernel_adjusted(a: TickSeries, b: TickSeries, kernel: KernelFunction, H: int, flat_top: bool = False) -> float:
-    """Kernel estimator with the (n-1)/n end correction."""
-    return kernel_estimator(a, b, kernel, H, flat_top=flat_top, adjusted=True)
-
-
 def _canonical_pair(a: TickSeries, b: TickSeries) -> tuple[TickSeries, TickSeries, bool]:
     """Deterministic total ordering so symmetric estimators are bit-exact in
     their two arguments (full arrays break ties)."""
@@ -180,26 +201,6 @@ def hayashi_yoshida(a: TickSeries, b: TickSeries) -> float:
     return float(np.dot(dx, spans))
 
 
-def hayashi_yoshida_refresh(a: TickSeries, b: TickSeries, grid: SyncGrid | None = None) -> float:
-    """Refresh-time evaluation of the overlap estimator (cross-check path).
-
-    ``sum_i (a(t_a^+(tau_i)) - a(t_a^-(tau_{i-1}))) * (b(...) - b(...))``
-    over the pairwise refresh times; agrees with :func:`hayashi_yoshida`
-    exactly.  When the tick ranges are disjoint no refresh time exists and
-    no increment intervals overlap, so the estimator is 0.
-    """
-    if grid is None:
-        try:
-            grid = pairwise_refresh(a.scheme, b.scheme)
-        except ValueError:
-            return 0.0
-    va = a.values[grid.next_idx[0]]
-    vb = b.values[grid.next_idx[1]]
-    pa = a.values[grid.prev_idx[0]]
-    pb = b.values[grid.prev_idx[1]]
-    return float(np.sum((va[1:] - pa[:-1]) * (vb[1:] - pb[:-1])))
-
-
 def generalized_multiscale(a: TickSeries, b: TickSeries, w: WeightScheme, grid: SyncGrid | None = None) -> float:
     """Multi-scale estimator on the pairwise refresh skeleton.
 
@@ -214,16 +215,9 @@ def generalized_multiscale(a: TickSeries, b: TickSeries, w: WeightScheme, grid: 
     N = len(grid) - 1
     if w.M > N:
         raise ValueError(f"multi-scale frequency M={w.M} exceeds refresh count N={N}")
-    up_a = a.values[grid.next_idx[0]]
-    up_b = b.values[grid.next_idx[1]]
-    lo_a = a.values[grid.prev_idx[0]]
-    lo_b = b.values[grid.prev_idx[1]]
-    total = 0.0
-    for i in range(1, w.M + 1):
-        da = up_a[i:] - lo_a[:-i]
-        db = up_b[i:] - lo_b[:-i]
-        total += (w.alphas[i - 1] / i) * float(np.dot(da, db))
-    return total
+    up_a, lo_a = a.values[grid.next_idx[0]], a.values[grid.prev_idx[0]]
+    up_b, lo_b = b.values[grid.next_idx[1]], b.values[grid.prev_idx[1]]
+    return _multiscale_sum(up_a, lo_a, up_b, lo_b, w)
 
 
 @dataclass(frozen=True)
@@ -274,8 +268,7 @@ def noise_moments(data: Sequence[TickSeries]) -> NoiseMoments:
 class EstimatorConfig:
     """Per-run estimator configuration.
 
-    ``c`` scales the multi-scale frequency ``M_kl = round(c * sqrt(N_kl))``
-    (per-pair overrides via ``c_overrides[(k, l)]``, 0-based pairs);
+    ``c`` scales the multi-scale frequency ``M_kl = round(c * sqrt(N_kl))``;
     ``kernel`` names the weight-generating kernel; ``adjusted`` applies the
     end-effect corrections.
     """
@@ -283,16 +276,11 @@ class EstimatorConfig:
     kernel: str = "cubic"
     c: float = 1.0
     adjusted: bool = True
-    flat_top: bool = False
-    c_overrides: dict = field(default_factory=dict)
-
-    def c_for(self, k: int, l: int) -> float:
-        return float(self.c_overrides.get((k, l), self.c_overrides.get((l, k), self.c)))
 
     def weights(self, M: int) -> WeightScheme:
         if self.kernel == "cubic":
-            return cubic_weights(max(M, 2))
-        return weights_from_kernel(builtin_kernel(self.kernel), max(M, 2))
+            return cubic_weights(M)
+        return weights_from_kernel(builtin_kernel(self.kernel), M)
 
 
 @dataclass(frozen=True)
@@ -311,9 +299,40 @@ class CovEstimate:
     min_eigenvalue: float
 
 
-def _svec_pack(m: np.ndarray) -> np.ndarray:
+def svec_index(p: int, k: int, l: int) -> int:
+    """0-based position of entry (k, l), 1 <= k <= l <= p, in the svec layout
+    (row-wise upper triangle: 11, 12, ..., 1p, 22, 23, ...)."""
+    if not 1 <= k <= l <= p:
+        raise ValueError(f"need 1 <= k <= l <= p, got ({k}, {l}) for p={p}")
+    return (k - 1) * (2 * p - k + 2) // 2 + (l - k)
+
+
+def svec_pairs(p: int) -> list[tuple[int, int]]:
+    """The (k, l) pairs (1-based, k <= l) in svec order."""
+    return [(k, l) for k in range(1, p + 1) for l in range(k, p + 1)]
+
+
+def svec_pack(matrix: np.ndarray) -> np.ndarray:
+    """Pack a symmetric matrix's upper triangle row-wise into a vector."""
+    m = np.asarray(matrix, dtype=float)
     p = m.shape[0]
     return np.concatenate([m[k, k:] for k in range(p)])
+
+
+def svec_unpack(vec: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`svec_pack`."""
+    v = np.asarray(vec, dtype=float)
+    q = v.size
+    p = int(round((math.isqrt(8 * q + 1) - 1) / 2))
+    if p * (p + 1) // 2 != q:
+        raise ValueError(f"length {q} is not p(p+1)/2 for integer p")
+    out = np.zeros((p, p))
+    pos = 0
+    for k in range(p):
+        out[k, k:] = v[pos : pos + p - k]
+        out[k:, k] = v[pos : pos + p - k]
+        pos += p - k
+    return out
 
 
 def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorConfig | None = None) -> CovEstimate:
@@ -321,18 +340,15 @@ def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorCo
 
     ``method`` is one of ``rc``, ``ms``, ``kernel`` (synchronous schemes
     required), ``hy``, or ``gms``.  Multi-scale frequencies are chosen per
-    pair as ``M_kl = round(c_kl sqrt(N_kl))`` with ``N_kl`` the common-grid
-    size (ms/kernel) or pairwise refresh count (gms).
+    pair as ``M_kl = round(c sqrt(N_kl))``, clamped to ``[2, N_kl]``, with
+    ``N_kl`` the common-grid size (ms/kernel) or pairwise refresh count (gms).
     """
     cfg = config or EstimatorConfig()
     p = len(data)
     if p < 1:
         raise ValueError("need at least one series")
-    if method in ("rc", "ms", "kernel"):
-        t0 = data[0].scheme.times
-        for s in data[1:]:
-            if not np.array_equal(s.scheme.times, t0):
-                raise ValueError(f"method {method!r} requires synchronous schemes; use 'hy' or 'gms'")
+    if method in ("rc", "ms", "kernel") and not _same_times([s.scheme for s in data]):
+        raise ValueError(f"method {method!r} requires synchronous schemes; use 'hy' or 'gms'")
     mat = np.zeros((p, p))
     per_pair: dict = {}
     for k in range(p):
@@ -342,24 +358,20 @@ def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorCo
             if method == "rc":
                 val = realized_cov(a, b)
             elif method in ("ms", "kernel"):
-                n = a.n_increments
-                c = cfg.c_for(k, l)
-                M = max(2, int(round(c * np.sqrt(n))))
-                info.update(M=M, c=c, kernel=cfg.kernel)
+                M = _ms_frequency(cfg.c, a.n_increments)
+                info.update(M=M, c=float(cfg.c), kernel=cfg.kernel)
                 if method == "ms":
                     w = cfg.weights(M)
                     val = multiscale_adjusted(a, b, w) if cfg.adjusted else multiscale(a, b, w)
                 else:
-                    kern = builtin_kernel(cfg.kernel)
-                    val = kernel_estimator(a, b, kern, M, flat_top=cfg.flat_top, adjusted=cfg.adjusted)
+                    val = kernel_estimator(a, b, builtin_kernel(cfg.kernel), M, adjusted=cfg.adjusted)
             elif method == "hy":
                 val = hayashi_yoshida(a, b)
             elif method == "gms":
                 grid = pairwise_refresh(a.scheme, b.scheme)
                 N = len(grid) - 1
-                c = cfg.c_for(k, l)
-                M = max(2, min(int(round(c * np.sqrt(N))), N))
-                info.update(M=M, c=c, kernel=cfg.kernel, refresh_count=N)
+                M = _ms_frequency(cfg.c, N)
+                info.update(M=M, c=float(cfg.c), kernel=cfg.kernel, refresh_count=N)
                 w = cfg.weights(M)
                 if cfg.adjusted:
                     w = end_effect_adjust(w, N)
@@ -369,4 +381,4 @@ def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorCo
             mat[k, l] = mat[l, k] = val
             per_pair[(k, l)] = info
     eig_min = float(np.linalg.eigvalsh(mat).min()) if p > 1 else float(mat[0, 0])
-    return CovEstimate(matrix=mat, method=method, per_pair=per_pair, svec=_svec_pack(mat), min_eigenvalue=eig_min)
+    return CovEstimate(matrix=mat, method=method, per_pair=per_pair, svec=svec_pack(mat), min_eigenvalue=eig_min)

@@ -52,7 +52,6 @@ class KernelFunction:
     k: Callable[[float], float]
     k1: Callable[[float], float] | None = None
     k2: Callable[[float], float] | None = None
-    smooth: bool = True
 
     def __post_init__(self) -> None:
         fd_based = self.k1 is None
@@ -111,7 +110,7 @@ def _parzen() -> KernelFunction:
     def k2(x: float) -> float:
         return -12 + 36 * x if x <= 0.5 else 12 * (1 - x)
 
-    return KernelFunction("parzen", k=k, k1=k1, k2=k2, smooth=False)
+    return KernelFunction("parzen", k=k, k1=k1, k2=k2)
 
 
 def _tukey_hanning(r: int) -> KernelFunction:
@@ -157,7 +156,7 @@ def builtin_kernel(name: str, r: int = 1) -> KernelFunction:
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Multi-scale weight vector with its generating metadata.
+    """Multi-scale weight vector.
 
     ``alphas[i-1]`` is the weight of subsampling scale ``i``; the identities
     ``sum a_i = 1`` and ``sum a_i / i = 0`` hold to 1e-12 for generated
@@ -167,8 +166,6 @@ class WeightScheme:
 
     alphas: np.ndarray
     M: int
-    c: float = 1.0
-    kernel_name: str = ""
     end_adjusted: bool = False
 
     def __post_init__(self) -> None:
@@ -211,7 +208,7 @@ class WeightScheme:
         return np.concatenate([t[1:], [0.0]])
 
 
-def cubic_weights(M: int, c: float = 1.0) -> WeightScheme:
+def cubic_weights(M: int) -> WeightScheme:
     """Exact rational weights of the cubic kernel.
 
     ``a_i = 12 i^2/(M^3 - M) - 6 i/(M^2 - 1) - 6 i/(M^3 - M)``; the
@@ -221,10 +218,10 @@ def cubic_weights(M: int, c: float = 1.0) -> WeightScheme:
         raise ValueError("cubic weights need M >= 2")
     i = np.arange(1, M + 1, dtype=float)
     a = 12 * i**2 / (M**3 - M) - 6 * i / (M**2 - 1) - 6 * i / (M**3 - M)
-    return WeightScheme(a, M, c=c, kernel_name="cubic")
+    return WeightScheme(a, M)
 
 
-def weights_from_kernel(kernel: KernelFunction, M: int, c: float = 1.0) -> WeightScheme:
+def weights_from_kernel(kernel: KernelFunction, M: int) -> WeightScheme:
     """Weights generated from a kernel through ``h = K''``.
 
     The four-term expansion
@@ -256,7 +253,7 @@ def weights_from_kernel(kernel: KernelFunction, M: int, c: float = 1.0) -> Weigh
         - (i / (24 * M**5)) * (h2(1.0) - h2(0.0))
     )
     a = _project(a, M)
-    return WeightScheme(a, M, c=c, kernel_name=kernel.name)
+    return WeightScheme(a, M)
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:

@@ -30,12 +30,12 @@ from .avar import (
     acov_theory,
     gms_theory_inputs,
     hy_theory_inputs,
-    svec_index,
-    svec_pairs,
 )
 from .citest import ci_test
 from .estimators import (
     TickSeries,
+    _ms_frequency,
+    _same_times,
     end_effect_adjust,
     generalized_multiscale,
     hayashi_yoshida,
@@ -44,6 +44,8 @@ from .estimators import (
     multiscale_adjusted,
     noise_moments,
     realized_cov,
+    svec_index,
+    svec_pairs,
 )
 from .kernels import builtin_kernel, cubic_weights
 from .sampling import SamplingScheme, pairwise_refresh
@@ -170,7 +172,7 @@ class SamplingConfig:
 
 def sample_scheme(cfg: SamplingConfig, T: float, rng: np.random.Generator | int) -> SamplingScheme:
     """Draw one observation scheme on [0, T] (independent of the process)."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     if cfg.kind == "explicit":
         return SamplingScheme(np.asarray(cfg.times, dtype=float), T)
     if cfg.kind == "equidistant":
@@ -233,7 +235,7 @@ def simulate_paths(
     volatility the Euler scheme is exact in distribution on any grid.
     Variance processes are full-truncated at zero.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     T, p = model.T, model.p
     if times is None:
         m = int(fine_n if fine_n is not None else 1000 * model.fine_factor)
@@ -302,7 +304,7 @@ def observe(
     draws are i.i.d. over time per component and correlated across
     components only at exactly shared timestamps.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     p = paths.p
     if len(schemes) != p:
         raise ValueError(f"need one scheme per component ({p})")
@@ -326,8 +328,7 @@ def _draw_noise(schemes: Sequence[SamplingScheme], noise: NoiseConfig, rng: np.r
     sd = np.sqrt(np.diag(H))
     if noise.law == "two_point":
         return [sd[l] * (2.0 * rng.integers(0, 2, size=len(schemes[l])) - 1.0) for l in range(p)]
-    synchronous = all(np.array_equal(s.times, schemes[0].times) for s in schemes[1:])
-    if synchronous:
+    if _same_times(schemes):
         chol = np.linalg.cholesky(H + 1e-18 * np.eye(p))
         z = rng.standard_normal((len(schemes[0]), p)) @ chol.T
         return [z[:, l] for l in range(p)]
@@ -503,7 +504,7 @@ def scenario_ms_kernel_equivalence(replicates: int = 200, seed: int = 20260808, 
     noise = NoiseConfig(H)
     times = np.linspace(0.0, T, n + 1)
     schemes = [SamplingScheme(times, T)] * 2
-    M = int(round(math.sqrt(n)))
+    M = _ms_frequency(1.0, n)
     w = cubic_weights(M)
     kern = builtin_kernel("cubic")
     rngs = _spawn_rngs(seed, replicates)
@@ -551,8 +552,7 @@ def _rate_study(kind: str, replicates: int, seed: int, ns: Sequence[int]) -> dic
         errs = np.empty(replicates)
         grid = pairwise_refresh(schemes[0], schemes[1])
         N = len(grid) - 1
-        M = max(2, int(round(math.sqrt(N))))
-        w = end_effect_adjust(cubic_weights(M), N)
+        w = end_effect_adjust(cubic_weights(_ms_frequency(1.0, N)), N)
         def one(i, rng):
             paths = simulate_paths(model, rng, times=union)
             data = observe(paths, schemes, noise, rng)

@@ -19,22 +19,13 @@ import numpy as np
 from .estimators import TickSeries
 from .sampling import SamplingScheme
 
-__all__ = ["TickFileRecord", "TickFileError", "load_ticks", "write_ticks", "RunReport"]
+__all__ = ["TickFileError", "load_ticks", "write_ticks", "RunReport"]
 
 _HEADER = ["asset_id", "timestamp", "log_price"]
 
 
 class TickFileError(ValueError):
     """Malformed tick file; the message carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class TickFileRecord:
-    """One CSV row: an asset's timestamp (seconds) and log price."""
-
-    asset_id: str
-    timestamp: float
-    log_price: float
 
 
 def load_ticks(path: str | Path, horizon: float | None = None) -> tuple[list[str], list[TickSeries]]:

