@@ -351,7 +351,7 @@ def gms_theory_inputs(
     m12, m34, mg = _gms_frequencies(g12, g34, glob, c)
     w = EstimatorConfig(kernel=kernel, c=c).weights(mg)
     lasa = weighted_lasa_function(glob, w, lag0="half")
-    ov = sync_overlap(tuple(schemes), g12, g34, m12, m34) if with_overlap else None
+    ov = sync_overlap(glob, m12, m34) if with_overlap else None
     inputs = TheoryInputs(
         times=times,
         sigma=sigma,
@@ -536,7 +536,7 @@ def acov_gms_hat(
 
     if not cfg.include_noise_terms:
         return first
-    ov = sync_overlap(schemes, g12, g34, M12, M34)
+    ov = sync_overlap(glob, M12, M34)
     if ov.all_zero():
         return first
 

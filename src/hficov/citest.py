@@ -101,10 +101,12 @@ def ci_test(
     Estimates the four brackets with ``method`` (``rc`` or ``gms``; ``ms``
     and ``kernel`` are accepted on synchronous schemes), pulls the ten
     relevant asymptotic covariance entries from the full 6 x 6 matrix of
-    the 3-asset system (estimated with the same kernel and ``c`` as the
-    brackets), standardizes on the raw covariance scale (the rate
-    factors cancel between numerator and denominator), and reports a
-    two-sided normal p-value.
+    the 3-asset system (:func:`hficov.avar.acov_matrix_hat` for the same
+    method, kernel and ``c`` as the brackets), standardizes on the raw
+    covariance scale (the rate factors cancel between numerator and
+    denominator), and reports a two-sided normal p-value.  ``hy`` raises
+    ``ValueError``: there is no data-driven asymptotic covariance
+    estimator for the overlap estimator.
     """
     cfg = config or EstimatorConfig()
     data = [x1, x2, z]
@@ -113,7 +115,7 @@ def ci_test(
     # bracket order: b1 = [X1,Z], b2 = [X2,Z], b3 = [X1,X2], b4 = [Z]
     brackets = (m[0, 2], m[1, 2], m[0, 1], m[2, 2])
 
-    am: AcovMatrix = acov_matrix_hat(data, "rc" if method == "rc" else "gms", cfg)
+    am: AcovMatrix = acov_matrix_hat(data, method, cfg)
     p = 3
     order = [(1, 3), (2, 3), (1, 2), (3, 3)]
     idx = [svec_index(p, k, l) for (k, l) in order]

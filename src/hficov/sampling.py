@@ -182,32 +182,43 @@ class SyncGrid:
         return float(self.source_schemes[l].times[self.prev_idx[l, i]])
 
 
-def _refresh_recursion(times_per_scheme: Sequence[np.ndarray]) -> np.ndarray:
-    """Core refresh-time recursion over an arbitrary number of time arrays.
+def _refresh_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Refresh times of two strictly increasing time arrays, as a merge.
 
-    tau_0 is the largest first tick; tau_i is the largest of the first ticks
-    strictly after tau_{i-1}.  A candidate is emitted only while every scheme
-    still has a tick at or after it (so next-tick interpolation stays defined
-    for all schemes at every refresh time); otherwise the sequence terminates.
+    tau_0 is the larger first tick; tau_i is the larger of the two first
+    ticks strictly after tau_{i-1}.  Over the union of the stamps after
+    tau_0, each labelled a-only, b-only or both, a refresh fires at every
+    "both" stamp, and at a single-label stamp whose label differs from the
+    previous stamp's when the previous stamp did not fire (tau_0 counts as
+    fired).  Inside a run of consecutive label changes the fire flag
+    therefore alternates, starting with "no" at the run's first stamp.
+    Fires after ``min(a[-1], b[-1])`` are dropped: from there on one array
+    has no tick at or after the candidate, so next-tick interpolation would
+    be undefined.
     """
-    firsts = [t[0] for t in times_per_scheme]
-    lasts = [t[-1] for t in times_per_scheme]
-    min_last = min(lasts)
-    tau = max(firsts)
-    if tau > min_last:
+    tau0 = max(a[0], b[0])
+    last = min(a[-1], b[-1])
+    if tau0 > last:
         return np.empty(0)
-    out = [tau]
-    while True:
-        nxt = -np.inf
-        for t in times_per_scheme:
-            i = np.searchsorted(t, tau, side="right")
-            if i >= t.size:
-                return np.asarray(out)
-            nxt = max(nxt, t[i])
-        if nxt > min_last:
-            return np.asarray(out)
-        out.append(nxt)
-        tau = nxt
+    a = a[np.searchsorted(a, tau0, side="right") :]
+    b = b[np.searchsorted(b, tau0, side="right") :]
+    stamps = np.concatenate([a, b])
+    order = np.argsort(stamps, kind="stable")  # linear: two sorted runs
+    stamps = stamps[order]
+    label = np.where(order < a.size, 1, 2)  # 1 = a, 2 = b, 3 = both
+    first = np.ones(stamps.size, dtype=bool)
+    first[1:] = stamps[1:] != stamps[:-1]  # a stamp occurs at most twice
+    label = np.bitwise_or.reduceat(label, np.flatnonzero(first))
+    stamps = stamps[first]
+
+    single = label != 3
+    change = np.zeros(stamps.size, dtype=bool)
+    change[1:] = single[1:] & single[:-1] & (label[1:] != label[:-1])
+    pos = np.arange(stamps.size)
+    run_start = np.maximum.accumulate(np.where(change, 0, pos))
+    fires = stamps[~single | (change & ((pos - run_start) % 2 == 1))]
+    fires = fires[: np.searchsorted(fires, last, side="right")]
+    return np.concatenate([[tau0], fires])
 
 
 def _index_maps(schemes: Sequence[SamplingScheme], refresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +240,7 @@ def pairwise_refresh(scheme_a: SamplingScheme, scheme_b: SamplingScheme) -> Sync
     """
     if scheme_a.horizon != scheme_b.horizon:
         raise ValueError("schemes must share the horizon")
-    refresh = _refresh_recursion([scheme_a.times, scheme_b.times])
+    refresh = _refresh_merge(scheme_a.times, scheme_b.times)
     if refresh.size == 0:
         raise ValueError("schemes produce no refresh times (disjoint tick ranges)")
     nxt, prv = _index_maps([scheme_a, scheme_b], refresh)
@@ -245,7 +256,7 @@ def global_refresh(grid_ab: SyncGrid, grid_cd: SyncGrid) -> SyncGrid:
     """
     if grid_ab.horizon != grid_cd.horizon:
         raise ValueError("grids must share the horizon")
-    refresh = _refresh_recursion([grid_ab.refresh_times, grid_cd.refresh_times])
+    refresh = _refresh_merge(grid_ab.refresh_times, grid_cd.refresh_times)
     if refresh.size == 0:
         raise ValueError("pairwise grids produce no common refresh times")
     schemes = grid_ab.source_schemes + grid_cd.source_schemes

@@ -48,7 +48,7 @@ from .estimators import (
     svec_pairs,
 )
 from .kernels import builtin_kernel, cubic_weights
-from .sampling import SamplingScheme, pairwise_refresh
+from .sampling import SamplingScheme, global_refresh, pairwise_refresh
 from .timefuncs import sync_overlap
 
 __all__ = [
@@ -658,7 +658,7 @@ def scenario_gms_acov_async(replicates: int = 2000, seed: int = 20260808, n: int
     _replicate_map(one, _spawn_rngs(seed, replicates))
     data0 = data_first[0]
     emp = math.sqrt(N) * float(np.cov(est12, est34)[0, 1])
-    ov = sync_overlap(tuple(schemes), g12, g34, meta["M12"], meta["M34"])
+    ov = sync_overlap(global_refresh(g12, g34), meta["M12"], meta["M34"])
     with_noise = acov_gms_hat(data0, ((1, 2), (3, 4)), GmsAcovConfig(include_noise_terms=True))
     without = acov_gms_hat(data0, ((1, 2), (3, 4)), GmsAcovConfig(include_noise_terms=False))
     checks = [

@@ -404,27 +404,93 @@ def _interp_times(grid: SyncGrid, l: int, which: str) -> np.ndarray:
     return grid.source_schemes[l].times[idx]
 
 
-def sync_overlap(
-    schemes: tuple[SamplingScheme, SamplingScheme, SamplingScheme, SamplingScheme],
-    grid_12: SyncGrid,
-    grid_34: SyncGrid,
+def _match_ranges(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For nondecreasing ``x`` and ``y``, the half-open column ranges
+    ``[lo_r, hi_r)`` of the ``y`` entries matching ``x[r]``: ``y == x[r]``
+    when ``tol`` is 0, else ``|x[r] - y| <= tol`` (the predicate of
+    ``np.isclose(x, y, rtol=0, atol=tol)``).  Both bounds are
+    nondecreasing in ``r``."""
+    if tol == 0.0:
+        return np.searchsorted(y, x, side="left"), np.searchsorted(y, x, side="right")
+
+    def settle(k: np.ndarray, inside) -> np.ndarray:
+        # first index where the monotone predicate ``inside`` holds; the
+        # searchsorted guess is off only where ``x -+ tol`` rounded
+        while True:
+            down = (k > 0) & inside(np.maximum(k - 1, 0))
+            up = (k < y.size) & ~inside(np.minimum(k, y.size - 1))
+            if not (down.any() or up.any()):
+                return k
+            k = k - down + up
+
+    def near(i: np.ndarray) -> np.ndarray:
+        return np.abs(x - y[i]) <= tol
+
+    lo = settle(np.searchsorted(y, x - tol, side="left"), lambda i: (y[i] >= x) | near(i))
+    hi = settle(np.searchsorted(y, x + tol, side="right"), lambda i: (y[i] > x) & ~near(i))
+    return lo, hi
+
+
+def _overlap_count(
+    a_plus: np.ndarray,
+    b_plus: np.ndarray,
+    a_minus: np.ndarray,
+    b_minus: np.ndarray,
     m_12: int,
     m_34: int,
-    tol: float = 0.0,
-) -> SyncOverlap:
+    tol: float,
+) -> int:
+    """Number of (j, k, r, q) with ``t_a^+(tau_j) = t_b^+(ttau_k)`` and
+    ``t_am^-(tau_{j-r}) = t_bm^-(ttau_{k-q})``, ``1 <= r <= j ^ m_12``,
+    ``1 <= q <= k ^ m_34``, for the nondecreasing interpolation arrays of
+    two pairwise grids.
+
+    Matches of row ``r`` form the column range ``[lo_r, hi_r)``.  The
+    plus-matches (j, k) are enumerated (O(N): an interpolation array holds
+    a value at most twice), and the minus-matches in the rectangle of rows
+    ``[j - j^m_12, j)`` and columns ``[k - k^m_34, k)`` are counted as
+    ``sum_r min(hi_r, q1) - sum_r max(lo_r, q0)`` over the rows whose range
+    meets the column window, each sum a prefix-sum difference.
+    """
+    lo_p, hi_p = _match_ranges(a_plus, b_plus, tol)
+    width = hi_p - lo_p
+    j = np.repeat(np.arange(a_plus.size), width)
+    k = lo_p[j] + np.arange(j.size) - np.repeat(np.cumsum(width) - width, width)
+    keep = (j > 0) & (k > 0)
+    j, k = j[keep], k[keep]
+    r0, r1 = j - np.minimum(j, m_12), j
+    q0, q1 = k - np.minimum(k, m_34), k
+
+    lo, hi = _match_ranges(a_minus, b_minus, tol)
+    # rows whose range meets [q0, q1): hi_r > q0 and lo_r < q1
+    b = np.maximum(r0, np.searchsorted(hi, q0, side="right"))
+    e = np.maximum(b, np.minimum(r1, np.searchsorted(lo, q1, side="left")))
+    cum_hi = np.concatenate([[0], np.cumsum(hi)])
+    cum_lo = np.concatenate([[0], np.cumsum(lo)])
+    s = np.clip(np.searchsorted(hi, q1, side="left"), b, e)  # hi_r < q1 before s
+    t = np.clip(np.searchsorted(lo, q0, side="right"), b, e)  # lo_r <= q0 before t
+    inside = cum_hi[s] - cum_hi[b] + q1 * (e - s)
+    outside = q0 * (t - b) + cum_lo[e] - cum_lo[t]
+    return int(np.sum(inside - outside))
+
+
+def sync_overlap(glob: SyncGrid, m_12: int, m_34: int, tol: float = 0.0) -> SyncOverlap:
     """Finite-sample synchronous-overlap functions and counts.
 
-    Timestamps are compared with exact equality by default (``tol`` widens
-    the match window for jittered stamps).  The scalar counts evaluate the
-    indicator sums over pairwise refresh indices without the limit; the
-    quadruple sums are normalized by ``2 N min(m_12, m_34)`` and the
-    boundary sums by ``2 min(m_12, m_34)`` so the fully synchronous case
-    yields 1 (both indicator brackets fire on identical schemes).
+    ``glob`` is the global refresh grid of four schemes from
+    :func:`hficov.sampling.global_refresh`; the schemes and the two pairwise
+    grids are read from it.  Timestamps are compared with exact equality by
+    default (``tol`` widens the match window for jittered stamps).  The
+    scalar counts evaluate the indicator sums over pairwise refresh indices
+    without the limit; the quadruple sums are normalized by
+    ``2 N min(m_12, m_34)`` and the boundary sums by ``2 min(m_12, m_34)``
+    so the fully synchronous case yields 1 (both indicator brackets fire on
+    identical schemes).  Time and memory are linear in the tick count.
     """
-    from .sampling import global_refresh  # local import avoids cycle at module load
-
-    s1, s2, s3, s4 = schemes
-    glob = global_refresh(grid_12, grid_34)
+    if len(glob.source_schemes) != 4 or len(glob.pair_grids) != 2:
+        raise ValueError("sync_overlap requires a 4-scheme global refresh grid")
+    s1, s2, s3, s4 = glob.source_schemes
+    grid_12, grid_34 = glob.pair_grids
     N = len(glob) - 1  # refresh increment count, as elsewhere
     M = min(m_12, m_34)
     if M < 1:
@@ -444,21 +510,8 @@ def sync_overlap(
         return np.isclose(x[:, None], y[None, :], rtol=0.0, atol=tol) if tol else x[:, None] == y[None, :]
 
     def s_hat(a_plus, b_plus, a_minus, b_minus) -> float:
-        # sum over (j, k, r, q) of 1{t_a^+(tau_j) = t_b^+(ttau_k)} *
-        # 1{t_am^-(tau_{j-r}) = t_bm^-(ttau_{k-q})}, r <= j ^ m_12, q <= k ^ m_34
-        plus_match = eq(a_plus, b_plus)  # (N12+1, N34+1)
-        minus_match = eq(a_minus, b_minus)
-        if not plus_match.any() or not minus_match.any():
-            return 0.0
-        total = 0.0
-        js, ks = np.nonzero(plus_match)
-        for j, k in zip(js, ks):
-            r_lo, r_hi = j - min(j, m_12), j - 1  # tau indices j-r
-            q_lo, q_hi = k - min(k, m_34), k - 1
-            if r_hi < r_lo or q_hi < q_lo:
-                continue
-            total += minus_match[r_lo : r_hi + 1, q_lo : q_hi + 1].sum()
-        return total / (2.0 * N * M)
+        count = _overlap_count(a_plus, b_plus, a_minus, b_minus, m_12, m_34, tol)
+        return count / (2.0 * N * M) if count else 0.0
 
     def s_tilde(a_plus, b_plus, c_plus, d_plus, a_minus, b_minus, c_minus, d_minus) -> float:
         n12, n34 = a_plus.size, b_plus.size

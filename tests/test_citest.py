@@ -135,3 +135,14 @@ def test_ci_test_acov_uses_estimator_kernel_and_c():
     raw = acov_matrix_hat([x1, x2, z], "gms", GmsAcovConfig(kernel="parzen", c=0.5)).raw()
     idx = [2, 4, 1, 5]  # svec positions of (1,3), (2,3), (1,2), (3,3) for p = 3
     np.testing.assert_array_equal(res.acov_entries, raw[np.ix_(idx, idx)])
+
+
+def test_ci_test_hy_has_no_acov_estimator():
+    # noiseless Poisson triple: hy brackets exist, a data-driven hy acov does not
+    rng = np.random.default_rng(9)
+    data = []
+    for _ in range(3):
+        t = np.unique(np.concatenate([[0.0], rng.uniform(0, 1, 200), [1.0]]))
+        data.append(series(t, np.cumsum(0.01 * rng.standard_normal(t.size))))
+    with pytest.raises(ValueError, match="'hy'"):
+        ci_test(*data, method="hy")

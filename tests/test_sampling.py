@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hficov.sampling import (
     InterpolationError,
@@ -99,6 +101,57 @@ def test_refresh_matches_oracle_on_random_fixtures():
             assert len(refresh_oracle(list(a.times), list(b.times))) == 0
             continue
         np.testing.assert_allclose(got, refresh_oracle(list(a.times), list(b.times)))
+
+
+@st.composite
+def coarse_pair(draw):
+    """Two schemes on a coarse grid k/g of [0, 1], so shared stamps are
+    frequent: free draws, disjoint ranges, one range nested in the other,
+    and one-tick schemes."""
+    g = draw(st.integers(2, 40))
+
+    def ticks(lo, hi, max_size=25):
+        return sorted(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=max_size, unique=True)))
+
+    shape = draw(st.sampled_from(["free", "disjoint", "nested", "single"]))
+    if shape == "disjoint":
+        split = draw(st.integers(0, g - 1))
+        a, b = ticks(0, split), ticks(split + 1, g)
+    elif shape == "nested":
+        a = ticks(0, g)
+        b = ticks(a[0], a[-1])
+    elif shape == "single":
+        a, b = ticks(0, g, max_size=1), ticks(0, g)
+    else:
+        a, b = ticks(0, g), ticks(0, g)
+    if draw(st.booleans()):
+        a, b = b, a
+    return sch(*np.array(a) / g), sch(*np.array(b) / g)
+
+
+@given(coarse_pair())
+def test_refresh_equals_oracle_on_coarse_grids(pair):
+    a, b = pair
+    expect = refresh_oracle(list(a.times), list(b.times))
+    if not expect:
+        with pytest.raises(ValueError):
+            pairwise_refresh(a, b)
+        return
+    assert np.array_equal(pairwise_refresh(a, b).refresh_times, np.array(expect))
+
+
+@given(coarse_pair(), coarse_pair())
+def test_global_refresh_equals_oracle_twice(pair_ab, pair_cd):
+    tau = refresh_oracle(*[list(s.times) for s in pair_ab])
+    ttau = refresh_oracle(*[list(s.times) for s in pair_cd])
+    assume(tau and ttau)
+    g_ab, g_cd = pairwise_refresh(*pair_ab), pairwise_refresh(*pair_cd)
+    expect = refresh_oracle(tau, ttau)
+    if not expect:
+        with pytest.raises(ValueError):
+            global_refresh(g_ab, g_cd)
+        return
+    assert np.array_equal(global_refresh(g_ab, g_cd).refresh_times, np.array(expect))
 
 
 def test_refresh_count_bounded_by_min_scheme_size():

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hficov.kernels import cubic_weights
 from hficov.sampling import SamplingScheme, global_refresh, pairwise_refresh
 from hficov.timefuncs import (
     StepFunction,
+    _overlap_count,
     lasa,
     lasa_function,
     sync_overlap,
@@ -276,7 +281,7 @@ def test_sync_overlap_disjoint_all_zero():
     schemes = [SamplingScheme(np.sort(rng.uniform(0, 1, 30)), 1.0) for _ in range(4)]
     g12 = pairwise_refresh(schemes[0], schemes[1])
     g34 = pairwise_refresh(schemes[2], schemes[3])
-    ov = sync_overlap(tuple(schemes), g12, g34, 4, 4)
+    ov = sync_overlap(global_refresh(g12, g34), 4, 4)
     assert ov.all_zero()
 
 
@@ -284,7 +289,7 @@ def test_sync_overlap_identical_schemes():
     g = sch(np.linspace(0, 1, 41))
     schemes = (g, g, g, g)
     g12 = pairwise_refresh(g, g)
-    ov = sync_overlap(schemes, g12, pairwise_refresh(g, g), 6, 6)
+    ov = sync_overlap(global_refresh(g12, pairwise_refresh(g, g)), 6, 6)
     assert ov.s_13(1.0) == pytest.approx(1.0, rel=0.05)
     assert ov.s_hat_13_24 == pytest.approx(1.0, rel=0.2)
     assert ov.s_hat_14_23 == pytest.approx(1.0, rel=0.2)
@@ -303,7 +308,7 @@ def test_sync_overlap_counts_match_oracle():
     schemes = tuple(SamplingScheme(t, 1.0) for t in (t1, t2, t3, t4))
     g12 = pairwise_refresh(schemes[0], schemes[1])
     g34 = pairwise_refresh(schemes[2], schemes[3])
-    ov = sync_overlap(schemes, g12, g34, 3, 4)
+    ov = sync_overlap(global_refresh(g12, g34), 3, 4)
     h1, h2, t1_, t2_ = sync_counts_oracle([list(s.times) for s in schemes], 3, 4)
     assert ov.s_hat_13_24 == pytest.approx(h1, rel=1e-12, abs=1e-15)
     assert ov.s_hat_14_23 == pytest.approx(h2, rel=1e-12, abs=1e-15)
@@ -313,6 +318,93 @@ def test_sync_overlap_counts_match_oracle():
 
 def test_sync_overlap_step_functions_nondecreasing():
     g = sch(np.linspace(0, 1, 21))
-    ov = sync_overlap((g, g, g, g), pairwise_refresh(g, g), pairwise_refresh(g, g), 4, 4)
+    ov = sync_overlap(global_refresh(pairwise_refresh(g, g), pairwise_refresh(g, g)), 4, 4)
     for st in (ov.s_13, ov.s_14, ov.s_23, ov.s_24):
         assert np.all(st.increments() >= 0)
+
+
+def test_sync_overlap_needs_global_grid():
+    g = sch(np.linspace(0, 1, 11))
+    with pytest.raises(ValueError, match="global refresh grid"):
+        sync_overlap(pairwise_refresh(g, g), 2, 2)
+
+
+def dense_overlap_count(a_plus, b_plus, a_minus, b_minus, m_12, m_34, tol):
+    """Quadruple indicator count from dense (N12+1) x (N34+1) match matrices
+    and a loop over the plus-matches: the reference for the prefix-sum count
+    of ``sync_overlap``."""
+
+    def eq(x, y):
+        return np.isclose(x[:, None], y[None, :], rtol=0.0, atol=tol) if tol else x[:, None] == y[None, :]
+
+    minus_match = eq(a_minus, b_minus)
+    total = 0
+    for j, k in zip(*np.nonzero(eq(a_plus, b_plus))):
+        total += int(minus_match[j - min(j, m_12) : j, k - min(k, m_34) : k].sum())
+    return total
+
+
+@st.composite
+def coarse_quad(draw, jitter=False):
+    """Four schemes on a coarse grid k/g of [0, 1] (shared stamps are
+    frequent), optionally with some stamps moved by 1e-3 of the grid step,
+    and the multi-scale frequencies; ``None`` when a grid is empty."""
+    g = draw(st.integers(3, 30))
+    schemes = []
+    for _ in range(4):
+        k = np.array(sorted(draw(st.lists(st.integers(0, g), min_size=2, max_size=20, unique=True))))
+        t = k / g
+        if jitter:
+            shift = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=k.size, max_size=k.size)))
+            t = np.clip(t + shift * 1e-3 / g, 0.0, 1.0)
+        schemes.append(sch(t))
+    try:
+        glob = global_refresh(pairwise_refresh(*schemes[:2]), pairwise_refresh(*schemes[2:]))
+    except ValueError:
+        return None
+    return glob, draw(st.integers(1, 6)), draw(st.integers(1, 6)), 1.0 / g
+
+
+def _brackets(glob):
+    """The four (plus, plus, minus, minus) argument sets of the s_hat counts."""
+    g12, g34 = glob.pair_grids
+    tp = [[g.source_schemes[l].times[g.next_idx[l]] for l in (0, 1)] for g in (g12, g34)]
+    tm = [[g.source_schemes[l].times[g.prev_idx[l]] for l in (0, 1)] for g in (g12, g34)]
+    return [
+        (tp[0][x], tp[1][y], tm[0][1 - x], tm[1][1 - y])
+        for x, y in ((0, 0), (1, 1), (0, 1), (1, 0))
+    ]
+
+
+@given(st.booleans().flatmap(lambda jitter: coarse_quad(jitter)), st.sampled_from([0.0, 2e-3, 0.5, 1.0]))
+def test_overlap_count_equals_dense_reference(case, tol_steps):
+    assume(case is not None)
+    glob, m12, m34, step = case
+    tol = tol_steps * step  # tol equal to the grid step matches neighbouring stamps
+    for args in _brackets(glob):
+        assert _overlap_count(*args, m12, m34, tol) == dense_overlap_count(*args, m12, m34, tol)
+
+
+@given(coarse_quad())
+def test_sync_overlap_equals_counts_oracle_on_coarse_grids(case):
+    assume(case is not None and len(case[0]) > 1)
+    glob, m12, m34, _ = case
+    ov = sync_overlap(glob, m12, m34)
+    expect = sync_counts_oracle([list(s.times) for s in glob.source_schemes], m12, m34)
+    got = (ov.s_hat_13_24, ov.s_hat_14_23, ov.s_tilde_13_24, ov.s_tilde_14_23)
+    assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+def test_sync_overlap_memory_linear_in_ticks():
+    # synchronous n = 16000: dense match matrices would take about 0.5 GB
+    g = sch(np.linspace(0, 1, 16001))
+    glob = global_refresh(pairwise_refresh(g, g), pairwise_refresh(g, g))
+    m = int(round(np.sqrt(16000)))
+    tracemalloc.start()
+    try:
+        ov = sync_overlap(glob, m, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert ov.s_tilde_13_24 == 1.0
