@@ -36,9 +36,9 @@ from .estimators import (
     TickSeries,
     _clamp_frequency,
     _ms_frequency,
+    _multiscale_sum,
     _same_times,
     end_effect_adjust,
-    generalized_multiscale,
     noise_moments,
     svec_index,
     svec_pack,
@@ -46,7 +46,7 @@ from .estimators import (
     svec_unpack,
 )
 from .kernels import KernelConstants, WeightScheme, kernel_constants
-from .sampling import SamplingScheme, SyncGrid, global_refresh, pairwise_refresh
+from .sampling import SyncGrid, _index_maps, _refresh_merge, global_refresh, pairwise_refresh
 from .timefuncs import (
     StepFunction,
     SyncOverlap,
@@ -408,16 +408,6 @@ class GmsAcovConfig:
     include_noise_terms: bool = True
 
 
-def _slice_series(s: TickSeries, lo: float, hi: float) -> TickSeries | None:
-    mask = (s.scheme.times > lo) & (s.scheme.times <= hi)
-    if mask.sum() < 3:
-        return None
-    # rebase on the common bin origin so the relative alignment of two
-    # sliced series (and hence their refresh structure) is preserved
-    t = s.scheme.times[mask]
-    return TickSeries(SamplingScheme(t - lo, hi - lo), s.values[mask])
-
-
 def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     """Time points where the step function first reaches j/K of its total."""
     total = step.total
@@ -429,9 +419,17 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
-def _binned_bracket(a: TickSeries, b: TickSeries, edges: np.ndarray, weights_for) -> np.ndarray:
+def _binned_bracket(
+    a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig
+) -> np.ndarray:
     """End-effect adjusted generalized multi-scale bracket increment
     estimates per bin.
+
+    Bin j holds the ticks in ``(edges[j], edges[j+1]]`` and is estimated on
+    the refresh merge of those ticks, with the weights ``w_bin`` (rebuilt at
+    ``M = N`` when the bin has fewer refresh intervals N than ``w_bin.M``).
+    A bin with fewer than 3 ticks of either series or fewer than 2 refresh
+    intervals contributes 0.
 
     Per-bin frequencies are of order N^(3/5) on bins of order N^(4/5)
     observations, so the multi-scale finite-sample factor
@@ -439,27 +437,25 @@ def _binned_bracket(a: TickSeries, b: TickSeries, edges: np.ndarray, weights_for
     bin estimate is divided by it, which makes the synchronous-case bracket
     exactly unbiased.
     """
+    ta, tb = a.scheme.times, b.scheme.times
+    ia = np.searchsorted(ta, edges, side="right")
+    ib = np.searchsorted(tb, edges, side="right")
     out = np.zeros(edges.size - 1)
     for j in range(edges.size - 1):
-        sa = _slice_series(a, edges[j], edges[j + 1])
-        sb = _slice_series(b, edges[j], edges[j + 1])
-        if sa is None or sb is None:
+        sa, sb = slice(ia[j], ia[j + 1]), slice(ib[j], ib[j + 1])
+        if sa.stop - sa.start < 3 or sb.stop - sb.start < 3:
             continue
-        try:
-            grid = pairwise_refresh(sa.scheme, sb.scheme)
-        except ValueError:
+        refresh = _refresh_merge(ta[sa], tb[sb])
+        N = refresh.size - 1
+        if N < 2:
             continue
-        N = len(grid) - 1
-        if N < 1:
-            continue
-        w = weights_for(N)
-        if w is None:
-            continue
-        w = end_effect_adjust(w, N)
+        w = end_effect_adjust(w_bin if N >= w_bin.M else cfg.weights(N), N)
         finite_factor = (N + 1 - float(np.sum(w.alphas * w.scales))) / N
         if finite_factor <= 0:
             continue
-        out[j] = generalized_multiscale(sa, sb, w, grid=grid) / finite_factor
+        nxt, prv = _index_maps((ta[sa], tb[sb]), refresh)
+        va, vb = a.values[sa], b.values[sb]
+        out[j] = _multiscale_sum(va[nxt[0]], va[prv[0]], vb[nxt[1]], vb[prv[1]], w) / finite_factor
     return out
 
 
@@ -503,14 +499,7 @@ def acov_gms_hat(
     base_cfg = EstimatorConfig(kernel=cfg.kernel, c=cfg.c)
     w_glob = base_cfg.weights(M_glob)
     lasa = weighted_lasa_function(glob, w_glob, lag0="half")
-
-    m_bin = max(2, int(round(N ** 0.6)))
-
-    def weights_for(n_bin: int) -> WeightScheme | None:
-        m = max(2, min(m_bin, n_bin))
-        if n_bin < 2:
-            return None
-        return base_cfg.weights(m)
+    w_bin = base_cfg.weights(max(2, int(round(N ** 0.6))))
 
     # half-bin split: products of bracket estimates on the same data are
     # biased upward by the estimates' covariance, so each bin is halved (in
@@ -520,7 +509,7 @@ def acov_gms_hat(
     half_edges = _bin_edges_from_step(lasa, 2 * K, T)
     brackets = {}
     for key, (x, y) in {"kr": (0, 2), "lq": (1, 3), "kq": (0, 3), "lr": (1, 2)}.items():
-        brackets[key] = _binned_bracket(comps[x], comps[y], half_edges, weights_for)
+        brackets[key] = _binned_bracket(comps[x], comps[y], half_edges, w_bin, base_cfg)
     dt_half = np.diff(half_edges)
     a, b = slice(0, 2 * K, 2), slice(1, 2 * K, 2)
     denom = 2.0 * dt_half[a] * dt_half[b]
@@ -545,7 +534,7 @@ def acov_gms_hat(
             return 0.0
         se = _bin_edges_from_step(step, K, T)
         sdt = np.diff(se)
-        br = _binned_bracket(comps[xy[0]], comps[xy[1]], se, weights_for)
+        br = _binned_bracket(comps[xy[0]], comps[xy[1]], se, w_bin, base_cfg)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(sdt > 0, br / sdt, 0.0)
         return float(np.sum(vals)) * step.total / K
@@ -579,15 +568,14 @@ class AcovMatrix:
     entry (a, b) estimates ``rate(n_ref)^2 * Cov(est_a, est_b)``, where
     ``n_ref`` is the reference sample size recorded alongside.  Entries
     whose own estimator was normalized to a different refresh count were
-    rescaled by ``rate(n_ref)^2 / rate(N_ab)^2`` (the factors are kept in
-    ``rescale_factors``).  ``raw()`` recovers plain covariance estimates.
+    rescaled by ``rate(n_ref)^2 / rate(N_ab)^2``.  ``raw()`` recovers plain
+    covariance estimates.
     """
 
     entries: np.ndarray
     rate: str
     n_ref: float
     p: int
-    rescale_factors: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         e = np.asarray(self.entries, dtype=float)
@@ -643,39 +631,27 @@ def acov_matrix_hat(
         gcfg = config if isinstance(config, GmsAcovConfig) else GmsAcovConfig(
             kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
         )
-        n_ref = _all_refresh_count(data)
-        factors = np.ones((qn, qn))
+        n_ref = _union_refresh_count(data, tuple(range(1, p + 1)))
         for a in range(qn):
             for b in range(a, qn):
                 (k, l), (r, q) = plist[a], plist[b]
                 val = acov_gms_hat(data, ((k, l), (r, q)), gcfg)
                 n_ab = _union_refresh_count(data, (k, l, r, q))
-                f = _rate_sq("n_quarter", n_ref) / _rate_sq("n_quarter", n_ab)
-                ent[a, b] = ent[b, a] = val * f
-                factors[a, b] = factors[b, a] = f
-        return AcovMatrix(entries=ent, rate="n_quarter", n_ref=n_ref, p=p, rescale_factors=factors)
+                ent[a, b] = ent[b, a] = val * (_rate_sq("n_quarter", n_ref) / _rate_sq("n_quarter", n_ab))
+        return AcovMatrix(entries=ent, rate="n_quarter", n_ref=n_ref, p=p)
     raise ValueError(f"no data-driven asymptotic covariance estimator for method {method!r}")
 
 
 def _union_refresh_count(data: Sequence[TickSeries], comps: tuple[int, ...]) -> int:
+    """Refresh count of the distinct 1-based components, merged one at a
+    time in increasing order (a single component counts its own ticks)."""
     uniq = sorted(set(comps))
-    if len(uniq) == 1:
-        return len(data[uniq[0] - 1]) - 1
-    grid = pairwise_refresh(data[uniq[0] - 1].scheme, data[uniq[1] - 1].scheme)
-    for v in uniq[2:]:
-        grid = _extend_refresh(grid, data[v - 1])
-    return len(grid) - 1
-
-
-def _extend_refresh(grid: SyncGrid, s: TickSeries) -> SyncGrid:
-    return pairwise_refresh(
-        type(s.scheme)(grid.refresh_times, s.scheme.horizon),
-        s.scheme,
-    )
-
-
-def _all_refresh_count(data: Sequence[TickSeries]) -> int:
-    return _union_refresh_count(data, tuple(range(1, len(data) + 1)))
+    times = data[uniq[0] - 1].scheme.times
+    for v in uniq[1:]:
+        times = _refresh_merge(times, data[v - 1].scheme.times)
+        if times.size == 0:
+            raise ValueError("schemes produce no refresh times (disjoint tick ranges)")
+    return times.size - 1
 
 
 def lincomb_avar(coeffs: np.ndarray, acov: AcovMatrix) -> float:

@@ -141,11 +141,7 @@ def _cmd_estimate(args, with_acov: bool) -> int:
         diagnostics={"min_eigenvalue": est.min_eigenvalue},
     )
     if with_acov:
-        if args.method == "hy":
-            raise ValueError("no data-driven asymptotic covariance for method 'hy'; use rc or gms")
-        method = "rc" if args.method == "rc" else "gms"
-        gcfg = GmsAcovConfig(kernel=args.kernel, c=args.c, bins=args.bins) if method == "gms" else cfg
-        am = acov_matrix_hat(series, method, gcfg)
+        am = acov_matrix_hat(series, args.method, GmsAcovConfig(kernel=args.kernel, c=args.c, bins=args.bins))
         rep.acov = {"entries": am.entries, "rate": am.rate, "n_ref": am.n_ref}
         raw = am.raw()
         rep.standard_errors = [float(np.sqrt(max(raw[i, i], 0.0))) for i in range(am.q)]

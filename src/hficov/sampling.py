@@ -116,14 +116,6 @@ class SamplingScheme:
     def next_tick(self, s: float) -> float:
         return float(self.times[self.next_index(s)])
 
-    def prev_indices(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized ``prev_index``; -1 marks "no previous tick"."""
-        return np.searchsorted(self.times, s, side="right") - 1
-
-    def next_indices(self, s: np.ndarray) -> np.ndarray:
-        """Vectorized ``next_index``; ``len(self)`` marks "no next tick"."""
-        return np.searchsorted(self.times, s, side="left")
-
 
 def tick_interpolation(scheme: SamplingScheme, s: float) -> tuple[float, float]:
     """Previous- and next-tick interpolation ``(t^-(s), t^+(s))``.
@@ -221,14 +213,16 @@ def _refresh_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([[tau0], fires])
 
 
-def _index_maps(schemes: Sequence[SamplingScheme], refresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nxt = np.empty((len(schemes), refresh.size), dtype=np.int64)
+def _index_maps(times: Sequence[np.ndarray], refresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Next-/previous-tick indices of the refresh times into each increasing
+    time array: ``min{i: t_i >= tau}`` and ``max{i: t_i <= tau}``."""
+    nxt = np.empty((len(times), refresh.size), dtype=np.int64)
     prv = np.empty_like(nxt)
-    for l, sch in enumerate(schemes):
-        nxt[l] = sch.next_indices(refresh)
-        prv[l] = sch.prev_indices(refresh)
-        if np.any(nxt[l] >= len(sch)) or np.any(prv[l] < 0):
-            raise ValueError("refresh time outside a source scheme's tick range")
+    for l, t in enumerate(times):
+        nxt[l] = np.searchsorted(t, refresh, side="left")
+        prv[l] = np.searchsorted(t, refresh, side="right") - 1
+        if np.any(nxt[l] >= t.size) or np.any(prv[l] < 0):
+            raise ValueError("refresh time outside a source's tick range")
     return nxt, prv
 
 
@@ -243,7 +237,7 @@ def pairwise_refresh(scheme_a: SamplingScheme, scheme_b: SamplingScheme) -> Sync
     refresh = _refresh_merge(scheme_a.times, scheme_b.times)
     if refresh.size == 0:
         raise ValueError("schemes produce no refresh times (disjoint tick ranges)")
-    nxt, prv = _index_maps([scheme_a, scheme_b], refresh)
+    nxt, prv = _index_maps([scheme_a.times, scheme_b.times], refresh)
     return SyncGrid(refresh, (scheme_a, scheme_b), nxt, prv)
 
 
@@ -260,15 +254,8 @@ def global_refresh(grid_ab: SyncGrid, grid_cd: SyncGrid) -> SyncGrid:
     if refresh.size == 0:
         raise ValueError("pairwise grids produce no common refresh times")
     schemes = grid_ab.source_schemes + grid_cd.source_schemes
-    nxt, prv = _index_maps(schemes, refresh)
-
-    pair_nxt = np.empty((2, refresh.size), dtype=np.int64)
-    pair_prv = np.empty_like(pair_nxt)
-    for k, g in enumerate((grid_ab, grid_cd)):
-        pair_nxt[k] = np.searchsorted(g.refresh_times, refresh, side="left")
-        pair_prv[k] = np.searchsorted(g.refresh_times, refresh, side="right") - 1
-        if np.any(pair_nxt[k] >= len(g)) or np.any(pair_prv[k] < 0):
-            raise ValueError("global refresh time outside a pairwise grid's range")
+    nxt, prv = _index_maps([s.times for s in schemes], refresh)
+    pair_nxt, pair_prv = _index_maps([grid_ab.refresh_times, grid_cd.refresh_times], refresh)
     return SyncGrid(
         refresh,
         schemes,

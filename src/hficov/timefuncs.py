@@ -384,16 +384,8 @@ class SyncOverlap:
         )
 
 
-def _shared_step(a: SamplingScheme, b: SamplingScheme, N: int, tol: float) -> StepFunction:
-    if tol == 0.0:
-        shared = np.intersect1d(a.times, b.times)
-    else:
-        idx = np.searchsorted(b.times, a.times)
-        near = np.zeros(a.times.size, dtype=bool)
-        for off in (-1, 0):
-            j = np.clip(idx + off, 0, b.times.size - 1)
-            near |= np.abs(a.times - b.times[j]) <= tol
-        shared = a.times[near]
+def _shared_step(a: SamplingScheme, b: SamplingScheme, N: int) -> StepFunction:
+    shared = np.intersect1d(a.times, b.times)
     if shared.size == 0:
         return StepFunction(np.array([a.horizon]), np.array([0.0]))
     return _cum_step(shared, np.full(shared.size, 1.0 / N))
@@ -404,31 +396,11 @@ def _interp_times(grid: SyncGrid, l: int, which: str) -> np.ndarray:
     return grid.source_schemes[l].times[idx]
 
 
-def _match_ranges(x: np.ndarray, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _match_ranges(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For nondecreasing ``x`` and ``y``, the half-open column ranges
-    ``[lo_r, hi_r)`` of the ``y`` entries matching ``x[r]``: ``y == x[r]``
-    when ``tol`` is 0, else ``|x[r] - y| <= tol`` (the predicate of
-    ``np.isclose(x, y, rtol=0, atol=tol)``).  Both bounds are
-    nondecreasing in ``r``."""
-    if tol == 0.0:
-        return np.searchsorted(y, x, side="left"), np.searchsorted(y, x, side="right")
-
-    def settle(k: np.ndarray, inside) -> np.ndarray:
-        # first index where the monotone predicate ``inside`` holds; the
-        # searchsorted guess is off only where ``x -+ tol`` rounded
-        while True:
-            down = (k > 0) & inside(np.maximum(k - 1, 0))
-            up = (k < y.size) & ~inside(np.minimum(k, y.size - 1))
-            if not (down.any() or up.any()):
-                return k
-            k = k - down + up
-
-    def near(i: np.ndarray) -> np.ndarray:
-        return np.abs(x - y[i]) <= tol
-
-    lo = settle(np.searchsorted(y, x - tol, side="left"), lambda i: (y[i] >= x) | near(i))
-    hi = settle(np.searchsorted(y, x + tol, side="right"), lambda i: (y[i] > x) & ~near(i))
-    return lo, hi
+    ``[lo_r, hi_r)`` of the ``y`` entries equal to ``x[r]``.  Both bounds
+    are nondecreasing in ``r``."""
+    return np.searchsorted(y, x, side="left"), np.searchsorted(y, x, side="right")
 
 
 def _overlap_count(
@@ -438,7 +410,6 @@ def _overlap_count(
     b_minus: np.ndarray,
     m_12: int,
     m_34: int,
-    tol: float,
 ) -> int:
     """Number of (j, k, r, q) with ``t_a^+(tau_j) = t_b^+(ttau_k)`` and
     ``t_am^-(tau_{j-r}) = t_bm^-(ttau_{k-q})``, ``1 <= r <= j ^ m_12``,
@@ -452,7 +423,7 @@ def _overlap_count(
     ``sum_r min(hi_r, q1) - sum_r max(lo_r, q0)`` over the rows whose range
     meets the column window, each sum a prefix-sum difference.
     """
-    lo_p, hi_p = _match_ranges(a_plus, b_plus, tol)
+    lo_p, hi_p = _match_ranges(a_plus, b_plus)
     width = hi_p - lo_p
     j = np.repeat(np.arange(a_plus.size), width)
     k = lo_p[j] + np.arange(j.size) - np.repeat(np.cumsum(width) - width, width)
@@ -461,7 +432,7 @@ def _overlap_count(
     r0, r1 = j - np.minimum(j, m_12), j
     q0, q1 = k - np.minimum(k, m_34), k
 
-    lo, hi = _match_ranges(a_minus, b_minus, tol)
+    lo, hi = _match_ranges(a_minus, b_minus)
     # rows whose range meets [q0, q1): hi_r > q0 and lo_r < q1
     b = np.maximum(r0, np.searchsorted(hi, q0, side="right"))
     e = np.maximum(b, np.minimum(r1, np.searchsorted(lo, q1, side="left")))
@@ -474,14 +445,13 @@ def _overlap_count(
     return int(np.sum(inside - outside))
 
 
-def sync_overlap(glob: SyncGrid, m_12: int, m_34: int, tol: float = 0.0) -> SyncOverlap:
+def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:
     """Finite-sample synchronous-overlap functions and counts.
 
     ``glob`` is the global refresh grid of four schemes from
     :func:`hficov.sampling.global_refresh`; the schemes and the two pairwise
-    grids are read from it.  Timestamps are compared with exact equality by
-    default (``tol`` widens the match window for jittered stamps).  The
-    scalar counts evaluate the indicator sums over pairwise refresh indices
+    grids are read from it.  Timestamps are compared with exact equality.
+    The scalar counts evaluate the indicator sums over pairwise refresh indices
     without the limit; the quadruple sums are normalized by
     ``2 N min(m_12, m_34)`` and the boundary sums by ``2 min(m_12, m_34)``
     so the fully synchronous case yields 1 (both indicator brackets fire on
@@ -497,20 +467,20 @@ def sync_overlap(glob: SyncGrid, m_12: int, m_34: int, tol: float = 0.0) -> Sync
         raise ValueError("multi-scale frequencies must be >= 1")
 
     step = {
-        "13": _shared_step(s1, s3, N, tol),
-        "14": _shared_step(s1, s4, N, tol),
-        "23": _shared_step(s2, s3, N, tol),
-        "24": _shared_step(s2, s4, N, tol),
+        "13": _shared_step(s1, s3, N),
+        "14": _shared_step(s1, s4, N),
+        "23": _shared_step(s2, s3, N),
+        "24": _shared_step(s2, s4, N),
     }
 
     tp = {(k, l): _interp_times(g, l, "+") for k, g in ((0, grid_12), (1, grid_34)) for l in (0, 1)}
     tm = {(k, l): _interp_times(g, l, "-") for k, g in ((0, grid_12), (1, grid_34)) for l in (0, 1)}
 
     def eq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.isclose(x[:, None], y[None, :], rtol=0.0, atol=tol) if tol else x[:, None] == y[None, :]
+        return x[:, None] == y[None, :]
 
     def s_hat(a_plus, b_plus, a_minus, b_minus) -> float:
-        count = _overlap_count(a_plus, b_plus, a_minus, b_minus, m_12, m_34, tol)
+        count = _overlap_count(a_plus, b_plus, a_minus, b_minus, m_12, m_34)
         return count / (2.0 * N * M) if count else 0.0
 
     def s_tilde(a_plus, b_plus, c_plus, d_plus, a_minus, b_minus, c_minus, d_minus) -> float:

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hficov.avar import (
     AcovMatrix,
     GmsAcovConfig,
     TheoryInputs,
+    _binned_bracket,
+    _union_refresh_count,
     acov_gms_hat,
     acov_matrix_hat,
     acov_rc_hat,
@@ -22,8 +26,8 @@ from hficov.avar import (
     svec_pairs,
     svec_unpack,
 )
-from hficov.estimators import TickSeries
-from hficov.kernels import cubic_weights, kernel_constants
+from hficov.estimators import EstimatorConfig, TickSeries, generalized_multiscale
+from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
 from oracles import acov_rc_oracle, isserlis_mc_oracle
@@ -334,6 +338,120 @@ def test_acov_gms_hat_needs_enough_refresh_times():
         acov_gms_hat(data, ((1, 2), (3, 4)))
 
 
+def sliced_binned_bracket(a, b, edges, weights_for):
+    """Per-bin brackets from bins copied into new series rebased on the bin
+    origin, refreshed and estimated as whole series: the reference for the
+    index-window loop of ``_binned_bracket``."""
+
+    def slice_series(s, lo, hi):
+        mask = (s.scheme.times > lo) & (s.scheme.times <= hi)
+        if mask.sum() < 3:
+            return None
+        t = s.scheme.times[mask]
+        return TickSeries(SamplingScheme(t - lo, hi - lo), s.values[mask])
+
+    out = np.zeros(edges.size - 1)
+    for j in range(edges.size - 1):
+        sa = slice_series(a, edges[j], edges[j + 1])
+        sb = slice_series(b, edges[j], edges[j + 1])
+        if sa is None or sb is None:
+            continue
+        try:
+            grid = pairwise_refresh(sa.scheme, sb.scheme)
+        except ValueError:
+            continue
+        N = len(grid) - 1
+        if N < 1:
+            continue
+        w = weights_for(N)
+        if w is None:
+            continue
+        w = end_effect_adjust(w, N)
+        finite_factor = (N + 1 - float(np.sum(w.alphas * w.scales))) / N
+        if finite_factor <= 0:
+            continue
+        out[j] = generalized_multiscale(sa, sb, w, grid=grid) / finite_factor
+    return out
+
+
+def chained_refresh_count(data, comps):
+    """Refresh count of the distinct components from full pairwise grids,
+    each refresh sequence wrapped as a scheme and refreshed with the next
+    component: the reference for ``_union_refresh_count``."""
+    uniq = sorted(set(comps))
+    if len(uniq) == 1:
+        return len(data[uniq[0] - 1]) - 1
+    grid = pairwise_refresh(data[uniq[0] - 1].scheme, data[uniq[1] - 1].scheme)
+    for v in uniq[2:]:
+        s = data[v - 1].scheme
+        grid = pairwise_refresh(SamplingScheme(grid.refresh_times, s.horizon), s)
+    return len(grid) - 1
+
+
+@st.composite
+def coarse_series(draw, g, offset):
+    """A series on the coarse grid ``offset + k/g`` of ``[offset, offset + 1]``
+    (shared stamps with another such series are frequent), sometimes confined
+    to a random sub-range so that two series' ranges can be disjoint."""
+    lo, hi = 0, g
+    if draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(st.integers(0, g), min_size=2, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    k = lo + np.flatnonzero(rng.random(hi - lo + 1) < draw(st.sampled_from([0.3, 0.6, 0.9])))
+    k = k if k.size else np.array([lo])
+    return series(offset + k / g, rng.standard_normal(k.size).cumsum(), T=offset + 1.0)
+
+
+@st.composite
+def binned_pair(draw):
+    """Two coarse-grid series and bin edges.  Edges come from a grid twice as
+    fine (on and between stamps), may repeat (empty bins) and may start at
+    0 or at a point far below the stamps; with the 9.7e3 offset that makes
+    the rebase ``t - lo`` round."""
+    g = draw(st.integers(3, 40))
+    offset = draw(st.sampled_from([0.0, 9.7e3]))
+    a, b = draw(coarse_series(g, offset)), draw(coarse_series(g, offset))
+    ke = sorted(draw(st.lists(st.integers(0, 2 * g), min_size=2, max_size=6)))
+    edges = offset + np.array(ke) / (2 * g)
+    edges[0] = min(edges[0], draw(st.sampled_from([0.0, 0.37, offset / 3, edges[0]])))
+    return a, b, edges, draw(st.integers(2, 12)), draw(st.sampled_from(["cubic", "parzen"]))
+
+
+@settings(max_examples=300)
+@given(binned_pair())
+def test_binned_bracket_equals_sliced_reference(case):
+    a, b, edges, m_bin, kernel = case
+    cfg = EstimatorConfig(kernel=kernel)
+
+    def weights_for(n_bin):
+        if n_bin < 2:
+            return None
+        return cfg.weights(max(2, min(m_bin, n_bin)))
+
+    got = _binned_bracket(a, b, edges, cfg.weights(m_bin), cfg)
+    assert np.array_equal(got, sliced_binned_bracket(a, b, edges, weights_for))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(3, 40).flatmap(
+        lambda g: st.sampled_from([0.0, 9.7e3]).flatmap(
+            lambda off: st.lists(coarse_series(g, off), min_size=3, max_size=4)
+        )
+    ),
+    st.data(),
+)
+def test_union_refresh_count_equals_chained_grids(data, extra):
+    comps = tuple(extra.draw(st.lists(st.integers(1, len(data)), min_size=4, max_size=4)))
+    try:
+        expect = chained_refresh_count(data, comps)
+    except ValueError:
+        with pytest.raises(ValueError, match="no refresh times"):
+            _union_refresh_count(data, comps)
+        return
+    assert _union_refresh_count(data, comps) == expect
+
+
 # ---------------------------------------------------------------------
 # Matrix assembly, linear combinations, standardization
 # ---------------------------------------------------------------------
@@ -446,7 +564,7 @@ def test_acov_theory_rc_piecewise_sigma_path():
 
 def test_acov_gms_hat_async_bin_alignment():
     # asynchronous histogram estimates stay near the validated closed form
-    # (guards the common-origin rebasing of the per-bin slices)
+    # (guards the alignment of the two series' per-bin tick windows)
     rng = np.random.default_rng(21)
     vols = np.array([0.02, 0.016, 0.018, 0.015])
     corr = np.full((4, 4), 0.65)

@@ -176,6 +176,18 @@ def test_cli_bad_method_for_sync_requirement(tmp_path):
     assert rc == 1
 
 
+def test_cli_acov_hy_fails_naming_the_method(tmp_path, capsys):
+    ticks = tmp_path / "sync.csv"
+    main(
+        ["simulate", "--assets", "2", "--n", "200", "--seed", "5",
+         "--ticks-out", str(ticks), "--out", str(tmp_path / "s.json")]
+    )
+    capsys.readouterr()
+    rc = main(["acov", "--input", str(ticks), "--method", "hy", "--out", str(tmp_path / "a.json")])
+    assert rc == 1
+    assert "'hy'" in capsys.readouterr().err
+
+
 def test_cli_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "hficov.cli", "--help"], capture_output=True, text=True
