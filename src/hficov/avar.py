@@ -134,7 +134,6 @@ class TheoryInputs:
     noise: np.ndarray | None = None
     c: float = 1.0
     lasa: StepFunction | None = None
-    lasa_slope: float | None = None
     timecov: TimeCovariationBundle | None = None
     overlap: SyncOverlap | None = None
     constants: KernelConstants | None = None
@@ -257,8 +256,7 @@ def acov_theory(inputs: TheoryInputs, regime: str, pairs) -> float:
         if inputs.lasa is not None:
             signal = 2.0 * c * T * inputs.stieltjes(inputs.lasa, prod_sum)
         else:
-            slope = inputs.lasa_slope if inputs.lasa_slope is not None else kc.lasa_slope
-            signal = 2.0 * c * T * slope * inputs.integral(prod_sum)
+            signal = 2.0 * c * T * kc.lasa_slope * inputs.integral(prod_sum)
         if inputs.noise is None:
             return signal
         def cross_integral(_, xy):
@@ -382,15 +380,30 @@ def acov_rc_hat(data: Sequence[TickSeries], pairs) -> float:
     ``n/T``) makes the estimator consistent for the ``T int ...`` limit at
     every horizon.
     """
-    comps = _pair_components(pairs, len(data))
+    _pair_components(pairs, len(data))
+    return float(_rc_acov(data, pairs)[0, 1])
+
+
+def _rc_acov(data: Sequence[TickSeries], pairs) -> np.ndarray:
+    """:func:`acov_rc_hat` for every two of the 1-based ``pairs``.  With
+    ``u = d[:, :-1]``, ``v = d[:, 1:]`` the increments, ``S[a, b, c, e] =
+    sum_i u_a u_b v_c v_e`` takes one Gram product per component pair a <= b;
+    entry ``((k, l), (r, q))`` is ``n (S[k, r, l, q] + (S[l, r, k, q] +
+    S[k, q, l, r]) / 2)``.  Memory O(p n + p^4); exactly symmetric.
+    """
     if not _same_times([s.scheme for s in data]):
-        raise ValueError("acov_rc_hat requires synchronous schemes")
-    dk, dl, dr, dq = (data[v].increments() for v in comps)
-    n = dk.size
-    # products grouped per pair so the estimator is bit-exact under pair swap
-    t1 = np.sum((dk[:-1] * dl[1:]) * (dr[:-1] * dq[1:]))
-    t2 = 0.5 * (np.sum((dk[1:] * dl[:-1]) * (dr[:-1] * dq[1:])) + np.sum((dr[1:] * dq[:-1]) * (dk[:-1] * dl[1:])))
-    return float(n * (t1 + t2))
+        raise ValueError("the rc asymptotic covariance requires synchronous schemes")
+    d = np.array([s.increments() for s in data])
+    p, n = d.shape
+    u, v = d[:, :-1], d[:, 1:]
+    S = np.empty((p, p, p, p))
+    for a in range(p):
+        for b in range(a, p):
+            S[a, b] = S[b, a] = (v * (u[a] * u[b])) @ v.T
+    k, l = (np.array(pairs) - 1).T[:, :, None]
+    r, q = k.T, l.T
+    e = n * (S[k, r, l, q] + 0.5 * (S[l, r, k, q] + S[k, q, l, r]))
+    return 0.5 * (e + e.T)
 
 
 @dataclass(frozen=True)
@@ -619,19 +632,14 @@ def acov_matrix_hat(
     p = len(data)
     plist = svec_pairs(p)
     qn = len(plist)
-    ent = np.zeros((qn, qn))
     if method == "rc":
-        n_ref = float(data[0].n_increments)
-        for a in range(qn):
-            for b in range(a, qn):
-                val = acov_rc_hat(data, (plist[a], plist[b]))
-                ent[a, b] = ent[b, a] = val
-        return AcovMatrix(entries=ent, rate="sqrt_n", n_ref=n_ref, p=p)
+        return AcovMatrix(entries=_rc_acov(data, plist), rate="sqrt_n", n_ref=float(data[0].n_increments), p=p)
     if method in ("ms", "kernel", "gms"):
         gcfg = config if isinstance(config, GmsAcovConfig) else GmsAcovConfig(
             kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
         )
         n_ref = _union_refresh_count(data, tuple(range(1, p + 1)))
+        ent = np.zeros((qn, qn))
         for a in range(qn):
             for b in range(a, qn):
                 (k, l), (r, q) = plist[a], plist[b]

@@ -26,7 +26,7 @@ from .avar import (
     GmsAcovConfig,
     TheoryInputs,
     acov_gms_hat,
-    acov_rc_hat,
+    acov_matrix_hat,
     acov_theory,
     gms_theory_inputs,
     hy_theory_inputs,
@@ -37,15 +37,15 @@ from .estimators import (
     _ms_frequency,
     _same_times,
     end_effect_adjust,
+    estimate_matrix,
     generalized_multiscale,
     hayashi_yoshida,
     kernel_estimator,
     multiscale,
     multiscale_adjusted,
     noise_moments,
-    realized_cov,
     svec_index,
-    svec_pairs,
+    svec_pack,
 )
 from .kernels import builtin_kernel, cubic_weights
 from .sampling import SamplingScheme, global_refresh, pairwise_refresh
@@ -288,7 +288,7 @@ def _snap_scheme(scheme: SamplingScheme, grid: np.ndarray) -> tuple[SamplingSche
         np.abs(grid[np.maximum(idx - 1, 0)] - scheme.times) <= np.abs(grid[idx] - scheme.times)
     )
     idx = np.where(use_left, idx - 1, idx)
-    idx = np.unique(idx)
+    idx = idx[np.diff(idx, prepend=-1) > 0]  # nondecreasing: collisions are runs
     return SamplingScheme(grid[idx], scheme.horizon), idx
 
 
@@ -454,9 +454,8 @@ def scenario_rc_clt(replicates: int = 2000, seed: int = 20260808, n: int = 5000)
     p, T = 4, 1.0
     sig = _corr_sigma(_RC_SIGMA_VOLS, _RC_CORR)
     model = ItoModelConfig(p=p, T=T, sigma_const=sig)
-    truth = (sig @ sig.T) * T
-    pairs_all = svec_pairs(p)
-    q = len(pairs_all)
+    truth = svec_pack((sig @ sig.T) * T)
+    q = truth.size
     rngs = _spawn_rngs(seed, replicates)
     times = np.linspace(0.0, T, n + 1)
     est = np.empty((replicates, q))
@@ -465,15 +464,12 @@ def scenario_rc_clt(replicates: int = 2000, seed: int = 20260808, n: int = 5000)
     def one(i, rng):
         paths = simulate_paths(model, rng, times=times)
         data = observe(paths, [SamplingScheme(times, T)] * p, None, rng)
-        for j, (k, l) in enumerate(pairs_all):
-            v = realized_cov(data[k - 1], data[l - 1])
-            est[i, j] = v
-            av = acov_rc_hat(data, ((k, l), (k, l)))
-            half = zcrit * math.sqrt(max(av, 0.0) / n)
-            hit[i, j] = abs(v - truth[k - 1, l - 1]) <= half
+        est[i] = estimate_matrix(data, "rc").svec
+        av = np.diag(acov_matrix_hat(data, "rc").entries)
+        hit[i] = np.abs(est[i] - truth) <= zcrit * np.sqrt(np.maximum(av, 0.0) / n)
 
     _replicate_map(one, rngs)
-    errors = est - np.array([truth[k - 1, l - 1] for (k, l) in pairs_all])
+    errors = est - truth
     inputs = TheoryInputs(times=np.array([0.0, T]), sigma=sig @ sig.T)
     checks = []
     n_ok = 0

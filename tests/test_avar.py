@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hficov.avar import (
     svec_pairs,
     svec_unpack,
 )
-from hficov.estimators import EstimatorConfig, TickSeries, generalized_multiscale
+from hficov.estimators import EstimatorConfig, TickSeries, _same_times, generalized_multiscale
 from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
@@ -291,6 +292,58 @@ def test_acov_rc_hat_requires_synchronous():
     b = series(np.sort(np.concatenate([[0, 1.0], rng.uniform(0, 1, 11)])), rng.standard_normal(13))
     with pytest.raises(ValueError):
         acov_rc_hat([a, b], ((1, 2), (1, 2)))
+    with pytest.raises(ValueError, match="rc asymptotic covariance requires synchronous"):
+        acov_matrix_hat([a, b], "rc")
+
+
+def entrywise_acov_rc(data, pairs):
+    """Reference: one adjacent-increment rc acov entry, computed on its own."""
+    k, l, r, q = (v - 1 for pair in pairs for v in pair)
+    if not _same_times([s.scheme for s in data]):
+        raise ValueError("requires synchronous schemes")
+    dk, dl, dr, dq = (data[v].increments() for v in (k, l, r, q))
+    n = dk.size
+    t1 = np.sum((dk[:-1] * dl[1:]) * (dr[:-1] * dq[1:]))
+    t2 = 0.5 * (np.sum((dk[1:] * dl[:-1]) * (dr[:-1] * dq[1:])) + np.sum((dr[1:] * dq[:-1]) * (dk[:-1] * dl[1:])))
+    return float(n * (t1 + t2))
+
+
+@st.composite
+def sync_increments(draw):
+    p = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 80)))
+    scale = draw(st.sampled_from([1e-4, 1.0, 3e3]))
+    incs = draw(
+        st.lists(
+            st.lists(st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False), min_size=n, max_size=n),
+            min_size=p,
+            max_size=p,
+        )
+    )
+    t = np.linspace(0.0, 1.0, n + 1)
+    return [series(t, np.concatenate([[0.0], np.cumsum(np.asarray(d, float) * scale)])) for d in incs]
+
+
+@settings(max_examples=300)
+@given(sync_increments())
+def test_acov_matrix_hat_rc_equals_entrywise_reference(data):
+    e = acov_matrix_hat(data, "rc").entries
+    plist = svec_pairs(len(data))
+    ref = np.array([[entrywise_acov_rc(data, (a, b)) for b in plist] for a in plist])
+    assert np.array_equal(e, e.T)
+    np.testing.assert_allclose(e, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_acov_matrix_hat_rc_memory_without_product_columns():
+    # p=10, n=2e4: the increments take 1.6 MB; the two q x n product-column matrices would take 17.6 MB
+    data = _sync_data(np.random.default_rng(15), 10, 20_000)
+    tracemalloc.start()
+    try:
+        acov_matrix_hat(data, "rc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 # ---------------------------------------------------------------------

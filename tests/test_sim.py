@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hficov.estimators import realized_cov
 from hficov.sampling import SamplingScheme
 from hficov.sim import (
+    _snap_scheme,
     ItoModelConfig,
     NoiseConfig,
     SamplingConfig,
@@ -132,6 +135,42 @@ def test_observe_snaps_to_grid():
     data = observe(paths, [sch, sch], None, 6)
     for t in data[0].scheme.times:
         assert np.min(np.abs(paths.times - t)) == 0.0
+
+
+def unique_snap_reference(scheme, grid):
+    """Reference: snap to the nearest grid point and drop collisions with ``np.unique``."""
+    idx = np.searchsorted(grid, scheme.times)
+    idx = np.clip(idx, 0, grid.size - 1)
+    left_ok = idx > 0
+    use_left = left_ok & (
+        np.abs(grid[np.maximum(idx - 1, 0)] - scheme.times) <= np.abs(grid[idx] - scheme.times)
+    )
+    idx = np.unique(np.where(use_left, idx - 1, idx))
+    return SamplingScheme(grid[idx], scheme.horizon), idx
+
+
+@st.composite
+def coarse_snap_case(draw):
+    # times on a 4x finer lattice than the grid: many collisions, and exact
+    # midpoint ties whenever g is a power of two; a grid shorter than the
+    # horizon snaps every later time to its last point
+    g = draw(st.one_of(st.sampled_from([1, 2, 4, 8, 16]), st.integers(1, 40)))
+    top = draw(st.sampled_from([1.0, 0.5, 0.3]))
+    ks = draw(st.lists(st.integers(0, 4 * g), min_size=1, max_size=60, unique=True))
+    times = np.sort(np.asarray(ks, float)) / (4 * g)
+    if draw(st.booleans()):
+        times = np.unique(np.clip(times + draw(st.floats(-1e-3, 1e-3)), 0.0, 1.0))
+    return SamplingScheme(times, 1.0), np.linspace(0.0, top, g + 1)
+
+
+@settings(max_examples=300)
+@given(coarse_snap_case())
+def test_snap_scheme_equals_unique_reference(case):
+    scheme, grid = case
+    got, idx = _snap_scheme(scheme, grid)
+    ref, ref_idx = unique_snap_reference(scheme, grid)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(got.times, ref.times)
 
 
 def test_observe_synchronous_noise_cross_covariance():
