@@ -493,8 +493,15 @@ def acov_gms_hat(
     bins equidistant in the shared-timestamp counting functions; on fully
     disjoint schemes every one of them is exactly zero.
     """
-    cfg = config or GmsAcovConfig()
-    comps = [data[v] for v in _pair_components(pairs, len(data))]
+    return _gms_entry(data, pairs, config or GmsAcovConfig(), {})
+
+
+def _gms_entry(data: Sequence[TickSeries], pairs, cfg: GmsAcovConfig, table: dict) -> float:
+    """:func:`acov_gms_hat` with a ``table`` of :func:`_binned_bracket` arrays
+    keyed by unordered 0-based component pair, bin-edge bytes and bin
+    frequency (the bracket is symmetric in its two series)."""
+    idx = _pair_components(pairs, len(data))
+    comps = [data[v] for v in idx]
     schemes = tuple(s.scheme for s in comps)
     g12, g34, glob = _global_grids(schemes)
     N = len(glob) - 1
@@ -514,24 +521,23 @@ def acov_gms_hat(
     lasa = weighted_lasa_function(glob, w_glob, lag0="half")
     w_bin = base_cfg.weights(max(2, int(round(N ** 0.6))))
 
+    def bracket(x: int, y: int, edges: np.ndarray) -> np.ndarray:
+        key = (min(idx[x], idx[y]), max(idx[x], idx[y]), edges.tobytes(), w_bin.M)
+        if key not in table:
+            table[key] = _binned_bracket(comps[x], comps[y], edges, w_bin, base_cfg)
+        return table[key]
+
     # half-bin split: products of bracket estimates on the same data are
     # biased upward by the estimates' covariance, so each bin is halved (in
     # the autocorrelation measure) and only cross-half products are used --
     # disjoint data makes them conditionally unbiased for the local
     # spot-covariance products
     half_edges = _bin_edges_from_step(lasa, 2 * K, T)
-    brackets = {}
-    for key, (x, y) in {"kr": (0, 2), "lq": (1, 3), "kq": (0, 3), "lr": (1, 2)}.items():
-        brackets[key] = _binned_bracket(comps[x], comps[y], half_edges, w_bin, base_cfg)
+    kr, lq, kq, lr = (bracket(x, y, half_edges) for x, y in ((0, 2), (1, 3), (0, 3), (1, 2)))
     dt_half = np.diff(half_edges)
     a, b = slice(0, 2 * K, 2), slice(1, 2 * K, 2)
     denom = 2.0 * dt_half[a] * dt_half[b]
-    cross = (
-        brackets["kr"][a] * brackets["lq"][b]
-        + brackets["kr"][b] * brackets["lq"][a]
-        + brackets["kq"][a] * brackets["lr"][b]
-        + brackets["kq"][b] * brackets["lr"][a]
-    )
+    cross = kr[a] * lq[b] + kr[b] * lq[a] + kq[a] * lr[b] + kq[b] * lr[a]
     with np.errstate(divide="ignore", invalid="ignore"):
         per_bin = np.where(denom > 0, cross / denom, 0.0)
     first = 2.0 * c_eff * T * float(np.sum(per_bin)) * lasa.total / K
@@ -547,7 +553,7 @@ def acov_gms_hat(
             return 0.0
         se = _bin_edges_from_step(step, K, T)
         sdt = np.diff(se)
-        br = _binned_bracket(comps[xy[0]], comps[xy[1]], se, w_bin, base_cfg)
+        br = bracket(*xy, se)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(sdt > 0, br / sdt, 0.0)
         return float(np.sum(vals)) * step.total / K
@@ -630,24 +636,33 @@ def acov_matrix_hat(
     quadratic covariations of times instead.
     """
     p = len(data)
-    plist = svec_pairs(p)
-    qn = len(plist)
+    entries, rate, n_ref = _acov_entries(data, method, svec_pairs(p), config)
+    return AcovMatrix(entries=entries, rate=rate, n_ref=n_ref, p=p)
+
+
+def _acov_entries(data: Sequence[TickSeries], method: str, pairs, config) -> tuple[np.ndarray, str, float]:
+    """Entries of :func:`acov_matrix_hat` among the 1-based ``pairs`` (k <= l),
+    in their order, with the rate and n_ref.  The gms entries share one
+    bracket table; each is evaluated with its pairs in svec order, since the
+    noise-slot estimates of :func:`acov_gms_hat` depend on the pair order."""
     if method == "rc":
-        return AcovMatrix(entries=_rc_acov(data, plist), rate="sqrt_n", n_ref=float(data[0].n_increments), p=p)
-    if method in ("ms", "kernel", "gms"):
-        gcfg = config if isinstance(config, GmsAcovConfig) else GmsAcovConfig(
-            kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
-        )
-        n_ref = _union_refresh_count(data, tuple(range(1, p + 1)))
-        ent = np.zeros((qn, qn))
-        for a in range(qn):
-            for b in range(a, qn):
-                (k, l), (r, q) = plist[a], plist[b]
-                val = acov_gms_hat(data, ((k, l), (r, q)), gcfg)
-                n_ab = _union_refresh_count(data, (k, l, r, q))
-                ent[a, b] = ent[b, a] = val * (_rate_sq("n_quarter", n_ref) / _rate_sq("n_quarter", n_ab))
-        return AcovMatrix(entries=ent, rate="n_quarter", n_ref=n_ref, p=p)
-    raise ValueError(f"no data-driven asymptotic covariance estimator for method {method!r}")
+        return _rc_acov(data, pairs), "sqrt_n", float(data[0].n_increments)
+    if method not in ("ms", "kernel", "gms"):
+        raise ValueError(f"no data-driven asymptotic covariance estimator for method {method!r}")
+    gcfg = config if isinstance(config, GmsAcovConfig) else GmsAcovConfig(
+        kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
+    )
+    n_ref = _union_refresh_count(data, tuple(range(1, len(data) + 1)))
+    table: dict = {}
+    qn = len(pairs)
+    ent = np.zeros((qn, qn))
+    for a in range(qn):
+        for b in range(a, qn):
+            pa, pb = sorted((pairs[a], pairs[b]))  # svec order
+            val = _gms_entry(data, (pa, pb), gcfg, table)
+            n_ab = _union_refresh_count(data, pa + pb)
+            ent[a, b] = ent[b, a] = val * (_rate_sq("n_quarter", n_ref) / _rate_sq("n_quarter", n_ab))
+    return ent, "n_quarter", n_ref
 
 
 def _union_refresh_count(data: Sequence[TickSeries], comps: tuple[int, ...]) -> int:

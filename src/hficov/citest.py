@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avar import AcovMatrix, acov_matrix_hat
-from .estimators import EstimatorConfig, TickSeries, estimate_matrix, svec_index
+from .avar import _acov_entries, _rate_sq
+from .estimators import EstimatorConfig, TickSeries, estimate_matrix
 
 __all__ = ["CiTestResult", "ci_statistic", "ci_avar", "ci_test"]
 
@@ -99,14 +99,14 @@ def ci_test(
     """Run the conditional-independence test on three tick series.
 
     Estimates the four brackets with ``method`` (``rc`` or ``gms``; ``ms``
-    and ``kernel`` are accepted on synchronous schemes), pulls the ten
-    relevant asymptotic covariance entries from the full 6 x 6 matrix of
-    the 3-asset system (:func:`hficov.avar.acov_matrix_hat` for the same
-    method, kernel and ``c`` as the brackets), standardizes on the raw
-    covariance scale (the rate factors cancel between numerator and
-    denominator), and reports a two-sided normal p-value.  ``hy`` raises
-    ``ValueError``: there is no data-driven asymptotic covariance
-    estimator for the overlap estimator.
+    and ``kernel`` are accepted on synchronous schemes), computes only the
+    ten asymptotic covariance entries of those brackets, as
+    :func:`hficov.avar.acov_matrix_hat` would for the 3-asset system with
+    the same method, kernel and ``c``, standardizes on the raw covariance
+    scale (the rate factors cancel between numerator and denominator), and
+    reports a two-sided normal p-value.  ``hy`` raises ``ValueError``: there
+    is no data-driven asymptotic covariance estimator for the overlap
+    estimator.
     """
     cfg = config or EstimatorConfig()
     data = [x1, x2, z]
@@ -115,18 +115,13 @@ def ci_test(
     # bracket order: b1 = [X1,Z], b2 = [X2,Z], b3 = [X1,X2], b4 = [Z]
     brackets = (m[0, 2], m[1, 2], m[0, 1], m[2, 2])
 
-    am: AcovMatrix = acov_matrix_hat(data, method, cfg)
-    p = 3
-    order = [(1, 3), (2, 3), (1, 2), (3, 3)]
-    idx = [svec_index(p, k, l) for (k, l) in order]
-    raw = am.raw()
-    C = raw[np.ix_(idx, idx)]
+    entries, rate, n_ref = _acov_entries(data, method, [(1, 3), (2, 3), (1, 2), (3, 3)], cfg)
+    C = entries / _rate_sq(rate, n_ref)
 
     t_hat = ci_statistic(*brackets)
     avar_raw = ci_avar(brackets, C)
-    rate = am.rate
     if avar_raw <= 0.0 or not np.isfinite(avar_raw):
-        return CiTestResult(t_hat, avar_raw, None, None, brackets, C, rate, am.n_ref)
+        return CiTestResult(t_hat, avar_raw, None, None, brackets, C, rate, n_ref)
     z_val = t_hat / math.sqrt(avar_raw)
     p_val = 2.0 * (1.0 - _phi(abs(z_val)))
-    return CiTestResult(t_hat, avar_raw, float(z_val), float(p_val), brackets, C, rate, am.n_ref)
+    return CiTestResult(t_hat, avar_raw, float(z_val), float(p_val), brackets, C, rate, n_ref)

@@ -143,8 +143,9 @@ def _cmd_estimate(args, with_acov: bool) -> int:
     if with_acov:
         am = acov_matrix_hat(series, args.method, GmsAcovConfig(kernel=args.kernel, c=args.c, bins=args.bins))
         rep.acov = {"entries": am.entries, "rate": am.rate, "n_ref": am.n_ref}
-        raw = am.raw()
-        rep.standard_errors = [float(np.sqrt(max(raw[i, i], 0.0))) for i in range(am.q)]
+        # a negative (or NaN) variance estimate has no standard error: null, and counted
+        rep.standard_errors = [float(np.sqrt(v)) if v >= 0.0 else None for v in np.diag(am.raw())]
+        rep.diagnostics["negative_variance_entries"] = rep.standard_errors.count(None)
     rep.timings = {"total_s": round(time.perf_counter() - t0, 3)}
     _emit(rep, args.out)
     return 0

@@ -77,14 +77,6 @@ class SamplingScheme:
         return int(self.times.size)
 
     @property
-    def first(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def last(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def max_gap(self) -> float:
         """Mesh of the scheme: the largest of the interior gaps, the lead-in
         ``t_0`` and the tail ``T - t_n``."""
@@ -138,8 +130,7 @@ class SyncGrid:
     so ``t_l^-(tau_i) <= tau_i <= t_l^+(tau_i)`` by construction.
 
     For a grid built by :func:`global_refresh`, ``pair_grids`` holds the two
-    pairwise grids and ``pair_next_idx`` / ``pair_prev_idx`` the index maps of
-    the global refresh times into those pairwise refresh sequences.
+    pairwise grids.
     """
 
     refresh_times: np.ndarray
@@ -147,8 +138,6 @@ class SyncGrid:
     next_idx: np.ndarray
     prev_idx: np.ndarray
     pair_grids: tuple["SyncGrid", ...] = field(default=())
-    pair_next_idx: np.ndarray | None = None
-    pair_prev_idx: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         r = np.asarray(self.refresh_times, dtype=float)
@@ -245,8 +234,8 @@ def global_refresh(grid_ab: SyncGrid, grid_cd: SyncGrid) -> SyncGrid:
     """Refresh times of two pairwise refresh sequences ("refresh times of
     refresh times"), i.e. the synchronous skeleton of all four schemes.
 
-    Index maps are provided both into the four underlying schemes and into
-    the two pairwise refresh sequences.
+    Index maps are provided into the four underlying schemes; the two
+    pairwise grids are kept as ``pair_grids``.
     """
     if grid_ab.horizon != grid_cd.horizon:
         raise ValueError("grids must share the horizon")
@@ -255,13 +244,4 @@ def global_refresh(grid_ab: SyncGrid, grid_cd: SyncGrid) -> SyncGrid:
         raise ValueError("pairwise grids produce no common refresh times")
     schemes = grid_ab.source_schemes + grid_cd.source_schemes
     nxt, prv = _index_maps([s.times for s in schemes], refresh)
-    pair_nxt, pair_prv = _index_maps([grid_ab.refresh_times, grid_cd.refresh_times], refresh)
-    return SyncGrid(
-        refresh,
-        schemes,
-        nxt,
-        prv,
-        pair_grids=(grid_ab, grid_cd),
-        pair_next_idx=pair_nxt,
-        pair_prev_idx=pair_prv,
-    )
+    return SyncGrid(refresh, schemes, nxt, prv, pair_grids=(grid_ab, grid_cd))

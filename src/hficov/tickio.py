@@ -100,7 +100,8 @@ class RunReport:
 
     Every key is always present; sections not produced by the command stay
     at their empty defaults.  Standard errors are reported as
-    ``sqrt(avar) / r_n`` alongside each estimate.
+    ``sqrt(avar) / r_n`` alongside each estimate, ``null`` where the
+    variance estimate is negative.
     """
 
     command: str = ""

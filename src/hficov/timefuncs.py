@@ -109,7 +109,7 @@ def _overlap(lo_a, hi_a, lo_b, hi_b):
     return np.maximum(np.minimum(hi_a, hi_b) - np.maximum(lo_a, lo_b), 0.0)
 
 
-def time_covariations(grid: SyncGrid, window: int = 10) -> TimeCovariationBundle:
+def time_covariations(grid: SyncGrid) -> TimeCovariationBundle:
     """Evaluate the quadratic covariations of times on a 4-scheme global grid.
 
     The grid must come from :func:`hficov.sampling.global_refresh` (scheme
@@ -136,11 +136,12 @@ def time_covariations(grid: SyncGrid, window: int = 10) -> TimeCovariationBundle
     All functions are nondecreasing step functions scaled by ``N/T`` (N =
     global refresh count) and vanish identically (except ``g``) when the
     four schemes coincide.  Only the channel sums ``f + h + i`` enter the
-    asymptotic covariance; the split is diagnostic.  ``window`` bounds the
-    block offset scanned for overlapping pairings; it is generous for any
-    quasi-regular scheme and checked in the tests.
+    asymptotic covariance; the split is diagnostic.  Block j's intervals lie
+    in ``[min_l t_l^-(tau_{j-1}), max(tau_j, max_l t_l^+(tau_j))]``, whose
+    ends are nondecreasing in j, so only the block offsets at which these
+    spans of the two pairs overlap are scanned; others contribute nothing.
     """
-    if len(grid.source_schemes) != 4 or grid.pair_next_idx is None:
+    if len(grid.source_schemes) != 4 or len(grid.pair_grids) != 2:
         raise ValueError("time_covariations requires a 4-scheme global refresh grid")
     N = len(grid) - 1
     if N < 2:
@@ -154,6 +155,7 @@ def time_covariations(grid: SyncGrid, window: int = 10) -> TimeCovariationBundle
         tp = [g.source_schemes[l].times[g.next_idx[l]] for l in range(2)]
         tm = [g.source_schemes[l].times[g.prev_idx[l]] for l in range(2)]
         block = (tau[:-1], tau[1:])
+        span = (np.minimum(tm[0][:-1], tm[1][:-1]), np.maximum(tau[1:], np.maximum(tp[0][1:], tp[1][1:])))
         terms = []
         for a, b in ((0, 1), (1, 0)):
             nxt_a = (tau[1:], np.maximum(tp[a][1:], tau[1:]))   # (tau_j, t_a^+(tau_j)]
@@ -165,16 +167,19 @@ def time_covariations(grid: SyncGrid, window: int = 10) -> TimeCovariationBundle
             else:
                 terms.append((span_b, nxt_a))
                 terms.append((block, prev_a))
-        return tau, block, terms
+        return tau, block, span, terms
 
-    tau12, block12, terms12 = pair_data(g12)
-    tau34, block34, terms34 = pair_data(g34)
+    tau12, block12, span12, terms12 = pair_data(g12)
+    tau34, block34, span34, terms34 = pair_data(g34)
     n12, n34 = tau12.size - 1, tau34.size - 1
 
-    # align block j of pair 12 with candidate blocks k = k0[j] + r of pair 34
+    # align block j of pair 12 with candidate blocks k = k0[j] + r of pair
+    # 34; the blocks whose span overlaps block j's span are [k_lo, k_hi)
     k0 = np.searchsorted(tau34[1:], tau12[1:], side="left")
     j_all = np.arange(n12)
-    window = max(2, int(window))
+    k_lo = np.searchsorted(span34[1], span12[0], side="right")
+    k_hi = np.searchsorted(span34[0], span12[1], side="left")
+    meets = k_lo < k_hi
 
     times_parts: list[np.ndarray] = []
     wa_parts: list[np.ndarray] = []
@@ -190,7 +195,7 @@ def time_covariations(grid: SyncGrid, window: int = 10) -> TimeCovariationBundle
         wb_parts.append(wb[keep])
         kind_parts.append(np.full(keep.sum(), kind, dtype=np.int8))
 
-    for r in range(-window, window + 1):
+    for r in range(np.min(k_lo[meets] - k0[meets]), np.max(k_hi[meets] - k0[meets])):
         k = k0 + r
         valid = (k >= 0) & (k < n34)
         if not np.any(valid):

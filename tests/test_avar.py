@@ -505,6 +505,80 @@ def test_union_refresh_count_equals_chained_grids(data, extra):
     assert _union_refresh_count(data, comps) == expect
 
 
+@st.composite
+def bracket_pair(draw):
+    """A :func:`binned_pair` case whose second series is sometimes the first
+    itself, or a series on the first one's stamps with some moved one ulp up
+    (stamps that nearly, but not exactly, coincide)."""
+    a, b, edges, m_bin, kernel = draw(binned_pair())
+    mode = draw(st.sampled_from(["drawn", "self", "ulp"]))
+    if mode == "self":
+        b = a
+    elif mode == "ulp":
+        t, T = a.scheme.times, a.scheme.horizon
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        moved = (rng.random(t.size) < 0.5) & (t < T)
+        b = series(np.where(moved, np.nextafter(t, np.inf), t), rng.standard_normal(t.size).cumsum(), T=T)
+    return a, b, edges, m_bin, kernel
+
+
+@settings(max_examples=300)
+@given(bracket_pair())
+def test_binned_bracket_symmetric_in_its_series(case):
+    # the gms bracket table keys a bracket by its unordered component pair
+    a, b, edges, m_bin, kernel = case
+    cfg = EstimatorConfig(kernel=kernel)
+    w = cfg.weights(m_bin)
+    assert np.array_equal(_binned_bracket(a, b, edges, w, cfg), _binned_bracket(b, a, edges, w, cfg))
+
+
+def entrywise_acov_gms(data, config):
+    """Reference: the gms acov matrix as one public ``acov_gms_hat`` call per
+    entry, with its two pairs in svec order, rescaled from the entry's own
+    refresh count to that of all components."""
+    p = len(data)
+    plist = svec_pairs(p)
+    n_ref = _union_refresh_count(data, tuple(range(1, p + 1)))
+    ent = np.zeros((len(plist), len(plist)))
+    for a in range(len(plist)):
+        for b in range(a, len(plist)):
+            (k, l), (r, q) = plist[a], plist[b]
+            val = acov_gms_hat(data, ((k, l), (r, q)), config)
+            n_ab = _union_refresh_count(data, (k, l, r, q))
+            ent[a, b] = ent[b, a] = val * (math.sqrt(n_ref) / math.sqrt(n_ab))
+    return ent, n_ref
+
+
+@pytest.mark.parametrize(
+    "p, sampling, kernel, bins",
+    [
+        (2, "sync", "cubic", None),
+        (3, "sync", "parzen", 3),
+        (3, "repeated", "cubic", None),
+        (3, "repeated", "parzen", 3),
+        (4, "shared", "cubic", None),
+        (4, "shared", "parzen", 3),
+    ],
+)
+def test_acov_matrix_hat_gms_equals_entrywise_reference(p, sampling, kernel, bins):
+    # "shared": Poisson stamps snapped to a grid, so two schemes share about
+    # a quarter of their stamps and the noise addends are active;
+    # "repeated": the same, with the first series listed again as the last
+    rng = np.random.default_rng(40 + p)
+    n = 240
+    data = []
+    for _ in range(p):
+        t = np.linspace(0, 1, n + 1) if sampling == "sync" else np.unique(np.round(rng.uniform(0, 1, n) * 4 * n)) / (4 * n)
+        data.append(series(t, 0.01 * rng.standard_normal(t.size).cumsum() + 5e-4 * rng.standard_normal(t.size)))
+    if sampling == "repeated":
+        data[-1] = data[0]
+    cfg = GmsAcovConfig(kernel=kernel, bins=bins)
+    am = acov_matrix_hat(data, "gms", cfg)
+    ent, n_ref = entrywise_acov_gms(data, cfg)
+    assert np.array_equal(am.entries, ent)
+    assert am.n_ref == n_ref
+
+
 # ---------------------------------------------------------------------
 # Matrix assembly, linear combinations, standardization
 # ---------------------------------------------------------------------

@@ -137,6 +137,15 @@ def test_ci_test_acov_uses_estimator_kernel_and_c():
     np.testing.assert_array_equal(res.acov_entries, raw[np.ix_(idx, idx)])
 
 
+def test_ci_test_rc_acov_entries_equal_full_matrix_gather():
+    rng = np.random.default_rng(10)
+    x1, x2, z = _triple(rng, n=300)
+    res = ci_test(x1, x2, z, method="rc")
+    raw = acov_matrix_hat([x1, x2, z], "rc").raw()
+    idx = [2, 4, 1, 5]  # svec positions of (1,3), (2,3), (1,2), (3,3) for p = 3
+    np.testing.assert_array_equal(res.acov_entries, raw[np.ix_(idx, idx)])
+
+
 def test_ci_test_hy_has_no_acov_estimator():
     # noiseless Poisson triple: hy brackets exist, a data-driven hy acov does not
     rng = np.random.default_rng(9)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -159,6 +160,24 @@ def test_cli_gms_on_async_data(tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())
     assert rep["estimates"]["method"] == "gms"
+
+
+def test_cli_acov_negative_variance_gives_null_standard_error(tmp_path):
+    # on this noisy asynchronous input two of the three gms variance
+    # estimates are negative: their standard errors are null and counted
+    ticks = tmp_path / "neg.csv"
+    rc = main(
+        ["simulate", "--assets", "2", "--n", "300", "--sampling", "poisson",
+         "--noise", "5e-4", "--seed", "0", "--ticks-out", str(ticks), "--out", str(tmp_path / "s.json")]
+    )
+    assert rc == 0
+    out = tmp_path / "acov.json"
+    assert main(["acov", "--input", str(ticks), "--method", "gms", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    var = np.diag(rep["acov"]["entries"]) / math.sqrt(rep["acov"]["n_ref"])
+    assert rep["diagnostics"]["negative_variance_entries"] == np.sum(var < 0) == 2
+    for v, se in zip(var, rep["standard_errors"]):
+        assert se is None if v < 0 else se == math.sqrt(v)
 
 
 def test_cli_missing_input_fails():

@@ -217,17 +217,3 @@ def test_global_refresh_refinement_collapses_to_coarser():
     g2 = pairwise_refresh(coarse, coarse)
     out = global_refresh(g1, g2)
     np.testing.assert_allclose(out.refresh_times, coarse.times)
-
-
-def test_global_refresh_carries_pairwise_maps():
-    rng = np.random.default_rng(7)
-    schemes = [sch(*np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 25)]))) for _ in range(4)]
-    g12 = pairwise_refresh(schemes[0], schemes[1])
-    g34 = pairwise_refresh(schemes[2], schemes[3])
-    out = global_refresh(g12, g34)
-    assert out.pair_next_idx is not None
-    for k, g in enumerate((g12, g34)):
-        for i, s in enumerate(out.refresh_times):
-            lo = g.refresh_times[out.pair_prev_idx[k, i]]
-            hi = g.refresh_times[out.pair_next_idx[k, i]]
-            assert lo <= s <= hi
