@@ -29,11 +29,9 @@ from .timefuncs import (
     StepFunction,
     SyncOverlap,
     TimeCovariationBundle,
-    lasa,
     lasa_function,
     sync_overlap,
     time_covariations,
-    weighted_lasa,
     weighted_lasa_function,
 )
 from .estimators import (

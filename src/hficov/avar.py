@@ -304,12 +304,17 @@ def _global_grids(schemes) -> tuple[SyncGrid, SyncGrid, SyncGrid]:
     return g12, g34, global_refresh(g12, g34)
 
 
-def _gms_frequencies(g12: SyncGrid, g34: SyncGrid, glob: SyncGrid, c: float) -> tuple[int, int, int]:
-    """Pairwise frequencies ``M_12``, ``M_34`` and the global-lag frequency
-    ``min(M_12 N/N_12, M_34 N/N_34)`` (``min(M_12, M_34)`` when synchronous)."""
+def _gms_skeleton(g12: SyncGrid, g34: SyncGrid, glob: SyncGrid, kernel: str, c: float):
+    """The gms frequencies and signal integrator of four schemes' grids:
+    pairwise ``M_12``, ``M_34``, the global-lag ``M = min(M_12 N/N_12,
+    M_34 N/N_34)`` (``min(M_12, M_34)`` when synchronous), its weights, the
+    half-lag-0 :func:`weighted_lasa_function` of the global grid, and
+    ``c = M / sqrt(N)``."""
     N, n12, n34 = len(glob) - 1, len(g12) - 1, len(g34) - 1
     m12, m34 = _ms_frequency(c, n12), _ms_frequency(c, n34)
-    return m12, m34, _clamp_frequency(min(m12 * N / n12, m34 * N / n34), N)
+    mg = _clamp_frequency(min(m12 * N / n12, m34 * N / n34), N)
+    w = EstimatorConfig(kernel=kernel, c=c).weights(mg)
+    return m12, m34, mg, w, weighted_lasa_function(glob, w, lag0="half"), mg / math.sqrt(N)
 
 
 def hy_theory_inputs(schemes, times: np.ndarray, sigma: np.ndarray) -> tuple[TheoryInputs, dict]:
@@ -346,15 +351,13 @@ def gms_theory_inputs(
     """
     g12, g34, glob = _global_grids(schemes)
     N, n12, n34 = len(glob) - 1, len(g12) - 1, len(g34) - 1
-    m12, m34, mg = _gms_frequencies(g12, g34, glob, c)
-    w = EstimatorConfig(kernel=kernel, c=c).weights(mg)
-    lasa = weighted_lasa_function(glob, w, lag0="half")
+    m12, m34, mg, w, lasa, c_eff = _gms_skeleton(g12, g34, glob, kernel, c)
     ov = sync_overlap(glob, m12, m34) if with_overlap else None
     inputs = TheoryInputs(
         times=times,
         sigma=sigma,
         noise=noise,
-        c=mg / math.sqrt(N),
+        c=c_eff,
         lasa=lasa,
         overlap=ov,
         constants=kernel_constants(w),
@@ -512,13 +515,8 @@ def _gms_entry(data: Sequence[TickSeries], pairs, cfg: GmsAcovConfig, table: dic
         raise ValueError("need at least 2 bins")
     T = glob.horizon
 
-    # estimator frequencies in global-lag units, matching the closed form
-    M12, M34, M_glob = _gms_frequencies(g12, g34, glob, cfg.c)
-    c_eff = M_glob / math.sqrt(N)
-
+    M12, M34, _, w_glob, lasa, c_eff = _gms_skeleton(g12, g34, glob, cfg.kernel, cfg.c)
     base_cfg = EstimatorConfig(kernel=cfg.kernel, c=cfg.c)
-    w_glob = base_cfg.weights(M_glob)
-    lasa = weighted_lasa_function(glob, w_glob, lag0="half")
     w_bin = base_cfg.weights(max(2, int(round(N ** 0.6))))
 
     def bracket(x: int, y: int, edges: np.ndarray) -> np.ndarray:

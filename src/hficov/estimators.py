@@ -160,7 +160,7 @@ def kernel_estimator(
     total = gamma0 * ((n - 1) / n if adjusted else 1.0)
     for h in range(1, H + 1):
         x = (h - 1) / H if flat_top else h / H
-        wgt = kernel(x)
+        wgt = kernel.k(x)
         if wgt == 0.0:
             continue
         total += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))

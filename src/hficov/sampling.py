@@ -86,28 +86,6 @@ class SamplingScheme:
         inner = gaps.max() if gaps.size else 0.0
         return float(max(inner, lead, tail))
 
-    # -- tick interpolation -------------------------------------------------
-
-    def prev_index(self, s: float) -> int:
-        """Index of ``t^-(s) = max{t_i <= s}``; raises if ``s < t_0``."""
-        i = int(np.searchsorted(self.times, s, side="right")) - 1
-        if i < 0:
-            raise InterpolationError("previous", s)
-        return i
-
-    def next_index(self, s: float) -> int:
-        """Index of ``t^+(s) = min{t_i >= s}``; raises if ``s > t_n``."""
-        i = int(np.searchsorted(self.times, s, side="left"))
-        if i >= self.times.size:
-            raise InterpolationError("next", s)
-        return i
-
-    def prev_tick(self, s: float) -> float:
-        return float(self.times[self.prev_index(s)])
-
-    def next_tick(self, s: float) -> float:
-        return float(self.times[self.next_index(s)])
-
 
 def tick_interpolation(scheme: SamplingScheme, s: float) -> tuple[float, float]:
     """Previous- and next-tick interpolation ``(t^-(s), t^+(s))``.
@@ -118,7 +96,8 @@ def tick_interpolation(scheme: SamplingScheme, s: float) -> tuple[float, float]:
     """
     if not 0.0 <= s <= scheme.horizon:
         raise ValueError(f"s={s!r} outside [0, {scheme.horizon}]")
-    return scheme.prev_tick(s), scheme.next_tick(s)
+    nxt, prv = _index_maps([scheme.times], np.array([s], dtype=float))
+    return float(scheme.times[prv[0, 0]]), float(scheme.times[nxt[0, 0]])
 
 
 @dataclass(frozen=True)
@@ -154,13 +133,15 @@ class SyncGrid:
     def horizon(self) -> float:
         return self.source_schemes[0].horizon
 
-    def t_plus(self, l: int, i: int) -> float:
-        """Next tick of source scheme ``l`` at refresh time ``i``."""
-        return float(self.source_schemes[l].times[self.next_idx[l, i]])
+    @property
+    def next_times(self) -> np.ndarray:
+        """``next_times[l, i]``: next tick ``t_l^+(tau_i)`` of source scheme ``l``."""
+        return np.array([s.times[i] for s, i in zip(self.source_schemes, self.next_idx)])
 
-    def t_minus(self, l: int, i: int) -> float:
-        """Previous tick of source scheme ``l`` at refresh time ``i``."""
-        return float(self.source_schemes[l].times[self.prev_idx[l, i]])
+    @property
+    def prev_times(self) -> np.ndarray:
+        """``prev_times[l, i]``: previous tick ``t_l^-(tau_i)`` of source scheme ``l``."""
+        return np.array([s.times[i] for s, i in zip(self.source_schemes, self.prev_idx)])
 
 
 def _refresh_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,15 +184,19 @@ def _refresh_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _index_maps(times: Sequence[np.ndarray], refresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Next-/previous-tick indices of the refresh times into each increasing
-    time array: ``min{i: t_i >= tau}`` and ``max{i: t_i <= tau}``."""
+    """The tick rule: next-/previous-tick indices ``min{i: t_i >= tau}`` and
+    ``max{i: t_i <= tau}`` of the nonempty increasing ``refresh`` times into
+    each increasing time array.  Raises :class:`InterpolationError` for the
+    first time with no previous tick or the last with no next tick."""
     nxt = np.empty((len(times), refresh.size), dtype=np.int64)
     prv = np.empty_like(nxt)
     for l, t in enumerate(times):
         nxt[l] = np.searchsorted(t, refresh, side="left")
         prv[l] = np.searchsorted(t, refresh, side="right") - 1
-        if np.any(nxt[l] >= t.size) or np.any(prv[l] < 0):
-            raise ValueError("refresh time outside a source's tick range")
+        if prv[l, 0] < 0:
+            raise InterpolationError("previous", float(refresh[0]))
+        if nxt[l, -1] >= t.size:
+            raise InterpolationError("next", float(refresh[-1]))
     return nxt, prv
 
 

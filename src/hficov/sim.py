@@ -48,8 +48,7 @@ from .estimators import (
     svec_pack,
 )
 from .kernels import builtin_kernel, cubic_weights
-from .sampling import SamplingScheme, global_refresh, pairwise_refresh
-from .timefuncs import sync_overlap
+from .sampling import SamplingScheme, pairwise_refresh
 
 __all__ = [
     "ItoModelConfig",
@@ -265,10 +264,18 @@ def simulate_paths(
     z_vol = rho * z_price + math.sqrt(1.0 - rho**2) * rng.standard_normal((m, p))
     sqdt = np.sqrt(dt)[:, None]
     v = np.empty((m + 1, p))
-    v[0] = v0
-    for i in range(m):
-        vp = np.maximum(v[i], 0.0)
-        v[i + 1] = v[i] + model.sv_kappa * (vbar - vp) * dt[i] + model.sv_xi * np.sqrt(vp) * sqdt[i] * z_vol[i]
+    kappa, xi = model.sv_kappa, model.sv_xi
+    dt_list, sqdt_list = dt.tolist(), sqdt[:, 0].tolist()
+    # the recursion is elementwise: one component at a time on Python floats
+    # gives the bits of whole-row numpy steps without their per-step overhead
+    for l in range(p):
+        vi = v0
+        col = [vi]
+        for dt_i, sqdt_i, z_i in zip(dt_list, sqdt_list, z_vol[:, l].tolist()):
+            vp = max(vi, 0.0)
+            vi = vi + kappa * (vbar - vp) * dt_i + xi * math.sqrt(vp) * sqdt_i * z_i
+            col.append(vi)
+        v[:, l] = col
     vols = np.sqrt(np.maximum(v[:-1], 0.0))  # left endpoint per block
     sigma = vols[:, :, None] * L[None, :, :]
     dw = z_price * sqdt
@@ -634,7 +641,7 @@ def scenario_gms_acov_async(replicates: int = 2000, seed: int = 20260808, n: int
     union = np.unique(np.concatenate([[0.0, T]] + [s.times for s in schemes]))
     g12 = pairwise_refresh(schemes[0], schemes[1])
     g34 = pairwise_refresh(schemes[2], schemes[3])
-    inputs, meta = gms_theory_inputs(schemes, np.array([0.0, T]), cov)
+    inputs, meta = gms_theory_inputs(schemes, np.array([0.0, T]), cov, with_overlap=True)
     N = meta["N"]
     theo = acov_theory(inputs, "gms", ((1, 2), (3, 4)))
     w12 = end_effect_adjust(cubic_weights(meta["M12"]), meta["N12"])
@@ -654,7 +661,7 @@ def scenario_gms_acov_async(replicates: int = 2000, seed: int = 20260808, n: int
     _replicate_map(one, _spawn_rngs(seed, replicates))
     data0 = data_first[0]
     emp = math.sqrt(N) * float(np.cov(est12, est34)[0, 1])
-    ov = sync_overlap(global_refresh(g12, g34), meta["M12"], meta["M34"])
+    ov = inputs.overlap
     with_noise = acov_gms_hat(data0, ((1, 2), (3, 4)), GmsAcovConfig(include_noise_terms=True))
     without = acov_gms_hat(data0, ((1, 2), (3, 4)), GmsAcovConfig(include_noise_terms=False))
     checks = [

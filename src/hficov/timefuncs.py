@@ -30,9 +30,7 @@ __all__ = [
     "StepFunction",
     "TimeCovariationBundle",
     "time_covariations",
-    "lasa",
     "lasa_function",
-    "weighted_lasa",
     "weighted_lasa_function",
     "SyncOverlap",
     "sync_overlap",
@@ -152,8 +150,7 @@ def time_covariations(grid: SyncGrid) -> TimeCovariationBundle:
 
     def pair_data(g: SyncGrid):
         tau = g.refresh_times
-        tp = [g.source_schemes[l].times[g.next_idx[l]] for l in range(2)]
-        tm = [g.source_schemes[l].times[g.prev_idx[l]] for l in range(2)]
+        tp, tm = g.next_times, g.prev_times
         block = (tau[:-1], tau[1:])
         span = (np.minimum(tm[0][:-1], tm[1][:-1]), np.maximum(tau[1:], np.maximum(tp[0][1:], tp[1][1:])))
         terms = []
@@ -302,11 +299,6 @@ def lasa_function(grid, r: int) -> StepFunction:
     return _cum_step(times[1:], jumps)
 
 
-def lasa(grid, r: int, t: float) -> float:
-    """Evaluate ``G_{N,r}(t)``; see :func:`lasa_function`."""
-    return float(lasa_function(grid, r)(t))
-
-
 def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> StepFunction:
     """Weight-smoothed sampling autocorrelation ``D_N`` of a refresh grid.
 
@@ -344,11 +336,6 @@ def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> S
     conv = np.convolve(d, k2)[: d.size]
     jumps = (N / (M * T)) * d * conv
     return _cum_step(times[1:], jumps)
-
-
-def weighted_lasa(grid, weights: WeightScheme, t: float) -> float:
-    """Evaluate ``D_N(t)``; see :func:`weighted_lasa_function`."""
-    return float(weighted_lasa_function(grid, weights)(t))
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +381,6 @@ def _shared_step(a: SamplingScheme, b: SamplingScheme, N: int) -> StepFunction:
     if shared.size == 0:
         return StepFunction(np.array([a.horizon]), np.array([0.0]))
     return _cum_step(shared, np.full(shared.size, 1.0 / N))
-
-
-def _interp_times(grid: SyncGrid, l: int, which: str) -> np.ndarray:
-    idx = grid.next_idx[l] if which == "+" else grid.prev_idx[l]
-    return grid.source_schemes[l].times[idx]
 
 
 def _match_ranges(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -478,8 +460,8 @@ def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:
         "24": _shared_step(s2, s4, N),
     }
 
-    tp = {(k, l): _interp_times(g, l, "+") for k, g in ((0, grid_12), (1, grid_34)) for l in (0, 1)}
-    tm = {(k, l): _interp_times(g, l, "-") for k, g in ((0, grid_12), (1, grid_34)) for l in (0, 1)}
+    tp = grid_12.next_times, grid_34.next_times
+    tm = grid_12.prev_times, grid_34.prev_times
 
     def eq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x[:, None] == y[None, :]
@@ -500,19 +482,19 @@ def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:
 
     # 13/24 pairing: next ticks of (1, 3) with previous ticks of (2, 4), plus
     # the mirrored (2, 4)/(1, 3) bracket.
-    hat_13_24 = s_hat(tp[(0, 0)], tp[(1, 0)], tm[(0, 1)], tm[(1, 1)]) + s_hat(
-        tp[(0, 1)], tp[(1, 1)], tm[(0, 0)], tm[(1, 0)]
+    hat_13_24 = s_hat(tp[0][0], tp[1][0], tm[0][1], tm[1][1]) + s_hat(
+        tp[0][1], tp[1][1], tm[0][0], tm[1][0]
     )
-    hat_14_23 = s_hat(tp[(0, 0)], tp[(1, 1)], tm[(0, 1)], tm[(1, 0)]) + s_hat(
-        tp[(0, 1)], tp[(1, 0)], tm[(0, 0)], tm[(1, 1)]
+    hat_14_23 = s_hat(tp[0][0], tp[1][1], tm[0][1], tm[1][0]) + s_hat(
+        tp[0][1], tp[1][0], tm[0][0], tm[1][1]
     )
     tilde_13_24 = s_tilde(
-        tp[(0, 0)], tp[(1, 0)], tp[(0, 1)], tp[(1, 1)],
-        tm[(0, 0)], tm[(1, 0)], tm[(0, 1)], tm[(1, 1)],
+        tp[0][0], tp[1][0], tp[0][1], tp[1][1],
+        tm[0][0], tm[1][0], tm[0][1], tm[1][1],
     )
     tilde_14_23 = s_tilde(
-        tp[(0, 0)], tp[(1, 1)], tp[(0, 1)], tp[(1, 0)],
-        tm[(0, 0)], tm[(1, 1)], tm[(0, 1)], tm[(1, 0)],
+        tp[0][0], tp[1][1], tp[0][1], tp[1][0],
+        tm[0][0], tm[1][1], tm[0][1], tm[1][0],
     )
 
     return SyncOverlap(

@@ -300,3 +300,34 @@ def isserlis_mc_oracle(sigma, idx, draws, rng) -> float:
     a = z[:, i] * z[:, l]
     b = z[:, m] * z[:, u]
     return float(np.cov(a, b)[0, 1])
+
+
+def sv_paths_oracle(model, seed, times):
+    """Stochastic-variance branch of ``simulate_paths`` with the variance
+    recursion stepped one fine-grid row at a time on numpy arrays.  Returns
+    ``(x, sigma, integrated_cov)`` for the same seed and times."""
+    import math
+
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    dt = np.diff(times)
+    m, p = dt.size, model.p
+    mu = np.broadcast_to(np.asarray(model.mu, dtype=float), (p,))
+    L = np.linalg.cholesky(model.corr)
+    vbar = model.sv_vbar if model.sv_vbar is not None else 1e-4
+    v0 = model.sv_v0 if model.sv_v0 is not None else vbar
+    rho = model.sv_rho_lev
+    z_price = rng.standard_normal((m, p))
+    z_vol = rho * z_price + math.sqrt(1.0 - rho**2) * rng.standard_normal((m, p))
+    sqdt = np.sqrt(dt)[:, None]
+    v = np.empty((m + 1, p))
+    v[0] = v0
+    for i in range(m):
+        vp = np.maximum(v[i], 0.0)
+        v[i + 1] = v[i] + model.sv_kappa * (vbar - vp) * dt[i] + model.sv_xi * np.sqrt(vp) * sqdt[i] * z_vol[i]
+    sigma = np.sqrt(np.maximum(v[:-1], 0.0))[:, :, None] * L[None, :, :]
+    dx = mu[None, :] * dt[:, None] + np.einsum("mij,mj->mi", sigma, z_price * sqdt)
+    x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
+    icov = np.einsum("mij,m->ij", np.einsum("mij,mkj->mik", sigma, sigma), dt)
+    return x, sigma, icov

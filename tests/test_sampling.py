@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hficov.sampling import (
     InterpolationError,
     SamplingScheme,
+    _index_maps,
     global_refresh,
     pairwise_refresh,
     tick_interpolation,
@@ -180,12 +181,22 @@ def test_refresh_collapses_simultaneous_ticks():
 
 def test_refresh_index_maps_bracket_refresh_times():
     rng = np.random.default_rng(6)
-    a = sch(*np.sort(rng.uniform(0, 1, 30)))
-    b = sch(*np.sort(rng.uniform(0, 1, 20)))
-    out = pairwise_refresh(a, b)
-    for l, s in enumerate(out.source_schemes):
-        for i, tau in enumerate(out.refresh_times):
-            assert out.t_minus(l, i) <= tau <= out.t_plus(l, i)
+    a, b, c, d = (sch(*np.sort(rng.uniform(0, 1, n))) for n in (30, 20, 25, 15))
+    glob = global_refresh(pairwise_refresh(a, b), pairwise_refresh(c, d))
+    for out in (*glob.pair_grids, glob):
+        assert out.prev_times.shape == out.next_times.shape == (len(out.source_schemes), len(out))
+        assert np.all(out.prev_times <= out.refresh_times)
+        assert np.all(out.refresh_times <= out.next_times)
+
+
+def test_index_maps_raise_interpolation_error_with_side_and_time():
+    t = np.array([0.2, 0.5, 0.7])
+    with pytest.raises(InterpolationError) as exc:
+        _index_maps([t], np.array([0.1, 0.3]))
+    assert (exc.value.side, exc.value.s) == ("previous", 0.1)
+    with pytest.raises(InterpolationError) as exc:
+        _index_maps([t, np.array([0.0, 1.0])], np.array([0.3, 0.6, 0.9]))
+    assert (exc.value.side, exc.value.s) == ("next", 0.9)
 
 
 def test_refresh_requires_common_horizon():

@@ -17,6 +17,8 @@ from hficov.sim import (
     simulate_paths,
 )
 
+from oracles import sv_paths_oracle
+
 
 CONST2 = ItoModelConfig(p=2, sigma_const=np.linalg.cholesky(np.array([[4e-4, 1e-4], [1e-4, 2e-4]])))
 
@@ -67,6 +69,23 @@ def test_stochastic_vol_paths():
     # integrated covariance is random across seeds
     other = simulate_paths(model, 8, fine_n=2000)
     assert not np.allclose(paths.integrated_cov, other.integrated_cov)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("xi", [5e-3, 0.05])
+def test_sv_recursion_equals_array_loop(p, xi):
+    model = ItoModelConfig(p=p, sv_xi=xi, sv_vbar=1e-4, corr=np.eye(p) * 0.6 + 0.4)
+    times = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(p).uniform(0, 1, 1500)]))
+    truncated = False
+    for seed in range(3):
+        paths = simulate_paths(model, seed, times=times)
+        x, sigma, icov = sv_paths_oracle(model, seed, times)
+        np.testing.assert_array_equal(paths.x, x)
+        np.testing.assert_array_equal(paths.sigma, sigma)
+        np.testing.assert_array_equal(paths.integrated_cov, icov)
+        truncated |= bool(np.any(np.diagonal(sigma, axis1=1, axis2=2) == 0.0))
+    # at xi = 0.05 the variance hits zero, so the truncation branch runs
+    assert truncated == (xi == 0.05)
 
 
 def test_fine_grid_realized_cov_near_truth():
@@ -253,7 +272,10 @@ def test_mc_validate_reproducible_report():
 
 
 def test_covest_threads_reproduces_serial(monkeypatch):
-    serial = mc_validate("hy_acov", replicates=150, seed=9, n=250)
+    runs = [("hy_acov", 150, {"n": 250}), ("ci_size", 100, {})]
+    serial = [mc_validate(name, replicates=r, seed=9, **kw) for name, r, kw in runs]
     monkeypatch.setenv("COVEST_THREADS", "3")
-    threaded = mc_validate("hy_acov", replicates=150, seed=9, n=250)
-    assert serial["checks"][0]["value"] == threaded["checks"][0]["value"]
+    threaded = [mc_validate(name, replicates=r, seed=9, **kw) for name, r, kw in runs]
+    for report in serial + threaded:
+        report.pop("elapsed_s")
+    assert serial == threaded

@@ -10,11 +10,9 @@ from hficov.sampling import SamplingScheme, global_refresh, pairwise_refresh
 from hficov.timefuncs import (
     StepFunction,
     _overlap_count,
-    lasa,
     lasa_function,
     sync_overlap,
     time_covariations,
-    weighted_lasa,
     weighted_lasa_function,
 )
 
@@ -157,28 +155,28 @@ def test_requires_global_grid():
 # ---------------------------------------------------------------------
 def test_lasa_zero_at_zero():
     g = sch(np.linspace(0, 1, 51))
-    assert lasa(g, 5, 0.0) == 0.0
+    assert lasa_function(g, 5)(0.0) == 0.0
 
 
 def test_lasa_equidistant_slope():
     g = sch(np.linspace(0, 1, 5001))
     for r in (2, 5, 20):
-        assert lasa(g, r, 1.0) == pytest.approx((r + 1) / r, rel=0.02)
+        assert lasa_function(g, r)(1.0) == pytest.approx((r + 1) / r, rel=0.02)
 
 
 def test_lasa_poisson_correction_factor():
     rng = np.random.default_rng(6)
     g = poisson(rng, 6000)
     r = 40
-    assert lasa(g, r, 1.0) == pytest.approx((r + 1) / r, rel=0.05)
+    assert lasa_function(g, r)(1.0) == pytest.approx((r + 1) / r, rel=0.05)
 
 
 def test_lasa_r_bounds():
     g = sch(np.linspace(0, 1, 6))
     with pytest.raises(ValueError):
-        lasa(g, 5, 1.0)
+        lasa_function(g, 5)(1.0)
     with pytest.raises(ValueError):
-        lasa(g, 0, 1.0)
+        lasa_function(g, 0)(1.0)
 
 
 def test_lasa_matches_oracle():
@@ -187,7 +185,7 @@ def test_lasa_matches_oracle():
         g = poisson(rng, int(rng.integers(6, 25)))
         r = int(rng.integers(1, len(g) - 1))
         t = float(rng.uniform(0.2, 1.0))
-        got = lasa(g, r, t)
+        got = lasa_function(g, r)(t)
         exp = lasa_oracle(list(g.times), r, t, 1.0)
         assert got == pytest.approx(exp, rel=1e-12, abs=1e-15)
 
@@ -197,14 +195,14 @@ def test_lasa_matches_oracle():
 # ---------------------------------------------------------------------
 def test_weighted_lasa_zero_at_zero():
     g = sch(np.linspace(0, 1, 101))
-    assert weighted_lasa(g, cubic_weights(6), 0.0) == 0.0
+    assert weighted_lasa_function(g, cubic_weights(6))(0.0) == 0.0
 
 
 def test_weighted_lasa_equidistant_limit():
     # equidistant slope converges to int_0^1 K(x)^2 dx = 13/35 for the cubic
     # kernel (twice the tabulated constant 13/70)
     g = sch(np.linspace(0, 1, 8001))
-    val = weighted_lasa(g, cubic_weights(160), 1.0)
+    val = weighted_lasa_function(g, cubic_weights(160))(1.0)
     assert val == pytest.approx(13 / 35, rel=0.02)
     assert val == pytest.approx(2 * 13 / 70, rel=0.02)
 
@@ -214,14 +212,14 @@ def test_weighted_lasa_matches_triple_sum_oracle():
     g = sch(np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 6)])))  # 8-point grid
     w = cubic_weights(2)
     for t in (0.3, 0.7, 1.0):
-        got = weighted_lasa(g, w, t)
+        got = weighted_lasa_function(g, w)(t)
         exp = wlasa_oracle(list(g.times), list(w.alphas), t, 1.0)
         assert got == pytest.approx(exp, rel=1e-12, abs=1e-16)
     for _ in range(20):
         g = poisson(rng, int(rng.integers(6, 24)))
         M = int(rng.integers(2, min(6, len(g) - 1)))
         w = cubic_weights(M)
-        got = weighted_lasa(g, w, 1.0)
+        got = weighted_lasa_function(g, w)(1.0)
         exp = wlasa_oracle(list(g.times), list(w.alphas), 1.0, 1.0)
         assert got == pytest.approx(exp, rel=1e-12)
 
@@ -229,7 +227,7 @@ def test_weighted_lasa_matches_triple_sum_oracle():
 def test_weighted_lasa_m_bound():
     g = sch(np.linspace(0, 1, 6))
     with pytest.raises(ValueError):
-        weighted_lasa(g, cubic_weights(6), 1.0)
+        weighted_lasa_function(g, cubic_weights(6))(1.0)
 
 
 def test_weighted_lasa_lag0_variants_ordered():
