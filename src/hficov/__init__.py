@@ -47,6 +47,10 @@ from .estimators import (
     multiscale_adjusted,
     noise_moments,
     realized_cov,
+    svec_index,
+    svec_pack,
+    svec_pairs,
+    svec_unpack,
 )
 from .avar import (
     AcovMatrix,
@@ -62,9 +66,6 @@ from .avar import (
     isserlis_cov,
     lincomb_avar,
     standardize,
-    svec_index,
-    svec_pack,
-    svec_unpack,
 )
 from .citest import CiTestResult, ci_avar, ci_statistic, ci_test
 from .sim import (
@@ -73,12 +74,11 @@ from .sim import (
     NoiseConfig,
     SamplingConfig,
     SimulatedPaths,
-    default_test_model,
     mc_validate,
     observe,
     sample_scheme,
     simulate_paths,
 )
-from .tickio import RunReport, load_ticks, write_ticks
+from .tickio import RunReport, TickFileError, load_ticks, write_ticks
 
 __version__ = "0.1.0"

@@ -2,8 +2,7 @@
 
 Contents:
 
-* the Gaussian product-moment identity (:func:`isserlis_cov`) and the svec
-  packing of symmetric matrices;
+* the Gaussian product-moment identity (:func:`isserlis_cov`);
 * :func:`acov_theory` — the closed-form asymptotic covariance of two
   estimates for each sampling regime, used as the oracle in Monte Carlo
   validation (realized covariance; multi-scale on synchronous data;
@@ -41,9 +40,7 @@ from .estimators import (
     end_effect_adjust,
     noise_moments,
     svec_index,
-    svec_pack,
     svec_pairs,
-    svec_unpack,
 )
 from .kernels import KernelConstants, WeightScheme, kernel_constants
 from .sampling import SyncGrid, _index_maps, _refresh_merge, global_refresh, pairwise_refresh
@@ -58,14 +55,13 @@ from .timefuncs import (
 
 __all__ = [
     "isserlis_cov",
-    "svec_index",
-    "svec_pack",
-    "svec_unpack",
-    "svec_pairs",
     "dimension_identity",
     "TheoryInputs",
     "acov_theory",
+    "hy_theory_inputs",
+    "gms_theory_inputs",
     "acov_rc_hat",
+    "GmsAcovConfig",
     "acov_gms_hat",
     "AcovMatrix",
     "acov_matrix_hat",
@@ -75,7 +71,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Moment identity and svec layout
+# Moment identity and dimension count
 # ---------------------------------------------------------------------------
 
 

@@ -8,7 +8,6 @@ stdout) and exits 0 on success, 2 on usage errors, 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -114,11 +113,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load(args):
-    ids, series = load_ticks(args.input)
-    return ids, series
-
-
 def _estimates_section(est) -> dict:
     return {
         "matrix": est.matrix,
@@ -130,7 +124,7 @@ def _estimates_section(est) -> dict:
 
 def _cmd_estimate(args, with_acov: bool) -> int:
     t0 = time.perf_counter()
-    ids, series = _load(args)
+    ids, series = load_ticks(args.input)
     cfg = _config_from(args)
     est = estimate_matrix(series, args.method, cfg)
     rep = RunReport(
@@ -153,7 +147,7 @@ def _cmd_estimate(args, with_acov: bool) -> int:
 
 def _cmd_citest(args) -> int:
     t0 = time.perf_counter()
-    ids, series = _load(args)
+    ids, series = load_ticks(args.input)
     table = dict(zip(ids, series))
     for name in (args.x1, args.x2, args.z):
         if name not in table:

@@ -138,18 +138,14 @@ def kernel_estimator(
     b: TickSeries,
     kernel: KernelFunction,
     H: int,
-    flat_top: bool = False,
     adjusted: bool = False,
 ) -> float:
     """Autocovariance-kernel estimator for synchronous noisy data.
 
     Realized covariance plus ``K(h/H)``-weighted symmetrized lag-h realized
-    autocovariances for h = 1..H.  ``flat_top=True`` switches the lag
-    argument to ``(h-1)/H``, which removes the residual ``O(K''(0)/c^2)``
-    end bias of the plain lag grid; the default matches the ``K(h/H)``
-    convention (so ``H=1`` degenerates to realized covariance).
-    ``adjusted=True`` multiplies the realized-covariance addend by
-    ``(n-1)/n``, cancelling the ``+2 eta_ab`` noise bias.
+    autocovariances for h = 1..H (so ``H=1`` degenerates to realized
+    covariance).  ``adjusted=True`` multiplies the realized-covariance
+    addend by ``(n-1)/n``, cancelling the ``+2 eta_ab`` noise bias.
     """
     _require_synchronous(a, b, "kernel_estimator")
     n = a.n_increments
@@ -159,22 +155,19 @@ def kernel_estimator(
     gamma0 = float(np.dot(da, db))
     total = gamma0 * ((n - 1) / n if adjusted else 1.0)
     for h in range(1, H + 1):
-        x = (h - 1) / H if flat_top else h / H
-        wgt = kernel.k(x)
+        wgt = kernel.k(h / H)
         if wgt == 0.0:
             continue
         total += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
     return total
 
 
-def _canonical_pair(a: TickSeries, b: TickSeries) -> tuple[TickSeries, TickSeries, bool]:
+def _canonical_pair(a: TickSeries, b: TickSeries) -> tuple[TickSeries, TickSeries]:
     """Deterministic total ordering so symmetric estimators are bit-exact in
     their two arguments (full arrays break ties)."""
     ka = (len(a), a.scheme.times.tobytes(), a.values.tobytes())
     kb = (len(b), b.scheme.times.tobytes(), b.values.tobytes())
-    if ka <= kb:
-        return a, b, False
-    return b, a, True
+    return (a, b) if ka <= kb else (b, a)
 
 
 def hayashi_yoshida(a: TickSeries, b: TickSeries) -> float:
@@ -189,7 +182,7 @@ def hayashi_yoshida(a: TickSeries, b: TickSeries) -> float:
         raise ValueError("hayashi_yoshida needs at least two observations per series")
     if a.scheme.horizon != b.scheme.horizon:
         raise ValueError("schemes must share the horizon")
-    x, y, _ = _canonical_pair(a, b)
+    x, y = _canonical_pair(a, b)
     tx, ty = x.scheme.times, y.scheme.times
     dx, dy = x.increments(), y.increments()
     # b-interval k = (ty[k], ty[k+1]] overlaps (tx[i], tx[i+1]] iff
@@ -231,10 +224,6 @@ class NoiseMoments:
         object.__setattr__(self, "h_hat", h)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("h_hat must be square")
-
-    @property
-    def p(self) -> int:
-        return self.h_hat.shape[0]
 
 
 def noise_moments(data: Sequence[TickSeries]) -> NoiseMoments:

@@ -72,11 +72,6 @@ class KernelFunction:
             if abs(err) > tol:
                 raise ValueError(f"kernel {self.name!r} violates {label} (off by {err:.2e})")
 
-    def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        out = np.vectorize(self.k, otypes=[float])(xs)
-        return float(out) if out.ndim == 0 else out
-
 
 def _fd1(f: Callable[[float], float], h: float = _FD_STEP) -> Callable[[float], float]:
     """Central-difference derivative, one-sided at the interval ends."""

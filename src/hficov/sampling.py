@@ -76,16 +76,6 @@ class SamplingScheme:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    @property
-    def max_gap(self) -> float:
-        """Mesh of the scheme: the largest of the interior gaps, the lead-in
-        ``t_0`` and the tail ``T - t_n``."""
-        gaps = np.diff(self.times)
-        lead = self.times[0]
-        tail = self.horizon - self.times[-1]
-        inner = gaps.max() if gaps.size else 0.0
-        return float(max(inner, lead, tail))
-
 
 def tick_interpolation(scheme: SamplingScheme, s: float) -> tuple[float, float]:
     """Previous- and next-tick interpolation ``(t^-(s), t^+(s))``.

@@ -2,9 +2,9 @@
 
 The generator covers constant-volatility and square-root stochastic-variance
 models with leverage, Euler-discretized on a configurable fine grid (exact
-for constant volatility).  Observation schemes are equidistant, Poisson, or
-explicit; microstructure noise is added i.i.d. per scheme and correlated
-across components only at exactly shared timestamps.
+for constant volatility).  Observation schemes are equidistant or Poisson;
+microstructure noise is added i.i.d. per scheme and correlated across
+components only at exactly shared timestamps.
 
 :func:`mc_validate` runs named Monte Carlo scenarios that compare empirical
 estimator moments, rates, coverage and test levels against the closed-form
@@ -70,7 +70,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ItoModelConfig:
-    """Continuous Ito-process model for the latent log prices.
+    """Continuous Ito-process model for the latent log prices (no drift).
 
     Constant-volatility mode: supply ``sigma_const`` (a p x p volatility
     factor; the spot covariance is ``sigma sigma'``).  Stochastic-variance
@@ -82,7 +82,6 @@ class ItoModelConfig:
 
     p: int
     T: float = 1.0
-    mu: float | np.ndarray = 0.0
     sigma_const: np.ndarray | None = None
     sv_kappa: float = 5.0
     sv_vbar: float | None = None
@@ -108,29 +107,15 @@ class ItoModelConfig:
         return self.sigma_const is None
 
 
-def default_test_model(p: int = 4, T: float = 1.0) -> ItoModelConfig:
-    """Four square-root variance components with leverage -0.5 and a
-    constant cross-correlation loading; rich enough to make the asymptotic
-    variances genuinely random."""
-    corr = np.full((p, p), 0.5)
-    np.fill_diagonal(corr, 1.0)
-    return ItoModelConfig(
-        p=p, T=T, sv_kappa=5.0, sv_vbar=1e-4, sv_xi=2e-4 * 25, sv_rho_lev=-0.5, sv_v0=1e-4, corr=corr
-    )
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Additive microstructure-noise law.
+    """Additive Gaussian microstructure noise.
 
     ``H`` is the noise covariance matrix across components (PSD); draws are
-    correlated across components only at exactly shared timestamps.  The
-    ``two_point`` law (for fourth-moment stress) flips the sign of the
-    per-component standard deviation and requires a diagonal ``H``.
+    correlated across components only at exactly shared timestamps.
     """
 
     H: np.ndarray
-    law: str = "gaussian"
 
     def __post_init__(self) -> None:
         h = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -139,10 +124,6 @@ class NoiseConfig:
             raise ValueError("H must be symmetric")
         if np.linalg.eigvalsh(h).min() < -1e-12:
             raise ValueError("H must be PSD")
-        if self.law not in ("gaussian", "two_point"):
-            raise ValueError("law must be 'gaussian' or 'two_point'")
-        if self.law == "two_point" and np.any(h - np.diag(np.diag(h))):
-            raise ValueError("two_point noise supports a diagonal H only")
 
     @property
     def silent(self) -> bool:
@@ -151,29 +132,24 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Observation-scheme generator: ``equidistant``, ``poisson`` or
-    ``explicit`` (``times`` given directly).  ``n`` is the number of
-    increments for the equidistant kind and the expected number of arrivals
-    for the Poisson kind; Poisson schemes are augmented with endpoints 0 and
-    T so the mesh conditions stay well posed (recorded in ``augmented``)."""
+    """Observation-scheme generator: ``equidistant`` or ``poisson``.  ``n``
+    is the number of increments for the equidistant kind and the expected
+    number of arrivals for the Poisson kind; Poisson schemes are augmented
+    with endpoints 0 and T so the mesh conditions stay well posed (recorded
+    in ``augmented``)."""
 
     kind: str = "equidistant"
     n: int = 100
-    times: np.ndarray | None = None
     augmented: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("equidistant", "poisson", "explicit"):
+        if self.kind not in ("equidistant", "poisson"):
             raise ValueError(f"unknown sampling kind {self.kind!r}")
-        if self.kind == "explicit" and self.times is None:
-            raise ValueError("explicit sampling needs times")
 
 
 def sample_scheme(cfg: SamplingConfig, T: float, rng: np.random.Generator | int) -> SamplingScheme:
     """Draw one observation scheme on [0, T] (independent of the process)."""
     rng = np.random.default_rng(rng)
-    if cfg.kind == "explicit":
-        return SamplingScheme(np.asarray(cfg.times, dtype=float), T)
     if cfg.kind == "equidistant":
         return SamplingScheme(np.linspace(0.0, T, cfg.n + 1), T)
     lam = cfg.n / T
@@ -245,12 +221,11 @@ def simulate_paths(
             raise ValueError("explicit times must span [0, T]")
         m = times.size - 1
     dt = np.diff(times)
-    mu = np.broadcast_to(np.asarray(model.mu, dtype=float), (p,))
 
     if not model.stochastic_vol:
         sig = model.sigma_const
         dw = rng.standard_normal((m, p)) * np.sqrt(dt)[:, None]
-        dx = mu[None, :] * dt[:, None] + dw @ sig.T
+        dx = dw @ sig.T
         x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
         sigma = np.broadcast_to(sig, (m, p, p)).copy()
         icov = (sig @ sig.T) * T
@@ -279,7 +254,7 @@ def simulate_paths(
     vols = np.sqrt(np.maximum(v[:-1], 0.0))  # left endpoint per block
     sigma = vols[:, :, None] * L[None, :, :]
     dw = z_price * sqdt
-    dx = mu[None, :] * dt[:, None] + np.einsum("mij,mj->mi", sigma, dw)
+    dx = np.einsum("mij,mj->mi", sigma, dw)
     x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
     spot = np.einsum("mij,mkj->mik", sigma, sigma)
     icov = np.einsum("mij,m->ij", spot, dt)
@@ -321,7 +296,7 @@ def observe(
         s2, idx = _snap_scheme(sch, paths.times)
         snapped.append(s2)
         indices.append(idx)
-    values = [paths.x[l][indices[l]].copy() for l in range(p)]
+    values = [paths.x[l][indices[l]] for l in range(p)]
     if noise is not None and not noise.silent:
         eps = _draw_noise(snapped, noise, rng)
         for l in range(p):
@@ -333,8 +308,6 @@ def _draw_noise(schemes: Sequence[SamplingScheme], noise: NoiseConfig, rng: np.r
     p = len(schemes)
     H = noise.H
     sd = np.sqrt(np.diag(H))
-    if noise.law == "two_point":
-        return [sd[l] * (2.0 * rng.integers(0, 2, size=len(schemes[l])) - 1.0) for l in range(p)]
     if _same_times(schemes):
         chol = np.linalg.cholesky(H + 1e-18 * np.eye(p))
         z = rng.standard_normal((len(schemes[0]), p)) @ chol.T

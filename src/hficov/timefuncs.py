@@ -314,9 +314,9 @@ def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> S
     ``int_0^1 K(x)^2 dx`` of the generating kernel.
 
     ``lag0`` controls the weight of the ``q = 0`` self term: ``"full"``
-    (the literal sum), ``"half"`` (trapezoidal edge weight, which removes
+    (the literal sum) or ``"half"`` (trapezoidal edge weight, which removes
     most of the O(1/M) bias when the function is used as the integrator in
-    asymptotic covariances), or ``"drop"``.
+    asymptotic covariances).
     """
     times, T = _times_of(grid)
     N = times.size - 1
@@ -327,10 +327,8 @@ def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> S
     k2 = weights.kappas() ** 2  # kappa_q^2, q = 0..M
     if lag0 == "half":
         k2[0] *= 0.5
-    elif lag0 == "drop":
-        k2[0] = 0.0
     elif lag0 != "full":
-        raise ValueError("lag0 must be 'full', 'half' or 'drop'")
+        raise ValueError("lag0 must be 'full' or 'half'")
     # conv[r-1] = sum_{q} k2[q] * d_{r-q}; the out-of-range increment d_0
     # contributes zero through the convolution truncation.
     conv = np.convolve(d, k2)[: d.size]

@@ -3,7 +3,8 @@
 Everything here is written as plain loops from the defining formulas, on
 purpose sharing no code with the package implementations (no prefix sums,
 no convolutions, no vectorization).  The test suite pins the fast
-implementations against these to 1e-12 relative error.
+implementations against these to 1e-12 relative error.  The shared
+stochastic-variance test model lives here too.
 """
 
 from __future__ import annotations
@@ -23,15 +24,14 @@ def ms_oracle(values_a, values_b, alphas) -> float:
     return total
 
 
-def kernel_oracle(values_a, values_b, kern, H, flat_top=False, adjusted=False) -> float:
+def kernel_oracle(values_a, values_b, kern, H, adjusted=False) -> float:
     """Autocovariance-kernel estimator as literal lag sums."""
     n = len(values_a) - 1
     da = [values_a[j] - values_a[j - 1] for j in range(1, n + 1)]
     db = [values_b[j] - values_b[j - 1] for j in range(1, n + 1)]
     total = sum(da[j] * db[j] for j in range(n)) * ((n - 1) / n if adjusted else 1.0)
     for h in range(1, H + 1):
-        x = (h - 1) / H if flat_top else h / H
-        w = kern(x)
+        w = kern.k(h / H)
         acc = 0.0
         for j in range(h, n):
             acc += da[j] * db[j - h] + db[j] * da[j - h]
@@ -313,7 +313,7 @@ def sv_paths_oracle(model, seed, times):
     rng = np.random.default_rng(seed)
     dt = np.diff(times)
     m, p = dt.size, model.p
-    mu = np.broadcast_to(np.asarray(model.mu, dtype=float), (p,))
+    mu = np.zeros(p)
     L = np.linalg.cholesky(model.corr)
     vbar = model.sv_vbar if model.sv_vbar is not None else 1e-4
     v0 = model.sv_v0 if model.sv_v0 is not None else vbar
@@ -331,3 +331,18 @@ def sv_paths_oracle(model, seed, times):
     x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
     icov = np.einsum("mij,m->ij", np.einsum("mij,mkj->mik", sigma, sigma), dt)
     return x, sigma, icov
+
+
+def default_test_model(p=4, T=1.0):
+    """Square-root variance components with leverage -0.5 and a constant
+    cross-correlation loading; rich enough to make the asymptotic variances
+    genuinely random."""
+    import numpy as np
+
+    from hficov.sim import ItoModelConfig
+
+    corr = np.full((p, p), 0.5)
+    np.fill_diagonal(corr, 1.0)
+    return ItoModelConfig(
+        p=p, T=T, sv_kappa=5.0, sv_vbar=1e-4, sv_xi=2e-4 * 25, sv_rho_lev=-0.5, sv_v0=1e-4, corr=corr
+    )

@@ -22,12 +22,17 @@ from hficov.avar import (
     isserlis_cov,
     lincomb_avar,
     standardize,
+)
+from hficov.estimators import (
+    EstimatorConfig,
+    TickSeries,
+    _same_times,
+    generalized_multiscale,
     svec_index,
     svec_pack,
     svec_pairs,
     svec_unpack,
 )
-from hficov.estimators import EstimatorConfig, TickSeries, _same_times, generalized_multiscale
 from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
 from hficov.sampling import SamplingScheme, pairwise_refresh
 

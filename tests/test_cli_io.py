@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,8 +210,16 @@ def test_cli_acov_hy_fails_naming_the_method(tmp_path, capsys):
 
 
 def test_cli_entrypoint_runs():
+    import hficov
+
+    # the child imports the same hficov as this process, wherever that came from
+    src = str(Path(hficov.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "hficov.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "hficov.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "mc-validate" in proc.stdout
@@ -237,3 +247,35 @@ def test_every_name_in_all_resolves():
         assert mod is hficov or hasattr(mod, "__all__"), mod.__name__
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.__all__ names missing {name!r}"
+
+
+def test_each_public_name_has_one_home():
+    """Each module's ``__all__`` lists only names it defines, and the package
+    re-exports exactly those names, each from its defining module."""
+    import ast
+    import importlib
+    import inspect
+    import pkgutil
+
+    import hficov
+
+    exported = set()
+    for info in pkgutil.iter_modules(hficov.__path__):
+        mod = importlib.import_module(f"hficov.{info.name}")
+        defined = set()
+        for node in ast.parse(inspect.getsource(mod)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        foreign = sorted(set(mod.__all__) - defined)
+        assert not foreign, f"{mod.__name__}.__all__ lists names defined elsewhere: {foreign}"
+        if info.name == "cli":
+            continue  # the console-script entry point is not part of the package namespace
+        for name in mod.__all__:
+            assert getattr(hficov, name, None) is getattr(mod, name), f"hficov.{name} is not {mod.__name__}.{name}"
+        exported |= set(mod.__all__)
+    public = {n for n, v in vars(hficov).items() if not n.startswith("_") and not inspect.ismodule(v)}
+    assert public == exported, (sorted(public - exported), sorted(exported - public))

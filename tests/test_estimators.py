@@ -156,16 +156,15 @@ def test_kernel_estimator_small_fixture_oracle():
 def test_kernel_estimator_variants_match_oracle():
     rng = np.random.default_rng(5)
     kern = builtin_kernel("parzen")
-    for flat_top in (False, True):
-        for adjusted in (False, True):
-            n = int(rng.integers(8, 30))
-            t = np.linspace(0, 1, n + 1)
-            a = series(t, rng.standard_normal(n + 1).cumsum())
-            b = series(t, rng.standard_normal(n + 1).cumsum())
-            H = int(rng.integers(2, n))
-            got = kernel_estimator(a, b, kern, H, flat_top=flat_top, adjusted=adjusted)
-            exp = kernel_oracle(list(a.values), list(b.values), kern, H, flat_top, adjusted)
-            assert got == pytest.approx(exp, rel=1e-12)
+    for adjusted in (False, True):
+        n = int(rng.integers(8, 30))
+        t = np.linspace(0, 1, n + 1)
+        a = series(t, rng.standard_normal(n + 1).cumsum())
+        b = series(t, rng.standard_normal(n + 1).cumsum())
+        H = int(rng.integers(2, n))
+        got = kernel_estimator(a, b, kern, H, adjusted=adjusted)
+        exp = kernel_oracle(list(a.values), list(b.values), kern, H, adjusted)
+        assert got == pytest.approx(exp, rel=1e-12)
 
 
 def test_kernel_estimator_bandwidth_bound():
@@ -174,8 +173,7 @@ def test_kernel_estimator_bandwidth_bound():
 
 
 def test_kernel_raw_noise_bias():
-    # on pure noise the plain-lag kernel bias is
-    # 2 eta12 [n (1 - K(1/H)) + K(1/H)]; with flat-top lags it is +2 eta12
+    # on pure noise the plain-lag kernel bias is 2 eta12 [n (1 - K(1/H)) + K(1/H)]
     rng = np.random.default_rng(6)
     n, R, H = 400, 600, 20
     eta12 = 0.5 * 1e-4
@@ -183,18 +181,15 @@ def test_kernel_raw_noise_bias():
     t = np.linspace(0, 1, n + 1)
     kern = builtin_kernel("cubic")
     raw = np.empty(R)
-    flat = np.empty(R)
     for i in range(R):
         eps = rng.standard_normal((n + 1, 2)) @ chol.T
         a = series(t, eps[:, 0])
         b = series(t, eps[:, 1])
         raw[i] = kernel_estimator(a, b, kern, H)
-        flat[i] = kernel_estimator(a, b, kern, H, flat_top=True)
     se = raw.std(ddof=1) / np.sqrt(R)
-    k1h = kern(1 / H)
+    k1h = kern.k(1 / H)
     expected_raw = 2 * eta12 * (n * (1 - k1h) + k1h)
     assert np.mean(raw) == pytest.approx(expected_raw, abs=4 * se)
-    assert np.mean(flat) == pytest.approx(2 * eta12, abs=4 * se)
 
 
 # ---------------------------------------------------------------------
@@ -460,3 +455,39 @@ def test_hy_refresh_path_disjoint_supports():
     a = series([0.0, 0.25, 0.5], [0.0, 1.0, 2.0])
     b = series([0.6, 0.8, 1.0], [0.0, 1.0, 2.0])
     assert hayashi_yoshida_refresh(a, b) == 0.0 == hayashi_yoshida(a, b)
+
+
+# ---------------------------------------------------------------------
+# Asset permutation
+# ---------------------------------------------------------------------
+def _permutation_input(shape, seed, p=4, n=200, fine=6000):
+    """Correlated noisy paths on a fine grid, observed on one equidistant
+    scheme (``sync``) or on Poisson arrivals snapped to the grid, so some
+    stamps coincide across assets (``poisson``, the ``gms_async`` shape)."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, fine + 1)
+    corr = np.full((p, p), 0.5) + 0.5 * np.eye(p)
+    dw = rng.standard_normal((fine, p)) @ np.linalg.cholesky(corr).T * (0.015 / np.sqrt(fine))
+    x = np.vstack([np.zeros(p), np.cumsum(dw, axis=0)])
+    if shape == "sync":
+        idx = [np.arange(0, fine + 1, fine // n)] * p
+    else:
+        idx = [np.unique(np.rint(rng.uniform(0.0, 1.0, n) * fine).astype(int)) for _ in range(p)]
+    return [series(grid[i], x[i, l] + 1e-3 * rng.standard_normal(i.size)) for l, i in enumerate(idx)]
+
+
+def test_estimate_matrix_permutation_equivariant():
+    cases = [("sync", m) for m in ("rc", "ms", "kernel", "hy", "gms")] + [("poisson", m) for m in ("hy", "gms")]
+    differ = []
+    for shape, method in cases:
+        for seed in range(4):
+            data = _permutation_input(shape, seed)
+            perms = np.random.default_rng(seed).permuted(np.tile(np.arange(len(data)), (3, 1)), axis=1)
+            for kernel in ("cubic", "parzen"):
+                cfg = EstimatorConfig(kernel=kernel)
+                est = estimate_matrix(data, method, cfg).matrix
+                for perm in perms:
+                    got = estimate_matrix([data[i] for i in perm], method, cfg).matrix
+                    if not np.array_equal(got, est[np.ix_(perm, perm)]):
+                        differ.append((shape, method, seed, kernel, tuple(perm)))
+    assert differ == []

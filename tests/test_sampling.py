@@ -33,11 +33,6 @@ def test_scheme_rejects_bad_input():
         SamplingScheme(np.array([0.0, 0.5]), -1.0)
 
 
-def test_max_gap_includes_endpoints():
-    s = sch(0.2, 0.5, T=1.0)
-    assert s.max_gap == 0.5  # tail T - 0.5
-
-
 # ---------------------------------------------------------------------
 # Tick interpolation
 # ---------------------------------------------------------------------

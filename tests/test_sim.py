@@ -10,14 +10,13 @@ from hficov.sim import (
     ItoModelConfig,
     NoiseConfig,
     SamplingConfig,
-    default_test_model,
     mc_validate,
     observe,
     sample_scheme,
     simulate_paths,
 )
 
-from oracles import sv_paths_oracle
+from oracles import default_test_model, sv_paths_oracle
 
 
 CONST2 = ItoModelConfig(p=2, sigma_const=np.linalg.cholesky(np.array([[4e-4, 1e-4], [1e-4, 2e-4]])))
@@ -237,17 +236,6 @@ def test_observe_partially_shared_noise_correlated_only_at_shared():
     off_corr = np.corrcoef(data[0].values[~i1][:900], data[1].values[~i2][:900])[0, 1]
     assert shared_corr == pytest.approx(rho, abs=0.08)
     assert abs(off_corr) < 0.12
-
-
-def test_two_point_noise_law():
-    rng = np.random.default_rng(10)
-    eta = 1e-3
-    paths = simulate_paths(ItoModelConfig(p=1, sigma_const=np.zeros((1, 1))), rng, fine_n=500)
-    sch = SamplingScheme(paths.times, 1.0)
-    data = observe(paths, [sch], NoiseConfig(np.array([[eta**2]]), law="two_point"), rng)
-    np.testing.assert_allclose(np.abs(data[0].values), eta)
-    with pytest.raises(ValueError):
-        NoiseConfig(1e-6 * np.array([[1, 0.5], [0.5, 1]]), law="two_point")
 
 
 # ---------------------------------------------------------------------

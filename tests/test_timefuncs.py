@@ -235,9 +235,12 @@ def test_weighted_lasa_lag0_variants_ordered():
     w = cubic_weights(15)
     full = weighted_lasa_function(g, w, lag0="full").total
     half = weighted_lasa_function(g, w, lag0="half").total
-    drop = weighted_lasa_function(g, w, lag0="drop").total
-    assert drop < half < full
-    assert full - drop == pytest.approx(2 * (half - drop), rel=1e-12)
+    assert half < full
+    # the halved q = 0 term: 0.5 * N/(M T) * kappa_0^2 * sum dS^2
+    t = g.times
+    N, T = t.size - 1, g.horizon
+    lag0_term = (N / (w.M * T)) * w.kappas()[0] ** 2 * np.sum(np.diff(t) ** 2)
+    assert full - half == pytest.approx(0.5 * lag0_term, rel=1e-12)
 
 
 def wlsa_term(scheme, i, k, r):
