@@ -33,6 +33,7 @@ import numpy as np
 from .estimators import (
     EstimatorConfig,
     TickSeries,
+    _check_c,
     _clamp_frequency,
     _ms_frequency,
     _multiscale_sum,
@@ -310,7 +311,7 @@ def _gms_skeleton(g12: SyncGrid, g34: SyncGrid, glob: SyncGrid, kernel: str, c: 
     m12, m34 = _ms_frequency(c, n12), _ms_frequency(c, n34)
     mg = _clamp_frequency(min(m12 * N / n12, m34 * N / n34), N)
     w = EstimatorConfig(kernel=kernel, c=c).weights(mg)
-    return m12, m34, mg, w, weighted_lasa_function(glob, w, lag0="half"), mg / math.sqrt(N)
+    return m12, m34, mg, w, weighted_lasa_function(glob, w), mg / math.sqrt(N)
 
 
 def hy_theory_inputs(schemes, times: np.ndarray, sigma: np.ndarray) -> tuple[TheoryInputs, dict]:
@@ -418,6 +419,9 @@ class GmsAcovConfig:
     c: float = 1.0
     bins: int | None = None
     include_noise_terms: bool = True
+
+    def __post_init__(self) -> None:
+        _check_c(self.c)
 
 
 def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:

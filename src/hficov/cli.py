@@ -95,8 +95,7 @@ def _cmd_simulate(args) -> int:
     model = ItoModelConfig(p=p, T=args.horizon, sigma_const=sigma)
     rng = np.random.default_rng(args.seed)
     schemes = [sample_scheme(SamplingConfig(args.sampling, args.n), args.horizon, rng) for _ in range(p)]
-    fine_n = max(args.n * model.fine_factor, 1000)
-    paths = simulate_paths(model, rng, fine_n=fine_n)
+    paths = simulate_paths(model, rng, np.linspace(0.0, args.horizon, max(10 * args.n, 1000) + 1))
     noise = NoiseConfig(args.noise**2 * np.eye(p)) if args.noise > 0 else None
     data = observe(paths, schemes, noise, rng)
     ids = [f"A{i}" for i in range(p)]

@@ -91,6 +91,12 @@ def _clamp_frequency(m: float, n: int) -> int:
     return max(2, min(int(round(m)), n))
 
 
+def _check_c(c: float) -> None:
+    """The frequency scale ``c`` must be finite and positive."""
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
+
+
 def _ms_frequency(c: float, n: int) -> int:
     """The frequency rule ``M = round(c sqrt(n))``, clamped to ``[2, n]``.
 
@@ -265,6 +271,9 @@ class EstimatorConfig:
     kernel: str = "cubic"
     c: float = 1.0
     adjusted: bool = True
+
+    def __post_init__(self) -> None:
+        _check_c(self.c)
 
     def weights(self, M: int) -> WeightScheme:
         if self.kernel == "cubic":

@@ -1,8 +1,8 @@
 """Simulation harness: ground-truth paths, sampling schemes, noise, MC checks.
 
 The generator covers constant-volatility and square-root stochastic-variance
-models with leverage, Euler-discretized on a configurable fine grid (exact
-for constant volatility).  Observation schemes are equidistant or Poisson;
+models with leverage, Euler-discretized on a caller-given grid (exact for
+constant volatility).  Observation schemes are equidistant or Poisson;
 microstructure noise is added i.i.d. per scheme and correlated across
 components only at exactly shared timestamps.
 
@@ -76,8 +76,8 @@ class ItoModelConfig:
     factor; the spot covariance is ``sigma sigma'``).  Stochastic-variance
     mode: supply ``sv`` parameters; each component carries a square-root
     variance process ``dv = kappa (vbar - v) dt + xi sqrt(v) dB`` with
-    leverage correlation ``rho_lev`` against its own price driver, and the
-    instantaneous correlation across components comes from ``corr``.
+    leverage correlation ``rho_lev`` against its own price driver; the
+    components are independent of each other.
     """
 
     p: int
@@ -88,8 +88,6 @@ class ItoModelConfig:
     sv_xi: float = 0.5
     sv_rho_lev: float = -0.5
     sv_v0: float | None = None
-    corr: np.ndarray | None = None
-    fine_factor: int = 10
 
     def __post_init__(self) -> None:
         if self.sigma_const is not None:
@@ -99,8 +97,6 @@ class ItoModelConfig:
                 raise ValueError("sigma_const must be p x p")
             if np.linalg.eigvalsh(s @ s.T).min() < -1e-12:
                 raise ValueError("implied spot covariance must be PSD")
-        elif self.corr is None:
-            object.__setattr__(self, "corr", np.eye(self.p))
 
     @property
     def stochastic_vol(self) -> bool:
@@ -173,14 +169,12 @@ def sample_scheme(cfg: SamplingConfig, T: float, rng: np.random.Generator | int)
 class SimulatedPaths:
     """Latent paths on the simulation grid plus the ground truth.
 
-    ``times`` has m+1 points; ``x`` is (p, m+1); ``sigma`` is the spot
-    volatility factor per block, shape (m, p, p); ``integrated_cov`` is the
-    grid-exact integral of ``sigma sigma'``.
+    ``times`` has m+1 points; ``x`` is (p, m+1); ``integrated_cov`` is the
+    grid-exact integral of the spot covariance.
     """
 
     times: np.ndarray
     x: np.ndarray
-    sigma: np.ndarray
     integrated_cov: np.ndarray
 
     @property
@@ -191,47 +185,32 @@ class SimulatedPaths:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def spot_cov(self) -> np.ndarray:
-        """Spot covariance path Sigma_s = sigma sigma' per block, (m, p, p)."""
-        return np.einsum("mij,mkj->mik", self.sigma, self.sigma)
 
+def simulate_paths(model: ItoModelConfig, rng: np.random.Generator | int, times: np.ndarray) -> SimulatedPaths:
+    """Euler-Maruyama simulation of the latent process on the grid ``times``.
 
-def simulate_paths(
-    model: ItoModelConfig,
-    rng: np.random.Generator | int,
-    fine_n: int | None = None,
-    times: np.ndarray | None = None,
-) -> SimulatedPaths:
-    """Euler-Maruyama simulation of the latent process on a fine grid.
-
-    Either pass ``fine_n`` (number of equidistant steps; defaults to
-    ``model.fine_factor`` times a 1000-step base) or an explicit strictly
-    increasing ``times`` array starting at 0 and ending at T.  For constant
-    volatility the Euler scheme is exact in distribution on any grid.
-    Variance processes are full-truncated at zero.
+    ``times`` must be strictly increasing, start at 0 and end at T.  For
+    constant volatility the Euler scheme is exact in distribution on any
+    grid.  Variance processes are full-truncated at zero.  Memory is
+    O(m p) for m grid steps.
     """
     rng = np.random.default_rng(rng)
     T, p = model.T, model.p
-    if times is None:
-        m = int(fine_n if fine_n is not None else 1000 * model.fine_factor)
-        times = np.linspace(0.0, T, m + 1)
-    else:
-        times = np.asarray(times, dtype=float)
-        if times[0] != 0.0 or abs(times[-1] - T) > 1e-12:
-            raise ValueError("explicit times must span [0, T]")
-        m = times.size - 1
+    times = np.asarray(times, dtype=float)
+    if times[0] != 0.0 or abs(times[-1] - T) > 1e-12:
+        raise ValueError("simulation times must span [0, T]")
     dt = np.diff(times)
+    if not np.all(dt > 0.0):
+        raise ValueError("simulation times must be strictly increasing")
+    m = dt.size
 
     if not model.stochastic_vol:
         sig = model.sigma_const
         dw = rng.standard_normal((m, p)) * np.sqrt(dt)[:, None]
         dx = dw @ sig.T
         x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
-        sigma = np.broadcast_to(sig, (m, p, p)).copy()
-        icov = (sig @ sig.T) * T
-        return SimulatedPaths(times, x, sigma, icov)
+        return SimulatedPaths(times, x, (sig @ sig.T) * T)
 
-    L = np.linalg.cholesky(model.corr)
     vbar = model.sv_vbar if model.sv_vbar is not None else 1e-4
     v0 = model.sv_v0 if model.sv_v0 is not None else vbar
     rho = model.sv_rho_lev
@@ -252,13 +231,10 @@ def simulate_paths(
             col.append(vi)
         v[:, l] = col
     vols = np.sqrt(np.maximum(v[:-1], 0.0))  # left endpoint per block
-    sigma = vols[:, :, None] * L[None, :, :]
-    dw = z_price * sqdt
-    dx = np.einsum("mij,mj->mi", sigma, dw)
+    dx = vols * (z_price * sqdt)
     x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
-    spot = np.einsum("mij,mkj->mik", sigma, sigma)
-    icov = np.einsum("mij,m->ij", spot, dt)
-    return SimulatedPaths(times, x, sigma, icov)
+    icov = np.diag(np.einsum("mi,m->i", vols**2, dt))
+    return SimulatedPaths(times, x, icov)
 
 
 def _snap_scheme(scheme: SamplingScheme, grid: np.ndarray) -> tuple[SamplingScheme, np.ndarray]:
@@ -290,6 +266,8 @@ def observe(
     p = paths.p
     if len(schemes) != p:
         raise ValueError(f"need one scheme per component ({p})")
+    if noise is not None and noise.H.shape != (p, p):
+        raise ValueError(f"noise H has shape {noise.H.shape}, but the paths need ({p}, {p})")
     snapped: list[SamplingScheme] = []
     indices: list[np.ndarray] = []
     for sch in schemes:
@@ -353,10 +331,10 @@ def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("COVEST_THREADS", "1")))
-    except ValueError:
-        return 1
+    raw = os.environ.get("COVEST_THREADS", "1")
+    if not (raw.isdecimal() and int(raw) >= 1):
+        raise ValueError(f"COVEST_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _replicate_map(fn, rngs) -> None:

@@ -299,7 +299,7 @@ def lasa_function(grid, r: int) -> StepFunction:
     return _cum_step(times[1:], jumps)
 
 
-def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> StepFunction:
+def weighted_lasa_function(grid, weights: WeightScheme) -> StepFunction:
     """Weight-smoothed sampling autocorrelation ``D_N`` of a refresh grid.
 
     This is the finite-sample evaluation of
@@ -313,10 +313,9 @@ def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> S
     convolution.  On an equidistant grid ``D_N(t)/t`` converges to
     ``int_0^1 K(x)^2 dx`` of the generating kernel.
 
-    ``lag0`` controls the weight of the ``q = 0`` self term: ``"full"``
-    (the literal sum) or ``"half"`` (trapezoidal edge weight, which removes
-    most of the O(1/M) bias when the function is used as the integrator in
-    asymptotic covariances).
+    The ``q = 0`` self term carries the trapezoidal edge weight 1/2, which
+    removes most of the O(1/M) bias when the function is used as the
+    integrator in asymptotic covariances; the literal sum weighs it fully.
     """
     times, T = _times_of(grid)
     N = times.size - 1
@@ -325,10 +324,7 @@ def weighted_lasa_function(grid, weights: WeightScheme, lag0: str = "full") -> S
         raise ValueError(f"need M <= N, got M={M}, N={N}")
     d = np.diff(times)
     k2 = weights.kappas() ** 2  # kappa_q^2, q = 0..M
-    if lag0 == "half":
-        k2[0] *= 0.5
-    elif lag0 != "full":
-        raise ValueError("lag0 must be 'full' or 'half'")
+    k2[0] *= 0.5
     # conv[r-1] = sum_{q} k2[q] * d_{r-q}; the out-of-range increment d_0
     # contributes zero through the convolution truncation.
     conv = np.convolve(d, k2)[: d.size]

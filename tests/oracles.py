@@ -146,8 +146,10 @@ def lasa_oracle(times, r, t, horizon) -> float:
     return N / (r * horizon) * total
 
 
-def wlasa_oracle(times, alphas, t, horizon) -> float:
-    """Weighted sampling autocorrelation, literal triple sum."""
+def wlasa_oracle(times, alphas, t, horizon, lag0_weight=1.0) -> float:
+    """Weighted sampling autocorrelation, literal triple sum, with the
+    ``q = 0`` self term weighted by ``lag0_weight`` (1 is the literal sum,
+    1/2 the trapezoidal edge weight of ``weighted_lasa_function``)."""
     N = len(times) - 1
     M = len(alphas)
     total = 0.0
@@ -162,7 +164,8 @@ def wlasa_oracle(times, alphas, t, horizon) -> float:
                 for qq in range(0, min(rr, i, kk) + 1):
                     idx = rr - qq
                     if idx >= 1:
-                        acc += (1 - qq / i) * (1 - qq / kk) * (times[idx] - times[idx - 1])
+                        q_weight = lag0_weight if qq == 0 else 1.0
+                        acc += q_weight * (1 - qq / i) * (1 - qq / kk) * (times[idx] - times[idx - 1])
                 inner += alphas[i - 1] * alphas[kk - 1] * acc
         total += d_r * inner
     return N / (M * horizon) * total
@@ -305,7 +308,8 @@ def isserlis_mc_oracle(sigma, idx, draws, rng) -> float:
 def sv_paths_oracle(model, seed, times):
     """Stochastic-variance branch of ``simulate_paths`` with the variance
     recursion stepped one fine-grid row at a time on numpy arrays.  Returns
-    ``(x, sigma, integrated_cov)`` for the same seed and times."""
+    ``(x, sigma, integrated_cov)`` for the same seed and times, with
+    ``sigma`` the (m, p, p) volatility tensor of independent components."""
     import math
 
     import numpy as np
@@ -314,7 +318,7 @@ def sv_paths_oracle(model, seed, times):
     dt = np.diff(times)
     m, p = dt.size, model.p
     mu = np.zeros(p)
-    L = np.linalg.cholesky(model.corr)
+    L = np.eye(p)
     vbar = model.sv_vbar if model.sv_vbar is not None else 1e-4
     v0 = model.sv_v0 if model.sv_v0 is not None else vbar
     rho = model.sv_rho_lev
@@ -334,15 +338,8 @@ def sv_paths_oracle(model, seed, times):
 
 
 def default_test_model(p=4, T=1.0):
-    """Square-root variance components with leverage -0.5 and a constant
-    cross-correlation loading; rich enough to make the asymptotic variances
-    genuinely random."""
-    import numpy as np
-
+    """Independent square-root variance components with leverage -0.5;
+    rich enough to make the asymptotic variances genuinely random."""
     from hficov.sim import ItoModelConfig
 
-    corr = np.full((p, p), 0.5)
-    np.fill_diagonal(corr, 1.0)
-    return ItoModelConfig(
-        p=p, T=T, sv_kappa=5.0, sv_vbar=1e-4, sv_xi=2e-4 * 25, sv_rho_lev=-0.5, sv_v0=1e-4, corr=corr
-    )
+    return ItoModelConfig(p=p, T=T, sv_kappa=5.0, sv_vbar=1e-4, sv_xi=2e-4 * 25, sv_rho_lev=-0.5, sv_v0=1e-4)

@@ -801,7 +801,15 @@ def test_acov_theory_ms_sync_noise_slots_match_exact_covariance():
     from hficov.timefuncs import weighted_lasa_function
 
     kc = kernel_constants(w)
-    lasa = weighted_lasa_function(SamplingScheme(t, 1.0), w, lag0="half")
+    lasa = weighted_lasa_function(SamplingScheme(t, 1.0), w)
     inputs = TheoryInputs(times=np.array([0.0, 1.0]), sigma=sig, noise=H, c=M / math.sqrt(n), lasa=lasa, constants=kc)
     theo = acov_theory(inputs, "ms_sync", ((1, 2), (1, 2)))
     assert theo == pytest.approx(exact, rel=0.04)
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.inf, math.nan])
+def test_configs_reject_c_not_finite_positive(c):
+    with pytest.raises(ValueError, match="c must be finite and positive"):
+        EstimatorConfig(c=c)
+    with pytest.raises(ValueError, match="c must be finite and positive"):
+        GmsAcovConfig(c=c)

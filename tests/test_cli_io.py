@@ -209,6 +209,26 @@ def test_cli_acov_hy_fails_naming_the_method(tmp_path, capsys):
     assert "'hy'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", ["0", "-1", "inf", "nan"])
+def test_cli_estimate_rejects_c_not_finite_positive(tmp_path, capsys, c):
+    # unchecked, 0 and -1 run at M = 2, inf overflows and nan fails to convert
+    ticks = tmp_path / "sync.csv"
+    main(["simulate", "--assets", "2", "--n", "200", "--seed", "5", "--ticks-out", str(ticks), "--out", str(tmp_path / "s.json")])
+    capsys.readouterr()
+    rc = main(["estimate", "--input", str(ticks), "--method", "gms", "--c", c, "--out", str(tmp_path / "e.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: c must be finite and positive") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_cli_mc_validate_rejects_bad_covest_threads(monkeypatch, capsys, value):
+    monkeypatch.setenv("COVEST_THREADS", value)
+    rc = main(["mc-validate", "--scenario", "hy_acov", "--replicates", "100", "--seed", "1"])
+    assert rc == 1
+    assert f"error: COVEST_THREADS must be a positive integer, got {value!r}\n" == capsys.readouterr().err
+
+
 def test_cli_entrypoint_runs():
     import hficov
 

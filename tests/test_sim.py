@@ -26,14 +26,14 @@ CONST2 = ItoModelConfig(p=2, sigma_const=np.linalg.cholesky(np.array([[4e-4, 1e-
 # Path simulation
 # ---------------------------------------------------------------------
 def test_simulate_paths_deterministic():
-    a = simulate_paths(CONST2, 42, fine_n=500)
-    b = simulate_paths(CONST2, 42, fine_n=500)
+    a = simulate_paths(CONST2, 42, times=np.linspace(0.0, 1.0, 501))
+    b = simulate_paths(CONST2, 42, times=np.linspace(0.0, 1.0, 501))
     np.testing.assert_array_equal(a.x, b.x)
     np.testing.assert_array_equal(a.integrated_cov, b.integrated_cov)
 
 
 def test_simulate_paths_constant_truth():
-    p = simulate_paths(CONST2, 0, fine_n=100)
+    p = simulate_paths(CONST2, 0, times=np.linspace(0.0, 1.0, 101))
     np.testing.assert_allclose(p.integrated_cov, CONST2.sigma_const @ CONST2.sigma_const.T, rtol=1e-12)
 
 
@@ -46,7 +46,7 @@ def test_increment_scaling_regression():
     sizes = np.array([200, 800, 3200, 12800])
     ms = []
     for m in sizes:
-        paths = simulate_paths(model, rng, fine_n=int(m))
+        paths = simulate_paths(model, rng, times=np.linspace(0.0, 1.0, int(m) + 1))
         ms.append(np.mean(np.diff(paths.x[0]) ** 2))
     slope = np.polyfit(np.log(1.0 / sizes), np.log(ms), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)
@@ -58,29 +58,47 @@ def test_simulate_paths_explicit_times():
     assert p.x.shape == (2, 4)
     with pytest.raises(ValueError):
         simulate_paths(CONST2, 3, times=np.array([0.1, 0.5, 1.0]))
+    # a step back would take the square root of a negative step: NaN paths
+    for bad in ([0.0, 0.5, 0.3, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            simulate_paths(CONST2, 3, times=np.array(bad))
+
+
+def test_simulate_paths_memory_linear_in_p():
+    # paths keep O(m p) floats: no (m, p, p) volatility tensor
+    import tracemalloc
+
+    p, m = 10, 50_000
+    times = np.linspace(0.0, 1.0, m + 1)
+    # bounds in floats per (step, component): 6 for constant volatility, 12 for SV
+    for model, floats in [(ItoModelConfig(p=p, sigma_const=0.01 * np.eye(p)), 6), (ItoModelConfig(p=p), 12)]:
+        tracemalloc.start()
+        try:
+            simulate_paths(model, 0, times=times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= floats * p * m * 8, (model.stochastic_vol, peak)
 
 
 def test_stochastic_vol_paths():
     model = default_test_model()
-    paths = simulate_paths(model, 7, fine_n=2000)
-    spot = paths.spot_cov()
-    assert np.all(np.linalg.eigvalsh(spot) > -1e-18)
+    paths = simulate_paths(model, 7, times=np.linspace(0.0, 1.0, 2001))
     # integrated covariance is random across seeds
-    other = simulate_paths(model, 8, fine_n=2000)
+    other = simulate_paths(model, 8, times=np.linspace(0.0, 1.0, 2001))
     assert not np.allclose(paths.integrated_cov, other.integrated_cov)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])
 @pytest.mark.parametrize("xi", [5e-3, 0.05])
 def test_sv_recursion_equals_array_loop(p, xi):
-    model = ItoModelConfig(p=p, sv_xi=xi, sv_vbar=1e-4, corr=np.eye(p) * 0.6 + 0.4)
+    model = ItoModelConfig(p=p, sv_xi=xi, sv_vbar=1e-4)
     times = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(p).uniform(0, 1, 1500)]))
     truncated = False
     for seed in range(3):
         paths = simulate_paths(model, seed, times=times)
         x, sigma, icov = sv_paths_oracle(model, seed, times)
         np.testing.assert_array_equal(paths.x, x)
-        np.testing.assert_array_equal(paths.sigma, sigma)
         np.testing.assert_array_equal(paths.integrated_cov, icov)
         truncated |= bool(np.any(np.diagonal(sigma, axis1=1, axis2=2) == 0.0))
     # at xi = 0.05 the variance hits zero, so the truncation branch runs
@@ -93,7 +111,7 @@ def test_fine_grid_realized_cov_near_truth():
     truth = (sig @ sig.T)[0, 1]
     vals = []
     for _ in range(60):
-        paths = simulate_paths(CONST2, rng, fine_n=2000)
+        paths = simulate_paths(CONST2, rng, times=np.linspace(0.0, 1.0, 2001))
         sch = SamplingScheme(paths.times, 1.0)
         data = observe(paths, [sch, sch], None, rng)
         vals.append(realized_cov(data[0], data[1]))
@@ -141,14 +159,14 @@ def test_two_poisson_schemes_share_no_timestamps():
 # Observation / noise
 # ---------------------------------------------------------------------
 def test_observe_noiseless_hits_path_values():
-    paths = simulate_paths(CONST2, 5, fine_n=400)
+    paths = simulate_paths(CONST2, 5, times=np.linspace(0.0, 1.0, 401))
     sch = SamplingScheme(paths.times[::4], 1.0)
     data = observe(paths, [sch, sch], None, 5)
     np.testing.assert_array_equal(data[0].values, paths.x[0][::4])
 
 
 def test_observe_snaps_to_grid():
-    paths = simulate_paths(CONST2, 6, fine_n=100)
+    paths = simulate_paths(CONST2, 6, times=np.linspace(0.0, 1.0, 101))
     sch = SamplingScheme(np.array([0.0, 0.1234, 0.5031, 1.0]), 1.0)
     data = observe(paths, [sch, sch], None, 6)
     for t in data[0].scheme.times:
@@ -195,7 +213,7 @@ def test_observe_synchronous_noise_cross_covariance():
     rng = np.random.default_rng(7)
     eta2, rho = 1e-6, 0.5
     H = eta2 * np.array([[1, rho], [rho, 1]])
-    paths = simulate_paths(ItoModelConfig(p=2, sigma_const=np.zeros((2, 2))), rng, fine_n=50_000)
+    paths = simulate_paths(ItoModelConfig(p=2, sigma_const=np.zeros((2, 2))), rng, times=np.linspace(0.0, 1.0, 50_001))
     sch = SamplingScheme(paths.times, 1.0)
     data = observe(paths, [sch, sch], NoiseConfig(H), rng)
     emp = np.mean(data[0].values * data[1].values)
@@ -207,7 +225,7 @@ def test_observe_synchronous_noise_cross_covariance():
 def test_observe_async_noise_independent():
     rng = np.random.default_rng(8)
     H = 1e-6 * np.array([[1, 0.9], [0.9, 1]])
-    paths = simulate_paths(ItoModelConfig(p=2, sigma_const=np.zeros((2, 2))), rng, fine_n=200_000)
+    paths = simulate_paths(ItoModelConfig(p=2, sigma_const=np.zeros((2, 2))), rng, times=np.linspace(0.0, 1.0, 200_001))
     s1 = sample_scheme(SamplingConfig("poisson", 5000, augmented=False), 1.0, rng)
     s2 = sample_scheme(SamplingConfig("poisson", 5000, augmented=False), 1.0, rng)
     data = observe(paths, [s1, s2], NoiseConfig(H), rng)
@@ -228,7 +246,7 @@ def test_observe_partially_shared_noise_correlated_only_at_shared():
     only2 = grid[3::4]
     s1 = SamplingScheme(np.union1d(shared, only1), 1.0)
     s2 = SamplingScheme(np.union1d(shared, only2), 1.0)
-    paths = simulate_paths(ItoModelConfig(p=2, sigma_const=np.zeros((2, 2))), rng, fine_n=m)
+    paths = simulate_paths(ItoModelConfig(p=2, sigma_const=np.zeros((2, 2))), rng, times=grid)
     data = observe(paths, [s1, s2], NoiseConfig(H), rng)
     i1 = np.isin(data[0].scheme.times, shared)
     i2 = np.isin(data[1].scheme.times, shared)
@@ -236,6 +254,17 @@ def test_observe_partially_shared_noise_correlated_only_at_shared():
     off_corr = np.corrcoef(data[0].values[~i1][:900], data[1].values[~i2][:900])[0, 1]
     assert shared_corr == pytest.approx(rho, abs=0.08)
     assert abs(off_corr) < 0.12
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-grid", "distinct-grids"])
+def test_observe_rejects_noise_of_wrong_dimension(shared):
+    # unchecked, a 1x1 H broadcasts to two perfectly correlated noise series
+    # on a shared grid and raises a bare IndexError on distinct grids
+    paths = simulate_paths(CONST2, 4, times=np.linspace(0.0, 1.0, 401))
+    s1 = SamplingScheme(paths.times[::4], 1.0)
+    s2 = s1 if shared else SamplingScheme(paths.times[1::4], 1.0)
+    with pytest.raises(ValueError, match=r"\(1, 1\).*\(2, 2\)"):
+        observe(paths, [s1, s2], NoiseConfig(np.array([[1e-6]])), 4)
 
 
 # ---------------------------------------------------------------------

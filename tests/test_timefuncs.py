@@ -213,14 +213,14 @@ def test_weighted_lasa_matches_triple_sum_oracle():
     w = cubic_weights(2)
     for t in (0.3, 0.7, 1.0):
         got = weighted_lasa_function(g, w)(t)
-        exp = wlasa_oracle(list(g.times), list(w.alphas), t, 1.0)
+        exp = wlasa_oracle(list(g.times), list(w.alphas), t, 1.0, lag0_weight=0.5)
         assert got == pytest.approx(exp, rel=1e-12, abs=1e-16)
     for _ in range(20):
         g = poisson(rng, int(rng.integers(6, 24)))
         M = int(rng.integers(2, min(6, len(g) - 1)))
         w = cubic_weights(M)
         got = weighted_lasa_function(g, w)(1.0)
-        exp = wlasa_oracle(list(g.times), list(w.alphas), 1.0, 1.0)
+        exp = wlasa_oracle(list(g.times), list(w.alphas), 1.0, 1.0, lag0_weight=0.5)
         assert got == pytest.approx(exp, rel=1e-12)
 
 
@@ -233,8 +233,9 @@ def test_weighted_lasa_m_bound():
 def test_weighted_lasa_lag0_variants_ordered():
     g = sch(np.linspace(0, 1, 501))
     w = cubic_weights(15)
-    full = weighted_lasa_function(g, w, lag0="full").total
-    half = weighted_lasa_function(g, w, lag0="half").total
+    # the literal triple sum weighs q = 0 fully; the function halves it
+    full = wlasa_oracle(list(g.times), list(w.alphas), 1.0, g.horizon)
+    half = weighted_lasa_function(g, w).total
     assert half < full
     # the halved q = 0 term: 0.5 * N/(M T) * kappa_0^2 * sum dS^2
     t = g.times
