@@ -14,9 +14,11 @@ The menu, in increasing generality:
   refresh-time skeleton with next-/previous-tick interpolation; handles
   noise and asynchronicity together.
 
-``estimate_matrix`` assembles the full p x p matrix pairwise and packs it
-into the half-vectorized (svec) layout used by the asymptotic covariance
-machinery.
+``estimate_matrix`` assembles the full p x p matrix and packs it into the
+half-vectorized (svec) layout used by the asymptotic covariance machinery.
+On synchronous data ``ms`` and ``kernel`` difference each series once and
+share those differences across all pairs; every pair's value has the same
+bits as the one-pair call.
 """
 
 from __future__ import annotations
@@ -116,6 +118,46 @@ def _multiscale_sum(up_a: np.ndarray, lo_a: np.ndarray, up_b: np.ndarray, lo_b: 
     return total
 
 
+def _multiscale_pairs(values: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], w: WeightScheme) -> list[float]:
+    """Multi-scale sums of synchronous series, one per ``(k, l)`` in ``pairs``.
+
+    Scales run outside and pairs inside, so each series' scale-i differences
+    are formed once per scale; each pair still adds one ``np.dot`` per scale,
+    in the order of :func:`_multiscale_sum`.
+    """
+    n = values[0].size - 1
+    if w.M > n:
+        raise ValueError(f"multi-scale frequency M={w.M} exceeds n={n}")
+    totals = [0.0] * len(pairs)
+    for i in range(1, w.M + 1):
+        d = [v[i:] - v[:-i] for v in values]
+        coef = w.alphas[i - 1] / i
+        for j, (k, l) in enumerate(pairs):
+            totals[j] += coef * float(np.dot(d[k], d[l]))
+    return totals
+
+
+def _kernel_pairs(
+    values: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], kernel: KernelFunction, H: int, adjusted: bool
+) -> list[float]:
+    """Kernel estimates of synchronous series, one per ``(k, l)`` in ``pairs``,
+    from increments formed once per series and lag weights ``K(h/H)`` formed
+    once per call."""
+    n = values[0].size - 1
+    if not 1 <= H < n:
+        raise ValueError(f"need 1 <= H < n, got H={H}, n={n}")
+    d = [np.diff(v) for v in values]
+    lags = [(h, wgt) for h in range(1, H + 1) if (wgt := kernel.k(h / H)) != 0.0]
+    out = []
+    for k, l in pairs:
+        da, db = d[k], d[l]
+        total = float(np.dot(da, db)) * ((n - 1) / n if adjusted else 1.0)
+        for h, wgt in lags:
+            total += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
+        out.append(total)
+    return out
+
+
 def realized_cov(a: TickSeries, b: TickSeries) -> float:
     """Realized covariance ``sum_i da_i db_i`` over a common grid."""
     _require_synchronous(a, b, "realized_cov")
@@ -128,10 +170,7 @@ def multiscale(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
     Computed scale by scale from prefix differences in O(nM).
     """
     _require_synchronous(a, b, "multiscale")
-    n = a.n_increments
-    if w.M > n:
-        raise ValueError(f"multi-scale frequency M={w.M} exceeds n={n}")
-    return _multiscale_sum(a.values, a.values, b.values, b.values, w)
+    return _multiscale_pairs([a.values, b.values], [(0, 1)], w)[0]
 
 
 def multiscale_adjusted(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
@@ -154,18 +193,7 @@ def kernel_estimator(
     addend by ``(n-1)/n``, cancelling the ``+2 eta_ab`` noise bias.
     """
     _require_synchronous(a, b, "kernel_estimator")
-    n = a.n_increments
-    if not 1 <= H < n:
-        raise ValueError(f"need 1 <= H < n, got H={H}, n={n}")
-    da, db = a.increments(), b.increments()
-    gamma0 = float(np.dot(da, db))
-    total = gamma0 * ((n - 1) / n if adjusted else 1.0)
-    for h in range(1, H + 1):
-        wgt = kernel.k(h / H)
-        if wgt == 0.0:
-            continue
-        total += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
-    return total
+    return _kernel_pairs([a.values, b.values], [(0, 1)], kernel, H, adjusted)[0]
 
 
 def _canonical_pair(a: TickSeries, b: TickSeries) -> tuple[TickSeries, TickSeries]:
@@ -334,7 +362,7 @@ def svec_unpack(vec: np.ndarray) -> np.ndarray:
 
 
 def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorConfig | None = None) -> CovEstimate:
-    """Assemble the p x p integrated-covariance matrix pairwise.
+    """Assemble the p x p integrated-covariance matrix.
 
     ``method`` is one of ``rc``, ``ms``, ``kernel`` (synchronous schemes
     required), ``hy``, or ``gms``.  Multi-scale frequencies are chosen per
@@ -345,27 +373,31 @@ def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorCo
     p = len(data)
     if p < 1:
         raise ValueError("need at least one series")
+    if method not in ("rc", "ms", "kernel", "hy", "gms"):
+        raise ValueError(f"unknown method {method!r}")
     if method in ("rc", "ms", "kernel") and not _same_times([s.scheme for s in data]):
         raise ValueError(f"method {method!r} requires synchronous schemes; use 'hy' or 'gms'")
-    mat = np.zeros((p, p))
-    per_pair: dict = {}
-    for k in range(p):
-        for l in range(k, p):
+    pairs = [(k, l) for k in range(p) for l in range(k, p)]
+    if method in ("ms", "kernel"):
+        n = data[0].n_increments
+        M = _ms_frequency(cfg.c, n)
+        values = [s.values for s in data]
+        if method == "ms":
+            w = cfg.weights(M)
+            vals = _multiscale_pairs(values, pairs, end_effect_adjust(w, n) if cfg.adjusted else w)
+        else:
+            vals = _kernel_pairs(values, pairs, builtin_kernel(cfg.kernel), M, cfg.adjusted)
+        infos = [{"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel} for _ in pairs]
+    else:
+        vals, infos = [], []
+        for k, l in pairs:
             a, b = data[k], data[l]
             info: dict = {"method": method}
             if method == "rc":
                 val = realized_cov(a, b)
-            elif method in ("ms", "kernel"):
-                M = _ms_frequency(cfg.c, a.n_increments)
-                info.update(M=M, c=float(cfg.c), kernel=cfg.kernel)
-                if method == "ms":
-                    w = cfg.weights(M)
-                    val = multiscale_adjusted(a, b, w) if cfg.adjusted else multiscale(a, b, w)
-                else:
-                    val = kernel_estimator(a, b, builtin_kernel(cfg.kernel), M, adjusted=cfg.adjusted)
             elif method == "hy":
                 val = hayashi_yoshida(a, b)
-            elif method == "gms":
+            else:
                 grid = pairwise_refresh(a.scheme, b.scheme)
                 N = len(grid) - 1
                 M = _ms_frequency(cfg.c, N)
@@ -374,9 +406,11 @@ def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorCo
                 if cfg.adjusted:
                     w = end_effect_adjust(w, N)
                 val = generalized_multiscale(a, b, w, grid=grid)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            mat[k, l] = mat[l, k] = val
-            per_pair[(k, l)] = info
+            vals.append(val)
+            infos.append(info)
+    mat = np.zeros((p, p))
+    for (k, l), val in zip(pairs, vals):
+        mat[k, l] = mat[l, k] = val
+    per_pair = dict(zip(pairs, infos))
     eig_min = float(np.linalg.eigvalsh(mat).min()) if p > 1 else float(mat[0, 0])
     return CovEstimate(matrix=mat, method=method, per_pair=per_pair, svec=svec_pack(mat), min_eigenvalue=eig_min)

@@ -90,6 +90,17 @@ class ItoModelConfig:
     sv_v0: float | None = None
 
     def __post_init__(self) -> None:
+        checks = (
+            ("p", self.p >= 1, "at least 1"),
+            ("sv_kappa", self.sv_kappa > 0, "positive"),
+            ("sv_vbar", self.sv_vbar is None or self.sv_vbar > 0, "positive"),
+            ("sv_xi", self.sv_xi >= 0, "nonnegative"),
+            ("sv_rho_lev", abs(self.sv_rho_lev) <= 1, "in [-1, 1]"),
+            ("sv_v0", self.sv_v0 is None or self.sv_v0 >= 0, "nonnegative"),
+        )
+        for name, ok, need in checks:
+            if not ok:
+                raise ValueError(f"ItoModelConfig.{name} must be {need}, got {getattr(self, name)!r}")
         if self.sigma_const is not None:
             s = np.asarray(self.sigma_const, dtype=float)
             object.__setattr__(self, "sigma_const", s)

@@ -1,8 +1,10 @@
 """CSV tick ingestion and JSON run reports.
 
 Input format: one long CSV with header ``asset_id,timestamp,log_price``,
-sorted by (asset_id, timestamp), timestamps in seconds from session start.
-Validation failures report the offending line number.
+timestamps in seconds from session start and strictly increasing per
+asset; rows of different assets may interleave.  Files are parsed by
+columns; a row-by-row parser locates faults, so validation failures report
+the offending line number.
 """
 
 from __future__ import annotations
@@ -34,10 +36,79 @@ def load_ticks(path: str | Path, horizon: float | None = None) -> tuple[list[str
     Returns ``(asset_ids, series)`` in first-appearance order.  Timestamps
     must be strictly increasing within each asset; duplicates, NaNs and a
     missing header are rejected with line numbers.  The horizon defaults to
-    the largest timestamp in the file.
+    the largest timestamp in the file; a horizon that leaves an asset's
+    ticks outside ``[0, horizon]`` is rejected naming the asset.
     """
     path = Path(path)
-    ids: list[str] = []
+    ids, times, prices = _parse_columns(path) or _parse_rows(path)
+    T = horizon if horizon is not None else max(float(t[-1]) for t in times)
+    series = []
+    for asset, t, v in zip(ids, times, prices):
+        try:
+            series.append(TickSeries(SamplingScheme(t, T), v))
+        except ValueError as exc:
+            raise TickFileError(f"{path}: asset {asset!r}: {exc}") from None
+    return ids, series
+
+
+# The column parse reads printable ASCII without the quote character, tab
+# and line ends, and no blank lines (loadtxt warns about them).  Any other
+# file goes to the row parser.
+_PLAIN = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
+_BLANK_LINES = (b"\n\n", b"\n\r", b"\r\r")
+
+
+def _parse_columns(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarray]] | None:
+    """Parse the file column by column, or return ``None`` when the row
+    parser must decide (a fault to locate, or syntax only it reads)."""
+    # the raw bytes are released before loadtxt reads the file again, so
+    # the parse never holds them and the parsed columns at once
+    commas = _plain_commas(path.read_bytes())
+    if commas is None:
+        return None
+    kw = dict(delimiter=",", skiprows=1, comments=None)
+    try:
+        with open(path) as fh:
+            assets = np.loadtxt(fh, dtype=str, usecols=0, ndmin=1, **kw)
+            fh.seek(0)
+            num = np.loadtxt(fh, dtype=float, usecols=(1, 2), ndmin=2, **kw)
+    except ValueError:
+        return None
+    # every row read has at least three fields; with the header's two
+    # commas, this count leaves exactly three per row
+    if commas != 2 * (assets.size + 1) or not np.isfinite(num).all():
+        return None
+    # group rows by asset, assets in first-appearance order, rows in file order
+    names, first, inv = np.unique(np.char.strip(assets), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    key = np.argsort(order)[inv]
+    perm = np.argsort(key, kind="stable")
+    cuts = np.cumsum(np.bincount(key))[:-1]
+    t, v = num[perm, 0], num[perm, 1]
+    step = np.diff(t)
+    step[cuts - 1] = np.inf
+    if not (step > 0).all():
+        return None
+    return [str(a) for a in names[order]], np.split(t, cuts), np.split(v, cuts)
+
+
+def _plain_commas(data: bytes) -> int | None:
+    """The comma count of a file the column parse reads: the header, then at
+    least one line, only ``_PLAIN`` bytes and no blank line; else ``None``."""
+    end = data.find(b"\n")
+    if (
+        not 0 <= end < len(data) - 1
+        or [h.strip() for h in data[:end].split(b",")] != [h.encode() for h in _HEADER]
+        or data.translate(None, _PLAIN)
+        or any(blank in data for blank in _BLANK_LINES)
+    ):
+        return None
+    return data.count(b",")
+
+
+def _parse_rows(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
+    """Parse the file row by row with ``csv.reader``, raising a
+    :class:`TickFileError` with the line number of the first fault."""
     times: dict[str, list[float]] = {}
     prices: dict[str, list[float]] = {}
     with open(path, newline="") as fh:
@@ -48,7 +119,6 @@ def load_ticks(path: str | Path, horizon: float | None = None) -> tuple[list[str
             raise TickFileError(f"{path}: no records (empty file)") from None
         if [h.strip() for h in header] != _HEADER:
             raise TickFileError(f"{path}:1: expected header {','.join(_HEADER)!r}")
-        count = 0
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -62,24 +132,15 @@ def load_ticks(path: str | Path, horizon: float | None = None) -> tuple[list[str
                 raise TickFileError(f"{path}:{lineno}: non-numeric timestamp or log_price") from None
             if math.isnan(ts) or math.isnan(px) or math.isinf(ts) or math.isinf(px):
                 raise TickFileError(f"{path}:{lineno}: NaN/inf value")
-            if asset not in times:
-                ids.append(asset)
-                times[asset] = []
-                prices[asset] = []
-            elif times[asset] and ts <= times[asset][-1]:
-                kind = "duplicate" if ts == times[asset][-1] else "non-monotone"
+            seen = times.setdefault(asset, [])
+            if seen and ts <= seen[-1]:
+                kind = "duplicate" if ts == seen[-1] else "non-monotone"
                 raise TickFileError(f"{path}:{lineno}: {kind} timestamp {ts!r} for asset {asset!r}")
-            times[asset].append(ts)
-            prices[asset].append(px)
-            count += 1
-    if count == 0:
+            seen.append(ts)
+            prices.setdefault(asset, []).append(px)
+    if not times:
         raise TickFileError(f"{path}: no records")
-    T = horizon if horizon is not None else max(t[-1] for t in times.values())
-    series = [
-        TickSeries(SamplingScheme(np.asarray(times[a]), T), np.asarray(prices[a]))
-        for a in ids
-    ]
-    return ids, series
+    return list(times), [np.asarray(t) for t in times.values()], [np.asarray(v) for v in prices.values()]
 
 
 def write_ticks(path: str | Path, ids: Sequence[str], series: Sequence[TickSeries]) -> None:

@@ -1,10 +1,12 @@
 """Independent literal-transcription oracles.
 
-Everything here is written as plain loops from the defining formulas, on
-purpose sharing no code with the package implementations (no prefix sums,
-no convolutions, no vectorization).  The test suite pins the fast
-implementations against these to 1e-12 relative error.  The shared
-stochastic-variance test model lives here too.
+Most of what is here is written as plain loops from the defining formulas,
+on purpose sharing no code with the package implementations (no prefix
+sums, no convolutions, no vectorization).  The test suite pins the fast
+implementations against these to 1e-12 relative error.  Two oracles are
+simpler forms of the same computation instead, pinned bit for bit: the
+one-pair-at-a-time synchronous estimator loop and the row-by-row tick-file
+loader.  The shared stochastic-variance test model lives here too.
 """
 
 from __future__ import annotations
@@ -343,3 +345,90 @@ def default_test_model(p=4, T=1.0):
     from hficov.sim import ItoModelConfig
 
     return ItoModelConfig(p=p, T=T, sv_kappa=5.0, sv_vbar=1e-4, sv_xi=2e-4 * 25, sv_rho_lev=-0.5, sv_v0=1e-4)
+
+
+def sync_matrix_oracle(data, method, cfg):
+    """``estimate_matrix(data, method, cfg)`` for ``ms`` and ``kernel`` one
+    pair at a time: each pair differences both series again at every scale
+    or lag.  Returns ``(matrix, per_pair)``."""
+    import math
+
+    import numpy as np
+
+    from hficov.kernels import builtin_kernel, end_effect_adjust
+
+    p, n = len(data), len(data[0].values) - 1
+    M = max(2, min(int(round(cfg.c * math.sqrt(n))), n))
+    mat, per_pair = np.zeros((p, p)), {}
+    for k in range(p):
+        for l in range(k, p):
+            va, vb = data[k].values, data[l].values
+            if method == "ms":
+                w = cfg.weights(M)
+                if cfg.adjusted:
+                    w = end_effect_adjust(w, n)
+                if w.M > n:
+                    raise ValueError(f"multi-scale frequency M={w.M} exceeds n={n}")
+                val = 0.0
+                for i in range(1, w.M + 1):
+                    val += (w.alphas[i - 1] / i) * float(np.dot(va[i:] - va[:-i], vb[i:] - vb[:-i]))
+            else:
+                if not 1 <= M < n:
+                    raise ValueError(f"need 1 <= H < n, got H={M}, n={n}")
+                kern = builtin_kernel(cfg.kernel)
+                da, db = np.diff(va), np.diff(vb)
+                val = float(np.dot(da, db)) * ((n - 1) / n if cfg.adjusted else 1.0)
+                for h in range(1, M + 1):
+                    wgt = kern.k(h / M)
+                    if wgt != 0.0:
+                        val += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
+            mat[k, l] = mat[l, k] = val
+            per_pair[(k, l)] = {"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel}
+    return mat, per_pair
+
+
+def load_ticks_oracle(path):
+    """Tick CSV parsing row by row with ``csv.reader``: ``(ids, times,
+    prices)`` per asset in first-appearance order as lists of floats, or
+    the line-numbered ``TickFileError`` of the first faulty row."""
+    import csv
+    import math
+
+    from hficov.tickio import TickFileError
+
+    header_names = ["asset_id", "timestamp", "log_price"]
+    ids, times, prices = [], {}, {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TickFileError(f"{path}: no records (empty file)") from None
+        if [h.strip() for h in header] != header_names:
+            raise TickFileError(f"{path}:1: expected header {','.join(header_names)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise TickFileError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            asset = row[0].strip()
+            try:
+                ts = float(row[1])
+                px = float(row[2])
+            except ValueError:
+                raise TickFileError(f"{path}:{lineno}: non-numeric timestamp or log_price") from None
+            if math.isnan(ts) or math.isnan(px) or math.isinf(ts) or math.isinf(px):
+                raise TickFileError(f"{path}:{lineno}: NaN/inf value")
+            if asset not in times:
+                ids.append(asset)
+                times[asset] = []
+                prices[asset] = []
+            elif ts <= times[asset][-1]:
+                kind = "duplicate" if ts == times[asset][-1] else "non-monotone"
+                raise TickFileError(f"{path}:{lineno}: {kind} timestamp {ts!r} for asset {asset!r}")
+            times[asset].append(ts)
+            prices[asset].append(px)
+    if not ids:
+        raise TickFileError(f"{path}: no records")
+    return ids, [times[a] for a in ids], [prices[a] for a in ids]
+

@@ -1,17 +1,24 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hficov import tickio
 from hficov.cli import main
 from hficov.estimators import TickSeries, estimate_matrix
 from hficov.sampling import SamplingScheme
 from hficov.tickio import RunReport, TickFileError, load_ticks, write_ticks
+
+from oracles import load_ticks_oracle
 
 
 def write(tmp_path, text, name="ticks.csv"):
@@ -68,6 +75,164 @@ def test_missing_header(tmp_path):
     p = write(tmp_path, "asset,ts,px\nA,0.0,0.1\n")
     with pytest.raises(TickFileError, match="header"):
         load_ticks(p)
+
+
+HEADER = "asset_id,timestamp,log_price\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: no records (empty file)"),
+        (HEADER, "{path}: no records"),
+        (HEADER + "\n  \n\t\n", "{path}: no records"),
+        ("asset,ts,px\nA,0.0,0.1\n", "{path}:1: expected header 'asset_id,timestamp,log_price'"),
+        ("\n" + HEADER + "A,0.0,0.1\n", "{path}:1: expected header 'asset_id,timestamp,log_price'"),
+        (HEADER + "A,0.0,0.1\nA,1.0\n", "{path}:3: expected 3 fields, got 2"),
+        (HEADER + "A,0.0,0.1\nA,1.0,0.2,x\n", "{path}:3: expected 3 fields, got 4"),
+        (HEADER + "A,0.0,0.1\n\nA,1.0,0.2,\n", "{path}:4: expected 3 fields, got 4"),
+        (HEADER + "A,0.0,0.1\nB\n", "{path}:3: expected 3 fields, got 1"),
+        (HEADER + "A,zero,0.1\n", "{path}:2: non-numeric timestamp or log_price"),
+        (HEADER + "A,0.0,0.1\nA,1.0,\n", "{path}:3: non-numeric timestamp or log_price"),
+        (HEADER + 'A,0.0,0.1\nA,"1.0,0.2"\n', "{path}:3: expected 3 fields, got 2"),
+        (HEADER + "A,0.0,0.1\nB,0.0,inf\n", "{path}:3: NaN/inf value"),
+        (HEADER + "A,nan,0.1\n", "{path}:2: NaN/inf value"),
+        (HEADER + "A,0.0,0.1\nB,0.0,0.2\nB,0.5,0.2\nA,0.0,0.3\n", "{path}:5: duplicate timestamp 0.0 for asset 'A'"),
+        (HEADER + "A,1.0,0.1\nB,0.0,0.2\n\nA,0.5,0.3\n", "{path}:5: non-monotone timestamp 0.5 for asset 'A'"),
+    ],
+)
+def test_load_ticks_fault_messages(tmp_path, text, message):
+    p = write(tmp_path, text)
+    with pytest.raises(TickFileError) as exc:
+        load_ticks(p)
+    assert str(exc.value) == message.format(path=p)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # column parse: interleaved assets, padded fields
+        HEADER + "A,0.0,0.1\nB,0.5,1.0\n A ,1.0,0.2\nB\t,1.5, 1.1\nA,2.0,0.15\n",
+        # row parser: blank and whitespace-only lines, quoted fields, CRLF
+        " asset_id , timestamp,log_price\r\n\r\nA,0.0,0.1\r\n   \r\n\"B\",0.5,\"1.0\"\r\n"
+        "  A ,1.0,0.2\r\n\t\r\n\tB\t,1.5,1.1\r\nA,2.0,0.15",
+    ],
+)
+def test_load_ticks_accepted_inputs(tmp_path, text):
+    p = tmp_path / "ticks.csv"
+    p.write_bytes(text.encode())
+    ids, series = load_ticks(p)
+    assert ids == ["A", "B"]
+    np.testing.assert_array_equal(series[0].scheme.times, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(series[0].values, [0.1, 0.2, 0.15])
+    np.testing.assert_array_equal(series[1].scheme.times, [0.5, 1.5])
+    np.testing.assert_array_equal(series[1].values, [1.0, 1.1])
+    assert series[0].scheme.horizon == series[1].scheme.horizon == 2.0
+
+
+def test_load_ticks_column_parse_reads_plain_files(tmp_path):
+    p = write(tmp_path, HEADER + "A,0.0,0.1\nB,0.5,1.0\n A ,1.0,0.2\nB\t,1.5, 1.1\n")
+    ids, times, prices = tickio._parse_columns(p)
+    assert ids == ["A", "B"]
+    np.testing.assert_array_equal(np.concatenate(times), [0.0, 1.0, 0.5, 1.5])
+    np.testing.assert_array_equal(np.concatenate(prices), [0.1, 0.2, 1.0, 1.1])
+    for text in ('A,0.0,"0.1"\n', "A,0.0,0.1\n\n", "A,0.0,0.1\n   \n", "A,0.0,0.1,\n", "A,0.0,nan\n", "A,1e0,0\nA,1.0,0\n"):
+        assert tickio._parse_columns(write(tmp_path, HEADER + text)) is None
+
+
+@pytest.mark.parametrize(
+    "text, horizon, message",
+    [
+        (HEADER + "A,0.0,0.1\nB,0.5,0.2\nB,2.0,0.3\n", 1.0, "asset 'B': scheme times must lie in [0, horizon]"),
+        (HEADER + "A,0.0,0.1\nB,0.0,0.2\n", None, "asset 'A': horizon must be positive"),
+        (HEADER + "A,-0.5,0.1\nA,0.5,0.2\n", None, "asset 'A': scheme times must lie in [0, horizon]"),
+    ],
+)
+def test_load_ticks_horizon_errors_name_file_and_asset(tmp_path, text, horizon, message):
+    p = write(tmp_path, text)
+    with pytest.raises(TickFileError) as exc:
+        load_ticks(p, horizon=horizon)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+# tokens float() reads as finite values, and tokens it may not
+_FINITE = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:.3f}"),
+    st.floats(-1e3, 1e3).map(lambda x: f"{x:e}"),
+    st.sampled_from([".5", "5.", "+2", "-0", "1e-320", "0.1000000000000000055511151231257827"]),
+)
+_TOKENS = st.one_of(_FINITE, st.sampled_from(["nan", "inf", "-Infinity", "1_0", "x", "", "1e400"]))
+
+
+@st.composite
+def tick_files(draw):
+    """Tick CSV text: mostly well-formed rows of interleaved assets, with
+    padding, quoting, blank lines and faults drawn per file."""
+    assets = draw(st.lists(st.sampled_from(["A", "B", "C7", "x y", ""]), min_size=1, max_size=3, unique=True))
+    faults = draw(st.sets(st.sampled_from(["token", "blank", "space", "short", "long"]))) if draw(st.booleans()) else set()
+    faulty = bool(faults)
+    quoted = draw(st.integers(0, 3)) == 0
+    messy = draw(st.integers(0, 3)) == 0
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+
+    def field(text):
+        if quoted and draw(st.booleans()):
+            text = '"' + text + '"'
+        if messy and draw(st.booleans()):
+            text = draw(st.sampled_from([" ", "\t"])) + text + draw(st.sampled_from(["", " ", "\t"]))
+        return text
+
+    header = draw(st.sampled_from([HEADER[:-1], " asset_id ,timestamp,log_price"] + ["asset_id,time,log_price"] * faulty))
+    lines, clock = [header], {}
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["tick"] * 6 + sorted(faults)))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        elif kind == "short":
+            lines.append(",".join(field(x) for x in draw(st.sampled_from([["A"], ["A", "1.0"]]))))
+        elif kind == "long":
+            lines.append("A,1.0,2.0," + draw(st.sampled_from(["", "x"])))
+        else:
+            asset = draw(st.sampled_from(assets))
+            step = draw(st.sampled_from([1.0, 0.5, 0.125, 1e-9] + [0.0, -0.25] * faulty))
+            start = draw(st.sampled_from([0.0, 0.0, 0.25] + [-1.0] * faulty))
+            clock[asset] = clock[asset] + step if asset in clock else start
+            t = repr(clock[asset]) if kind == "tick" else draw(_TOKENS)
+            px = draw(_TOKENS if kind == "token" else _FINITE)
+            lines.append(",".join([field(asset), field(t), field(px)]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=400)
+@given(tick_files())
+def test_load_ticks_matches_row_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "ticks.csv"
+        p.write_bytes(text.encode())
+        try:
+            ids, times, prices = load_ticks_oracle(p)
+        except TickFileError as exc:
+            with pytest.raises(TickFileError) as got:
+                load_ticks(p)
+            assert str(got.value) == str(exc)
+            return
+        T = max(t[-1] for t in times)
+        scheme_fault = "horizon must be positive" if T <= 0 else next(
+            ("scheme times must lie in [0, horizon]" for t in times if t[0] < 0), None
+        )
+        if scheme_fault is not None:
+            with pytest.raises(ValueError, match=re.escape(scheme_fault)):
+                load_ticks(p)
+            return
+        got_ids, series = load_ticks(p)
+    assert got_ids == ids
+    for s, t, v in zip(series, times, prices, strict=True):
+        np.testing.assert_array_equal(s.scheme.times, np.array(t))
+        np.testing.assert_array_equal(s.values, np.array(v))
+        assert s.scheme.horizon == T
 
 
 def test_roundtrip_preserves_estimates(tmp_path):
@@ -219,6 +384,12 @@ def test_cli_estimate_rejects_c_not_finite_positive(tmp_path, capsys, c):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: c must be finite and positive") and err.count("\n") == 1
+
+
+def test_cli_simulate_rejects_zero_assets(tmp_path, capsys):
+    rc = main(["simulate", "--assets", "0", "--n", "50", "--ticks-out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ItoModelConfig.p must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])

@@ -16,7 +16,7 @@ from hficov.estimators import (
 from hficov.kernels import builtin_kernel, cubic_weights
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
-from oracles import gms_oracle, hy_oracle, kernel_oracle, ms_oracle
+from oracles import gms_oracle, hy_oracle, kernel_oracle, ms_oracle, sync_matrix_oracle
 
 
 def series(times, values, T=1.0):
@@ -440,6 +440,39 @@ def test_scaling_and_shift_invariance_all_estimators():
         base = fn(x, y)
         assert fn(scaled(x), scaled(y)) == pytest.approx(lam**2 * base, rel=1e-12)
         assert fn(shifted(x), y) == pytest.approx(base, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+@pytest.mark.parametrize("method", ["ms", "kernel"])
+@pytest.mark.parametrize("kernel", ["cubic", "parzen"])
+@pytest.mark.parametrize("adjusted", [True, False])
+def test_estimate_matrix_sync_equals_pairwise_loop(p, method, kernel, adjusted):
+    rng = np.random.default_rng(21)
+    t = np.linspace(0, 1, 301)
+    data = [series(t, rng.standard_normal(301).cumsum() * 0.01 + 1e-3 * rng.standard_normal(301)) for _ in range(p)]
+    cfg = EstimatorConfig(kernel=kernel, adjusted=adjusted)
+    est = estimate_matrix(data, method, cfg)
+    mat, per_pair = sync_matrix_oracle(data, method, cfg)
+    np.testing.assert_array_equal(est.matrix, mat)
+    assert est.per_pair == per_pair
+
+
+@pytest.mark.parametrize("adjusted", [True, False])
+def test_estimate_matrix_sync_clamp_equals_pairwise_loop(adjusted):
+    # c^2 > n: ms runs at M = n = 4, and the kernel estimator needs H < n
+    rng = np.random.default_rng(22)
+    t = np.linspace(0, 1, 5)
+    data = [series(t, rng.standard_normal(5).cumsum()) for _ in range(3)]
+    cfg = EstimatorConfig(c=3.0, adjusted=adjusted)
+    est = estimate_matrix(data, "ms", cfg)
+    mat, per_pair = sync_matrix_oracle(data, "ms", cfg)
+    np.testing.assert_array_equal(est.matrix, mat)
+    assert est.per_pair == per_pair and per_pair[(0, 1)]["M"] == 4
+    with pytest.raises(ValueError) as want:
+        sync_matrix_oracle(data, "kernel", cfg)
+    with pytest.raises(ValueError) as got:
+        estimate_matrix(data, "kernel", cfg)
+    assert str(got.value) == str(want.value) == "need 1 <= H < n, got H=4, n=4"
 
 
 def test_estimate_matrix_kernel_method():

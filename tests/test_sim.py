@@ -64,6 +64,18 @@ def test_simulate_paths_explicit_times():
             simulate_paths(CONST2, 3, times=np.array(bad))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("p", 0), ("sv_kappa", 0.0), ("sv_kappa", -5.0), ("sv_vbar", -1e-4), ("sv_xi", -0.1),
+     ("sv_rho_lev", 1.5), ("sv_rho_lev", -1.01), ("sv_v0", -1e-6)],
+)
+def test_ito_model_rejects_bad_parameters(field, value):
+    # unchecked, a negative vbar simulates a zero variance path, a negative
+    # kappa a mean-repelling one, and |rho| > 1 fails later as a math domain error
+    with pytest.raises(ValueError, match=rf"^ItoModelConfig\.{field} must be"):
+        ItoModelConfig(**{"p": 2, field: value})
+
+
 def test_simulate_paths_memory_linear_in_p():
     # paths keep O(m p) floats: no (m, p, p) volatility tensor
     import tracemalloc
