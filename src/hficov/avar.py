@@ -24,9 +24,10 @@ see the notes in that module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,10 +37,10 @@ from .estimators import (
     _check_c,
     _clamp_frequency,
     _ms_frequency,
-    _multiscale_sum,
+    _noise_covariance,
+    _noise_variance,
     _same_times,
     end_effect_adjust,
-    noise_moments,
     svec_index,
     svec_pairs,
 )
@@ -49,6 +50,7 @@ from .timefuncs import (
     StepFunction,
     SyncOverlap,
     TimeCovariationBundle,
+    _sync_overlap,
     sync_overlap,
     time_covariations,
     weighted_lasa_function,
@@ -301,16 +303,16 @@ def _global_grids(schemes) -> tuple[SyncGrid, SyncGrid, SyncGrid]:
     return g12, g34, global_refresh(g12, g34)
 
 
-def _gms_skeleton(g12: SyncGrid, g34: SyncGrid, glob: SyncGrid, kernel: str, c: float):
+def _gms_skeleton(g12: SyncGrid, g34: SyncGrid, glob: SyncGrid, weights: Callable[[int], WeightScheme], c: float):
     """The gms frequencies and signal integrator of four schemes' grids:
     pairwise ``M_12``, ``M_34``, the global-lag ``M = min(M_12 N/N_12,
-    M_34 N/N_34)`` (``min(M_12, M_34)`` when synchronous), its weights, the
-    half-lag-0 :func:`weighted_lasa_function` of the global grid, and
+    M_34 N/N_34)`` (``min(M_12, M_34)`` when synchronous), its ``weights(M)``,
+    the half-lag-0 :func:`weighted_lasa_function` of the global grid, and
     ``c = M / sqrt(N)``."""
     N, n12, n34 = len(glob) - 1, len(g12) - 1, len(g34) - 1
     m12, m34 = _ms_frequency(c, n12), _ms_frequency(c, n34)
     mg = _clamp_frequency(min(m12 * N / n12, m34 * N / n34), N)
-    w = EstimatorConfig(kernel=kernel, c=c).weights(mg)
+    w = weights(mg)
     return m12, m34, mg, w, weighted_lasa_function(glob, w), mg / math.sqrt(N)
 
 
@@ -348,7 +350,7 @@ def gms_theory_inputs(
     """
     g12, g34, glob = _global_grids(schemes)
     N, n12, n34 = len(glob) - 1, len(g12) - 1, len(g34) - 1
-    m12, m34, mg, w, lasa, c_eff = _gms_skeleton(g12, g34, glob, kernel, c)
+    m12, m34, mg, w, lasa, c_eff = _gms_skeleton(g12, g34, glob, EstimatorConfig(kernel=kernel, c=c).weights, c)
     ov = sync_overlap(glob, m12, m34) if with_overlap else None
     inputs = TheoryInputs(
         times=times,
@@ -435,8 +437,20 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
+# skeleton slots whose scale-i differences _binned_bracket forms at once, so
+# that the six arrays of a group (768 KiB) stay in a core's L2 cache: on a
+# full trading day one group per bracket made the acov 20% slower than a
+# merge and sum per bin.  Benchmark-sized brackets are one group.
+_GROUP_SLOTS = 1 << 14
+
+
 def _binned_bracket(
-    a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig
+    a: TickSeries,
+    b: TickSeries,
+    edges: np.ndarray,
+    w_bin: WeightScheme,
+    cfg: EstimatorConfig,
+    weights: dict | None = None,
 ) -> np.ndarray:
     """End-effect adjusted generalized multi-scale bracket increment
     estimates per bin.
@@ -451,27 +465,65 @@ def _binned_bracket(
     observations, so the multi-scale finite-sample factor
     ``(N + 1 - sum_i a_i i) / N`` is far from 1 (about ``1 - M/N``); each
     bin estimate is divided by it, which makes the synchronous-case bracket
-    exactly unbiased.
+    exactly unbiased.  ``weights`` caches, by ``M``, the weights, their
+    coefficients ``a_i / i`` and, by ``N``, the two coefficients that the
+    end-effect adjustment changes and the factor; calls may share it only
+    when ``w_bin`` is ``cfg.weights(w_bin.M)``.
+
+    Cost: one pass per bracket.  One segmented refresh merge covers all
+    bins (the bin is the segment), one set of index maps places every
+    refresh time in the full tick arrays, and each scale's differences are
+    formed once over the concatenated skeleton of a run of consecutive bins
+    (all of them, unless they span more than ``_GROUP_SLOTS`` slots).
+    Every bin adds its own ``np.dot`` over its slice of them per scale, in
+    scale order, so its value has the bits of a merge and sum over the bin
+    alone.
     """
+    weights = {} if weights is None else weights
     ta, tb = a.scheme.times, b.scheme.times
     ia = np.searchsorted(ta, edges, side="right")
     ib = np.searchsorted(tb, edges, side="right")
+    refresh, bounds = _refresh_merge(ta, tb, ia, ib)
+    n_bin = np.diff(bounds) - 1
     out = np.zeros(edges.size - 1)
-    for j in range(edges.size - 1):
-        sa, sb = slice(ia[j], ia[j + 1]), slice(ib[j], ib[j + 1])
-        if sa.stop - sa.start < 3 or sb.stop - sb.start < 3:
-            continue
-        refresh = _refresh_merge(ta[sa], tb[sb])
-        N = refresh.size - 1
-        if N < 2:
-            continue
-        w = end_effect_adjust(w_bin if N >= w_bin.M else cfg.weights(N), N)
-        finite_factor = (N + 1 - float(np.sum(w.alphas * w.scales))) / N
-        if finite_factor <= 0:
-            continue
-        nxt, prv = _index_maps((ta[sa], tb[sb]), refresh)
-        va, vb = a.values[sa], b.values[sb]
-        out[j] = _multiscale_sum(va[nxt[0]], va[prv[0]], vb[nxt[1]], vb[prv[1]], w) / finite_factor
+    bins = []  # (M, bin, slot bounds, a_i / i per scale, finite factor)
+    for j in np.flatnonzero((np.diff(ia) >= 3) & (np.diff(ib) >= 3) & (n_bin >= 2)):
+        N = int(n_bin[j])
+        M = w_bin.M if N >= w_bin.M else N
+        if M not in weights:
+            w = w_bin if M == w_bin.M else cfg.weights(M)
+            weights[M] = w, (w.alphas / w.scales).tolist(), {}
+        w, coefs, by_n = weights[M]
+        if N not in by_n:
+            adj = end_effect_adjust(w, N).alphas  # changes a_1 and a_2 only
+            by_n[N] = float(adj[0]), float(adj[1] / 2), (N + 1 - float(np.sum(adj * w.scales))) / N
+        c1, c2, finite_factor = by_n[N]
+        if finite_factor > 0:
+            bins.append((M, j, int(bounds[j]), int(bounds[j + 1]), [c1, c2, *coefs[2:]], finite_factor))
+    if not bins:
+        return out
+    nxt, prv = _index_maps((ta, tb), refresh)
+    up_a, lo_a = a.values[nxt[0]], a.values[prv[0]]
+    up_b, lo_b = b.values[nxt[1]], b.values[prv[1]]
+    groups: list[list] = []  # runs of bins spanning at most _GROUP_SLOTS slots
+    for x in bins:
+        if groups and x[3] - groups[-1][0][2] <= _GROUP_SLOTS:
+            groups[-1].append(x)
+        else:
+            groups.append([x])
+    for group in groups:
+        g0, g1 = group[0][2], group[-1][3]
+        group.sort(key=lambda x: -x[0])  # the bins still summing at scale i lead
+        totals = [0.0] * len(group)
+        for i in range(1, group[0][0] + 1):
+            da = up_a[g0 + i : g1] - lo_a[g0 : g1 - i]
+            db = up_b[g0 + i : g1] - lo_b[g0 : g1 - i]
+            for n, (M, _, lo, hi, coefs, _) in enumerate(group):
+                if M < i:
+                    break
+                totals[n] += coefs[i - 1] * float(da[lo - g0 : hi - i - g0].dot(db[lo - g0 : hi - i - g0]))
+        for (_, j, _, _, _, finite_factor), total in zip(group, totals):
+            out[j] = total / finite_factor
     return out
 
 
@@ -495,18 +547,81 @@ def acov_gms_hat(
     the synchronous-overlap counts, the synchronous-case slot constants, and
     bins equidistant in the shared-timestamp counting functions; on fully
     disjoint schemes every one of them is exactly zero.
+
+    Cost: each bracket is one pass over its bins (see
+    :func:`_binned_bracket`), at most eight per entry.  :func:`acov_matrix_hat`
+    and :func:`hficov.citest.ci_test` evaluate all their entries on one
+    per-call plan, which builds each pairwise refresh grid, shared-stamp
+    array, noise moment, weight scheme and bracket once for all entries.
     """
-    return _gms_entry(data, pairs, config or GmsAcovConfig(), {})
+    return _gms_entry(data, pairs, _AcovPlan(data, config))
 
 
-def _gms_entry(data: Sequence[TickSeries], pairs, cfg: GmsAcovConfig, table: dict) -> float:
-    """:func:`acov_gms_hat` with a ``table`` of :func:`_binned_bracket` arrays
-    keyed by unordered 0-based component pair, bin-edge bytes and bin
-    frequency (the bracket is symmetric in its two series)."""
+class _AcovPlan:
+    """What the gms entries of one acov call share, each built on first use:
+
+    * the pairwise refresh grid per ordered component pair;
+    * the shared timestamps per component pair, with their indices;
+    * the entries of :func:`hficov.estimators.noise_moments`, per component
+      and per ordered component pair (a repeated component included);
+    * the weight schemes by ``M``, and the end-adjusted bin weights and
+      finite-sample factor by ``(M, N)`` (see :func:`_binned_bracket`);
+    * the :func:`_binned_bracket` arrays, keyed by unordered 0-based
+      component pair, bin-edge bytes and bin frequency (the bracket is
+      symmetric in its two series).
+
+    Components are 0-based indices into ``data``.  A plan lives for one
+    call; nothing is kept across calls.
+    """
+
+    def __init__(self, data: Sequence[TickSeries], config: EstimatorConfig | GmsAcovConfig | None) -> None:
+        self.data = data
+        self.cfg = config if isinstance(config, GmsAcovConfig) else GmsAcovConfig(
+            kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
+        )
+        self.est_cfg = EstimatorConfig(kernel=self.cfg.kernel, c=self.cfg.c)
+        self.brackets: dict = {}
+        self.bin_weights: dict = {}
+        self._built: dict = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def grid(self, k: int, l: int) -> SyncGrid:
+        """Pairwise refresh grid of components k and l, in that order."""
+        return self._once(("grid", k, l), lambda: pairwise_refresh(self.data[k].scheme, self.data[l].scheme))
+
+    def weights(self, M: int) -> WeightScheme:
+        return self._once(("weights", M), lambda: self.est_cfg.weights(M))
+
+    def shared(self, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Timestamps shared by components k and l, and their indices in each."""
+        lo, hi = sorted((k, l))
+        t, i_lo, i_hi = self._once(
+            ("shared", lo, hi),
+            lambda: np.intersect1d(self.data[lo].scheme.times, self.data[hi].scheme.times, return_indices=True),
+        )
+        return (t, i_lo, i_hi) if k <= l else (t, i_hi, i_lo)
+
+    def noise(self, idx: Sequence[int]) -> np.ndarray:
+        """``noise_moments([data[v] for v in idx]).h_hat``."""
+        H = np.diag([self._once(("noise", v), lambda: _noise_variance(self.data[v])) for v in idx])
+        for x, y in itertools.combinations(range(len(idx)), 2):
+            k, l = idx[x], idx[y]
+            cov = self._once(("noise", k, l), lambda: _noise_covariance(self.data[k], self.data[l], self.shared(k, l)))
+            H[x, y] = H[y, x] = cov
+        return H
+
+
+def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
+    """:func:`acov_gms_hat` on the grids, moments, weights and brackets of ``plan``."""
+    cfg = plan.cfg
     idx = _pair_components(pairs, len(data))
     comps = [data[v] for v in idx]
-    schemes = tuple(s.scheme for s in comps)
-    g12, g34, glob = _global_grids(schemes)
+    g12, g34 = plan.grid(idx[0], idx[1]), plan.grid(idx[2], idx[3])
+    glob = global_refresh(g12, g34)
     N = len(glob) - 1
     if N < 8:
         raise ValueError("too few global refresh times for the histogram estimator")
@@ -515,14 +630,14 @@ def _gms_entry(data: Sequence[TickSeries], pairs, cfg: GmsAcovConfig, table: dic
         raise ValueError("need at least 2 bins")
     T = glob.horizon
 
-    M12, M34, _, w_glob, lasa, c_eff = _gms_skeleton(g12, g34, glob, cfg.kernel, cfg.c)
-    base_cfg = EstimatorConfig(kernel=cfg.kernel, c=cfg.c)
-    w_bin = base_cfg.weights(max(2, int(round(N ** 0.6))))
+    M12, M34, _, w_glob, lasa, c_eff = _gms_skeleton(g12, g34, glob, plan.weights, cfg.c)
+    w_bin = plan.weights(max(2, int(round(N ** 0.6))))
+    table = plan.brackets
 
     def bracket(x: int, y: int, edges: np.ndarray) -> np.ndarray:
         key = (min(idx[x], idx[y]), max(idx[x], idx[y]), edges.tobytes(), w_bin.M)
         if key not in table:
-            table[key] = _binned_bracket(comps[x], comps[y], edges, w_bin, base_cfg)
+            table[key] = _binned_bracket(comps[x], comps[y], edges, w_bin, plan.est_cfg, plan.bin_weights)
         return table[key]
 
     # half-bin split: products of bracket estimates on the same data are
@@ -542,7 +657,8 @@ def _gms_entry(data: Sequence[TickSeries], pairs, cfg: GmsAcovConfig, table: dic
 
     if not cfg.include_noise_terms:
         return first
-    ov = sync_overlap(glob, M12, M34)
+    shared = [plan.shared(idx[x], idx[y])[0] for x, y in ((0, 2), (0, 3), (1, 2), (1, 3))]
+    ov = _sync_overlap(glob, M12, M34, shared)
     if ov.all_zero():
         return first
 
@@ -556,7 +672,7 @@ def _gms_entry(data: Sequence[TickSeries], pairs, cfg: GmsAcovConfig, table: dic
             vals = np.where(sdt > 0, br / sdt, 0.0)
         return float(np.sum(vals)) * step.total / K
 
-    eta = noise_moments(comps).h_hat
+    eta = plan.noise(idx)
     noise2, ends, cross = _noise_addends(kernel_constants(w_glob), c_eff, eta, ov, binned_integral)
     return first + noise2 + ends + cross
 
@@ -638,27 +754,31 @@ def acov_matrix_hat(
     return AcovMatrix(entries=entries, rate=rate, n_ref=n_ref, p=p)
 
 
-def _acov_entries(data: Sequence[TickSeries], method: str, pairs, config) -> tuple[np.ndarray, str, float]:
+def _acov_entries(
+    data: Sequence[TickSeries], method: str, pairs, config, plan: _AcovPlan | None = None
+) -> tuple[np.ndarray, str, float]:
     """Entries of :func:`acov_matrix_hat` among the 1-based ``pairs`` (k <= l),
     in their order, with the rate and n_ref.  The gms entries share one
-    bracket table; each is evaluated with its pairs in svec order, since the
-    noise-slot estimates of :func:`acov_gms_hat` depend on the pair order."""
+    :class:`_AcovPlan` (``plan``, or a new one for ``config``); each is
+    evaluated with its pairs in svec order, since the noise-slot estimates
+    of :func:`acov_gms_hat` depend on the pair order."""
     if method == "rc":
         return _rc_acov(data, pairs), "sqrt_n", float(data[0].n_increments)
     if method not in ("ms", "kernel", "gms"):
         raise ValueError(f"no data-driven asymptotic covariance estimator for method {method!r}")
-    gcfg = config if isinstance(config, GmsAcovConfig) else GmsAcovConfig(
-        kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
-    )
+    plan = plan or _AcovPlan(data, config)
     n_ref = _union_refresh_count(data, tuple(range(1, len(data) + 1)))
-    table: dict = {}
     qn = len(pairs)
     ent = np.zeros((qn, qn))
+    counts: dict = {}  # refresh count per set of components
     for a in range(qn):
         for b in range(a, qn):
             pa, pb = sorted((pairs[a], pairs[b]))  # svec order
-            val = _gms_entry(data, (pa, pb), gcfg, table)
-            n_ab = _union_refresh_count(data, pa + pb)
+            val = _gms_entry(data, (pa, pb), plan)
+            comps = frozenset(pa + pb)
+            if comps not in counts:
+                counts[comps] = _union_refresh_count(data, pa + pb)
+            n_ab = counts[comps]
             ent[a, b] = ent[b, a] = val * (_rate_sq("n_quarter", n_ref) / _rate_sq("n_quarter", n_ab))
     return ent, "n_quarter", n_ref
 
@@ -669,7 +789,7 @@ def _union_refresh_count(data: Sequence[TickSeries], comps: tuple[int, ...]) -> 
     uniq = sorted(set(comps))
     times = data[uniq[0] - 1].scheme.times
     for v in uniq[1:]:
-        times = _refresh_merge(times, data[v - 1].scheme.times)
+        times, _ = _refresh_merge(times, data[v - 1].scheme.times)
         if times.size == 0:
             raise ValueError("schemes produce no refresh times (disjoint tick ranges)")
     return times.size - 1

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .avar import _acov_entries, _rate_sq
-from .estimators import EstimatorConfig, TickSeries, estimate_matrix
+from .avar import _AcovPlan, _acov_entries, _rate_sq
+from .estimators import EstimatorConfig, TickSeries, _estimate_matrix
 
 __all__ = ["CiTestResult", "ci_statistic", "ci_avar", "ci_test"]
 
@@ -110,12 +110,13 @@ def ci_test(
     """
     cfg = config or EstimatorConfig()
     data = [x1, x2, z]
-    est = estimate_matrix(data, method, cfg)
-    m = est.matrix
+    # the gms estimates and acov entries share one plan's pairwise grids
+    plan = _AcovPlan(data, cfg) if method == "gms" else None
+    m = _estimate_matrix(data, method, cfg, plan.grid if plan else None).matrix
     # bracket order: b1 = [X1,Z], b2 = [X2,Z], b3 = [X1,X2], b4 = [Z]
     brackets = (m[0, 2], m[1, 2], m[0, 1], m[2, 2])
 
-    entries, rate, n_ref = _acov_entries(data, method, [(1, 3), (2, 3), (1, 2), (3, 3)], cfg)
+    entries, rate, n_ref = _acov_entries(data, method, [(1, 3), (2, 3), (1, 2), (3, 3)], cfg, plan)
     C = entries / _rate_sq(rate, n_ref)
 
     t_hat = ci_statistic(*brackets)

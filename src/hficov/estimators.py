@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -269,22 +269,31 @@ def noise_moments(data: Sequence[TickSeries]) -> NoiseMoments:
     fewer than three timestamps.
     """
     p = len(data)
-    H = np.zeros((p, p))
-    for l, s in enumerate(data):
-        if len(s) < 2:
-            raise ValueError("each series needs at least two observations")
-        d = s.increments()
-        H[l, l] = float(np.dot(d, d)) / (2.0 * s.n_increments)
+    H = np.diag([_noise_variance(s) for s in data])
     for k in range(p):
         for l in range(k + 1, p):
-            tk, tl = data[k].scheme.times, data[l].scheme.times
-            shared, ik, il = np.intersect1d(tk, tl, return_indices=True)
-            if shared.size < 3:
-                continue
-            dk = np.diff(data[k].values[ik])
-            dl = np.diff(data[l].values[il])
-            H[k, l] = H[l, k] = -float(np.mean(dk[:-1] * dl[1:]))
+            shared = np.intersect1d(data[k].scheme.times, data[l].scheme.times, return_indices=True)
+            H[k, l] = H[l, k] = _noise_covariance(data[k], data[l], shared)
     return NoiseMoments(H)
+
+
+def _noise_variance(s: TickSeries) -> float:
+    """The diagonal entry ``RV / (2 n)`` of :func:`noise_moments`."""
+    if len(s) < 2:
+        raise ValueError("each series needs at least two observations")
+    d = s.increments()
+    return float(np.dot(d, d)) / (2.0 * s.n_increments)
+
+
+def _noise_covariance(a: TickSeries, b: TickSeries, shared: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """The off-diagonal entry ``-mean(d_i(a) d_{i+1}(b))`` of
+    :func:`noise_moments`, from ``np.intersect1d(ta, tb, return_indices=True)``."""
+    stamps, ia, ib = shared
+    if stamps.size < 3:
+        return 0.0
+    da = np.diff(a.values[ia])
+    db = np.diff(b.values[ib])
+    return -float(np.mean(da[:-1] * db[1:]))
 
 
 @dataclass(frozen=True)
@@ -369,7 +378,14 @@ def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorCo
     pair as ``M_kl = round(c sqrt(N_kl))``, clamped to ``[2, N_kl]``, with
     ``N_kl`` the common-grid size (ms/kernel) or pairwise refresh count (gms).
     """
-    cfg = config or EstimatorConfig()
+    return _estimate_matrix(data, method, config or EstimatorConfig(), None)
+
+
+def _estimate_matrix(
+    data: Sequence[TickSeries], method: str, cfg: EstimatorConfig, pair_grid: Callable[[int, int], SyncGrid] | None
+) -> CovEstimate:
+    """:func:`estimate_matrix`; ``pair_grid(k, l)``, if given, supplies the
+    pairwise refresh grid of 0-based components k and l for ``gms``."""
     p = len(data)
     if p < 1:
         raise ValueError("need at least one series")
@@ -398,7 +414,7 @@ def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorCo
             elif method == "hy":
                 val = hayashi_yoshida(a, b)
             else:
-                grid = pairwise_refresh(a.scheme, b.scheme)
+                grid = pair_grid(k, l) if pair_grid else pairwise_refresh(a.scheme, b.scheme)
                 N = len(grid) - 1
                 M = _ms_frequency(cfg.c, N)
                 info.update(M=M, c=float(cfg.c), kernel=cfg.kernel, refresh_count=N)

@@ -134,43 +134,66 @@ class SyncGrid:
         return np.array([s.times[i] for s, i in zip(self.source_schemes, self.prev_idx)])
 
 
-def _refresh_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Refresh times of two strictly increasing time arrays, as a merge.
+def _refresh_merge(
+    a: np.ndarray, b: np.ndarray, cuts_a: np.ndarray | None = None, cuts_b: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refresh times of two nonempty increasing time arrays, as a merge,
+    segment by segment.
 
-    tau_0 is the larger first tick; tau_i is the larger of the two first
-    ticks strictly after tau_{i-1}.  Over the union of the stamps after
-    tau_0, each labelled a-only, b-only or both, a refresh fires at every
-    "both" stamp, and at a single-label stamp whose label differs from the
-    previous stamp's when the previous stamp did not fire (tau_0 counts as
-    fired).  Inside a run of consecutive label changes the fire flag
-    therefore alternates, starting with "no" at the run's first stamp.
-    Fires after ``min(a[-1], b[-1])`` are dropped: from there on one array
-    has no tick at or after the candidate, so next-tick interpolation would
-    be undefined.
+    ``cuts_a`` and ``cuts_b`` (length K + 1, nondecreasing) split the arrays
+    into K segments ``a[cuts_a[j]:cuts_a[j+1]]`` and ``b[cuts_b[j]:cuts_b[j+1]]``;
+    by default each array is one segment.  Segment j of both arrays must lie
+    in one time window, below every stamp of segment j + 1 (bins of one
+    partition of time).  Returns the refresh times of all segments,
+    concatenated, and the K + 1 bounds of each segment's share.
+
+    Each segment is merged on its own: tau_0 is the larger first tick;
+    tau_i is the larger of the two first ticks strictly after tau_{i-1}.
+    Over the union of the stamps after tau_0, each labelled a-only, b-only
+    or both, a refresh fires at every "both" stamp, and at a single-label
+    stamp whose label differs from the previous stamp's when the previous
+    stamp did not fire (tau_0 counts as fired).  Inside a run of consecutive
+    label changes the fire flag therefore alternates, starting with "no" at
+    the run's first stamp; runs end at segment bounds.  Fires after
+    ``min(a[-1], b[-1])`` of the segment are dropped: from there on one
+    array has no tick at or after the candidate, so next-tick interpolation
+    would be undefined.  A segment with no tick in one array, or whose
+    tau_0 lies after that cut, has no refresh times.
     """
-    tau0 = max(a[0], b[0])
-    last = min(a[-1], b[-1])
-    if tau0 > last:
-        return np.empty(0)
-    a = a[np.searchsorted(a, tau0, side="right") :]
-    b = b[np.searchsorted(b, tau0, side="right") :]
-    stamps = np.concatenate([a, b])
+    if cuts_a is None or cuts_b is None:
+        cuts_a, cuts_b = np.array([0, a.size]), np.array([0, b.size])
+    lo_a, hi_a, lo_b, hi_b = cuts_a[:-1], cuts_a[1:], cuts_b[:-1], cuts_b[1:]
+    # first and last ticks per segment; an empty segment reads a neighbour's and is dead
+    tau0 = np.maximum(a[np.minimum(lo_a, a.size - 1)], b[np.minimum(lo_b, b.size - 1)])
+    last = np.minimum(a[hi_a - 1], b[hi_b - 1])
+    live = (hi_a > lo_a) & (hi_b > lo_b) & (tau0 <= last)
+    tau0[~live] = np.inf  # a dead segment keeps no stamp
+    seg_a = np.repeat(np.arange(live.size), hi_a - lo_a)
+    seg_b = np.repeat(np.arange(live.size), hi_b - lo_b)
+    a, b = a[lo_a[0] : hi_a[-1]], b[lo_b[0] : hi_b[-1]]
+    keep_a, keep_b = a > tau0[seg_a], b > tau0[seg_b]
+    stamps = np.concatenate([a[keep_a], b[keep_b]])
     order = np.argsort(stamps, kind="stable")  # linear: two sorted runs
     stamps = stamps[order]
-    label = np.where(order < a.size, 1, 2)  # 1 = a, 2 = b, 3 = both
+    seg = np.concatenate([seg_a[keep_a], seg_b[keep_b]])[order]
+    label = np.where(order < np.count_nonzero(keep_a), 1, 2)  # 1 = a, 2 = b, 3 = both
     first = np.ones(stamps.size, dtype=bool)
     first[1:] = stamps[1:] != stamps[:-1]  # a stamp occurs at most twice
-    label = np.bitwise_or.reduceat(label, np.flatnonzero(first))
-    stamps = stamps[first]
+    if stamps.size:
+        label = np.bitwise_or.reduceat(label, np.flatnonzero(first))
+    stamps, seg = stamps[first], seg[first]
 
-    single = label != 3
+    # a label change: a-only next to b-only, in one segment
     change = np.zeros(stamps.size, dtype=bool)
-    change[1:] = single[1:] & single[:-1] & (label[1:] != label[:-1])
+    change[1:] = (label[1:] + label[:-1] == 3) & (seg[1:] == seg[:-1])
     pos = np.arange(stamps.size)
     run_start = np.maximum.accumulate(np.where(change, 0, pos))
-    fires = stamps[~single | (change & ((pos - run_start) % 2 == 1))]
-    fires = fires[: np.searchsorted(fires, last, side="right")]
-    return np.concatenate([[tau0], fires])
+    fire = ((label == 3) | (change & ((pos - run_start) % 2 == 1))) & (stamps <= last[seg])
+    # tau_0 first in each segment: a stable sort on the segment keeps it there
+    seg = np.concatenate([np.flatnonzero(live), seg[fire]])
+    order = np.argsort(seg, kind="stable")
+    refresh = np.concatenate([tau0[live], stamps[fire]])[order]
+    return refresh, np.searchsorted(seg[order], np.arange(live.size + 1))
 
 
 def _index_maps(times: Sequence[np.ndarray], refresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +221,7 @@ def pairwise_refresh(scheme_a: SamplingScheme, scheme_b: SamplingScheme) -> Sync
     """
     if scheme_a.horizon != scheme_b.horizon:
         raise ValueError("schemes must share the horizon")
-    refresh = _refresh_merge(scheme_a.times, scheme_b.times)
+    refresh, _ = _refresh_merge(scheme_a.times, scheme_b.times)
     if refresh.size == 0:
         raise ValueError("schemes produce no refresh times (disjoint tick ranges)")
     nxt, prv = _index_maps([scheme_a.times, scheme_b.times], refresh)
@@ -214,7 +237,7 @@ def global_refresh(grid_ab: SyncGrid, grid_cd: SyncGrid) -> SyncGrid:
     """
     if grid_ab.horizon != grid_cd.horizon:
         raise ValueError("grids must share the horizon")
-    refresh = _refresh_merge(grid_ab.refresh_times, grid_cd.refresh_times)
+    refresh, _ = _refresh_merge(grid_ab.refresh_times, grid_cd.refresh_times)
     if refresh.size == 0:
         raise ValueError("pairwise grids produce no common refresh times")
     schemes = grid_ab.source_schemes + grid_cd.source_schemes

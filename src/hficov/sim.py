@@ -279,18 +279,23 @@ def observe(
         raise ValueError(f"need one scheme per component ({p})")
     if noise is not None and noise.H.shape != (p, p):
         raise ValueError(f"noise H has shape {noise.H.shape}, but the paths need ({p}, {p})")
-    snapped: list[SamplingScheme] = []
-    indices: list[np.ndarray] = []
-    for sch in schemes:
-        s2, idx = _snap_scheme(sch, paths.times)
-        snapped.append(s2)
-        indices.append(idx)
-    values = [paths.x[l][indices[l]] for l in range(p)]
+    return _observe_snapped(paths, [_snap_scheme(sch, paths.times) for sch in schemes], noise, rng)
+
+
+def _observe_snapped(
+    paths: SimulatedPaths,
+    snapped: Sequence[tuple[SamplingScheme, np.ndarray]],
+    noise: NoiseConfig | None,
+    rng: np.random.Generator,
+) -> list[TickSeries]:
+    """:func:`observe` of schemes that :func:`_snap_scheme` snapped onto
+    ``paths.times``.  Scenarios whose schemes and grid are fixed snap them
+    once and observe every replicate through here."""
+    schemes = [sch for sch, _ in snapped]
+    values = [x[idx] for x, (_, idx) in zip(paths.x, snapped)]
     if noise is not None and not noise.silent:
-        eps = _draw_noise(snapped, noise, rng)
-        for l in range(p):
-            values[l] = values[l] + eps[l]
-    return [TickSeries(snapped[l], values[l]) for l in range(p)]
+        values = [v + e for v, e in zip(values, _draw_noise(schemes, noise, rng))]
+    return [TickSeries(sch, v) for sch, v in zip(schemes, values)]
 
 
 def _draw_noise(schemes: Sequence[SamplingScheme], noise: NoiseConfig, rng: np.random.Generator) -> list[np.ndarray]:
@@ -430,9 +435,10 @@ def scenario_rc_clt(replicates: int = 2000, seed: int = 20260808, n: int = 5000)
     est = np.empty((replicates, q))
     hit = np.zeros((replicates, q), dtype=bool)
     zcrit = 1.959963984540054
+    snapped = [_snap_scheme(SamplingScheme(times, T), times)] * p
     def one(i, rng):
         paths = simulate_paths(model, rng, times=times)
-        data = observe(paths, [SamplingScheme(times, T)] * p, None, rng)
+        data = _observe_snapped(paths, snapped, None, rng)
         est[i] = estimate_matrix(data, "rc").svec
         av = np.diag(acov_matrix_hat(data, "rc").entries)
         hit[i] = np.abs(est[i] - truth) <= zcrit * np.sqrt(np.maximum(av, 0.0) / n)
@@ -468,7 +474,7 @@ def scenario_ms_kernel_equivalence(replicates: int = 200, seed: int = 20260808, 
     model = ItoModelConfig(p=2, T=T, sigma_const=sig)
     noise = NoiseConfig(H)
     times = np.linspace(0.0, T, n + 1)
-    schemes = [SamplingScheme(times, T)] * 2
+    snapped = [_snap_scheme(SamplingScheme(times, T), times)] * 2
     M = _ms_frequency(1.0, n)
     w = cubic_weights(M)
     kern = builtin_kernel("cubic")
@@ -478,7 +484,7 @@ def scenario_ms_kernel_equivalence(replicates: int = 200, seed: int = 20260808, 
     raw_gap = np.empty(replicates)
     def one(i, rng):
         paths = simulate_paths(model, rng, times=times)
-        data = observe(paths, schemes, noise, rng)
+        data = _observe_snapped(paths, snapped, noise, rng)
         a, b = data
         ms_raw = multiscale(a, b, w)
         k_raw = kernel_estimator(a, b, kern, M)
@@ -518,9 +524,10 @@ def _rate_study(kind: str, replicates: int, seed: int, ns: Sequence[int]) -> dic
         grid = pairwise_refresh(schemes[0], schemes[1])
         N = len(grid) - 1
         w = end_effect_adjust(cubic_weights(_ms_frequency(1.0, N)), N)
+        snapped = [_snap_scheme(sch, union) for sch in schemes]
         def one(i, rng):
             paths = simulate_paths(model, rng, times=union)
-            data = observe(paths, schemes, noise, rng)
+            data = _observe_snapped(paths, snapped, noise, rng)
             if kind == "hy":
                 v = hayashi_yoshida(data[0], data[1])
             else:
@@ -574,9 +581,10 @@ def scenario_hy_acov(replicates: int = 1000, seed: int = 20260808, n: int = 1200
     theo = acov_theory(inputs, "hy", ((1, 2), (3, 4)))
     est12 = np.empty(replicates)
     est34 = np.empty(replicates)
+    snapped = [_snap_scheme(sch, union) for sch in schemes]
     def one(i, rng):
         paths = simulate_paths(model, rng, times=union)
-        data = observe(paths, schemes, None, rng)
+        data = _observe_snapped(paths, snapped, None, rng)
         est12[i] = hayashi_yoshida(data[0], data[1])
         est34[i] = hayashi_yoshida(data[2], data[3])
 
@@ -611,10 +619,11 @@ def scenario_gms_acov_async(replicates: int = 2000, seed: int = 20260808, n: int
     est12 = np.empty(replicates)
     est34 = np.empty(replicates)
     data_first: dict = {}
+    snapped = [_snap_scheme(sch, union) for sch in schemes]
 
     def one(i, rng):
         paths = simulate_paths(model, rng, times=union)
-        data = observe(paths, schemes, noise, rng)
+        data = _observe_snapped(paths, snapped, noise, rng)
         if i == 0:
             data_first[0] = data
         est12[i] = generalized_multiscale(data[0], data[1], w12, grid=g12)

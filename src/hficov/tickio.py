@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -101,9 +102,22 @@ def _plain_commas(data: bytes) -> int | None:
         or [h.strip() for h in data[:end].split(b",")] != [h.encode() for h in _HEADER]
         or data.translate(None, _PLAIN)
         or any(blank in data for blank in _BLANK_LINES)
+        or _has_long_field(data)
     ):
         return None
     return data.count(b",")
+
+
+def _has_long_field(data: bytes) -> bool:
+    """Whether a field of a plain file is longer than ``csv.field_size_limit()``,
+    which the row parser rejects."""
+    limit = csv.field_size_limit()
+    # such a field covers a whole aligned block of `step` bytes, so only a
+    # block without a comma and a line end needs the exact search
+    step = (limit + 1) // 2
+    if all(data.find(b",", i, i + step) >= 0 or data.find(b"\n", i, i + step) >= 0 for i in range(0, len(data), step)):
+        return False
+    return re.search(rb"[^,\r\n]{%d}" % (limit + 1), data) is not None
 
 
 def _parse_rows(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:
@@ -112,7 +126,7 @@ def _parse_rows(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarra
     times: dict[str, list[float]] = {}
     prices: dict[str, list[float]] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -141,6 +155,17 @@ def _parse_rows(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarra
     if not times:
         raise TickFileError(f"{path}: no records")
     return list(times), [np.asarray(t) for t in times.values()], [np.asarray(v) for v in prices.values()]
+
+
+def _csv_rows(fh, path: Path):
+    """The rows of ``csv.reader(fh)``; a fault it finds (such as a field
+    over ``csv.field_size_limit()``) is raised as a line-numbered
+    :class:`TickFileError`."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TickFileError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def write_ticks(path: str | Path, ids: Sequence[str], series: Sequence[TickSeries]) -> None:

@@ -20,6 +20,7 @@ throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -370,10 +371,9 @@ class SyncOverlap:
         )
 
 
-def _shared_step(a: SamplingScheme, b: SamplingScheme, N: int) -> StepFunction:
-    shared = np.intersect1d(a.times, b.times)
+def _shared_step(shared: np.ndarray, horizon: float, N: int) -> StepFunction:
     if shared.size == 0:
-        return StepFunction(np.array([a.horizon]), np.array([0.0]))
+        return StepFunction(np.array([horizon]), np.array([0.0]))
     return _cum_step(shared, np.full(shared.size, 1.0 / N))
 
 
@@ -440,19 +440,21 @@ def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:
     """
     if len(glob.source_schemes) != 4 or len(glob.pair_grids) != 2:
         raise ValueError("sync_overlap requires a 4-scheme global refresh grid")
-    s1, s2, s3, s4 = glob.source_schemes
+    s1, s2, s3, s4 = (s.times for s in glob.source_schemes)
+    shared = [np.intersect1d(x, y) for x, y in ((s1, s3), (s1, s4), (s2, s3), (s2, s4))]
+    return _sync_overlap(glob, m_12, m_34, shared)
+
+
+def _sync_overlap(glob: SyncGrid, m_12: int, m_34: int, shared: Sequence[np.ndarray]) -> SyncOverlap:
+    """:func:`sync_overlap` with the shared timestamps of source schemes
+    (1, 3), (1, 4), (2, 3) and (2, 4) given, in that order."""
     grid_12, grid_34 = glob.pair_grids
     N = len(glob) - 1  # refresh increment count, as elsewhere
     M = min(m_12, m_34)
     if M < 1:
         raise ValueError("multi-scale frequencies must be >= 1")
 
-    step = {
-        "13": _shared_step(s1, s3, N),
-        "14": _shared_step(s1, s4, N),
-        "23": _shared_step(s2, s3, N),
-        "24": _shared_step(s2, s4, N),
-    }
+    s_13, s_14, s_23, s_24 = (_shared_step(x, glob.horizon, N) for x in shared)
 
     tp = grid_12.next_times, grid_34.next_times
     tm = grid_12.prev_times, grid_34.prev_times
@@ -492,10 +494,10 @@ def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:
     )
 
     return SyncOverlap(
-        s_13=step["13"],
-        s_14=step["14"],
-        s_23=step["23"],
-        s_24=step["24"],
+        s_13=s_13,
+        s_14=s_14,
+        s_23=s_23,
+        s_24=s_24,
         s_hat_13_24=float(hat_13_24),
         s_hat_14_23=float(hat_14_23),
         s_tilde_13_24=float(tilde_13_24),

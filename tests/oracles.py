@@ -3,10 +3,11 @@
 Most of what is here is written as plain loops from the defining formulas,
 on purpose sharing no code with the package implementations (no prefix
 sums, no convolutions, no vectorization).  The test suite pins the fast
-implementations against these to 1e-12 relative error.  Two oracles are
+implementations against these to 1e-12 relative error.  Four oracles are
 simpler forms of the same computation instead, pinned bit for bit: the
-one-pair-at-a-time synchronous estimator loop and the row-by-row tick-file
-loader.  The shared stochastic-variance test model lives here too.
+one-pair-at-a-time synchronous estimator loop, the row-by-row tick-file
+loader and the refresh merge of one pair, alone and looped over segments.
+The shared stochastic-variance test model lives here too.
 """
 
 from __future__ import annotations
@@ -432,3 +433,47 @@ def load_ticks_oracle(path):
         raise TickFileError(f"{path}: no records")
     return ids, [times[a] for a in ids], [prices[a] for a in ids]
 
+
+def refresh_merge_oracle(a, b):
+    """Refresh times of two nonempty increasing time arrays as one merge:
+    ``sampling._refresh_merge`` as it was before it took segments."""
+    import numpy as np
+
+    tau0 = max(a[0], b[0])
+    last = min(a[-1], b[-1])
+    if tau0 > last:
+        return np.empty(0)
+    a = a[np.searchsorted(a, tau0, side="right") :]
+    b = b[np.searchsorted(b, tau0, side="right") :]
+    stamps = np.concatenate([a, b])
+    order = np.argsort(stamps, kind="stable")
+    stamps = stamps[order]
+    label = np.where(order < a.size, 1, 2)
+    first = np.ones(stamps.size, dtype=bool)
+    first[1:] = stamps[1:] != stamps[:-1]
+    label = np.bitwise_or.reduceat(label, np.flatnonzero(first))
+    stamps = stamps[first]
+
+    single = label != 3
+    change = np.zeros(stamps.size, dtype=bool)
+    change[1:] = single[1:] & single[:-1] & (label[1:] != label[:-1])
+    pos = np.arange(stamps.size)
+    run_start = np.maximum.accumulate(np.where(change, 0, pos))
+    fires = stamps[~single | (change & ((pos - run_start) % 2 == 1))]
+    fires = fires[: np.searchsorted(fires, last, side="right")]
+    return np.concatenate([[tau0], fires])
+
+
+def segmented_merge_oracle(a, b, cuts_a, cuts_b):
+    """``sampling._refresh_merge(a, b, cuts_a, cuts_b)`` as a loop of
+    one-segment merges: ``(times, bounds)``, each segment's refresh times in
+    turn, none for a segment with no tick in one array."""
+    import numpy as np
+
+    from hficov.sampling import _refresh_merge
+
+    parts = []
+    for j in range(len(cuts_a) - 1):
+        seg_a, seg_b = a[cuts_a[j] : cuts_a[j + 1]], b[cuts_b[j] : cuts_b[j + 1]]
+        parts.append(_refresh_merge(seg_a, seg_b)[0] if seg_a.size and seg_b.size else np.empty(0))
+    return np.concatenate(parts), np.cumsum([0] + [x.size for x in parts])

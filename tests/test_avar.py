@@ -1,11 +1,15 @@
+import collections
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hficov.avar as avar_module
+import hficov.estimators as estimators_module
 from hficov.avar import (
     AcovMatrix,
     GmsAcovConfig,
@@ -33,6 +37,7 @@ from hficov.estimators import (
     svec_pairs,
     svec_unpack,
 )
+from hficov.citest import ci_test
 from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
@@ -490,6 +495,22 @@ def test_binned_bracket_equals_sliced_reference(case):
     assert np.array_equal(got, sliced_binned_bracket(a, b, edges, weights_for))
 
 
+@settings(max_examples=200)
+@given(binned_pair(), st.sampled_from([1, 8, 40]))
+def test_binned_bracket_in_small_groups_equals_sliced_reference(case, group_slots):
+    # brackets longer than _GROUP_SLOTS skeleton slots (a full trading day)
+    # form their differences group by group; tiny groups take that path here
+    a, b, edges, m_bin, kernel = case
+    cfg = EstimatorConfig(kernel=kernel)
+
+    def weights_for(n_bin):
+        return cfg.weights(max(2, min(m_bin, n_bin))) if n_bin >= 2 else None
+
+    with mock.patch.object(avar_module, "_GROUP_SLOTS", group_slots):
+        got = _binned_bracket(a, b, edges, cfg.weights(m_bin), cfg)
+    assert np.array_equal(got, sliced_binned_bracket(a, b, edges, weights_for))
+
+
 @settings(max_examples=300)
 @given(
     st.integers(3, 40).flatmap(
@@ -582,6 +603,47 @@ def test_acov_matrix_hat_gms_equals_entrywise_reference(p, sampling, kernel, bin
     ent, n_ref = entrywise_acov_gms(data, cfg)
     assert np.array_equal(am.entries, ent)
     assert am.n_ref == n_ref
+
+
+def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
+    # a bracket is one refresh merge and one set of index maps, whatever its
+    # bin count, and one acov_matrix_hat or ci_test call builds each
+    # pairwise refresh grid once
+    rng = np.random.default_rng(44)
+    data = []
+    for _ in range(4):  # shared stamps, as in the "shared" case above
+        t = np.unique(np.round(rng.uniform(0, 1, 240) * 960)) / 960
+        data.append(series(t, 0.01 * rng.standard_normal(t.size).cumsum() + 5e-4 * rng.standard_normal(t.size)))
+    calls = collections.Counter()
+
+    def counted(module, name, key=None):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key(*args) if key else name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(avar_module, "_refresh_merge")
+    counted(avar_module, "_index_maps")
+    cfg = EstimatorConfig()
+    for bins in (1, 2, 7, 30):
+        calls.clear()
+        out = _binned_bracket(data[0], data[1], np.linspace(0.0, 1.0, bins + 1), cfg.weights(4), cfg)
+        assert np.count_nonzero(out) > bins // 2  # most bins are estimated
+        assert calls == {"_refresh_merge": 1, "_index_maps": 1}
+
+    for module in (avar_module, estimators_module):
+        counted(module, "pairwise_refresh", key=lambda a, b: (id(a), id(b)))
+    calls.clear()
+    acov_matrix_hat(data, "gms")
+    grids = {k: v for k, v in calls.items() if isinstance(k, tuple)}
+    assert len(grids) == 10 and set(grids.values()) == {1}
+    calls.clear()
+    ci_test(data[0], data[1], data[2], method="gms")
+    grids = {k: v for k, v in calls.items() if isinstance(k, tuple)}
+    assert len(grids) == 6 and set(grids.values()) == {1}
 
 
 # ---------------------------------------------------------------------

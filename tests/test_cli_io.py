@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -153,6 +154,26 @@ def test_load_ticks_horizon_errors_name_file_and_asset(tmp_path, text, horizon, 
     with pytest.raises(TickFileError) as exc:
         load_ticks(p, horizon=horizon)
     assert str(exc.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("blank", ["", "\n"], ids=["columns", "rows"])  # a blank line needs the row parser
+@pytest.mark.parametrize("field", ["asset", "timestamp"])
+def test_load_ticks_field_over_csv_limit_fails_with_line(tmp_path, capsys, blank, field):
+    # both parsers read a field of exactly csv.field_size_limit() characters
+    # and reject a longer one with its line number
+    limit = csv.field_size_limit()
+    for n in (limit, limit + 1):
+        row = f"{'B' * n},0.5,1.0\n" if field == "asset" else f"B,{'0.5'.rjust(n)},1.0\n"
+        p = write(tmp_path, HEADER + "A,0.0,0.1\nA,1.0,0.2\n" + row + blank + "A,2.0,0.3\n")
+        if n == limit:
+            ids, series = load_ticks(p)
+            assert len(ids) == 2 and series[1].scheme.times.tolist() == [0.5]
+            continue
+        with pytest.raises(TickFileError) as exc:
+            load_ticks(p)
+        assert str(exc.value) == f"{p}:4: field larger than field limit ({limit})"
+        assert main(["estimate", "--input", str(p), "--method", "hy"]) == 1
+        assert f"{p}:4: field larger" in capsys.readouterr().err
 
 
 # tokens float() reads as finite values, and tokens it may not

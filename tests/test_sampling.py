@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hficov.sampling import (
     InterpolationError,
     SamplingScheme,
     _index_maps,
+    _refresh_merge,
     global_refresh,
     pairwise_refresh,
     tick_interpolation,
 )
 
-from oracles import refresh_oracle
+from oracles import refresh_merge_oracle, refresh_oracle, segmented_merge_oracle
 
 
 def sch(*times, T=1.0):
@@ -148,6 +149,72 @@ def test_global_refresh_equals_oracle_twice(pair_ab, pair_cd):
             global_refresh(g_ab, g_cd)
         return
     assert np.array_equal(global_refresh(g_ab, g_cd).refresh_times, np.array(expect))
+
+
+@given(coarse_pair())
+def test_refresh_merge_one_segment_equals_pair_merge(pair):
+    a, b = (s.times for s in pair)
+    times, bounds = _refresh_merge(a, b)
+    assert np.array_equal(times, refresh_merge_oracle(a, b))
+    assert bounds.tolist() == [0, times.size]
+
+
+def _cut(a, b, cuts):
+    """The segments ``(c_j, c_{j+1}]`` of both arrays as index cuts."""
+    return np.searchsorted(a, cuts, side="right"), np.searchsorted(b, cuts, side="right")
+
+
+@st.composite
+def segmented_pair(draw):
+    """Two nonempty arrays on a coarse grid k/g and up to 8 segment cuts on a
+    grid twice as fine, so cuts fall on shared stamps and between stamps.
+    Repeated cuts give empty segments, sparse arrays give segments with
+    fewer than 3 ticks or none of one array, and dense ones give runs of
+    label changes across cuts."""
+    g = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # "interleaved": a on even and b on odd grid points, so long runs of
+    # label changes meet the cuts
+    parity = (0, 1) if draw(st.booleans()) else (None, None)
+
+    def ticks(par):
+        k = np.flatnonzero(rng.random(g + 1) < draw(st.sampled_from([0.15, 0.5, 0.9])))
+        k = k[k % 2 == par] if par is not None else k
+        return (k if k.size else np.array([draw(st.integers(0, g))])) / g
+
+    a, b = ticks(parity[0]), ticks(parity[1])
+    cuts = np.array(sorted(draw(st.lists(st.integers(-1, 2 * g), min_size=2, max_size=9)))) / (2 * g)
+    return a, b, *_cut(a, b, cuts)
+
+
+_A, _B = np.array([0.1, 0.4, 0.5, 0.9]), np.array([0.2, 0.4, 0.9, 1.0])
+
+
+# a run of label changes across the cut at 0.55: three stamps after the
+# first tau_0, then 0.8 (b) after 0.5 (a); 0.8 fires only if the run goes on
+@example((np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.98]), np.array([0.2, 0.4, 0.6, 0.8, 0.95, 1.0]),
+          np.array([0, 3, 6]), np.array([0, 2, 6])))
+# a stamp shared at the cut 0.4, an empty segment, a segment with no tick
+# of b and a segment whose merge is empty after tau_0 = 0.9
+@example((_A, _B, *_cut(_A, _B, np.array([0.0, 0.4, 0.4, 0.5, 1.0]))))
+@settings(max_examples=300)
+@given(segmented_pair())
+def test_segmented_refresh_merge_equals_loop_of_merges(case):
+    a, b, cuts_a, cuts_b = case
+    times, bounds = _refresh_merge(a, b, cuts_a, cuts_b)
+    expect_times, expect_bounds = segmented_merge_oracle(a, b, cuts_a, cuts_b)
+    assert np.array_equal(times, expect_times)
+    assert np.array_equal(bounds, expect_bounds)
+
+
+def test_segmented_refresh_merge_hand_case():
+    # one segment: 0.4 and 0.6 fire inside the run of label changes after
+    # tau_0 = 0.2, and 0.8 lies past min(0.7, 0.8); cut at 0.45, each half
+    # has its own tau_0 (0.2, 0.6) and its own last tick (0.3, 0.7)
+    a, b = np.array([0.1, 0.3, 0.5, 0.7]), np.array([0.2, 0.4, 0.6, 0.8])
+    assert _refresh_merge(a, b)[0].tolist() == [0.2, 0.4, 0.6]
+    times, bounds = _refresh_merge(a, b, np.array([0, 2, 4]), np.array([0, 2, 4]))
+    assert times.tolist() == [0.2, 0.6] and bounds.tolist() == [0, 1, 2]
 
 
 def test_refresh_count_bounded_by_min_scheme_size():
