@@ -39,7 +39,7 @@ from .estimators import (
     _ms_frequency,
     _noise_covariance,
     _noise_variance,
-    _same_times,
+    _sync_increments,
     end_effect_adjust,
     svec_index,
     svec_pairs,
@@ -383,19 +383,17 @@ def acov_rc_hat(data: Sequence[TickSeries], pairs) -> float:
     every horizon.
     """
     _pair_components(pairs, len(data))
-    return float(_rc_acov(data, pairs)[0, 1])
+    return float(_acov_entries(data, "rc", pairs, None)[0][0, 1])
 
 
-def _rc_acov(data: Sequence[TickSeries], pairs) -> np.ndarray:
-    """:func:`acov_rc_hat` for every two of the 1-based ``pairs``.  With
-    ``u = d[:, :-1]``, ``v = d[:, 1:]`` the increments, ``S[a, b, c, e] =
+def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
+    """:func:`acov_rc_hat` for every two of the 1-based ``pairs``, from the
+    (p, n) increment matrix ``d`` of :func:`_sync_increments`.  With
+    ``u = d[:, :-1]``, ``v = d[:, 1:]``, ``S[a, b, c, e] =
     sum_i u_a u_b v_c v_e`` takes one Gram product per component pair a <= b;
     entry ``((k, l), (r, q))`` is ``n (S[k, r, l, q] + (S[l, r, k, q] +
     S[k, q, l, r]) / 2)``.  Memory O(p n + p^4); exactly symmetric.
     """
-    if not _same_times([s.scheme for s in data]):
-        raise ValueError("the rc asymptotic covariance requires synchronous schemes")
-    d = np.array([s.increments() for s in data])
     p, n = d.shape
     u, v = d[:, :-1], d[:, 1:]
     S = np.empty((p, p, p, p))
@@ -755,15 +753,23 @@ def acov_matrix_hat(
 
 
 def _acov_entries(
-    data: Sequence[TickSeries], method: str, pairs, config, plan: _AcovPlan | None = None
+    data: Sequence[TickSeries],
+    method: str,
+    pairs,
+    config,
+    plan: _AcovPlan | None = None,
+    incs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str, float]:
     """Entries of :func:`acov_matrix_hat` among the 1-based ``pairs`` (k <= l),
-    in their order, with the rate and n_ref.  The gms entries share one
-    :class:`_AcovPlan` (``plan``, or a new one for ``config``); each is
-    evaluated with its pairs in svec order, since the noise-slot estimates
-    of :func:`acov_gms_hat` depend on the pair order."""
+    in their order, with the rate and n_ref.  The rc entries come from
+    ``incs``, the :func:`_sync_increments` of ``data``, or a new one.  The
+    gms entries share one :class:`_AcovPlan` (``plan``, or a new one for
+    ``config``); each is evaluated with its pairs in svec order, since the
+    noise-slot estimates of :func:`acov_gms_hat` depend on the pair order."""
     if method == "rc":
-        return _rc_acov(data, pairs), "sqrt_n", float(data[0].n_increments)
+        if incs is None:
+            incs = _sync_increments(data, "the rc asymptotic covariance requires synchronous schemes")
+        return _rc_acov(incs, pairs), "sqrt_n", float(incs.shape[1])
     if method not in ("ms", "kernel", "gms"):
         raise ValueError(f"no data-driven asymptotic covariance estimator for method {method!r}")
     plan = plan or _AcovPlan(data, config)

@@ -16,13 +16,14 @@ asymptotically standard normal, distribution-free test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .avar import _AcovPlan, _acov_entries, _rate_sq
-from .estimators import EstimatorConfig, TickSeries, _estimate_matrix
+from .estimators import EstimatorConfig, TickSeries, _estimate_matrix, _sync_increments
 
 __all__ = ["CiTestResult", "ci_statistic", "ci_avar", "ci_test"]
 
@@ -106,17 +107,23 @@ def ci_test(
     scale (the rate factors cancel between numerator and denominator), and
     reports a two-sided normal p-value.  ``hy`` raises ``ValueError``: there
     is no data-driven asymptotic covariance estimator for the overlap
-    estimator.
+    estimator.  So does passing one series object as two of the arguments,
+    which makes the statistic meaningless.
     """
     cfg = config or EstimatorConfig()
     data = [x1, x2, z]
-    # the gms estimates and acov entries share one plan's pairwise grids
+    for (na, a), (nb, b) in itertools.combinations(zip(("x1", "x2", "z"), data), 2):
+        if a is b:
+            raise ValueError(f"{na} and {nb} are the same series; the test needs three distinct series")
+    # the estimates and acov entries share one plan's pairwise grids (gms)
+    # or one increment matrix (rc)
     plan = _AcovPlan(data, cfg) if method == "gms" else None
-    m = _estimate_matrix(data, method, cfg, plan.grid if plan else None).matrix
+    incs = _sync_increments(data, "method 'rc' requires synchronous schemes; use 'gms'") if method == "rc" else None
+    m = _estimate_matrix(data, method, cfg, plan.grid if plan else None, incs).matrix
     # bracket order: b1 = [X1,Z], b2 = [X2,Z], b3 = [X1,X2], b4 = [Z]
     brackets = (m[0, 2], m[1, 2], m[0, 1], m[2, 2])
 
-    entries, rate, n_ref = _acov_entries(data, method, [(1, 3), (2, 3), (1, 2), (3, 3)], cfg, plan)
+    entries, rate, n_ref = _acov_entries(data, method, [(1, 3), (2, 3), (1, 2), (3, 3)], cfg, plan, incs)
     C = entries / _rate_sq(rate, n_ref)
 
     t_hat = ci_statistic(*brackets)

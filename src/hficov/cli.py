@@ -151,7 +151,12 @@ def _cmd_citest(args) -> int:
     for name in (args.x1, args.x2, args.z):
         if name not in table:
             raise ValueError(f"asset {name!r} not in input (have {ids})")
-    res = ci_test(table[args.x1], table[args.x2], table[args.z], method=args.method, config=_config_from(args))
+    cfg = _config_from(args)
+    try:
+        res = ci_test(table[args.x1], table[args.x2], table[args.z], method=args.method, config=cfg)
+    except ValueError as exc:
+        # ci_test names its arguments; the user knows them as assets
+        raise ValueError(f"citest x1={args.x1!r} x2={args.x2!r} z={args.z!r}: {exc}") from exc
     rep = RunReport(
         command="citest",
         config=vars(args).copy(),

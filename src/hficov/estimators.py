@@ -83,6 +83,16 @@ def _same_times(schemes: Sequence[SamplingScheme]) -> bool:
     return all(np.array_equal(s.times, schemes[0].times) for s in schemes[1:])
 
 
+def _sync_increments(data: Sequence[TickSeries], error: str) -> np.ndarray:
+    """Increments of synchronous series as one (p, n) array, after one
+    synchronicity check that raises ``ValueError(error)``.  Row k has the
+    bits of ``data[k].increments()``; the rc estimates and the rc acov
+    entries of one call share it."""
+    if not _same_times([s.scheme for s in data]):
+        raise ValueError(error)
+    return np.array([s.increments() for s in data])
+
+
 def _require_synchronous(a: TickSeries, b: TickSeries, who: str) -> None:
     if not _same_times((a.scheme, b.scheme)):
         raise ValueError(f"{who} requires synchronous schemes; use hayashi_yoshida or generalized_multiscale")
@@ -382,19 +392,29 @@ def estimate_matrix(data: Sequence[TickSeries], method: str, config: EstimatorCo
 
 
 def _estimate_matrix(
-    data: Sequence[TickSeries], method: str, cfg: EstimatorConfig, pair_grid: Callable[[int, int], SyncGrid] | None
+    data: Sequence[TickSeries],
+    method: str,
+    cfg: EstimatorConfig,
+    pair_grid: Callable[[int, int], SyncGrid] | None,
+    incs: np.ndarray | None = None,
 ) -> CovEstimate:
     """:func:`estimate_matrix`; ``pair_grid(k, l)``, if given, supplies the
-    pairwise refresh grid of 0-based components k and l for ``gms``."""
+    pairwise refresh grid of 0-based components k and l for ``gms``, and
+    ``incs``, if given, the :func:`_sync_increments` of ``data`` for ``rc``."""
     p = len(data)
     if p < 1:
         raise ValueError("need at least one series")
     if method not in ("rc", "ms", "kernel", "hy", "gms"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("rc", "ms", "kernel") and not _same_times([s.scheme for s in data]):
-        raise ValueError(f"method {method!r} requires synchronous schemes; use 'hy' or 'gms'")
+    sync_error = f"method {method!r} requires synchronous schemes; use 'hy' or 'gms'"
+    if method in ("ms", "kernel") and not _same_times([s.scheme for s in data]):
+        raise ValueError(sync_error)
     pairs = [(k, l) for k in range(p) for l in range(k, p)]
-    if method in ("ms", "kernel"):
+    if method == "rc":
+        d = _sync_increments(data, sync_error) if incs is None else incs
+        vals = [float(np.dot(d[k], d[l])) for k, l in pairs]  # one dot per pair: the bits of realized_cov
+        infos = [{"method": method} for _ in pairs]
+    elif method in ("ms", "kernel"):
         n = data[0].n_increments
         M = _ms_frequency(cfg.c, n)
         values = [s.values for s in data]
@@ -409,9 +429,7 @@ def _estimate_matrix(
         for k, l in pairs:
             a, b = data[k], data[l]
             info: dict = {"method": method}
-            if method == "rc":
-                val = realized_cov(a, b)
-            elif method == "hy":
+            if method == "hy":
                 val = hayashi_yoshida(a, b)
             else:
                 grid = pair_grid(k, l) if pair_grid else pairwise_refresh(a.scheme, b.scheme)

@@ -17,6 +17,7 @@ conventions across kernels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -71,6 +72,15 @@ class KernelFunction:
         for label, err, tol in checks:
             if abs(err) > tol:
                 raise ValueError(f"kernel {self.name!r} violates {label} (off by {err:.2e})")
+
+    @functools.cached_property
+    def _meets_side_conditions(self) -> bool:
+        """Whether ``h = K''`` satisfies ``int_0^1 x h(x) dx = 1`` and
+        ``int_0^1 h(x) dx = 0`` to 1e-6 (Simpson on 2001 points); evaluated
+        once per instance."""
+        x = np.linspace(0.0, 1.0, 2001)
+        hx = np.array([self.k2(v) for v in x])
+        return not (abs(_simpson(x * hx, x) - 1.0) > 1e-6 or abs(_simpson(hx, x)) > 1e-6)
 
 
 def _fd1(f: Callable[[float], float], h: float = _FD_STEP) -> Callable[[float], float]:
@@ -136,17 +146,23 @@ def builtin_kernel(name: str, r: int = 1) -> KernelFunction:
     """Return a built-in kernel: ``cubic``, ``parzen`` or ``tukey_hanning``.
 
     ``tukey_hanning`` takes the order ``r`` (also parsed from names like
-    ``"th2"`` or ``"tukey_hanning(2)"``).
+    ``"th2"`` or ``"tukey_hanning(2)"``).  Each kernel is one instance, so
+    its side-condition check in :func:`weights_from_kernel` runs once.
     """
     key = name.strip().lower()
-    if key == "cubic":
-        return _cubic()
-    if key == "parzen":
-        return _parzen()
     if key.startswith("tukey_hanning") or key.startswith("th"):
         inner = key.removeprefix("tukey_hanning").removeprefix("th").strip("()_ ")
-        return _tukey_hanning(int(inner) if inner else r)
-    raise ValueError(f"unknown kernel {name!r}")
+        return _builtin_instance("tukey_hanning", int(inner) if inner else r)
+    if key not in ("cubic", "parzen"):
+        raise ValueError(f"unknown kernel {name!r}")
+    return _builtin_instance(key, 0)
+
+
+@functools.cache
+def _builtin_instance(key: str, r: int) -> KernelFunction:
+    if key == "tukey_hanning":
+        return _tukey_hanning(r)
+    return _cubic() if key == "cubic" else _parzen()
 
 
 @dataclass(frozen=True)
@@ -228,15 +244,13 @@ def weights_from_kernel(kernel: KernelFunction, M: int) -> WeightScheme:
     re-projected exactly onto ``{sum a = 1, sum a/i = 0}`` by the
     minimal-norm correction in the span of ``{i/M^2, 1/i}``.  The side
     conditions ``int_0^1 x h(x) dx = 1`` and ``int_0^1 h(x) dx = 0`` are
-    checked numerically to 1e-6.
+    checked numerically to 1e-6, once per kernel instance.
     """
     if M < 2:
         raise ValueError("need M >= 2")
-    h = kernel.k2
-    x = np.linspace(0.0, 1.0, 2001)
-    hx = np.array([h(v) for v in x])
-    if abs(_simpson(x * hx, x) - 1.0) > 1e-6 or abs(_simpson(hx, x)) > 1e-6:
+    if not kernel._meets_side_conditions:
         raise ValueError(f"kernel {kernel.name!r} fails the weight side conditions")
+    h = kernel.k2
     h1 = _fd1(h)
     h2 = _fd1(h1)
     i = np.arange(1, M + 1, dtype=float)

@@ -232,14 +232,18 @@ def simulate_paths(model: ItoModelConfig, rng: np.random.Generator | int, times:
     kappa, xi = model.sv_kappa, model.sv_xi
     dt_list, sqdt_list = dt.tolist(), sqdt[:, 0].tolist()
     # the recursion is elementwise: one component at a time on Python floats
-    # gives the bits of whole-row numpy steps without their per-step overhead
+    # gives the bits of whole-row numpy steps without their per-step overhead.
+    # The conditional truncation is max(vi, 0.0) without a builtin call (it
+    # keeps vi for -0.0 and NaN too), and sqrt/append are bound to locals.
+    sqrt = math.sqrt
     for l in range(p):
         vi = v0
         col = [vi]
+        append = col.append
         for dt_i, sqdt_i, z_i in zip(dt_list, sqdt_list, z_vol[:, l].tolist()):
-            vp = max(vi, 0.0)
-            vi = vi + kappa * (vbar - vp) * dt_i + xi * math.sqrt(vp) * sqdt_i * z_i
-            col.append(vi)
+            vp = 0.0 if vi < 0.0 else vi
+            vi = vi + kappa * (vbar - vp) * dt_i + xi * sqrt(vp) * sqdt_i * z_i
+            append(vi)
         v[:, l] = col
     vols = np.sqrt(np.maximum(v[:-1], 0.0))  # left endpoint per block
     dx = vols * (z_price * sqdt)

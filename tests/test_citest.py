@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from hficov import estimators
 from hficov.avar import GmsAcovConfig, acov_matrix_hat
 from hficov.citest import ci_avar, ci_statistic, ci_test
 from hficov.estimators import EstimatorConfig, TickSeries
@@ -155,3 +158,40 @@ def test_ci_test_hy_has_no_acov_estimator():
         data.append(series(t, np.cumsum(0.01 * rng.standard_normal(t.size))))
     with pytest.raises(ValueError, match="'hy'"):
         ci_test(*data, method="hy")
+
+
+def test_ci_test_rc_checks_and_differences_each_series_once():
+    rng = np.random.default_rng(11)
+    x1, x2, z = _triple(rng, n=300)
+    expected = ci_test(x1, x2, z, method="rc")
+    with (
+        mock.patch.object(TickSeries, "increments", autospec=True, side_effect=TickSeries.increments) as incs,
+        mock.patch.object(estimators, "_same_times", side_effect=estimators._same_times) as same,
+    ):
+        res = ci_test(x1, x2, z, method="rc")
+    assert incs.call_count <= 3
+    assert same.call_count == 1
+    assert (res.statistic, res.avar_hat, res.brackets) == (expected.statistic, expected.avar_hat, expected.brackets)
+    np.testing.assert_array_equal(res.acov_entries, expected.acov_entries)
+
+
+def test_ci_test_rc_on_async_schemes_names_only_gms():
+    rng = np.random.default_rng(12)
+    data = []
+    for _ in range(3):
+        t = np.unique(np.concatenate([[0.0], rng.uniform(0, 1, 100), [1.0]]))
+        data.append(series(t, np.cumsum(0.01 * rng.standard_normal(t.size))))
+    with pytest.raises(ValueError) as err:
+        ci_test(*data, method="rc")
+    assert str(err.value) == "method 'rc' requires synchronous schemes; use 'gms'"
+
+
+@pytest.mark.parametrize("method", ["rc", "gms"])
+@pytest.mark.parametrize("slots", [(0, 1), (0, 2), (1, 2)])
+def test_ci_test_rejects_one_series_in_two_slots(method, slots):
+    rng = np.random.default_rng(13)
+    args = list(_triple(rng, n=300))
+    args[slots[1]] = args[slots[0]]
+    names = ("x1", "x2", "z")
+    with pytest.raises(ValueError, match=f"{names[slots[0]]} and {names[slots[1]]} are the same series"):
+        ci_test(*args, method=method)

@@ -395,6 +395,19 @@ def test_cli_acov_hy_fails_naming_the_method(tmp_path, capsys):
     assert "'hy'" in capsys.readouterr().err
 
 
+def test_cli_citest_rejects_one_asset_in_two_slots(tmp_path, capsys):
+    ticks = tmp_path / "t.csv"
+    main(
+        ["simulate", "--assets", "3", "--n", "300", "--sampling", "poisson", "--noise", "5e-4",
+         "--seed", "1", "--ticks-out", str(ticks), "--out", str(tmp_path / "s.json")]
+    )
+    capsys.readouterr()
+    rc = main(["citest", "--input", str(ticks), "--x1", "A0", "--x2", "A0", "--z", "A2", "--method", "gms"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: citest x1='A0' x2='A0' z='A2': x1 and x2 are the same series; the test needs three distinct series\n"
+
+
 @pytest.mark.parametrize("c", ["0", "-1", "inf", "nan"])
 def test_cli_estimate_rejects_c_not_finite_positive(tmp_path, capsys, c):
     # unchecked, 0 and -1 run at M = 2, inf overflows and nan fails to convert

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -380,10 +382,12 @@ def test_estimate_matrix_rc_matches_pairwise():
     rng = np.random.default_rng(15)
     t = np.linspace(0, 1, 201)
     data = [series(t, rng.standard_normal(201).cumsum()) for _ in range(4)]
-    est = estimate_matrix(data, "rc")
-    for k in range(4):
-        for l in range(4):
-            assert est.matrix[k, l] == realized_cov(data[k], data[l])
+    # each series is differenced once per call, not once per pair
+    with mock.patch.object(TickSeries, "increments", autospec=True, side_effect=TickSeries.increments) as incs:
+        est = estimate_matrix(data, "rc")
+    assert incs.call_count <= len(data)
+    pairwise = np.array([[realized_cov(a, b) for b in data] for a in data])
+    assert np.array_equal(est.matrix, pairwise)
     assert np.array_equal(est.matrix, est.matrix.T)
 
 
@@ -401,6 +405,8 @@ def test_estimate_matrix_method_scheme_mismatch():
     b = random_series(rng, 20)
     with pytest.raises(ValueError):
         estimate_matrix([a, b], "ms")
+    with pytest.raises(ValueError, match="method 'rc' requires synchronous schemes; use 'hy' or 'gms'"):
+        estimate_matrix([a, b], "rc")
 
 
 def test_estimate_matrix_gms_records_frequencies():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hficov import kernels
 from hficov.kernels import (
     KernelFunction,
     WeightScheme,
@@ -115,8 +116,26 @@ def test_rejects_kernel_failing_side_conditions():
     # triggers first for the scale, so construct one with flat boundaries.
     k = KernelFunction("flat", k=lambda x: (1 - x**2) ** 2, k1=lambda x: -4 * x * (1 - x**2), k2=lambda x: 12 * x**2 - 4)
     bad = KernelFunction("halfscale", k=k.k, k1=k.k1, k2=lambda x: 0.5 * k.k2(x))
-    with pytest.raises(ValueError, match="side conditions"):
-        weights_from_kernel(bad, 50)
+    # the verdict is kept per kernel, and every call still raises
+    for M in (50, 60):
+        with pytest.raises(ValueError, match="side conditions"):
+            weights_from_kernel(bad, M)
+
+
+def test_side_condition_check_runs_once_per_builtin_kernel(monkeypatch):
+    calls = []
+    simpson = kernels._simpson
+    monkeypatch.setattr(kernels, "_simpson", lambda y, x: calls.append(1) or simpson(y, x))
+    fresh = kernels._parzen()
+    first = weights_from_kernel(fresh, 95).alphas
+    assert len(calls) == 2
+    for M in (95, 40, 95):
+        weights_from_kernel(fresh, M)
+    assert len(calls) == 2
+    # one instance per built-in kernel, so its check is not rerun per lookup
+    assert builtin_kernel("parzen") is builtin_kernel(" Parzen ")
+    assert builtin_kernel("th2") is builtin_kernel("tukey_hanning", 2)
+    np.testing.assert_array_equal(weights_from_kernel(builtin_kernel("parzen"), 95).alphas, first)
 
 
 def test_transform_identity_kappa_approximates_kernel():
