@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .estimators import (
     _noise_covariance,
     _noise_variance,
     _sync_increments,
-    end_effect_adjust,
     svec_index,
     svec_pairs,
 )
@@ -435,11 +434,175 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
-# skeleton slots whose scale-i differences _binned_bracket forms at once, so
-# that the six arrays of a group (768 KiB) stay in a core's L2 cache: on a
-# full trading day one group per bracket made the acov 20% slower than a
-# merge and sum per bin.  Benchmark-sized brackets are one group.
+# skeleton slots whose scale-i differences the long rows of a flush are
+# dotted from at once, so that the six arrays of a group (768 KiB) stay in a
+# core's L2 cache: on a full trading day one group per bracket made the acov
+# 20% slower than a merge and sum per bin.
 _GROUP_SLOTS = 1 << 14
+# rows (one bin at one scale) longer than this are dotted in place from those
+# differences, shorter ones are gathered by length.  Gathering every row made
+# the acov 26% slower on a p=3 input with 100-200 values per row; from 64 to
+# 256 the time was flat there and on p=4 inputs with shorter rows.
+_LONG_ROW = 128
+# values per series that one batched dot of short rows gathers at most,
+# which bounds the flush's temporaries
+_CHUNK = 1 << 11
+# pending skeleton slots at which an _AcovPlan evaluates its brackets: half
+# this made the gms_async acov 9% slower, twice this added 0.4 MB at the peak
+_FLUSH_SLOTS = 1 << 13
+
+
+class _Bins(NamedTuple):
+    """One bracket's front end, waiting for its multi-scale sums: the bin
+    count; the kept bins as (bin, first slot, slots N + 1, ``a_i / i``,
+    end-adjusted ``a_1`` and ``a_2 / 2``, finite factor); the
+    next-/previous-tick maps of the slots
+    from the first kept bin to the last, as rows (next a, next b, previous a,
+    previous b); and the two series' values."""
+
+    size: int
+    bins: list
+    maps: np.ndarray | None
+    a: np.ndarray
+    b: np.ndarray
+
+    @property
+    def slots(self) -> int:
+        return 0 if self.maps is None else self.maps.shape[1]
+
+
+def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig, weights: dict) -> _Bins:
+    """The front end of :func:`_binned_bracket`: bin windows, one segmented
+    refresh merge, the bin filter and one set of index maps."""
+    ta, tb = a.scheme.times, b.scheme.times
+    ia, ib = ta.searchsorted(edges, "right"), tb.searchsorted(edges, "right")
+    refresh, bounds = _refresh_merge(ta, tb, ia, ib)
+    n_bin = bounds[1:] - bounds[:-1] - 1
+    bins = []
+    for j in np.flatnonzero((ia[1:] - ia[:-1] >= 3) & (ib[1:] - ib[:-1] >= 3) & (n_bin >= 2)).tolist():
+        N = int(n_bin[j])
+        M = w_bin.M if N >= w_bin.M else N
+        if M not in weights:
+            w = w_bin if M == w_bin.M else cfg.weights(M)
+            weights[M] = w, w.alphas / w.scales, {}
+        w, coefs, by_n = weights[M]
+        if N not in by_n:
+            adj = w.alphas.copy()  # end_effect_adjust(w, N).alphas: a_1 and a_2 change
+            adj[0] += 2.0 / N
+            adj[1] -= 2.0 / N
+            by_n[N] = adj[0], adj[1] / 2, (N + 1 - float(np.sum(adj * w.scales))) / N
+        c1, c2, finite_factor = by_n[N]
+        if finite_factor > 0:
+            bins.append((j, int(bounds[j]), N + 1, coefs, c1, c2, finite_factor))
+    if not bins:
+        return _Bins(edges.size - 1, bins, None, a.values, b.values)
+    s0, s1 = bins[0][1], bins[-1][1] + bins[-1][2]
+    nxt, prv = _index_maps((ta, tb), refresh[s0:s1])
+    maps = np.concatenate((nxt, prv), dtype=np.int32 if max(ta.size, tb.size) < 2**31 else np.int64)
+    return _Bins(edges.size - 1, [(j, lo - s0, *rest) for j, lo, *rest in bins], maps, a.values, b.values)
+
+
+def _bracket_sums(pending: Sequence[_Bins]) -> list[np.ndarray]:
+    """The per-bin brackets of every ``pending`` front end, in one flush.
+
+    The skeleton values of all brackets are gathered one after another.  A
+    row is one bin at one scale i: the ``N + 1 - i`` differences of each
+    series at lag i over the bin's slots, dotted by BLAS ``ddot`` (see
+    :func:`_dot_rows`).  Each bin adds ``a_i / i`` times its dots from 0.0
+    in scale order and divides by its finite factor, so every value has the
+    bits of a merge and sum over the bin alone."""
+    outs = [np.zeros(p.size) for p in pending]
+    live = [p for p in pending if p.bins]
+    if not live:
+        return outs
+    V = np.empty((4, sum(p.slots for p in live)))  # next a, next b, previous a, previous b
+    starts, n1, coefs, ends, factors = [], [], [], [], []
+    o = 0
+    for p in live:
+        V[::2, o : o + p.slots] = p.a[p.maps[::2]]
+        V[1::2, o : o + p.slots] = p.b[p.maps[1::2]]
+        for _, lo, n, c, c1, c2, f in p.bins:
+            starts.append(o + lo)
+            n1.append(n)
+            coefs.append(c)
+            ends.append((c1, c2))
+            factors.append(f)
+        o += p.slots
+    M = np.array([c.size for c in coefs])
+    C = np.zeros((int(M.max()), M.size))  # a_i / i of bin b at scale i is C[i - 1, b]
+    row_bin = np.repeat(np.arange(M.size), M)
+    row_i = np.arange(row_bin.size) + 1 - np.repeat(np.cumsum(M) - M, M)
+    C[row_i - 1, row_bin] = np.concatenate(coefs)
+    C[:2] = np.array(ends).T  # M >= 2
+    C *= _dot_rows(V, np.array(starts), np.array(n1), row_bin, row_i)
+    total = np.zeros(M.size)
+    for term in C:  # scale by scale; padding adds +0.0
+        total += term
+    values = total / np.array(factors)
+    o = 0
+    for p, out in zip(pending, outs):
+        out[[j for j, *_ in p.bins]] = values[o : o + len(p.bins)]
+        o += len(p.bins)
+    return outs
+
+
+def _dot_rows(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, row_bin: np.ndarray, row_i: np.ndarray) -> np.ndarray:
+    """``D[i - 1, b]``, the dot of the lag-i differences of bin b, for the
+    bins of ``n1`` slots from ``starts`` in the skeleton values ``V`` and
+    the rows ``(row_bin, row_i)`` (bin by bin, scales increasing).
+
+    Rows of one length are gathered together, at most ``_CHUNK`` values per
+    series at a time, and dotted by one ``np.matmul`` of stacked vectors,
+    which calls BLAS ``ddot`` once per row like ``ndarray.dot``.  Rows
+    longer than ``_LONG_ROW`` are dotted in place from each scale's
+    differences over runs of at most ``_GROUP_SLOTS`` slots."""
+    S = V.shape[1]
+    D = np.zeros((int(row_i.max()), n1.size))
+    row_len = n1[row_bin] - row_i
+    short = np.flatnonzero(row_len <= _LONG_ROW)
+    short = short[np.argsort(row_len[short], kind="stable")]
+    i, b = row_i[short], row_bin[short]
+    # of each row's four windows in V.ravel(); int32 is exact, V is small
+    first = np.empty((4, short.size), dtype=np.int32 if V.size < 2**31 else np.int64)
+    first[2] = first[3] = starts[b]
+    first[0] = first[2] + i
+    first[1] = first[0] + S
+    first[2:] += np.array([[2 * S], [3 * S]], dtype=first.dtype)
+    length = row_len[short]
+    cuts = np.flatnonzero(np.diff(length, prepend=0, append=0)).tolist()  # lengths are >= 1
+    dots = np.empty((short.size, 1, 1))
+    for r0, r1 in zip(cuts, cuts[1:]):
+        L = int(length[r0])
+        step = max(1, _CHUNK // L)
+        # windows of L values starting at every element of V (a view, no copy)
+        win = np.ndarray((V.size - L + 1, L), V.dtype, V, 0, (V.itemsize, V.itemsize))
+        for c0 in range(r0, r1, step):
+            rows_ab = win[first[:, c0 : min(r1, c0 + step)]]
+            diff = rows_ab[:2] - rows_ab[2:]
+            np.matmul(diff[0, :, None, :], diff[1, :, :, None], out=dots[c0 : c0 + len(diff[0])])
+    D[i - 1, b] = dots.ravel()
+
+    # a bin's long rows are its first scales; Python ints keep the loop lean
+    n_long = np.minimum(np.bincount(row_bin, minlength=n1.size), n1 - 1 - _LONG_ROW).tolist()
+    starts, n1 = starts.tolist(), n1.tolist()
+    groups: list[list[int]] = []  # runs of bins with long rows spanning at most _GROUP_SLOTS slots
+    for k in (k for k, n in enumerate(n_long) if n > 0):
+        if groups and starts[k] + n1[k] - starts[groups[-1][0]] <= _GROUP_SLOTS:
+            groups[-1].append(k)
+        else:
+            groups.append([k])
+    for group in groups:
+        g0, g1 = starts[group[0]], starts[group[-1]] + n1[group[-1]]
+        group.sort(key=lambda k: -n_long[k])  # the bins still dotting at scale i lead
+        for i in range(1, n_long[group[0]] + 1):
+            da = V[0, g0 + i : g1] - V[2, g0 : g1 - i]
+            db = V[1, g0 + i : g1] - V[3, g0 : g1 - i]
+            for k in group:
+                if n_long[k] < i:
+                    break
+                x, y = starts[k] - g0, starts[k] + n1[k] - i - g0
+                D[i - 1, k] = da[x:y].dot(db[x:y])
+    return D
 
 
 def _binned_bracket(
@@ -463,66 +626,18 @@ def _binned_bracket(
     observations, so the multi-scale finite-sample factor
     ``(N + 1 - sum_i a_i i) / N`` is far from 1 (about ``1 - M/N``); each
     bin estimate is divided by it, which makes the synchronous-case bracket
-    exactly unbiased.  ``weights`` caches, by ``M``, the weights, their
+    exactly unbiased.  ``weights`` caches, by ``M``, the weights and their
     coefficients ``a_i / i`` and, by ``N``, the two coefficients that the
     end-effect adjustment changes and the factor; calls may share it only
     when ``w_bin`` is ``cfg.weights(w_bin.M)``.
 
-    Cost: one pass per bracket.  One segmented refresh merge covers all
-    bins (the bin is the segment), one set of index maps places every
-    refresh time in the full tick arrays, and each scale's differences are
-    formed once over the concatenated skeleton of a run of consecutive bins
-    (all of them, unless they span more than ``_GROUP_SLOTS`` slots).
-    Every bin adds its own ``np.dot`` over its slice of them per scale, in
-    scale order, so its value has the bits of a merge and sum over the bin
-    alone.
+    Cost: a front end per bracket (:func:`_bracket_bins`: one segmented
+    refresh merge covers all bins, the bin is the segment, and one set of
+    index maps places every refresh time in the full tick arrays), then the
+    multi-scale sums as a flush (:func:`_bracket_sums`).  A direct call is
+    a flush of one bracket; :class:`_AcovPlan` flushes many at once.
     """
-    weights = {} if weights is None else weights
-    ta, tb = a.scheme.times, b.scheme.times
-    ia = np.searchsorted(ta, edges, side="right")
-    ib = np.searchsorted(tb, edges, side="right")
-    refresh, bounds = _refresh_merge(ta, tb, ia, ib)
-    n_bin = np.diff(bounds) - 1
-    out = np.zeros(edges.size - 1)
-    bins = []  # (M, bin, slot bounds, a_i / i per scale, finite factor)
-    for j in np.flatnonzero((np.diff(ia) >= 3) & (np.diff(ib) >= 3) & (n_bin >= 2)):
-        N = int(n_bin[j])
-        M = w_bin.M if N >= w_bin.M else N
-        if M not in weights:
-            w = w_bin if M == w_bin.M else cfg.weights(M)
-            weights[M] = w, (w.alphas / w.scales).tolist(), {}
-        w, coefs, by_n = weights[M]
-        if N not in by_n:
-            adj = end_effect_adjust(w, N).alphas  # changes a_1 and a_2 only
-            by_n[N] = float(adj[0]), float(adj[1] / 2), (N + 1 - float(np.sum(adj * w.scales))) / N
-        c1, c2, finite_factor = by_n[N]
-        if finite_factor > 0:
-            bins.append((M, j, int(bounds[j]), int(bounds[j + 1]), [c1, c2, *coefs[2:]], finite_factor))
-    if not bins:
-        return out
-    nxt, prv = _index_maps((ta, tb), refresh)
-    up_a, lo_a = a.values[nxt[0]], a.values[prv[0]]
-    up_b, lo_b = b.values[nxt[1]], b.values[prv[1]]
-    groups: list[list] = []  # runs of bins spanning at most _GROUP_SLOTS slots
-    for x in bins:
-        if groups and x[3] - groups[-1][0][2] <= _GROUP_SLOTS:
-            groups[-1].append(x)
-        else:
-            groups.append([x])
-    for group in groups:
-        g0, g1 = group[0][2], group[-1][3]
-        group.sort(key=lambda x: -x[0])  # the bins still summing at scale i lead
-        totals = [0.0] * len(group)
-        for i in range(1, group[0][0] + 1):
-            da = up_a[g0 + i : g1] - lo_a[g0 : g1 - i]
-            db = up_b[g0 + i : g1] - lo_b[g0 : g1 - i]
-            for n, (M, _, lo, hi, coefs, _) in enumerate(group):
-                if M < i:
-                    break
-                totals[n] += coefs[i - 1] * float(da[lo - g0 : hi - i - g0].dot(db[lo - g0 : hi - i - g0]))
-        for (_, j, _, _, _, finite_factor), total in zip(group, totals):
-            out[j] = total / finite_factor
-    return out
+    return _bracket_sums([_bracket_bins(a, b, edges, w_bin, cfg, {} if weights is None else weights)])[0]
 
 
 def acov_gms_hat(
@@ -546,13 +661,15 @@ def acov_gms_hat(
     bins equidistant in the shared-timestamp counting functions; on fully
     disjoint schemes every one of them is exactly zero.
 
-    Cost: each bracket is one pass over its bins (see
-    :func:`_binned_bracket`), at most eight per entry.  :func:`acov_matrix_hat`
-    and :func:`hficov.citest.ci_test` evaluate all their entries on one
+    Cost: at most eight brackets per entry, each a front end over its bins
+    and a share of one batched flush of multi-scale sums (see
+    :func:`_binned_bracket`).  :func:`acov_matrix_hat` and
+    :func:`hficov.citest.ci_test` evaluate all their entries on one
     per-call plan, which builds each pairwise refresh grid, shared-stamp
-    array, noise moment, weight scheme and bracket once for all entries.
+    array, noise moment, weight scheme and bracket once for all entries,
+    and sums the brackets of many entries in each flush.
     """
-    return _gms_entry(data, pairs, _AcovPlan(data, config))
+    return _AcovPlan(data, config).entries([pairs])[0]
 
 
 class _AcovPlan:
@@ -562,11 +679,19 @@ class _AcovPlan:
     * the shared timestamps per component pair, with their indices;
     * the entries of :func:`hficov.estimators.noise_moments`, per component
       and per ordered component pair (a repeated component included);
-    * the weight schemes by ``M``, and the end-adjusted bin weights and
-      finite-sample factor by ``(M, N)`` (see :func:`_binned_bracket`);
+    * the weight schemes and their :func:`kernel_constants` by ``M``, and
+      the end-adjusted bin coefficients and finite-sample factor by
+      ``(M, N)`` (see :func:`_binned_bracket`);
     * the :func:`_binned_bracket` arrays, keyed by unordered 0-based
       component pair, bin-edge bytes and bin frequency (the bracket is
       symmetric in its two series).
+
+    An entry runs in two steps (:func:`_gms_entry`): it requests its
+    brackets, whose front ends run at once, and waits; the plan then
+    evaluates the multi-scale sums of every pending bracket in one flush
+    (:func:`_bracket_sums`) and finishes the waiting entries.  A flush runs
+    when the pending brackets hold ``_FLUSH_SLOTS`` skeleton slots, which
+    bounds its memory, and after the last entry.
 
     Components are 0-based indices into ``data``.  A plan lives for one
     call; nothing is kept across calls.
@@ -578,8 +703,11 @@ class _AcovPlan:
             kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
         )
         self.est_cfg = EstimatorConfig(kernel=self.cfg.kernel, c=self.cfg.c)
-        self.brackets: dict = {}
+        self.brackets: dict = {}  # a _Bins while pending, then the array
         self.bin_weights: dict = {}
+        self.pending: list = []  # keys of the pending brackets
+        self.pending_slots = 0
+        self.waiting: list = []  # (values, index, finish) per entry waiting for a flush
         self._built: dict = {}
 
     def _once(self, key, build):
@@ -593,6 +721,9 @@ class _AcovPlan:
 
     def weights(self, M: int) -> WeightScheme:
         return self._once(("weights", M), lambda: self.est_cfg.weights(M))
+
+    def constants(self, M: int) -> KernelConstants:
+        return self._once(("constants", M), lambda: kernel_constants(self.weights(M)))
 
     def shared(self, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Timestamps shared by components k and l, and their indices in each."""
@@ -612,12 +743,47 @@ class _AcovPlan:
             H[x, y] = H[y, x] = cov
         return H
 
+    def bracket(self, k: int, l: int, edges: np.ndarray, w_bin: WeightScheme) -> tuple:
+        """Request the :func:`_binned_bracket` of components k and l; its key
+        in ``brackets``, which holds the array after the next flush."""
+        key = (min(k, l), max(k, l), edges.tobytes(), w_bin.M)
+        if key not in self.brackets:
+            bins = _bracket_bins(self.data[k], self.data[l], edges, w_bin, self.est_cfg, self.bin_weights)
+            self.brackets[key] = bins
+            self.pending.append(key)
+            self.pending_slots += bins.slots
+            if self.pending_slots >= _FLUSH_SLOTS:
+                self.flush()
+        return key
 
-def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
-    """:func:`acov_gms_hat` on the grids, moments, weights and brackets of ``plan``."""
+    def flush(self) -> None:
+        """Sum every pending bracket, then finish the waiting entries (each
+        requested all its brackets before it waited)."""
+        keys, self.pending, self.pending_slots = self.pending, [], 0
+        for key, out in zip(keys, _bracket_sums([self.brackets[key] for key in keys])):
+            self.brackets[key] = out
+        waiting, self.waiting = self.waiting, []
+        for values, n, finish in waiting:
+            values[n] = finish()
+
+    def entries(self, pairs_list) -> list[float]:
+        """:func:`acov_gms_hat` of each item of ``pairs_list``, in order."""
+        values = [0.0] * len(pairs_list)
+        for n, pairs in enumerate(pairs_list):
+            finish = _gms_entry(self.data, pairs, self)  # may flush, which renews self.waiting
+            self.waiting.append((values, n, finish))
+        self.flush()
+        return values
+
+
+def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> Callable[[], float]:
+    """:func:`acov_gms_hat` on the grids, moments, weights and brackets of
+    ``plan``, in two steps: this call requests the brackets, and the
+    returned function combines them once ``plan`` has flushed them.  It
+    keeps only what the combination reads, not the global grid or its
+    weighted sampling autocorrelation."""
     cfg = plan.cfg
     idx = _pair_components(pairs, len(data))
-    comps = [data[v] for v in idx]
     g12, g34 = plan.grid(idx[0], idx[1]), plan.grid(idx[2], idx[3])
     glob = global_refresh(g12, g34)
     N = len(glob) - 1
@@ -629,14 +795,11 @@ def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
     T = glob.horizon
 
     M12, M34, _, w_glob, lasa, c_eff = _gms_skeleton(g12, g34, glob, plan.weights, cfg.c)
+    lasa_total = lasa.total
     w_bin = plan.weights(max(2, int(round(N ** 0.6))))
-    table = plan.brackets
 
-    def bracket(x: int, y: int, edges: np.ndarray) -> np.ndarray:
-        key = (min(idx[x], idx[y]), max(idx[x], idx[y]), edges.tobytes(), w_bin.M)
-        if key not in table:
-            table[key] = _binned_bracket(comps[x], comps[y], edges, w_bin, plan.est_cfg, plan.bin_weights)
-        return table[key]
+    def bracket(x: int, y: int, edges: np.ndarray) -> tuple:
+        return plan.bracket(idx[x], idx[y], edges, w_bin)
 
     # half-bin split: products of bracket estimates on the same data are
     # biased upward by the estimates' covariance, so each bin is halved (in
@@ -644,35 +807,55 @@ def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
     # disjoint data makes them conditionally unbiased for the local
     # spot-covariance products
     half_edges = _bin_edges_from_step(lasa, 2 * K, T)
-    kr, lq, kq, lr = (bracket(x, y, half_edges) for x, y in ((0, 2), (1, 3), (0, 3), (1, 2)))
-    dt_half = np.diff(half_edges)
-    a, b = slice(0, 2 * K, 2), slice(1, 2 * K, 2)
-    denom = 2.0 * dt_half[a] * dt_half[b]
-    cross = kr[a] * lq[b] + kr[b] * lq[a] + kq[a] * lr[b] + kq[b] * lr[a]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_bin = np.where(denom > 0, cross / denom, 0.0)
-    first = 2.0 * c_eff * T * float(np.sum(per_bin)) * lasa.total / K
+    half = [bracket(x, y, half_edges) for x, y in ((0, 2), (1, 3), (0, 3), (1, 2))]
 
-    if not cfg.include_noise_terms:
-        return first
-    shared = [plan.shared(idx[x], idx[y])[0] for x, y in ((0, 2), (0, 3), (1, 2), (1, 3))]
-    ov = _sync_overlap(glob, M12, M34, shared)
-    if ov.all_zero():
-        return first
+    ov = None  # no noise addends
+    if cfg.include_noise_terms:
+        shared = [plan.shared(idx[x], idx[y])[0] for x, y in ((0, 2), (0, 3), (1, 2), (1, 3))]
+        ov = _sync_overlap(glob, M12, M34, shared)
+        ov = None if ov.all_zero() else ov
+    if ov is not None:
+        eta = plan.noise(idx)
+        kc = plan.constants(w_glob.M)
+        noise_bins: dict = {}  # bin edges, bracket key and step total per integrated noise slot
 
-    def binned_integral(step: StepFunction, xy: tuple[int, int]) -> float:
-        if step.total == 0.0:
+        def request(step: StepFunction, xy: tuple[int, int]) -> float:
+            if step.total != 0.0:
+                edges = _bin_edges_from_step(step, K, T)
+                noise_bins[xy] = edges, bracket(*xy, edges), step.total
             return 0.0
-        se = _bin_edges_from_step(step, K, T)
-        sdt = np.diff(se)
-        br = bracket(*xy, se)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(sdt > 0, br / sdt, 0.0)
-        return float(np.sum(vals)) * step.total / K
 
-    eta = plan.noise(idx)
-    noise2, ends, cross = _noise_addends(kernel_constants(w_glob), c_eff, eta, ov, binned_integral)
-    return first + noise2 + ends + cross
+        # the first pass only requests the brackets that the cross
+        # integrals of the second will read; a waiting entry keeps the
+        # overlap counts but not the step functions, which hold O(ticks)
+        _noise_addends(kc, c_eff, eta, ov, request)
+        ov = replace(ov, s_13=None, s_14=None, s_23=None, s_24=None)
+
+    def finish() -> float:
+        kr, lq, kq, lr = (plan.brackets[key] for key in half)
+        dt_half = np.diff(half_edges)
+        a, b = slice(0, 2 * K, 2), slice(1, 2 * K, 2)
+        denom = 2.0 * dt_half[a] * dt_half[b]
+        cross = kr[a] * lq[b] + kr[b] * lq[a] + kq[a] * lr[b] + kq[b] * lr[a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_bin = np.where(denom > 0, cross / denom, 0.0)
+        first = 2.0 * c_eff * T * float(np.sum(per_bin)) * lasa_total / K
+        if ov is None:
+            return first
+
+        def binned_integral(_, xy: tuple[int, int]) -> float:
+            if xy not in noise_bins:  # a zero step total
+                return 0.0
+            se, key, total = noise_bins[xy]
+            sdt = np.diff(se)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = np.where(sdt > 0, plan.brackets[key] / sdt, 0.0)
+            return float(np.sum(vals)) * total / K
+
+        noise2, ends, cross = _noise_addends(kc, c_eff, eta, ov, binned_integral)
+        return first + noise2 + ends + cross
+
+    return finish
 
 
 # ---------------------------------------------------------------------------
@@ -775,17 +958,16 @@ def _acov_entries(
     plan = plan or _AcovPlan(data, config)
     n_ref = _union_refresh_count(data, tuple(range(1, len(data) + 1)))
     qn = len(pairs)
+    cells = [(a, b) for a in range(qn) for b in range(a, qn)]
+    entry_pairs = [tuple(sorted((pairs[a], pairs[b]))) for a, b in cells]  # svec order
     ent = np.zeros((qn, qn))
     counts: dict = {}  # refresh count per set of components
-    for a in range(qn):
-        for b in range(a, qn):
-            pa, pb = sorted((pairs[a], pairs[b]))  # svec order
-            val = _gms_entry(data, (pa, pb), plan)
-            comps = frozenset(pa + pb)
-            if comps not in counts:
-                counts[comps] = _union_refresh_count(data, pa + pb)
-            n_ab = counts[comps]
-            ent[a, b] = ent[b, a] = val * (_rate_sq("n_quarter", n_ref) / _rate_sq("n_quarter", n_ab))
+    for (a, b), (pa, pb), val in zip(cells, entry_pairs, plan.entries(entry_pairs)):
+        comps = frozenset(pa + pb)
+        if comps not in counts:
+            counts[comps] = _union_refresh_count(data, pa + pb)
+        n_ab = counts[comps]
+        ent[a, b] = ent[b, a] = val * (_rate_sq("n_quarter", n_ref) / _rate_sq("n_quarter", n_ab))
     return ent, "n_quarter", n_ref
 
 

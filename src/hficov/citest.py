@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .avar import _AcovPlan, _acov_entries, _rate_sq
-from .estimators import EstimatorConfig, TickSeries, _estimate_matrix, _sync_increments
+from .estimators import EstimatorConfig, TickSeries, _estimate_matrix, _same_times, _sync_increments
 
 __all__ = ["CiTestResult", "ci_statistic", "ci_avar", "ci_test"]
 
@@ -118,7 +118,10 @@ def ci_test(
     # the estimates and acov entries share one plan's pairwise grids (gms)
     # or one increment matrix (rc)
     plan = _AcovPlan(data, cfg) if method == "gms" else None
-    incs = _sync_increments(data, "method 'rc' requires synchronous schemes; use 'gms'") if method == "rc" else None
+    sync_error = f"method {method!r} requires synchronous schemes; use 'gms'"
+    incs = _sync_increments(data, sync_error) if method == "rc" else None
+    if method in ("ms", "kernel") and not _same_times([s.scheme for s in data]):
+        raise ValueError(sync_error)
     m = _estimate_matrix(data, method, cfg, plan.grid if plan else None, incs).matrix
     # bracket order: b1 = [X1,Z], b2 = [X2,Z], b3 = [X1,X2], b4 = [Z]
     brackets = (m[0, 2], m[1, 2], m[0, 1], m[2, 2])

@@ -25,19 +25,21 @@ import numpy as np
 from .avar import (
     GmsAcovConfig,
     TheoryInputs,
+    _acov_entries,
     acov_gms_hat,
-    acov_matrix_hat,
     acov_theory,
     gms_theory_inputs,
     hy_theory_inputs,
 )
 from .citest import ci_test
 from .estimators import (
+    EstimatorConfig,
     TickSeries,
+    _estimate_matrix,
     _ms_frequency,
     _same_times,
+    _sync_increments,
     end_effect_adjust,
-    estimate_matrix,
     generalized_multiscale,
     hayashi_yoshida,
     kernel_estimator,
@@ -46,6 +48,7 @@ from .estimators import (
     noise_moments,
     svec_index,
     svec_pack,
+    svec_pairs,
 )
 from .kernels import builtin_kernel, cubic_weights
 from .sampling import SamplingScheme, pairwise_refresh
@@ -440,11 +443,14 @@ def scenario_rc_clt(replicates: int = 2000, seed: int = 20260808, n: int = 5000)
     hit = np.zeros((replicates, q), dtype=bool)
     zcrit = 1.959963984540054
     snapped = [_snap_scheme(SamplingScheme(times, T), times)] * p
+    pairs = svec_pairs(p)
     def one(i, rng):
         paths = simulate_paths(model, rng, times=times)
         data = _observe_snapped(paths, snapped, None, rng)
-        est[i] = estimate_matrix(data, "rc").svec
-        av = np.diag(acov_matrix_hat(data, "rc").entries)
+        # the estimate and its acov share one increment matrix
+        incs = _sync_increments(data, "rc_clt observes on one grid")
+        est[i] = _estimate_matrix(data, "rc", EstimatorConfig(), None, incs).svec
+        av = np.diag(_acov_entries(data, "rc", pairs, None, incs=incs)[0])
         hit[i] = np.abs(est[i] - truth) <= zcrit * np.sqrt(np.maximum(av, 0.0) / n)
 
     _replicate_map(one, rngs)

@@ -531,6 +531,109 @@ def test_union_refresh_count_equals_chained_grids(data, extra):
     assert _union_refresh_count(data, comps) == expect
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("L", [*range(1, 71), 127, 128, 129, 1000, 5401])
+def test_batched_dot_has_the_bits_of_ndarray_dot(L):
+    # the flush dots stacked rows with np.matmul; it relies on numpy calling
+    # BLAS ddot once per row, as ndarray.dot does on one row.  A BLAS that
+    # breaks this must fail here, not shift the acov bits silently.  matmul
+    # adds the ddot result to 0.0, so a -0.0 dot comes back as +0.0; a bin
+    # sum starts from +0.0 and so cannot tell the two apart.
+    rng = np.random.default_rng(L)
+    R = 9
+    A = rng.standard_normal((R, L)) * 10.0 ** rng.integers(-6, 6, (R, 1))
+    B = rng.standard_normal((R, L))
+    stacked = np.matmul(A[:, None, :], B[:, :, None]).ravel()
+    assert np.array_equal(_bits(stacked), _bits(np.array([A[r].dot(B[r]) for r in range(R)]) + 0.0))
+    # rows gathered from overlapping windows of one array, as the flush
+    # gathers them, against slices of that array
+    v = rng.standard_normal(L + 40)
+    win = np.ndarray((v.size - L + 1, L), v.dtype, v, 0, (v.itemsize, v.itemsize))
+    lo, up = np.array([0, 3, 17, 40, 5]), np.array([1, 9, 40, 22, 5])
+    diff = win[up] - win[lo]
+    stacked = np.matmul(diff[:, None, :], diff[::-1, :, None]).ravel()
+    rows = [v[u : u + L] - v[l : l + L] for u, l in zip(up, lo)]
+    assert np.array_equal(_bits(stacked), _bits(np.array([x.dot(y) for x, y in zip(rows, rows[::-1])]) + 0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(binned_pair(), min_size=1, max_size=6),
+    st.sampled_from(["cubic", "parzen"]),
+    st.sampled_from([1, 20, 1 << 13]),
+    st.sampled_from([0, 2, 5, 256]),
+    st.sampled_from([1, 5, 1 << 11]),
+    st.sampled_from([1, 8, 1 << 14]),
+)
+def test_one_flush_of_many_brackets_equals_each_bracket_alone(cases, kernel, budget, long_row, chunk, group_slots):
+    # brackets of mixed bin frequency, with empty bins, bins of fewer than 3
+    # ticks and bins with fewer refresh intervals than w_bin.M, requested
+    # from one plan: flushed under a budget, short rows gathered by length
+    # in chunks, long rows dotted in place in groups
+    data = [s for a, b, *_ in cases for s in (a, b)]
+    cfg = EstimatorConfig(kernel=kernel)
+    plan = avar_module._AcovPlan(data, cfg)
+    with (
+        mock.patch.object(avar_module, "_FLUSH_SLOTS", budget),
+        mock.patch.object(avar_module, "_LONG_ROW", long_row),
+        mock.patch.object(avar_module, "_CHUNK", chunk),
+        mock.patch.object(avar_module, "_GROUP_SLOTS", group_slots),
+    ):
+        keys = [plan.bracket(2 * n, 2 * n + 1, edges, plan.weights(m_bin)) for n, (_, _, edges, m_bin, _) in enumerate(cases)]
+        plan.flush()
+    for key, (a, b, edges, m_bin, _) in zip(keys, cases):
+        def weights_for(n_bin):
+            return cfg.weights(max(2, min(m_bin, n_bin))) if n_bin >= 2 else None
+
+        assert np.array_equal(plan.brackets[key], sliced_binned_bracket(a, b, edges, weights_for))
+
+
+@pytest.mark.parametrize("budget", [1, 300, 1 << 40])
+def test_acov_matrix_hat_gms_same_under_any_flush_budget(budget):
+    # a flush inside an entry's requests finishes the entries waiting before
+    # it; every entry equals its own acov_gms_hat call
+    rng = np.random.default_rng(46)
+    data = []
+    for _ in range(3):
+        t = np.unique(np.round(rng.uniform(0, 1, 200) * 800)) / 800
+        data.append(series(t, 0.01 * rng.standard_normal(t.size).cumsum() + 5e-4 * rng.standard_normal(t.size)))
+    with mock.patch.object(avar_module, "_FLUSH_SLOTS", budget):
+        am = acov_matrix_hat(data, "gms")
+        ci = ci_test(data[0], data[1], data[2], method="gms")
+    ent, _ = entrywise_acov_gms(data, None)
+    assert np.array_equal(am.entries, ent)
+    assert np.array_equal(ci.acov_entries, ci_test(data[0], data[1], data[2], method="gms").acov_entries)
+
+
+def test_gms_acov_dots_rows_in_batches(monkeypatch):
+    # a p=4 acov call dots its short rows (one bin at one scale) with far
+    # fewer batched calls than there are rows
+    rng = np.random.default_rng(45)
+    data = []
+    for _ in range(4):
+        t = np.unique(np.round(rng.uniform(0, 1, 300) * 9000)) / 9000
+        data.append(series(t, 0.01 * rng.standard_normal(t.size).cumsum() + 5e-4 * rng.standard_normal(t.size)))
+    calls = collections.Counter()
+    real_sums, real_matmul = avar_module._bracket_sums, np.matmul
+
+    def sums(pending):
+        calls["rows"] += sum(b[3].size for p in pending for b in p.bins)
+        return real_sums(pending)
+
+    def matmul(*args, **kwargs):
+        calls["matmul"] += 1
+        return real_matmul(*args, **kwargs)
+
+    monkeypatch.setattr(avar_module, "_bracket_sums", sums)
+    monkeypatch.setattr(np, "matmul", matmul)
+    acov_matrix_hat(data, "gms")
+    assert calls["rows"] > 20_000
+    assert calls["matmul"] < calls["rows"] / 10
+
+
 @st.composite
 def bracket_pair(draw):
     """A :func:`binned_pair` case whose second series is sometimes the first

@@ -186,6 +186,22 @@ def test_ci_test_rc_on_async_schemes_names_only_gms():
     assert str(err.value) == "method 'rc' requires synchronous schemes; use 'gms'"
 
 
+@pytest.mark.parametrize("method", ["ms", "kernel"])
+def test_ci_test_sync_methods_on_async_schemes_name_only_gms(method):
+    # ci_test rejects 'hy', so it must not advise it; estimate_matrix keeps its advice
+    rng = np.random.default_rng(12)
+    data = []
+    for _ in range(3):
+        t = np.unique(np.concatenate([[0.0], rng.uniform(0, 1, 100), [1.0]]))
+        data.append(series(t, np.cumsum(0.01 * rng.standard_normal(t.size))))
+    with pytest.raises(ValueError) as err:
+        ci_test(*data, method=method)
+    assert str(err.value) == f"method {method!r} requires synchronous schemes; use 'gms'"
+    with pytest.raises(ValueError) as err:
+        estimators.estimate_matrix(data, method)
+    assert str(err.value) == f"method {method!r} requires synchronous schemes; use 'hy' or 'gms'"
+
+
 @pytest.mark.parametrize("method", ["rc", "gms"])
 @pytest.mark.parametrize("slots", [(0, 1), (0, 2), (1, 2)])
 def test_ci_test_rejects_one_series_in_two_slots(method, slots):

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hficov.estimators import realized_cov
+from hficov.estimators import TickSeries, realized_cov
 from hficov.sampling import SamplingScheme
 from hficov.sim import (
     _snap_scheme,
@@ -298,6 +300,13 @@ def test_mc_validate_reproducible_report():
     a.pop("elapsed_s")
     b.pop("elapsed_s")
     assert a == b
+
+
+def test_rc_clt_differences_each_series_once_per_replicate():
+    # the rc estimate and its acov share one increment matrix per replicate
+    with mock.patch.object(TickSeries, "increments", autospec=True, side_effect=TickSeries.increments) as incs:
+        mc_validate("rc_clt", replicates=100, seed=3, n=200)
+    assert incs.call_count == 4 * 100
 
 
 def test_covest_threads_reproduces_serial(monkeypatch):
