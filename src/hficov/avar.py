@@ -37,13 +37,14 @@ from .estimators import (
     _check_c,
     _clamp_frequency,
     _ms_frequency,
+    _multiscale_sums,
     _noise_covariance,
     _noise_variance,
     _sync_increments,
     svec_index,
     svec_pairs,
 )
-from .kernels import KernelConstants, WeightScheme, kernel_constants
+from .kernels import KernelConstants, WeightScheme, _end_adjusted, kernel_constants
 from .sampling import SyncGrid, _index_maps, _refresh_merge, global_refresh, pairwise_refresh
 from .timefuncs import (
     StepFunction,
@@ -434,19 +435,6 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
-# skeleton slots whose scale-i differences the long rows of a flush are
-# dotted from at once, so that the six arrays of a group (768 KiB) stay in a
-# core's L2 cache: on a full trading day one group per bracket made the acov
-# 20% slower than a merge and sum per bin.
-_GROUP_SLOTS = 1 << 14
-# rows (one bin at one scale) longer than this are dotted in place from those
-# differences, shorter ones are gathered by length.  Gathering every row made
-# the acov 26% slower on a p=3 input with 100-200 values per row; from 64 to
-# 256 the time was flat there and on p=4 inputs with shorter rows.
-_LONG_ROW = 128
-# values per series that one batched dot of short rows gathers at most,
-# which bounds the flush's temporaries
-_CHUNK = 1 << 11
 # pending skeleton slots at which an _AcovPlan evaluates its brackets: half
 # this made the gms_async acov 9% slower, twice this added 0.4 MB at the peak
 _FLUSH_SLOTS = 1 << 13
@@ -472,8 +460,29 @@ class _Bins(NamedTuple):
 
 
 def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig, weights: dict) -> _Bins:
-    """The front end of :func:`_binned_bracket`: bin windows, one segmented
-    refresh merge, the bin filter and one set of index maps."""
+    """The front end of one bracket: the end-effect adjusted generalized
+    multi-scale bracket increment estimates per bin, waiting for their sums
+    (:func:`_bracket_sums`).
+
+    Bin j holds the ticks in ``(edges[j], edges[j+1]]`` and is estimated on
+    the refresh merge of those ticks, with the weights ``w_bin`` (rebuilt at
+    ``M = N`` when the bin has fewer refresh intervals N than ``w_bin.M``).
+    A bin with fewer than 3 ticks of either series or fewer than 2 refresh
+    intervals contributes 0.
+
+    Per-bin frequencies are of order N^(3/5) on bins of order N^(4/5)
+    observations, so the multi-scale finite-sample factor
+    ``(N + 1 - sum_i a_i i) / N`` is far from 1 (about ``1 - M/N``); each
+    bin estimate is divided by it, which makes the synchronous-case bracket
+    exactly unbiased, and a bin whose factor is not positive contributes 0.
+    ``weights`` caches, by ``M``, the weights and their coefficients
+    ``a_i / i`` and, by ``N``, the two coefficients that the end-effect
+    adjustment changes and the factor; calls may share it only when
+    ``w_bin`` is ``cfg.weights(w_bin.M)``.
+
+    Cost: one segmented refresh merge covers all bins (the bin is the
+    segment), the ``searchsorted`` bin windows and one set of index maps
+    place every refresh time in the full tick arrays."""
     ta, tb = a.scheme.times, b.scheme.times
     ia, ib = ta.searchsorted(edges, "right"), tb.searchsorted(edges, "right")
     refresh, bounds = _refresh_merge(ta, tb, ia, ib)
@@ -487,9 +496,7 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
             weights[M] = w, w.alphas / w.scales, {}
         w, coefs, by_n = weights[M]
         if N not in by_n:
-            adj = w.alphas.copy()  # end_effect_adjust(w, N).alphas: a_1 and a_2 change
-            adj[0] += 2.0 / N
-            adj[1] -= 2.0 / N
+            adj = _end_adjusted(w.alphas, N)
             by_n[N] = adj[0], adj[1] / 2, (N + 1 - float(np.sum(adj * w.scales))) / N
         c1, c2, finite_factor = by_n[N]
         if finite_factor > 0:
@@ -505,139 +512,37 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
 def _bracket_sums(pending: Sequence[_Bins]) -> list[np.ndarray]:
     """The per-bin brackets of every ``pending`` front end, in one flush.
 
-    The skeleton values of all brackets are gathered one after another.  A
-    row is one bin at one scale i: the ``N + 1 - i`` differences of each
-    series at lag i over the bin's slots, dotted by BLAS ``ddot`` (see
-    :func:`_dot_rows`).  Each bin adds ``a_i / i`` times its dots from 0.0
-    in scale order and divides by its finite factor, so every value has the
-    bits of a merge and sum over the bin alone."""
+    The skeleton values of all brackets are gathered one after another into
+    four rows, and each bin is one unit of :func:`_multiscale_sums` on
+    them, divided by its finite factor, so every value has the bits of a
+    merge and sum over the bin alone."""
     outs = [np.zeros(p.size) for p in pending]
     live = [p for p in pending if p.bins]
     if not live:
         return outs
     V = np.empty((4, sum(p.slots for p in live)))  # next a, next b, previous a, previous b
-    starts, n1, coefs, ends, factors = [], [], [], [], []
+    units, coefs, ends, factors = [], [], [], []
     o = 0
     for p in live:
         V[::2, o : o + p.slots] = p.a[p.maps[::2]]
         V[1::2, o : o + p.slots] = p.b[p.maps[1::2]]
         for _, lo, n, c, c1, c2, f in p.bins:
-            starts.append(o + lo)
-            n1.append(n)
+            units.append((0, 1, 2, 3, o + lo, n, c.size))
             coefs.append(c)
             ends.append((c1, c2))
             factors.append(f)
         o += p.slots
-    M = np.array([c.size for c in coefs])
+    units = np.array(units)
+    M = units[:, 6]
     C = np.zeros((int(M.max()), M.size))  # a_i / i of bin b at scale i is C[i - 1, b]
-    row_bin = np.repeat(np.arange(M.size), M)
-    row_i = np.arange(row_bin.size) + 1 - np.repeat(np.cumsum(M) - M, M)
-    C[row_i - 1, row_bin] = np.concatenate(coefs)
+    C.T[np.arange(C.shape[0]) < M[:, None]] = np.concatenate(coefs)
     C[:2] = np.array(ends).T  # M >= 2
-    C *= _dot_rows(V, np.array(starts), np.array(n1), row_bin, row_i)
-    total = np.zeros(M.size)
-    for term in C:  # scale by scale; padding adds +0.0
-        total += term
-    values = total / np.array(factors)
+    values = _multiscale_sums(V, units, C) / np.array(factors)
     o = 0
     for p, out in zip(pending, outs):
         out[[j for j, *_ in p.bins]] = values[o : o + len(p.bins)]
         o += len(p.bins)
     return outs
-
-
-def _dot_rows(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, row_bin: np.ndarray, row_i: np.ndarray) -> np.ndarray:
-    """``D[i - 1, b]``, the dot of the lag-i differences of bin b, for the
-    bins of ``n1`` slots from ``starts`` in the skeleton values ``V`` and
-    the rows ``(row_bin, row_i)`` (bin by bin, scales increasing).
-
-    Rows of one length are gathered together, at most ``_CHUNK`` values per
-    series at a time, and dotted by one ``np.matmul`` of stacked vectors,
-    which calls BLAS ``ddot`` once per row like ``ndarray.dot``.  Rows
-    longer than ``_LONG_ROW`` are dotted in place from each scale's
-    differences over runs of at most ``_GROUP_SLOTS`` slots."""
-    S = V.shape[1]
-    D = np.zeros((int(row_i.max()), n1.size))
-    row_len = n1[row_bin] - row_i
-    short = np.flatnonzero(row_len <= _LONG_ROW)
-    short = short[np.argsort(row_len[short], kind="stable")]
-    i, b = row_i[short], row_bin[short]
-    # of each row's four windows in V.ravel(); int32 is exact, V is small
-    first = np.empty((4, short.size), dtype=np.int32 if V.size < 2**31 else np.int64)
-    first[2] = first[3] = starts[b]
-    first[0] = first[2] + i
-    first[1] = first[0] + S
-    first[2:] += np.array([[2 * S], [3 * S]], dtype=first.dtype)
-    length = row_len[short]
-    cuts = np.flatnonzero(np.diff(length, prepend=0, append=0)).tolist()  # lengths are >= 1
-    dots = np.empty((short.size, 1, 1))
-    for r0, r1 in zip(cuts, cuts[1:]):
-        L = int(length[r0])
-        step = max(1, _CHUNK // L)
-        # windows of L values starting at every element of V (a view, no copy)
-        win = np.ndarray((V.size - L + 1, L), V.dtype, V, 0, (V.itemsize, V.itemsize))
-        for c0 in range(r0, r1, step):
-            rows_ab = win[first[:, c0 : min(r1, c0 + step)]]
-            diff = rows_ab[:2] - rows_ab[2:]
-            np.matmul(diff[0, :, None, :], diff[1, :, :, None], out=dots[c0 : c0 + len(diff[0])])
-    D[i - 1, b] = dots.ravel()
-
-    # a bin's long rows are its first scales; Python ints keep the loop lean
-    n_long = np.minimum(np.bincount(row_bin, minlength=n1.size), n1 - 1 - _LONG_ROW).tolist()
-    starts, n1 = starts.tolist(), n1.tolist()
-    groups: list[list[int]] = []  # runs of bins with long rows spanning at most _GROUP_SLOTS slots
-    for k in (k for k, n in enumerate(n_long) if n > 0):
-        if groups and starts[k] + n1[k] - starts[groups[-1][0]] <= _GROUP_SLOTS:
-            groups[-1].append(k)
-        else:
-            groups.append([k])
-    for group in groups:
-        g0, g1 = starts[group[0]], starts[group[-1]] + n1[group[-1]]
-        group.sort(key=lambda k: -n_long[k])  # the bins still dotting at scale i lead
-        for i in range(1, n_long[group[0]] + 1):
-            da = V[0, g0 + i : g1] - V[2, g0 : g1 - i]
-            db = V[1, g0 + i : g1] - V[3, g0 : g1 - i]
-            for k in group:
-                if n_long[k] < i:
-                    break
-                x, y = starts[k] - g0, starts[k] + n1[k] - i - g0
-                D[i - 1, k] = da[x:y].dot(db[x:y])
-    return D
-
-
-def _binned_bracket(
-    a: TickSeries,
-    b: TickSeries,
-    edges: np.ndarray,
-    w_bin: WeightScheme,
-    cfg: EstimatorConfig,
-    weights: dict | None = None,
-) -> np.ndarray:
-    """End-effect adjusted generalized multi-scale bracket increment
-    estimates per bin.
-
-    Bin j holds the ticks in ``(edges[j], edges[j+1]]`` and is estimated on
-    the refresh merge of those ticks, with the weights ``w_bin`` (rebuilt at
-    ``M = N`` when the bin has fewer refresh intervals N than ``w_bin.M``).
-    A bin with fewer than 3 ticks of either series or fewer than 2 refresh
-    intervals contributes 0.
-
-    Per-bin frequencies are of order N^(3/5) on bins of order N^(4/5)
-    observations, so the multi-scale finite-sample factor
-    ``(N + 1 - sum_i a_i i) / N`` is far from 1 (about ``1 - M/N``); each
-    bin estimate is divided by it, which makes the synchronous-case bracket
-    exactly unbiased.  ``weights`` caches, by ``M``, the weights and their
-    coefficients ``a_i / i`` and, by ``N``, the two coefficients that the
-    end-effect adjustment changes and the factor; calls may share it only
-    when ``w_bin`` is ``cfg.weights(w_bin.M)``.
-
-    Cost: a front end per bracket (:func:`_bracket_bins`: one segmented
-    refresh merge covers all bins, the bin is the segment, and one set of
-    index maps places every refresh time in the full tick arrays), then the
-    multi-scale sums as a flush (:func:`_bracket_sums`).  A direct call is
-    a flush of one bracket; :class:`_AcovPlan` flushes many at once.
-    """
-    return _bracket_sums([_bracket_bins(a, b, edges, w_bin, cfg, {} if weights is None else weights)])[0]
 
 
 def acov_gms_hat(
@@ -662,8 +567,8 @@ def acov_gms_hat(
     disjoint schemes every one of them is exactly zero.
 
     Cost: at most eight brackets per entry, each a front end over its bins
-    and a share of one batched flush of multi-scale sums (see
-    :func:`_binned_bracket`).  :func:`acov_matrix_hat` and
+    (:func:`_bracket_bins`) and a share of one batched flush of multi-scale
+    sums (:func:`_bracket_sums`).  :func:`acov_matrix_hat` and
     :func:`hficov.citest.ci_test` evaluate all their entries on one
     per-call plan, which builds each pairwise refresh grid, shared-stamp
     array, noise moment, weight scheme and bracket once for all entries,
@@ -681,17 +586,17 @@ class _AcovPlan:
       and per ordered component pair (a repeated component included);
     * the weight schemes and their :func:`kernel_constants` by ``M``, and
       the end-adjusted bin coefficients and finite-sample factor by
-      ``(M, N)`` (see :func:`_binned_bracket`);
-    * the :func:`_binned_bracket` arrays, keyed by unordered 0-based
+      ``(M, N)`` (see :func:`_bracket_bins`);
+    * the per-bin bracket arrays, keyed by unordered 0-based
       component pair, bin-edge bytes and bin frequency (the bracket is
       symmetric in its two series).
 
     An entry runs in two steps (:func:`_gms_entry`): it requests its
-    brackets, whose front ends run at once, and waits; the plan then
-    evaluates the multi-scale sums of every pending bracket in one flush
-    (:func:`_bracket_sums`) and finishes the waiting entries.  A flush runs
-    when the pending brackets hold ``_FLUSH_SLOTS`` skeleton slots, which
-    bounds its memory, and after the last entry.
+    brackets, whose front ends run at once, and returns what combines them.
+    The plan evaluates the multi-scale sums of the pending brackets in
+    batched flushes (:func:`_bracket_sums`): when they hold
+    ``_FLUSH_SLOTS`` skeleton slots, which bounds a flush's memory, and
+    after the last entry's requests.  Then every entry is combined.
 
     Components are 0-based indices into ``data``.  A plan lives for one
     call; nothing is kept across calls.
@@ -707,7 +612,6 @@ class _AcovPlan:
         self.bin_weights: dict = {}
         self.pending: list = []  # keys of the pending brackets
         self.pending_slots = 0
-        self.waiting: list = []  # (values, index, finish) per entry waiting for a flush
         self._built: dict = {}
 
     def _once(self, key, build):
@@ -744,8 +648,9 @@ class _AcovPlan:
         return H
 
     def bracket(self, k: int, l: int, edges: np.ndarray, w_bin: WeightScheme) -> tuple:
-        """Request the :func:`_binned_bracket` of components k and l; its key
-        in ``brackets``, which holds the array after the next flush."""
+        """Request the per-bin brackets of components k and l (see
+        :func:`_bracket_bins`); their key in ``brackets``, which holds the
+        array after the next flush."""
         key = (min(k, l), max(k, l), edges.tobytes(), w_bin.M)
         if key not in self.brackets:
             bins = _bracket_bins(self.data[k], self.data[l], edges, w_bin, self.est_cfg, self.bin_weights)
@@ -757,23 +662,16 @@ class _AcovPlan:
         return key
 
     def flush(self) -> None:
-        """Sum every pending bracket, then finish the waiting entries (each
-        requested all its brackets before it waited)."""
+        """Sum every pending bracket."""
         keys, self.pending, self.pending_slots = self.pending, [], 0
         for key, out in zip(keys, _bracket_sums([self.brackets[key] for key in keys])):
             self.brackets[key] = out
-        waiting, self.waiting = self.waiting, []
-        for values, n, finish in waiting:
-            values[n] = finish()
 
     def entries(self, pairs_list) -> list[float]:
         """:func:`acov_gms_hat` of each item of ``pairs_list``, in order."""
-        values = [0.0] * len(pairs_list)
-        for n, pairs in enumerate(pairs_list):
-            finish = _gms_entry(self.data, pairs, self)  # may flush, which renews self.waiting
-            self.waiting.append((values, n, finish))
+        finishes = [_gms_entry(self.data, pairs, self) for pairs in pairs_list]
         self.flush()
-        return values
+        return [finish() for finish in finishes]
 
 
 def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> Callable[[], float]:

@@ -16,9 +16,13 @@ The menu, in increasing generality:
 
 ``estimate_matrix`` assembles the full p x p matrix and packs it into the
 half-vectorized (svec) layout used by the asymptotic covariance machinery.
-On synchronous data ``ms`` and ``kernel`` difference each series once and
-share those differences across all pairs; every pair's value has the same
-bits as the one-pair call.
+Every multi-scale sum (``multiscale``, ``generalized_multiscale``, the
+synchronous ``ms`` matrix and the histogram bins of the gms asymptotic
+covariance) goes through one batched core, ``_multiscale_sums``, which
+gives each sum the bits of a scale loop over that sum alone.  On
+synchronous data ``ms`` and ``kernel`` difference each series once per
+scale or call and share those differences across all pairs; every pair's
+value has the same bits as the one-pair call.
 """
 
 from __future__ import annotations
@@ -118,33 +122,124 @@ def _ms_frequency(c: float, n: int) -> int:
     return _clamp_frequency(c * math.sqrt(n), n)
 
 
-def _multiscale_sum(up_a: np.ndarray, lo_a: np.ndarray, up_b: np.ndarray, lo_b: np.ndarray, w: WeightScheme) -> float:
-    """``sum_i (a_i/i) sum_j (up_a[j] - lo_a[j-i]) (up_b[j] - lo_b[j-i])``."""
-    total = 0.0
-    for i in range(1, w.M + 1):
-        da = up_a[i:] - lo_a[:-i]
-        db = up_b[i:] - lo_b[:-i]
-        total += (w.alphas[i - 1] / i) * float(np.dot(da, db))
+# skeleton slots whose scale-i differences the long rows of one call are
+# dotted from at once, so that the six arrays of a group (768 KiB) stay in a
+# core's L2 cache: on a full trading day one group per acov bracket made the
+# acov 20% slower than a merge and sum per bin
+_GROUP_SLOTS = 1 << 14
+# rows (one unit at one scale) longer than this are dotted in place from
+# those differences, shorter ones are gathered by length.  Gathering every
+# row made the gms acov 26% slower on a p=3 input with 100-200 values per
+# row; from 64 to 256 the time was flat there and on p=4 inputs with shorter
+# rows.
+_LONG_ROW = 128
+# values per series that one batched dot of short rows gathers at most,
+# which bounds the temporaries
+_CHUNK = 1 << 11
+
+
+def _multiscale_sums(rows: Sequence[np.ndarray], units: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """The multi-scale sum of each unit u,
+    ``sum_i coefs[i - 1, u] sum_j (up_a[j] - lo_a[j - i]) (up_b[j] - lo_b[j - i])``.
+
+    A unit is a row ``(up a, up b, lo a, lo b, start, n1, M)`` of the int
+    array ``units``: four indices into ``rows``, value arrays of one length,
+    and scales i = 1..M over the ``n1`` slots from ``start`` (j runs over
+    the last ``n1 - i`` of them).  ``coefs`` is ``(max M, units)`` and zero
+    past a unit's M; ``a_i / i`` for weights ``a``.
+
+    Each (unit, scale) is one BLAS ``ddot`` of the two lag-i difference
+    rows, and each unit adds its weighted dots from 0.0 in scale order, so
+    every sum has the bits of a scale loop of ``np.dot`` calls over that
+    unit alone.  Rows of at most ``_LONG_ROW`` values are gathered by
+    length, at most ``_CHUNK`` values per series at a time, and dotted by
+    one ``np.matmul`` of stacked vectors, which calls ``ddot`` once per row
+    like ``ndarray.dot`` (a -0.0 dot comes back as +0.0, which a sum
+    starting from +0.0 cannot tell apart).  Longer rows are dotted in place:
+    at each scale a group of units forms each (up row, lo row) difference
+    once, over at most ``_GROUP_SLOTS`` slots or one unit's slots, so units
+    that share rows and slots share their differences.
+    """
+    starts, n1, M = units[:, 4], units[:, 5], units[:, 6]
+    D = np.zeros(coefs.shape)  # D[i - 1, u]: the lag-i dot of unit u
+    # a unit's short rows are its last scales, from i0 = max(1, n1 - _LONG_ROW)
+    i0 = np.maximum(1, n1 - _LONG_ROW)
+    n_short = np.maximum(0, M - i0 + 1)
+    if n_short.any():
+        V = np.ascontiguousarray(rows, dtype=float)
+        u = np.repeat(np.arange(M.size), n_short)
+        i = np.arange(u.size) + np.repeat(i0 - np.cumsum(n_short) + n_short, n_short)
+        length = n1[u] - i
+        order = np.argsort(length, kind="stable")
+        u, i, length = u[order], i[order], length[order]
+        # of each row's four windows in V.ravel(); int32 is exact, V is small
+        first = (units[u, :4].T * V.shape[1] + starts[u]).astype(np.int32 if V.size < 2**31 else np.int64)
+        first[:2] += i.astype(first.dtype)
+        cuts = np.flatnonzero(np.diff(length, prepend=0, append=0)).tolist()  # lengths are >= 1
+        dots = np.empty((u.size, 1, 1))
+        for r0, r1 in zip(cuts, cuts[1:]):
+            L = int(length[r0])
+            step = max(1, _CHUNK // L)
+            # windows of L values starting at every element of V (a view, no copy)
+            win = np.ndarray((V.size - L + 1, L), V.dtype, V, 0, (V.itemsize, V.itemsize))
+            for c0 in range(r0, r1, step):
+                rows_ab = win[first[:, c0 : min(r1, c0 + step)]]
+                diff = rows_ab[:2] - rows_ab[2:]
+                np.matmul(diff[0, :, None, :], diff[1, :, :, None], out=dots[c0 : c0 + len(diff[0])])
+        D[i - 1, u] = dots.ravel()
+
+    # a unit's long rows are its first scales; Python ints keep the loop lean
+    n_long = np.minimum(M, n1 - 1 - _LONG_ROW).tolist()
+    idx, starts, ends = units[:, :4].tolist(), starts.tolist(), (starts + n1).tolist()
+    groups: list[list] = []  # [first slot, end slot, units]
+    for u in (u for u, n in enumerate(n_long) if n > 0):
+        lo, hi = starts[u], ends[u]
+        if groups:
+            g = groups[-1]
+            g0, g1 = min(g[0], lo), max(g[1], hi)
+            if g1 - g0 <= max(_GROUP_SLOTS, g[1] - g[0]):
+                g[0], g[1] = g0, g1
+                g[2].append(u)
+                continue
+        groups.append([lo, hi, [u]])
+    for g0, g1, group in groups:
+        group.sort(key=lambda u: -n_long[u])  # the units still dotting at scale i lead
+        keys: dict = {}  # (up row, lo row) -> position in diffs
+        diffs = []  # (up row, lo row, last scale) per difference the group forms
+        work = []  # (unit, its two differences, its slots in them, last scale)
+        for u in group:
+            up_a, up_b, lo_a, lo_b = idx[u]
+            for key in ((up_a, lo_a), (up_b, lo_b)):
+                if key not in keys:  # first needed by the unit with the most scales
+                    keys[key] = len(diffs)
+                    diffs.append((*key, n_long[u]))
+            # a difference at scale i covers slots g0 + i to g1, so a unit's
+            # part of it starts and ends at the same offsets at every scale
+            work.append((u, keys[up_a, lo_a], keys[up_b, lo_b], slice(starts[u] - g0, ends[u] - g1 or None), n_long[u]))
+        for i in range(1, n_long[group[0]] + 1):
+            d = [rows[up][g0 + i : g1] - rows[lo][g0 : g1 - i] if last >= i else None for up, lo, last in diffs]
+            row = D[i - 1]
+            for u, ja, jb, slots, last in work:
+                if last < i:
+                    break
+                row[u] = d[ja][slots].dot(d[jb][slots])
+    D *= coefs
+    total = np.zeros(M.size)
+    for term in D:  # scale by scale; padding adds +0.0
+        total += term
     return total
 
 
 def _multiscale_pairs(values: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], w: WeightScheme) -> list[float]:
-    """Multi-scale sums of synchronous series, one per ``(k, l)`` in ``pairs``.
-
-    Scales run outside and pairs inside, so each series' scale-i differences
-    are formed once per scale; each pair still adds one ``np.dot`` per scale,
-    in the order of :func:`_multiscale_sum`.
-    """
+    """Multi-scale sums of synchronous series, one per ``(k, l)`` in
+    ``pairs``: one unit per pair, whose differences are those of its two
+    series, formed once per scale for all pairs."""
     n = values[0].size - 1
     if w.M > n:
         raise ValueError(f"multi-scale frequency M={w.M} exceeds n={n}")
-    totals = [0.0] * len(pairs)
-    for i in range(1, w.M + 1):
-        d = [v[i:] - v[:-i] for v in values]
-        coef = w.alphas[i - 1] / i
-        for j, (k, l) in enumerate(pairs):
-            totals[j] += coef * float(np.dot(d[k], d[l]))
-    return totals
+    units = np.array([(k, l, k, l, 0, n + 1, w.M) for k, l in pairs])
+    coefs = np.repeat((w.alphas / w.scales)[:, None], len(pairs), axis=1)
+    return _multiscale_sums(values, units, coefs).tolist()
 
 
 def _kernel_pairs(
@@ -252,9 +347,8 @@ def generalized_multiscale(a: TickSeries, b: TickSeries, w: WeightScheme, grid: 
     N = len(grid) - 1
     if w.M > N:
         raise ValueError(f"multi-scale frequency M={w.M} exceeds refresh count N={N}")
-    up_a, lo_a = a.values[grid.next_idx[0]], a.values[grid.prev_idx[0]]
-    up_b, lo_b = b.values[grid.next_idx[1]], b.values[grid.prev_idx[1]]
-    return _multiscale_sum(up_a, lo_a, up_b, lo_b, w)
+    rows = [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
+    return float(_multiscale_sums(rows, np.array([(0, 1, 2, 3, 0, N + 1, w.M)]), (w.alphas / w.scales)[:, None])[0])
 
 
 @dataclass(frozen=True)

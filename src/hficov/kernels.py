@@ -296,10 +296,16 @@ def end_effect_adjust(w: WeightScheme, n: int) -> WeightScheme:
         raise ValueError("end-effect adjustment needs M >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = w.alphas.copy()
+    return replace(w, alphas=_end_adjusted(w.alphas, n), end_adjusted=True)
+
+
+def _end_adjusted(alphas: np.ndarray, n: int) -> np.ndarray:
+    """A copy of ``alphas`` with ``a_1 + 2/n`` and ``a_2 - 2/n``; the weights
+    of :func:`end_effect_adjust`, without its checks."""
+    a = alphas.copy()
     a[0] += 2.0 / n
     a[1] -= 2.0 / n
-    return replace(w, alphas=a, end_adjusted=True)
+    return a
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 Most of what is here is written as plain loops from the defining formulas,
 on purpose sharing no code with the package implementations (no prefix
 sums, no convolutions, no vectorization).  The test suite pins the fast
-implementations against these to 1e-12 relative error.  Four oracles are
+implementations against these to 1e-12 relative error.  Five oracles are
 simpler forms of the same computation instead, pinned bit for bit: the
-one-pair-at-a-time synchronous estimator loop, the row-by-row tick-file
-loader and the refresh merge of one pair, alone and looped over segments.
-The shared stochastic-variance test model lives here too.
+one-pair-at-a-time synchronous estimator loop, the multi-scale sum of one
+unit as a scale loop, the row-by-row tick-file loader and the refresh merge
+of one pair, alone and looped over segments.  The shared
+stochastic-variance test model and the histogram bracket of one pair, as a
+flush of that bracket alone, live here too.
 """
 
 from __future__ import annotations
@@ -25,6 +27,28 @@ def ms_oracle(values_a, values_b, alphas) -> float:
             inner += (values_a[j] - values_a[j - i]) * (values_b[j] - values_b[j - i])
         total += alphas[i - 1] / i * inner
     return total
+
+
+def multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs) -> float:
+    """``sum_i coefs[i-1] sum_j (up_a[j] - lo_a[j-i]) (up_b[j] - lo_b[j-i])``
+    as a scale loop of one ``np.dot`` per scale: the reference, bit for
+    bit, for each unit of ``estimators._multiscale_sums``."""
+    import numpy as np
+
+    total = 0.0
+    for i in range(1, len(coefs) + 1):
+        da = up_a[i:] - lo_a[:-i]
+        db = up_b[i:] - lo_b[:-i]
+        total += coefs[i - 1] * float(np.dot(da, db))
+    return total
+
+
+def binned_bracket(a, b, edges, w_bin, cfg, weights=None):
+    """The gms acov's per-bin bracket estimates of series a and b on the bins
+    ``edges`` (see ``avar._bracket_bins``), as a flush of this bracket alone."""
+    from hficov.avar import _bracket_bins, _bracket_sums
+
+    return _bracket_sums([_bracket_bins(a, b, edges, w_bin, cfg, {} if weights is None else weights)])[0]
 
 
 def kernel_oracle(values_a, values_b, kern, H, adjusted=False) -> float:

@@ -14,7 +14,6 @@ from hficov.avar import (
     AcovMatrix,
     GmsAcovConfig,
     TheoryInputs,
-    _binned_bracket,
     _union_refresh_count,
     acov_gms_hat,
     acov_matrix_hat,
@@ -41,7 +40,7 @@ from hficov.citest import ci_test
 from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
-from oracles import acov_rc_oracle, isserlis_mc_oracle
+from oracles import acov_rc_oracle, binned_bracket, isserlis_mc_oracle
 
 
 def series(times, values, T=1.0):
@@ -404,7 +403,7 @@ def test_acov_gms_hat_needs_enough_refresh_times():
 def sliced_binned_bracket(a, b, edges, weights_for):
     """Per-bin brackets from bins copied into new series rebased on the bin
     origin, refreshed and estimated as whole series: the reference for the
-    index-window loop of ``_binned_bracket``."""
+    index-window loop of ``binned_bracket``."""
 
     def slice_series(s, lo, hi):
         mask = (s.scheme.times > lo) & (s.scheme.times <= hi)
@@ -491,7 +490,7 @@ def test_binned_bracket_equals_sliced_reference(case):
             return None
         return cfg.weights(max(2, min(m_bin, n_bin)))
 
-    got = _binned_bracket(a, b, edges, cfg.weights(m_bin), cfg)
+    got = binned_bracket(a, b, edges, cfg.weights(m_bin), cfg)
     assert np.array_equal(got, sliced_binned_bracket(a, b, edges, weights_for))
 
 
@@ -506,8 +505,8 @@ def test_binned_bracket_in_small_groups_equals_sliced_reference(case, group_slot
     def weights_for(n_bin):
         return cfg.weights(max(2, min(m_bin, n_bin))) if n_bin >= 2 else None
 
-    with mock.patch.object(avar_module, "_GROUP_SLOTS", group_slots):
-        got = _binned_bracket(a, b, edges, cfg.weights(m_bin), cfg)
+    with mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots):
+        got = binned_bracket(a, b, edges, cfg.weights(m_bin), cfg)
     assert np.array_equal(got, sliced_binned_bracket(a, b, edges, weights_for))
 
 
@@ -578,9 +577,9 @@ def test_one_flush_of_many_brackets_equals_each_bracket_alone(cases, kernel, bud
     plan = avar_module._AcovPlan(data, cfg)
     with (
         mock.patch.object(avar_module, "_FLUSH_SLOTS", budget),
-        mock.patch.object(avar_module, "_LONG_ROW", long_row),
-        mock.patch.object(avar_module, "_CHUNK", chunk),
-        mock.patch.object(avar_module, "_GROUP_SLOTS", group_slots),
+        mock.patch.object(estimators_module, "_LONG_ROW", long_row),
+        mock.patch.object(estimators_module, "_CHUNK", chunk),
+        mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots),
     ):
         keys = [plan.bracket(2 * n, 2 * n + 1, edges, plan.weights(m_bin)) for n, (_, _, edges, m_bin, _) in enumerate(cases)]
         plan.flush()
@@ -593,8 +592,9 @@ def test_one_flush_of_many_brackets_equals_each_bracket_alone(cases, kernel, bud
 
 @pytest.mark.parametrize("budget", [1, 300, 1 << 40])
 def test_acov_matrix_hat_gms_same_under_any_flush_budget(budget):
-    # a flush inside an entry's requests finishes the entries waiting before
-    # it; every entry equals its own acov_gms_hat call
+    # a flush inside an entry's requests sums only the brackets pending so
+    # far, and every entry is combined after the last flush; every entry
+    # equals its own acov_gms_hat call
     rng = np.random.default_rng(46)
     data = []
     for _ in range(3):
@@ -658,7 +658,7 @@ def test_binned_bracket_symmetric_in_its_series(case):
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
     w = cfg.weights(m_bin)
-    assert np.array_equal(_binned_bracket(a, b, edges, w, cfg), _binned_bracket(b, a, edges, w, cfg))
+    assert np.array_equal(binned_bracket(a, b, edges, w, cfg), binned_bracket(b, a, edges, w, cfg))
 
 
 def entrywise_acov_gms(data, config):
@@ -733,7 +733,7 @@ def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
     cfg = EstimatorConfig()
     for bins in (1, 2, 7, 30):
         calls.clear()
-        out = _binned_bracket(data[0], data[1], np.linspace(0.0, 1.0, bins + 1), cfg.weights(4), cfg)
+        out = binned_bracket(data[0], data[1], np.linspace(0.0, 1.0, bins + 1), cfg.weights(4), cfg)
         assert np.count_nonzero(out) > bins // 2  # most bins are estimated
         assert calls == {"_refresh_merge": 1, "_index_maps": 1}
 
