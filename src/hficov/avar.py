@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .estimators import (
+    _GROUP_SLOTS,
     EstimatorConfig,
     TickSeries,
     _check_c,
@@ -435,34 +436,15 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
-# pending skeleton slots at which an _AcovPlan evaluates its brackets: half
-# this made the gms_async acov 9% slower, twice this added 0.4 MB at the peak
-_FLUSH_SLOTS = 1 << 13
+# skeleton slots up to which a bracket sums its bins in 2-D lag blocks
+# (:func:`_bin_sums`); longer brackets, such as a full trading day's, dot
+# each bin in place at each scale (:func:`_multiscale_sums`)
+_BLOCK_SLOTS = 1 << 12
 
 
-class _Bins(NamedTuple):
-    """One bracket's front end, waiting for its multi-scale sums: the bin
-    count; the kept bins as (bin, first slot, slots N + 1, ``a_i / i``,
-    end-adjusted ``a_1`` and ``a_2 / 2``, finite factor); the
-    next-/previous-tick maps of the slots
-    from the first kept bin to the last, as rows (next a, next b, previous a,
-    previous b); and the two series' values."""
-
-    size: int
-    bins: list
-    maps: np.ndarray | None
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def slots(self) -> int:
-        return 0 if self.maps is None else self.maps.shape[1]
-
-
-def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig, weights: dict) -> _Bins:
-    """The front end of one bracket: the end-effect adjusted generalized
-    multi-scale bracket increment estimates per bin, waiting for their sums
-    (:func:`_bracket_sums`).
+def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig, weights: dict) -> np.ndarray:
+    """End-effect adjusted generalized multi-scale bracket increment
+    estimates per bin.
 
     Bin j holds the ticks in ``(edges[j], edges[j+1]]`` and is estimated on
     the refresh merge of those ticks, with the weights ``w_bin`` (rebuilt at
@@ -482,11 +464,15 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
 
     Cost: one segmented refresh merge covers all bins (the bin is the
     segment), the ``searchsorted`` bin windows and one set of index maps
-    place every refresh time in the full tick arrays."""
+    place every refresh time in the full tick arrays.  A skeleton of at
+    most ``_BLOCK_SLOTS`` slots is summed by :func:`_bin_sums`, a few numpy
+    calls per block of scales; a longer one by :func:`_multiscale_sums`,
+    one unit per bin, with the bits of a scale loop over each bin alone."""
     ta, tb = a.scheme.times, b.scheme.times
     ia, ib = ta.searchsorted(edges, "right"), tb.searchsorted(edges, "right")
     refresh, bounds = _refresh_merge(ta, tb, ia, ib)
     n_bin = bounds[1:] - bounds[:-1] - 1
+    out = np.zeros(edges.size - 1)
     bins = []
     for j in np.flatnonzero((ia[1:] - ia[:-1] >= 3) & (ib[1:] - ib[:-1] >= 3) & (n_bin >= 2)).tolist():
         N = int(n_bin[j])
@@ -502,47 +488,60 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
         if finite_factor > 0:
             bins.append((j, int(bounds[j]), N + 1, coefs, c1, c2, finite_factor))
     if not bins:
-        return _Bins(edges.size - 1, bins, None, a.values, b.values)
-    s0, s1 = bins[0][1], bins[-1][1] + bins[-1][2]
-    nxt, prv = _index_maps((ta, tb), refresh[s0:s1])
-    maps = np.concatenate((nxt, prv), dtype=np.int32 if max(ta.size, tb.size) < 2**31 else np.int64)
-    return _Bins(edges.size - 1, [(j, lo - s0, *rest) for j, lo, *rest in bins], maps, a.values, b.values)
-
-
-def _bracket_sums(pending: Sequence[_Bins]) -> list[np.ndarray]:
-    """The per-bin brackets of every ``pending`` front end, in one flush.
-
-    The skeleton values of all brackets are gathered one after another into
-    four rows, and each bin is one unit of :func:`_multiscale_sums` on
-    them, divided by its finite factor, so every value has the bits of a
-    merge and sum over the bin alone."""
-    outs = [np.zeros(p.size) for p in pending]
-    live = [p for p in pending if p.bins]
-    if not live:
-        return outs
-    V = np.empty((4, sum(p.slots for p in live)))  # next a, next b, previous a, previous b
-    units, coefs, ends, factors = [], [], [], []
-    o = 0
-    for p in live:
-        V[::2, o : o + p.slots] = p.a[p.maps[::2]]
-        V[1::2, o : o + p.slots] = p.b[p.maps[1::2]]
-        for _, lo, n, c, c1, c2, f in p.bins:
-            units.append((0, 1, 2, 3, o + lo, n, c.size))
-            coefs.append(c)
-            ends.append((c1, c2))
-            factors.append(f)
-        o += p.slots
-    units = np.array(units)
-    M = units[:, 6]
-    C = np.zeros((int(M.max()), M.size))  # a_i / i of bin b at scale i is C[i - 1, b]
+        return out
+    j, lo, n1, coefs, c1, c2, factors = zip(*bins)
+    s0 = lo[0]
+    nxt, prv = _index_maps((ta, tb), refresh[s0 : lo[-1] + n1[-1]])
+    V = np.empty((4, nxt.shape[1]))  # next a, next b, previous a, previous b
+    for row, x, i in zip(V, (a, b, a, b), (*nxt, *prv)):
+        x.values.take(i, out=row)
+    starts, n1, M = np.array(lo) - s0, np.array(n1), np.array([c.size for c in coefs])
+    C = np.zeros((int(M.max()), M.size))  # a_i / i of bin u at scale i is C[i - 1, u]
     C.T[np.arange(C.shape[0]) < M[:, None]] = np.concatenate(coefs)
-    C[:2] = np.array(ends).T  # M >= 2
-    values = _multiscale_sums(V, units, C) / np.array(factors)
-    o = 0
-    for p, out in zip(pending, outs):
-        out[[j for j, *_ in p.bins]] = values[o : o + len(p.bins)]
-        o += len(p.bins)
-    return outs
+    C[0], C[1] = c1, c2  # M >= 2
+    if V.shape[1] <= _BLOCK_SLOTS:
+        sums = _bin_sums(V, starts, n1, C)
+    else:
+        units = np.column_stack((np.broadcast_to([0, 1, 2, 3], (M.size, 4)), starts, n1, M))
+        sums = _multiscale_sums(V, units, C)
+    out[list(j)] = sums / np.array(factors)
+    return out
+
+
+def _bin_sums(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The multi-scale sum of each bin u on the skeleton rows ``V`` (next a,
+    next b, previous a, previous b),
+    ``sum_i C[i - 1, u] sum_j (V[0, j] - V[2, j - i]) (V[1, j] - V[3, j - i])``
+    over the ``n1[u]`` slots from ``starts[u]`` (j runs over the last
+    ``n1[u] - i`` of them).
+
+    One 2-D block of lag differences per step of scales, over every slot,
+    holds at most ``_GROUP_SLOTS`` values; its products are summed per
+    (scale, bin) by one ``np.add.reduceat`` whose segments lie inside the
+    bin.  A (scale, bin) with a zero coefficient, such as one past the
+    bin's own M, is not summed and adds exactly 0.  The order of additions
+    is not a scale loop's, so a value may differ from it by rounding.
+    """
+    M, S = C.shape[0], V.shape[1]
+    P = np.zeros((2, M + S))
+    P[:, M:] = V[2:]
+    lags = np.ndarray((2, M + 1, S), P.dtype, P, 0, (P.strides[0], P.itemsize, P.itemsize))  # lags[r, M - i, j] = V[2 + r, j - i]
+    D = np.zeros(C.shape)  # D[i - 1, u]: the lag-i sum of bin u
+    step = min(M, max(1, _GROUP_SLOTS // S))
+    flat = np.zeros(step * S + 1)  # the block's products; the last cut may point past them
+    # products across bin edges and the sums between segments may overflow;
+    # they are never read
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(1, M + 1, step):
+            i = np.arange(min(M, i0 + step - 1), i0 - 1, -1)  # the scale of each block row
+            block = flat[: i.size * S].reshape(i.size, S)
+            np.subtract(V[0], lags[0, M - i[0] : M - i[-1] + 1], out=block)
+            block *= V[1] - lags[1, M - i[0] : M - i[-1] + 1]
+            t, u = np.nonzero(C[i - 1])
+            base = t * S + starts[u]
+            cuts = np.column_stack((base + i[t], base + n1[u])).ravel()
+            D[i[t] - 1, u] = np.add.reduceat(flat[: i.size * S + 1], cuts)[::2]
+    return (C * D).sum(axis=0)
 
 
 def acov_gms_hat(
@@ -566,15 +565,13 @@ def acov_gms_hat(
     bins equidistant in the shared-timestamp counting functions; on fully
     disjoint schemes every one of them is exactly zero.
 
-    Cost: at most eight brackets per entry, each a front end over its bins
-    (:func:`_bracket_bins`) and a share of one batched flush of multi-scale
-    sums (:func:`_bracket_sums`).  :func:`acov_matrix_hat` and
+    Cost: at most eight brackets per entry, each one pass over its bins
+    (:func:`_bracket_bins`).  :func:`acov_matrix_hat` and
     :func:`hficov.citest.ci_test` evaluate all their entries on one
     per-call plan, which builds each pairwise refresh grid, shared-stamp
-    array, noise moment, weight scheme and bracket once for all entries,
-    and sums the brackets of many entries in each flush.
+    array, noise moment, weight scheme and bracket once for all entries.
     """
-    return _AcovPlan(data, config).entries([pairs])[0]
+    return _gms_entry(data, pairs, _AcovPlan(data, config))
 
 
 class _AcovPlan:
@@ -587,16 +584,9 @@ class _AcovPlan:
     * the weight schemes and their :func:`kernel_constants` by ``M``, and
       the end-adjusted bin coefficients and finite-sample factor by
       ``(M, N)`` (see :func:`_bracket_bins`);
-    * the per-bin bracket arrays, keyed by unordered 0-based
+    * the :func:`_bracket_bins` arrays, keyed by unordered 0-based
       component pair, bin-edge bytes and bin frequency (the bracket is
       symmetric in its two series).
-
-    An entry runs in two steps (:func:`_gms_entry`): it requests its
-    brackets, whose front ends run at once, and returns what combines them.
-    The plan evaluates the multi-scale sums of the pending brackets in
-    batched flushes (:func:`_bracket_sums`): when they hold
-    ``_FLUSH_SLOTS`` skeleton slots, which bounds a flush's memory, and
-    after the last entry's requests.  Then every entry is combined.
 
     Components are 0-based indices into ``data``.  A plan lives for one
     call; nothing is kept across calls.
@@ -608,10 +598,8 @@ class _AcovPlan:
             kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
         )
         self.est_cfg = EstimatorConfig(kernel=self.cfg.kernel, c=self.cfg.c)
-        self.brackets: dict = {}  # a _Bins while pending, then the array
+        self.brackets: dict = {}
         self.bin_weights: dict = {}
-        self.pending: list = []  # keys of the pending brackets
-        self.pending_slots = 0
         self._built: dict = {}
 
     def _once(self, key, build):
@@ -647,39 +635,20 @@ class _AcovPlan:
             H[x, y] = H[y, x] = cov
         return H
 
-    def bracket(self, k: int, l: int, edges: np.ndarray, w_bin: WeightScheme) -> tuple:
-        """Request the per-bin brackets of components k and l (see
-        :func:`_bracket_bins`); their key in ``brackets``, which holds the
-        array after the next flush."""
+    def bracket(self, k: int, l: int, edges: np.ndarray, w_bin: WeightScheme) -> np.ndarray:
+        """The per-bin brackets of components k and l (see :func:`_bracket_bins`)."""
         key = (min(k, l), max(k, l), edges.tobytes(), w_bin.M)
         if key not in self.brackets:
-            bins = _bracket_bins(self.data[k], self.data[l], edges, w_bin, self.est_cfg, self.bin_weights)
-            self.brackets[key] = bins
-            self.pending.append(key)
-            self.pending_slots += bins.slots
-            if self.pending_slots >= _FLUSH_SLOTS:
-                self.flush()
-        return key
-
-    def flush(self) -> None:
-        """Sum every pending bracket."""
-        keys, self.pending, self.pending_slots = self.pending, [], 0
-        for key, out in zip(keys, _bracket_sums([self.brackets[key] for key in keys])):
-            self.brackets[key] = out
+            self.brackets[key] = _bracket_bins(self.data[k], self.data[l], edges, w_bin, self.est_cfg, self.bin_weights)
+        return self.brackets[key]
 
     def entries(self, pairs_list) -> list[float]:
         """:func:`acov_gms_hat` of each item of ``pairs_list``, in order."""
-        finishes = [_gms_entry(self.data, pairs, self) for pairs in pairs_list]
-        self.flush()
-        return [finish() for finish in finishes]
+        return [_gms_entry(self.data, pairs, self) for pairs in pairs_list]
 
 
-def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> Callable[[], float]:
-    """:func:`acov_gms_hat` on the grids, moments, weights and brackets of
-    ``plan``, in two steps: this call requests the brackets, and the
-    returned function combines them once ``plan`` has flushed them.  It
-    keeps only what the combination reads, not the global grid or its
-    weighted sampling autocorrelation."""
+def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
+    """:func:`acov_gms_hat` on the grids, moments, weights and brackets of ``plan``."""
     cfg = plan.cfg
     idx = _pair_components(pairs, len(data))
     g12, g34 = plan.grid(idx[0], idx[1]), plan.grid(idx[2], idx[3])
@@ -693,10 +662,9 @@ def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> Callable[[
     T = glob.horizon
 
     M12, M34, _, w_glob, lasa, c_eff = _gms_skeleton(g12, g34, glob, plan.weights, cfg.c)
-    lasa_total = lasa.total
     w_bin = plan.weights(max(2, int(round(N ** 0.6))))
 
-    def bracket(x: int, y: int, edges: np.ndarray) -> tuple:
+    def bracket(x: int, y: int, edges: np.ndarray) -> np.ndarray:
         return plan.bracket(idx[x], idx[y], edges, w_bin)
 
     # half-bin split: products of bracket estimates on the same data are
@@ -705,55 +673,33 @@ def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> Callable[[
     # disjoint data makes them conditionally unbiased for the local
     # spot-covariance products
     half_edges = _bin_edges_from_step(lasa, 2 * K, T)
-    half = [bracket(x, y, half_edges) for x, y in ((0, 2), (1, 3), (0, 3), (1, 2))]
+    kr, lq, kq, lr = (bracket(x, y, half_edges) for x, y in ((0, 2), (1, 3), (0, 3), (1, 2)))
+    dt_half = np.diff(half_edges)
+    a, b = slice(0, 2 * K, 2), slice(1, 2 * K, 2)
+    denom = 2.0 * dt_half[a] * dt_half[b]
+    cross = kr[a] * lq[b] + kr[b] * lq[a] + kq[a] * lr[b] + kq[b] * lr[a]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_bin = np.where(denom > 0, cross / denom, 0.0)
+    first = 2.0 * c_eff * T * float(np.sum(per_bin)) * lasa.total / K
 
-    ov = None  # no noise addends
-    if cfg.include_noise_terms:
-        shared = [plan.shared(idx[x], idx[y])[0] for x, y in ((0, 2), (0, 3), (1, 2), (1, 3))]
-        ov = _sync_overlap(glob, M12, M34, shared)
-        ov = None if ov.all_zero() else ov
-    if ov is not None:
-        eta = plan.noise(idx)
-        kc = plan.constants(w_glob.M)
-        noise_bins: dict = {}  # bin edges, bracket key and step total per integrated noise slot
+    if not cfg.include_noise_terms:
+        return first
+    shared = [plan.shared(idx[x], idx[y])[0] for x, y in ((0, 2), (0, 3), (1, 2), (1, 3))]
+    ov = _sync_overlap(glob, M12, M34, shared)
+    if ov.all_zero():
+        return first
 
-        def request(step: StepFunction, xy: tuple[int, int]) -> float:
-            if step.total != 0.0:
-                edges = _bin_edges_from_step(step, K, T)
-                noise_bins[xy] = edges, bracket(*xy, edges), step.total
+    def binned_integral(step: StepFunction, xy: tuple[int, int]) -> float:
+        if step.total == 0.0:
             return 0.0
-
-        # the first pass only requests the brackets that the cross
-        # integrals of the second will read; a waiting entry keeps the
-        # overlap counts but not the step functions, which hold O(ticks)
-        _noise_addends(kc, c_eff, eta, ov, request)
-        ov = replace(ov, s_13=None, s_14=None, s_23=None, s_24=None)
-
-    def finish() -> float:
-        kr, lq, kq, lr = (plan.brackets[key] for key in half)
-        dt_half = np.diff(half_edges)
-        a, b = slice(0, 2 * K, 2), slice(1, 2 * K, 2)
-        denom = 2.0 * dt_half[a] * dt_half[b]
-        cross = kr[a] * lq[b] + kr[b] * lq[a] + kq[a] * lr[b] + kq[b] * lr[a]
+        se = _bin_edges_from_step(step, K, T)
+        sdt = np.diff(se)
         with np.errstate(divide="ignore", invalid="ignore"):
-            per_bin = np.where(denom > 0, cross / denom, 0.0)
-        first = 2.0 * c_eff * T * float(np.sum(per_bin)) * lasa_total / K
-        if ov is None:
-            return first
+            vals = np.where(sdt > 0, bracket(*xy, se) / sdt, 0.0)
+        return float(np.sum(vals)) * step.total / K
 
-        def binned_integral(_, xy: tuple[int, int]) -> float:
-            if xy not in noise_bins:  # a zero step total
-                return 0.0
-            se, key, total = noise_bins[xy]
-            sdt = np.diff(se)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.where(sdt > 0, plan.brackets[key] / sdt, 0.0)
-            return float(np.sum(vals)) * total / K
-
-        noise2, ends, cross = _noise_addends(kc, c_eff, eta, ov, binned_integral)
-        return first + noise2 + ends + cross
-
-    return finish
+    noise2, ends, cross = _noise_addends(plan.constants(w_glob.M), c_eff, plan.noise(idx), ov, binned_integral)
+    return first + noise2 + ends + cross
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ The menu, in increasing generality:
 
 ``estimate_matrix`` assembles the full p x p matrix and packs it into the
 half-vectorized (svec) layout used by the asymptotic covariance machinery.
-Every multi-scale sum (``multiscale``, ``generalized_multiscale``, the
-synchronous ``ms`` matrix and the histogram bins of the gms asymptotic
-covariance) goes through one batched core, ``_multiscale_sums``, which
-gives each sum the bits of a scale loop over that sum alone.  On
+The multi-scale sums of ``multiscale``, ``generalized_multiscale``, the
+synchronous ``ms`` matrix and the long histogram brackets of the gms
+asymptotic covariance go through one core, ``_multiscale_sums``, which
+gives each sum the bits of a scale loop over that sum alone (short
+brackets sum their bins in lag blocks, ``hficov.avar._bin_sums``).  On
 synchronous data ``ms`` and ``kernel`` difference each series once per
 scale or call and share those differences across all pairs; every pair's
 value has the same bits as the one-pair call.
@@ -122,20 +123,11 @@ def _ms_frequency(c: float, n: int) -> int:
     return _clamp_frequency(c * math.sqrt(n), n)
 
 
-# skeleton slots whose scale-i differences the long rows of one call are
+# skeleton slots whose scale-i differences the units of one call are
 # dotted from at once, so that the six arrays of a group (768 KiB) stay in a
 # core's L2 cache: on a full trading day one group per acov bracket made the
 # acov 20% slower than a merge and sum per bin
 _GROUP_SLOTS = 1 << 14
-# rows (one unit at one scale) longer than this are dotted in place from
-# those differences, shorter ones are gathered by length.  Gathering every
-# row made the gms acov 26% slower on a p=3 input with 100-200 values per
-# row; from 64 to 256 the time was flat there and on p=4 inputs with shorter
-# rows.
-_LONG_ROW = 128
-# values per series that one batched dot of short rows gathers at most,
-# which bounds the temporaries
-_CHUNK = 1 << 11
 
 
 def _multiscale_sums(rows: Sequence[np.ndarray], units: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -148,51 +140,19 @@ def _multiscale_sums(rows: Sequence[np.ndarray], units: np.ndarray, coefs: np.nd
     the last ``n1 - i`` of them).  ``coefs`` is ``(max M, units)`` and zero
     past a unit's M; ``a_i / i`` for weights ``a``.
 
-    Each (unit, scale) is one BLAS ``ddot`` of the two lag-i difference
-    rows, and each unit adds its weighted dots from 0.0 in scale order, so
-    every sum has the bits of a scale loop of ``np.dot`` calls over that
-    unit alone.  Rows of at most ``_LONG_ROW`` values are gathered by
-    length, at most ``_CHUNK`` values per series at a time, and dotted by
-    one ``np.matmul`` of stacked vectors, which calls ``ddot`` once per row
-    like ``ndarray.dot`` (a -0.0 dot comes back as +0.0, which a sum
-    starting from +0.0 cannot tell apart).  Longer rows are dotted in place:
-    at each scale a group of units forms each (up row, lo row) difference
-    once, over at most ``_GROUP_SLOTS`` slots or one unit's slots, so units
-    that share rows and slots share their differences.
+    Each (unit, scale) is one ``np.dot`` of the two lag-i difference rows,
+    and each unit adds its weighted dots from 0.0 in scale order, so every
+    sum has the bits of a scale loop over that unit alone.  The rows are
+    dotted in place: at each scale a group of units forms each (up row, lo
+    row) difference once, over at most ``_GROUP_SLOTS`` slots or one unit's
+    slots, so units that share rows and slots share their differences.
     """
     starts, n1, M = units[:, 4], units[:, 5], units[:, 6]
     D = np.zeros(coefs.shape)  # D[i - 1, u]: the lag-i dot of unit u
-    # a unit's short rows are its last scales, from i0 = max(1, n1 - _LONG_ROW)
-    i0 = np.maximum(1, n1 - _LONG_ROW)
-    n_short = np.maximum(0, M - i0 + 1)
-    if n_short.any():
-        V = np.ascontiguousarray(rows, dtype=float)
-        u = np.repeat(np.arange(M.size), n_short)
-        i = np.arange(u.size) + np.repeat(i0 - np.cumsum(n_short) + n_short, n_short)
-        length = n1[u] - i
-        order = np.argsort(length, kind="stable")
-        u, i, length = u[order], i[order], length[order]
-        # of each row's four windows in V.ravel(); int32 is exact, V is small
-        first = (units[u, :4].T * V.shape[1] + starts[u]).astype(np.int32 if V.size < 2**31 else np.int64)
-        first[:2] += i.astype(first.dtype)
-        cuts = np.flatnonzero(np.diff(length, prepend=0, append=0)).tolist()  # lengths are >= 1
-        dots = np.empty((u.size, 1, 1))
-        for r0, r1 in zip(cuts, cuts[1:]):
-            L = int(length[r0])
-            step = max(1, _CHUNK // L)
-            # windows of L values starting at every element of V (a view, no copy)
-            win = np.ndarray((V.size - L + 1, L), V.dtype, V, 0, (V.itemsize, V.itemsize))
-            for c0 in range(r0, r1, step):
-                rows_ab = win[first[:, c0 : min(r1, c0 + step)]]
-                diff = rows_ab[:2] - rows_ab[2:]
-                np.matmul(diff[0, :, None, :], diff[1, :, :, None], out=dots[c0 : c0 + len(diff[0])])
-        D[i - 1, u] = dots.ravel()
-
-    # a unit's long rows are its first scales; Python ints keep the loop lean
-    n_long = np.minimum(M, n1 - 1 - _LONG_ROW).tolist()
-    idx, starts, ends = units[:, :4].tolist(), starts.tolist(), (starts + n1).tolist()
+    # Python ints keep the loop lean
+    idx, starts, ends, M = units[:, :4].tolist(), starts.tolist(), (starts + n1).tolist(), M.tolist()
     groups: list[list] = []  # [first slot, end slot, units]
-    for u in (u for u, n in enumerate(n_long) if n > 0):
+    for u in (u for u, m in enumerate(M) if m > 0):
         lo, hi = starts[u], ends[u]
         if groups:
             g = groups[-1]
@@ -203,7 +163,7 @@ def _multiscale_sums(rows: Sequence[np.ndarray], units: np.ndarray, coefs: np.nd
                 continue
         groups.append([lo, hi, [u]])
     for g0, g1, group in groups:
-        group.sort(key=lambda u: -n_long[u])  # the units still dotting at scale i lead
+        group.sort(key=lambda u: -M[u])  # the units still dotting at scale i lead
         keys: dict = {}  # (up row, lo row) -> position in diffs
         diffs = []  # (up row, lo row, last scale) per difference the group forms
         work = []  # (unit, its two differences, its slots in them, last scale)
@@ -212,11 +172,11 @@ def _multiscale_sums(rows: Sequence[np.ndarray], units: np.ndarray, coefs: np.nd
             for key in ((up_a, lo_a), (up_b, lo_b)):
                 if key not in keys:  # first needed by the unit with the most scales
                     keys[key] = len(diffs)
-                    diffs.append((*key, n_long[u]))
+                    diffs.append((*key, M[u]))
             # a difference at scale i covers slots g0 + i to g1, so a unit's
             # part of it starts and ends at the same offsets at every scale
-            work.append((u, keys[up_a, lo_a], keys[up_b, lo_b], slice(starts[u] - g0, ends[u] - g1 or None), n_long[u]))
-        for i in range(1, n_long[group[0]] + 1):
+            work.append((u, keys[up_a, lo_a], keys[up_b, lo_b], slice(starts[u] - g0, ends[u] - g1 or None), M[u]))
+        for i in range(1, M[group[0]] + 1):
             d = [rows[up][g0 + i : g1] - rows[lo][g0 : g1 - i] if last >= i else None for up, lo, last in diffs]
             row = D[i - 1]
             for u, ja, jb, slots, last in work:
@@ -224,7 +184,7 @@ def _multiscale_sums(rows: Sequence[np.ndarray], units: np.ndarray, coefs: np.nd
                     break
                 row[u] = d[ja][slots].dot(d[jb][slots])
     D *= coefs
-    total = np.zeros(M.size)
+    total = np.zeros(len(M))
     for term in D:  # scale by scale; padding adds +0.0
         total += term
     return total

@@ -7,9 +7,10 @@ implementations against these to 1e-12 relative error.  Five oracles are
 simpler forms of the same computation instead, pinned bit for bit: the
 one-pair-at-a-time synchronous estimator loop, the multi-scale sum of one
 unit as a scale loop, the row-by-row tick-file loader and the refresh merge
-of one pair, alone and looped over segments.  The shared
-stochastic-variance test model and the histogram bracket of one pair, as a
-flush of that bracket alone, live here too.
+of one pair, alone and looped over segments.  The scale loop also bounds
+the block sums of the histogram bins, which add in another order, relative
+to the sum of the absolute terms.  The shared stochastic-variance test
+model lives here too.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def ms_oracle(values_a, values_b, alphas) -> float:
 def multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs) -> float:
     """``sum_i coefs[i-1] sum_j (up_a[j] - lo_a[j-i]) (up_b[j] - lo_b[j-i])``
     as a scale loop of one ``np.dot`` per scale: the reference, bit for
-    bit, for each unit of ``estimators._multiscale_sums``."""
+    bit, for each unit of ``estimators._multiscale_sums``, and within
+    rounding for each bin of ``avar._bin_sums``."""
     import numpy as np
 
     total = 0.0
@@ -41,14 +43,6 @@ def multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs) -> float:
         db = up_b[i:] - lo_b[:-i]
         total += coefs[i - 1] * float(np.dot(da, db))
     return total
-
-
-def binned_bracket(a, b, edges, w_bin, cfg, weights=None):
-    """The gms acov's per-bin bracket estimates of series a and b on the bins
-    ``edges`` (see ``avar._bracket_bins``), as a flush of this bracket alone."""
-    from hficov.avar import _bracket_bins, _bracket_sums
-
-    return _bracket_sums([_bracket_bins(a, b, edges, w_bin, cfg, {} if weights is None else weights)])[0]
 
 
 def kernel_oracle(values_a, values_b, kern, H, adjusted=False) -> float:

@@ -14,6 +14,8 @@ from hficov.avar import (
     AcovMatrix,
     GmsAcovConfig,
     TheoryInputs,
+    _bin_sums,
+    _bracket_bins,
     _union_refresh_count,
     acov_gms_hat,
     acov_matrix_hat,
@@ -40,7 +42,7 @@ from hficov.citest import ci_test
 from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
-from oracles import acov_rc_oracle, binned_bracket, isserlis_mc_oracle
+from oracles import acov_rc_oracle, isserlis_mc_oracle, multiscale_sum_loop
 
 
 def series(times, values, T=1.0):
@@ -400,10 +402,11 @@ def test_acov_gms_hat_needs_enough_refresh_times():
         acov_gms_hat(data, ((1, 2), (3, 4)))
 
 
-def sliced_binned_bracket(a, b, edges, weights_for):
+def sliced_binned_bracket(a, b, edges, weights_for, estimate=generalized_multiscale):
     """Per-bin brackets from bins copied into new series rebased on the bin
     origin, refreshed and estimated as whole series: the reference for the
-    index-window loop of ``binned_bracket``."""
+    index-window loop of ``_bracket_bins``.  ``estimate(sa, sb, w, grid)``
+    replaces the bin's generalized multi-scale estimate."""
 
     def slice_series(s, lo, hi):
         mask = (s.scheme.times > lo) & (s.scheme.times <= hi)
@@ -432,8 +435,22 @@ def sliced_binned_bracket(a, b, edges, weights_for):
         finite_factor = (N + 1 - float(np.sum(w.alphas * w.scales))) / N
         if finite_factor <= 0:
             continue
-        out[j] = generalized_multiscale(sa, sb, w, grid=grid) / finite_factor
+        out[j] = estimate(sa, sb, w, grid=grid) / finite_factor
     return out
+
+
+def abs_terms(up_a, lo_a, up_b, lo_b, coefs) -> float:
+    """``sum_i |coefs[i-1]| sum_j |d_a d_b|`` of :func:`multiscale_sum_loop`:
+    the scale of the rounding of any order of its additions."""
+    return sum(
+        abs(c) * float(np.sum(np.abs((up_a[i:] - lo_a[:-i]) * (up_b[i:] - lo_b[:-i])))) for i, c in enumerate(coefs, 1)
+    )
+
+
+def gms_abs_terms(a, b, w, grid):
+    """:func:`abs_terms` of ``generalized_multiscale(a, b, w, grid=grid)``."""
+    (na, nb), (pa, pb) = grid.next_idx, grid.prev_idx
+    return abs_terms(a.values[na], a.values[pa], b.values[nb], b.values[pb], w.alphas / w.scales)
 
 
 def chained_refresh_count(data, comps):
@@ -479,35 +496,115 @@ def binned_pair(draw):
     return a, b, edges, draw(st.integers(2, 12)), draw(st.sampled_from(["cubic", "parzen"]))
 
 
+def bin_weights(cfg, m_bin):
+    """The bin weights of ``_bracket_bins`` at ``w_bin = cfg.weights(m_bin)``."""
+
+    def weights_for(n_bin):
+        return cfg.weights(max(2, min(m_bin, n_bin))) if n_bin >= 2 else None
+
+    return weights_for
+
+
 @settings(max_examples=300)
 @given(binned_pair())
 def test_binned_bracket_equals_sliced_reference(case):
+    # the group path: one unit of _multiscale_sums per bin
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
+    with mock.patch.object(avar_module, "_BLOCK_SLOTS", 0):
+        got = _bracket_bins(a, b, edges, cfg.weights(m_bin), cfg, {})
+    assert np.array_equal(got, sliced_binned_bracket(a, b, edges, bin_weights(cfg, m_bin)))
 
-    def weights_for(n_bin):
-        if n_bin < 2:
-            return None
-        return cfg.weights(max(2, min(m_bin, n_bin)))
 
-    got = binned_bracket(a, b, edges, cfg.weights(m_bin), cfg)
-    assert np.array_equal(got, sliced_binned_bracket(a, b, edges, weights_for))
+@settings(max_examples=300)
+@given(binned_pair())
+def test_binned_bracket_on_the_block_path_within_rounding_of_sliced_reference(case):
+    # the block sums in another order than a scale loop, so the bound is
+    # relative to the sum of the absolute terms, not to the value
+    a, b, edges, m_bin, kernel = case
+    cfg = EstimatorConfig(kernel=kernel)
+    got = _bracket_bins(a, b, edges, cfg.weights(m_bin), cfg, {})
+    weights_for = bin_weights(cfg, m_bin)
+    ref = sliced_binned_bracket(a, b, edges, weights_for)
+    assert np.all(np.abs(got - ref) <= 1e-12 * sliced_binned_bracket(a, b, edges, weights_for, gms_abs_terms))
 
 
 @settings(max_examples=200)
 @given(binned_pair(), st.sampled_from([1, 8, 40]))
 def test_binned_bracket_in_small_groups_equals_sliced_reference(case, group_slots):
-    # brackets longer than _GROUP_SLOTS skeleton slots (a full trading day)
+    # brackets longer than _BLOCK_SLOTS skeleton slots (a full trading day)
     # form their differences group by group; tiny groups take that path here
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
+    with mock.patch.object(avar_module, "_BLOCK_SLOTS", 0), mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots):
+        got = _bracket_bins(a, b, edges, cfg.weights(m_bin), cfg, {})
+    assert np.array_equal(got, sliced_binned_bracket(a, b, edges, bin_weights(cfg, m_bin)))
 
-    def weights_for(n_bin):
-        return cfg.weights(max(2, min(m_bin, n_bin))) if n_bin >= 2 else None
 
-    with mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots):
-        got = binned_bracket(a, b, edges, cfg.weights(m_bin), cfg)
-    assert np.array_equal(got, sliced_binned_bracket(a, b, edges, weights_for))
+@st.composite
+def skeleton_bins(draw):
+    """Skeleton rows (next a, next b, previous a, previous b) and bins on
+    them as ``_bracket_bins`` lays them out: ascending, at least 3 slots,
+    with gaps between them, each with its own M (often below the largest)
+    and coefficients that are zero past it, sometimes also within it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts, n1, M = [], [], []
+    s = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(3, 40))
+        starts.append(s)
+        n1.append(n)
+        M.append(draw(st.integers(1, n - 1)))
+        s += n + draw(st.integers(0, 3))
+    S = starts[-1] + n1[-1] + draw(st.integers(0, 3))
+    V = rng.standard_normal((4, S)).cumsum(axis=1) * 10.0 ** rng.integers(-4, 3)
+    C = rng.standard_normal((max(M), len(M))) * 10.0 ** rng.integers(-2, 2, len(M))
+    C[np.arange(C.shape[0])[:, None] >= np.array(M)] = 0.0
+    if draw(st.booleans()):
+        C[rng.random(C.shape) < 0.2] = 0.0
+    return V, np.array(starts), np.array(n1), np.array(M), C
+
+
+def per_bin_loop(V, starts, n1, M, C):
+    """:func:`multiscale_sum_loop` and :func:`abs_terms` of each bin."""
+    win = [slice(s, s + n) for s, n in zip(starts, n1)]
+    args = [(V[0, w], V[2, w], V[1, w], V[3, w], C[:m, u]) for u, (w, m) in enumerate(zip(win, M))]
+    return np.array([multiscale_sum_loop(*x) for x in args]), np.array([abs_terms(*x) for x in args])
+
+
+@settings(max_examples=300, deadline=None)
+@given(skeleton_bins(), st.sampled_from([1, 7, 64, 1 << 14]))
+def test_bin_sums_equal_the_scale_loop_per_bin_within_rounding(case, group_slots):
+    # the block path against the scale loop of each bin; the group path on
+    # the same bins has the loop's bits.  A relative bound cannot hold for a
+    # sum near zero, so it is relative to the sum of the absolute terms.
+    V, starts, n1, M, C = case
+    with mock.patch.object(avar_module, "_GROUP_SLOTS", group_slots):
+        got = _bin_sums(V, starts, n1, C)
+    ref, scale = per_bin_loop(V, starts, n1, M, C)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+    units = np.column_stack((np.broadcast_to([0, 1, 2, 3], (M.size, 4)), starts, n1, M))
+    assert np.array_equal(estimators_module._multiscale_sums(V, units, C), ref)
+
+
+def test_bin_sums_never_read_products_across_bins_or_past_a_bins_m():
+    # bin 0 sits near 1e154 and bin 1 ramps from -1e154 to 1e154: every lag
+    # product that a bin reads is finite, while the products across the
+    # bin edge, and those of bin 1 (M = 2) at the lags of bin 0 (M = 30),
+    # overflow
+    rng = np.random.default_rng(3)
+    n = 40
+    V = np.tile(np.concatenate((1e154 + 1e150 * rng.standard_normal(n).cumsum(), np.linspace(-1e154, 1e154, n))), (4, 1))
+    V[1::2] *= 0.9
+    starts, n1, M = np.array([0, n]), np.array([n, n]), np.array([30, 2])
+    C = np.zeros((30, 2))
+    C[:, 0] = rng.standard_normal(30)
+    C[:2, 1] = 1.0
+    ref, scale = per_bin_loop(V, starts, n1, M, C)
+    got = _bin_sums(V, starts, n1, C)
+    assert np.all(np.isfinite(ref)) and np.all(np.abs(got - ref) <= 1e-12 * scale)
+    with np.errstate(over="ignore"):
+        assert np.isinf(((V[0, n + 30 :] - V[2, n : -30]) * (V[1, n + 30 :] - V[3, n : -30])).max())
 
 
 @settings(max_examples=300)
@@ -536,19 +633,20 @@ def _bits(x):
 
 @pytest.mark.parametrize("L", [*range(1, 71), 127, 128, 129, 1000, 5401])
 def test_batched_dot_has_the_bits_of_ndarray_dot(L):
-    # the flush dots stacked rows with np.matmul; it relies on numpy calling
-    # BLAS ddot once per row, as ndarray.dot does on one row.  A BLAS that
-    # breaks this must fail here, not shift the acov bits silently.  matmul
-    # adds the ddot result to 0.0, so a -0.0 dot comes back as +0.0; a bin
-    # sum starts from +0.0 and so cannot tell the two apart.
+    # np.matmul of stacked row vectors calls BLAS ddot once per row, as
+    # ndarray.dot does on one row, so the multi-scale sums of
+    # _multiscale_sums may batch their row dots this way without changing a
+    # bit, as the gms acov did before its block path.  matmul adds the ddot
+    # result to 0.0, so a -0.0 dot comes back as +0.0; a sum that starts
+    # from +0.0 cannot tell the two apart.
     rng = np.random.default_rng(L)
     R = 9
     A = rng.standard_normal((R, L)) * 10.0 ** rng.integers(-6, 6, (R, 1))
     B = rng.standard_normal((R, L))
     stacked = np.matmul(A[:, None, :], B[:, :, None]).ravel()
     assert np.array_equal(_bits(stacked), _bits(np.array([A[r].dot(B[r]) for r in range(R)]) + 0.0))
-    # rows gathered from overlapping windows of one array, as the flush
-    # gathers them, against slices of that array
+    # rows gathered from overlapping windows of one array against slices
+    # of that array
     v = rng.standard_normal(L + 40)
     win = np.ndarray((v.size - L + 1, L), v.dtype, v, 0, (v.itemsize, v.itemsize))
     lo, up = np.array([0, 3, 17, 40, 5]), np.array([1, 9, 40, 22, 5])
@@ -556,82 +654,6 @@ def test_batched_dot_has_the_bits_of_ndarray_dot(L):
     stacked = np.matmul(diff[:, None, :], diff[::-1, :, None]).ravel()
     rows = [v[u : u + L] - v[l : l + L] for u, l in zip(up, lo)]
     assert np.array_equal(_bits(stacked), _bits(np.array([x.dot(y) for x, y in zip(rows, rows[::-1])]) + 0.0))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(binned_pair(), min_size=1, max_size=6),
-    st.sampled_from(["cubic", "parzen"]),
-    st.sampled_from([1, 20, 1 << 13]),
-    st.sampled_from([0, 2, 5, 256]),
-    st.sampled_from([1, 5, 1 << 11]),
-    st.sampled_from([1, 8, 1 << 14]),
-)
-def test_one_flush_of_many_brackets_equals_each_bracket_alone(cases, kernel, budget, long_row, chunk, group_slots):
-    # brackets of mixed bin frequency, with empty bins, bins of fewer than 3
-    # ticks and bins with fewer refresh intervals than w_bin.M, requested
-    # from one plan: flushed under a budget, short rows gathered by length
-    # in chunks, long rows dotted in place in groups
-    data = [s for a, b, *_ in cases for s in (a, b)]
-    cfg = EstimatorConfig(kernel=kernel)
-    plan = avar_module._AcovPlan(data, cfg)
-    with (
-        mock.patch.object(avar_module, "_FLUSH_SLOTS", budget),
-        mock.patch.object(estimators_module, "_LONG_ROW", long_row),
-        mock.patch.object(estimators_module, "_CHUNK", chunk),
-        mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots),
-    ):
-        keys = [plan.bracket(2 * n, 2 * n + 1, edges, plan.weights(m_bin)) for n, (_, _, edges, m_bin, _) in enumerate(cases)]
-        plan.flush()
-    for key, (a, b, edges, m_bin, _) in zip(keys, cases):
-        def weights_for(n_bin):
-            return cfg.weights(max(2, min(m_bin, n_bin))) if n_bin >= 2 else None
-
-        assert np.array_equal(plan.brackets[key], sliced_binned_bracket(a, b, edges, weights_for))
-
-
-@pytest.mark.parametrize("budget", [1, 300, 1 << 40])
-def test_acov_matrix_hat_gms_same_under_any_flush_budget(budget):
-    # a flush inside an entry's requests sums only the brackets pending so
-    # far, and every entry is combined after the last flush; every entry
-    # equals its own acov_gms_hat call
-    rng = np.random.default_rng(46)
-    data = []
-    for _ in range(3):
-        t = np.unique(np.round(rng.uniform(0, 1, 200) * 800)) / 800
-        data.append(series(t, 0.01 * rng.standard_normal(t.size).cumsum() + 5e-4 * rng.standard_normal(t.size)))
-    with mock.patch.object(avar_module, "_FLUSH_SLOTS", budget):
-        am = acov_matrix_hat(data, "gms")
-        ci = ci_test(data[0], data[1], data[2], method="gms")
-    ent, _ = entrywise_acov_gms(data, None)
-    assert np.array_equal(am.entries, ent)
-    assert np.array_equal(ci.acov_entries, ci_test(data[0], data[1], data[2], method="gms").acov_entries)
-
-
-def test_gms_acov_dots_rows_in_batches(monkeypatch):
-    # a p=4 acov call dots its short rows (one bin at one scale) with far
-    # fewer batched calls than there are rows
-    rng = np.random.default_rng(45)
-    data = []
-    for _ in range(4):
-        t = np.unique(np.round(rng.uniform(0, 1, 300) * 9000)) / 9000
-        data.append(series(t, 0.01 * rng.standard_normal(t.size).cumsum() + 5e-4 * rng.standard_normal(t.size)))
-    calls = collections.Counter()
-    real_sums, real_matmul = avar_module._bracket_sums, np.matmul
-
-    def sums(pending):
-        calls["rows"] += sum(b[3].size for p in pending for b in p.bins)
-        return real_sums(pending)
-
-    def matmul(*args, **kwargs):
-        calls["matmul"] += 1
-        return real_matmul(*args, **kwargs)
-
-    monkeypatch.setattr(avar_module, "_bracket_sums", sums)
-    monkeypatch.setattr(np, "matmul", matmul)
-    acov_matrix_hat(data, "gms")
-    assert calls["rows"] > 20_000
-    assert calls["matmul"] < calls["rows"] / 10
 
 
 @st.composite
@@ -658,7 +680,7 @@ def test_binned_bracket_symmetric_in_its_series(case):
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
     w = cfg.weights(m_bin)
-    assert np.array_equal(binned_bracket(a, b, edges, w, cfg), binned_bracket(b, a, edges, w, cfg))
+    assert np.array_equal(_bracket_bins(a, b, edges, w, cfg, {}), _bracket_bins(b, a, edges, w, cfg, {}))
 
 
 def entrywise_acov_gms(data, config):
@@ -733,7 +755,7 @@ def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
     cfg = EstimatorConfig()
     for bins in (1, 2, 7, 30):
         calls.clear()
-        out = binned_bracket(data[0], data[1], np.linspace(0.0, 1.0, bins + 1), cfg.weights(4), cfg)
+        out = _bracket_bins(data[0], data[1], np.linspace(0.0, 1.0, bins + 1), cfg.weights(4), cfg, {})
         assert np.count_nonzero(out) > bins // 2  # most bins are estimated
         assert calls == {"_refresh_merge": 1, "_index_maps": 1}
 

@@ -527,22 +527,12 @@ def multiscale_units(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    multiscale_units(),
-    st.sampled_from([0, 2, 5, 256]),
-    st.sampled_from([1, 5, 1 << 11]),
-    st.sampled_from([1, 8, 1 << 14]),
-)
-def test_multiscale_sums_equal_the_scale_loop_per_unit(case, long_row, chunk, group_slots):
-    # short rows gathered by length in chunks, long rows dotted in place in
-    # groups that span more or fewer slots than one unit; every unit has the
-    # bits of its own scale loop
+@given(multiscale_units(), st.sampled_from([1, 8, 1 << 14]))
+def test_multiscale_sums_equal_the_scale_loop_per_unit(case, group_slots):
+    # rows dotted in place in groups that span more or fewer slots than one
+    # unit; every unit has the bits of its own scale loop
     rows, units, coefs = case
-    with (
-        mock.patch.object(estimators_module, "_LONG_ROW", long_row),
-        mock.patch.object(estimators_module, "_CHUNK", chunk),
-        mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots),
-    ):
+    with mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots):
         got = estimators_module._multiscale_sums(rows, units, coefs)
     want = []
     for u, (up_a, up_b, lo_a, lo_b, s, n1, M) in enumerate(units):
