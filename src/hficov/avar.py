@@ -32,13 +32,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .estimators import (
-    _GROUP_SLOTS,
     EstimatorConfig,
     TickSeries,
     _check_c,
     _clamp_frequency,
     _ms_frequency,
-    _multiscale_sums,
     _noise_covariance,
     _noise_variance,
     _sync_increments,
@@ -436,10 +434,8 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
-# skeleton slots up to which a bracket sums its bins in 2-D lag blocks
-# (:func:`_bin_sums`); longer brackets, such as a full trading day's, dot
-# each bin in place at each scale (:func:`_multiscale_sums`)
-_BLOCK_SLOTS = 1 << 12
+# skeleton slots x scales up to which a lag block beats the transform (measured)
+_BLOCK_VALUES = 1 << 17
 
 
 def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig, weights: dict) -> np.ndarray:
@@ -464,10 +460,10 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
 
     Cost: one segmented refresh merge covers all bins (the bin is the
     segment), the ``searchsorted`` bin windows and one set of index maps
-    place every refresh time in the full tick arrays.  A skeleton of at
-    most ``_BLOCK_SLOTS`` slots is summed by :func:`_bin_sums`, a few numpy
-    calls per block of scales; a longer one by :func:`_multiscale_sums`,
-    one unit per bin, with the bits of a scale loop over each bin alone."""
+    place every refresh time in the full tick arrays.  A skeleton of S
+    slots at the largest bin frequency M is summed in one lag block when
+    ``S M <= _BLOCK_VALUES``, otherwise by transform; both add in another
+    order than a scale loop over each bin."""
     ta, tb = a.scheme.times, b.scheme.times
     ia, ib = ta.searchsorted(edges, "right"), tb.searchsorted(edges, "right")
     refresh, bounds = _refresh_merge(ta, tb, ia, ib)
@@ -499,49 +495,79 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
     C = np.zeros((int(M.max()), M.size))  # a_i / i of bin u at scale i is C[i - 1, u]
     C.T[np.arange(C.shape[0]) < M[:, None]] = np.concatenate(coefs)
     C[0], C[1] = c1, c2  # M >= 2
-    if V.shape[1] <= _BLOCK_SLOTS:
-        sums = _bin_sums(V, starts, n1, C)
-    else:
-        units = np.column_stack((np.broadcast_to([0, 1, 2, 3], (M.size, 4)), starts, n1, M))
-        sums = _multiscale_sums(V, units, C)
+    sums = (_block_sums if V.shape[1] * C.shape[0] <= _BLOCK_VALUES else _fft_sums)(V, starts, n1, C)
     out[list(j)] = sums / np.array(factors)
     return out
 
 
-def _bin_sums(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _block_sums(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The multi-scale sum of each bin u on the skeleton rows ``V`` (next a,
     next b, previous a, previous b),
     ``sum_i C[i - 1, u] sum_j (V[0, j] - V[2, j - i]) (V[1, j] - V[3, j - i])``
     over the ``n1[u]`` slots from ``starts[u]`` (j runs over the last
-    ``n1[u] - i`` of them).
-
-    One 2-D block of lag differences per step of scales, over every slot,
-    holds at most ``_GROUP_SLOTS`` values; its products are summed per
-    (scale, bin) by one ``np.add.reduceat`` whose segments lie inside the
-    bin.  A (scale, bin) with a zero coefficient, such as one past the
-    bin's own M, is not summed and adds exactly 0.  The order of additions
-    is not a scale loop's, so a value may differ from it by rounding.
+    ``n1[u] - i`` of them), from one 2-D block of the products of every
+    scale over every slot, summed per (scale, bin) by one
+    ``np.add.reduceat`` in segments inside the bin.  A zero coefficient,
+    such as one past the bin's own M, is not summed and adds exactly 0.
     """
     M, S = C.shape[0], V.shape[1]
     P = np.zeros((2, M + S))
     P[:, M:] = V[2:]
-    lags = np.ndarray((2, M + 1, S), P.dtype, P, 0, (P.strides[0], P.itemsize, P.itemsize))  # lags[r, M - i, j] = V[2 + r, j - i]
+    lags = np.ndarray((2, M, S), P.dtype, P, 0, (P.strides[0], P.itemsize, P.itemsize))  # lags[r, M - i, j] = V[2 + r, j - i]
+    flat = np.zeros(M * S + 1)  # the block's products; the last cut may point past them
+    block = flat[:-1].reshape(M, S)  # row t holds scale M - t
+    t, u = np.nonzero(C[::-1])
+    base = t * S + starts[u]
+    cuts = np.column_stack((base + M - t, base + n1[u])).ravel()
     D = np.zeros(C.shape)  # D[i - 1, u]: the lag-i sum of bin u
-    step = min(M, max(1, _GROUP_SLOTS // S))
-    flat = np.zeros(step * S + 1)  # the block's products; the last cut may point past them
     # products across bin edges and the sums between segments may overflow;
     # they are never read
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(1, M + 1, step):
-            i = np.arange(min(M, i0 + step - 1), i0 - 1, -1)  # the scale of each block row
-            block = flat[: i.size * S].reshape(i.size, S)
-            np.subtract(V[0], lags[0, M - i[0] : M - i[-1] + 1], out=block)
-            block *= V[1] - lags[1, M - i[0] : M - i[-1] + 1]
-            t, u = np.nonzero(C[i - 1])
-            base = t * S + starts[u]
-            cuts = np.column_stack((base + i[t], base + n1[u])).ravel()
-            D[i[t] - 1, u] = np.add.reduceat(flat[: i.size * S + 1], cuts)[::2]
+        np.subtract(V[0], lags[0], out=block)
+        block *= V[1] - lags[1]
+        D[M - t - 1, u] = np.add.reduceat(flat, cuts)[::2]
     return (C * D).sum(axis=0)
+
+
+def _fft_sums(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """:func:`_block_sums` by transform, in O(S log M) rather than O(S M).
+
+    A bin of more than ``15 M`` slots is cut into windows that each sum
+    ``L - 2 M`` of its slots, the transform length L being the power of two
+    at or above ``16 M``; each but a bin's first reads the M slots before it
+    as lag sources only.  With the rows ``X`` of a series centred on the
+    window mean of its next row, ``up`` and ``lo`` the cumulative sums of
+    ``X[0] X[1]`` and ``X[2] X[3]`` from 0, and ``cross[i]`` the lag-i sum
+    of ``X[0, j] X[3, j - i] + X[1, j] X[2, j - i]``, a window of n slots
+    whose first h are lag sources has the lag-i sum
+    ``up[n] - up[i] + lo[n - i] - lo[max(h - i, 0)] - cross[i]``.  Its
+    rounding scales with the centred levels, not the differences, so it
+    grows with a window's length over M, which the windows bound.
+    """
+    M, w = C.shape[0], int(n1.max())
+    L = 1 << (min(w, 15 * M) + M - 1).bit_length()  # no lag up to M wraps around
+    c = L - M if w + M <= L else L - 2 * M  # the slots a window sums over
+    k = -(-n1 // c)  # windows per bin
+    u = np.repeat(np.arange(n1.size), k)  # the bin of each window
+    at = (np.arange(u.size) - np.repeat(np.cumsum(k) - k, k)) * c  # its first summed slot in the bin
+    h = np.where(at > 0, M, 0)[:, None]  # its lag-source slots
+    n = np.minimum(at + c, n1[u])[:, None] - at[:, None] + h  # its slots
+    j = np.arange(n.max())
+    X = V[:, np.minimum((starts[u] + at)[:, None] - h + j, V.shape[1] - 1)]  # (row, window, slot)
+    mean = X[:2].sum(axis=2, where=j < n, keepdims=True) / n
+    X -= np.concatenate((mean, mean))
+    X *= j < n
+    X[:2] *= j >= h
+    up, lo = (np.cumsum(np.pad(x * y, ((0, 0), (1, 0))), axis=1) for x, y in (X[:2], X[2:]))
+    F = np.fft.rfft(X, L)
+    del X  # the spectra take its place
+    F[0] *= F[3].conj()
+    F[0] += F[1] * F[2].conj()
+    cross = np.fft.irfft(F[0], L)[:, 1 : M + 1]
+    r, i = np.arange(u.size)[:, None], np.arange(1, M + 1)
+    # lags past a bin's n1 - 1 read clipped slots; their coefficients are 0
+    lag = up[r, n] - up[:, 1 : M + 1] + lo[r, np.maximum(n - i, 0)] - lo[r, np.maximum(h - i, 0)] - cross
+    return np.bincount(u, np.einsum("wi,iw->w", lag, C[:, u]), n1.size)
 
 
 def acov_gms_hat(
@@ -566,7 +592,8 @@ def acov_gms_hat(
     disjoint schemes every one of them is exactly zero.
 
     Cost: at most eight brackets per entry, each one pass over its bins
-    (:func:`_bracket_bins`).  :func:`acov_matrix_hat` and
+    (:func:`_bracket_bins`), summed in a lag block or, for a large bracket,
+    by transform; either differs from a scale loop per bin by rounding.  :func:`acov_matrix_hat` and
     :func:`hficov.citest.ci_test` evaluate all their entries on one
     per-call plan, which builds each pairwise refresh grid, shared-stamp
     array, noise moment, weight scheme and bracket once for all entries.

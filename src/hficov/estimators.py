@@ -16,11 +16,11 @@ The menu, in increasing generality:
 
 ``estimate_matrix`` assembles the full p x p matrix and packs it into the
 half-vectorized (svec) layout used by the asymptotic covariance machinery.
-The multi-scale sums of ``multiscale``, ``generalized_multiscale``, the
-synchronous ``ms`` matrix and the long histogram brackets of the gms
-asymptotic covariance go through one core, ``_multiscale_sums``, which
-gives each sum the bits of a scale loop over that sum alone (short
-brackets sum their bins in lag blocks, ``hficov.avar._bin_sums``).  On
+The multi-scale sums of ``multiscale``, ``generalized_multiscale`` and the
+synchronous ``ms`` matrix go through one core, ``_multiscale_sums``, which
+gives each sum the bits of a scale loop over that sum alone (the histogram
+brackets of the gms asymptotic covariance sum their bins in a lag block or
+by transform, ``hficov.avar._block_sums`` and ``_fft_sums``).  On
 synchronous data ``ms`` and ``kernel`` difference each series once per
 scale or call and share those differences across all pairs; every pair's
 value has the same bits as the one-pair call.
@@ -123,83 +123,24 @@ def _ms_frequency(c: float, n: int) -> int:
     return _clamp_frequency(c * math.sqrt(n), n)
 
 
-# skeleton slots whose scale-i differences the units of one call are
-# dotted from at once, so that the six arrays of a group (768 KiB) stay in a
-# core's L2 cache: on a full trading day one group per acov bracket made the
-# acov 20% slower than a merge and sum per bin
-_GROUP_SLOTS = 1 << 14
+def _multiscale_sums(rows: Sequence[np.ndarray], units: Sequence[tuple[int, int, int, int]], coefs: np.ndarray) -> np.ndarray:
+    """The multi-scale sum of each unit ``(up a, up b, lo a, lo b)``, four
+    indices into ``rows`` (value arrays of one length n + 1),
+    ``sum_i coefs[i - 1] sum_j (up_a[j] - lo_a[j - i]) (up_b[j] - lo_b[j - i])``
+    for i = 1..M, ``M = coefs.size`` (``a_i / i`` for weights ``a``).
 
-
-def _multiscale_sums(rows: Sequence[np.ndarray], units: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """The multi-scale sum of each unit u,
-    ``sum_i coefs[i - 1, u] sum_j (up_a[j] - lo_a[j - i]) (up_b[j] - lo_b[j - i])``.
-
-    A unit is a row ``(up a, up b, lo a, lo b, start, n1, M)`` of the int
-    array ``units``: four indices into ``rows``, value arrays of one length,
-    and scales i = 1..M over the ``n1`` slots from ``start`` (j runs over
-    the last ``n1 - i`` of them).  ``coefs`` is ``(max M, units)`` and zero
-    past a unit's M; ``a_i / i`` for weights ``a``.
-
-    Each (unit, scale) is one ``np.dot`` of the two lag-i difference rows,
-    and each unit adds its weighted dots from 0.0 in scale order, so every
-    sum has the bits of a scale loop over that unit alone.  The rows are
-    dotted in place: at each scale a group of units forms each (up row, lo
-    row) difference once, over at most ``_GROUP_SLOTS`` slots or one unit's
-    slots, so units that share rows and slots share their differences.
+    At each scale each distinct (up row, lo row) difference is formed once
+    and each unit is one ``ndarray.dot`` of its two, added from 0.0 in scale
+    order: every sum has the bits of a scale loop over that unit alone.
     """
-    starts, n1, M = units[:, 4], units[:, 5], units[:, 6]
-    D = np.zeros(coefs.shape)  # D[i - 1, u]: the lag-i dot of unit u
-    # Python ints keep the loop lean
-    idx, starts, ends, M = units[:, :4].tolist(), starts.tolist(), (starts + n1).tolist(), M.tolist()
-    groups: list[list] = []  # [first slot, end slot, units]
-    for u in (u for u, m in enumerate(M) if m > 0):
-        lo, hi = starts[u], ends[u]
-        if groups:
-            g = groups[-1]
-            g0, g1 = min(g[0], lo), max(g[1], hi)
-            if g1 - g0 <= max(_GROUP_SLOTS, g[1] - g[0]):
-                g[0], g[1] = g0, g1
-                g[2].append(u)
-                continue
-        groups.append([lo, hi, [u]])
-    for g0, g1, group in groups:
-        group.sort(key=lambda u: -M[u])  # the units still dotting at scale i lead
-        keys: dict = {}  # (up row, lo row) -> position in diffs
-        diffs = []  # (up row, lo row, last scale) per difference the group forms
-        work = []  # (unit, its two differences, its slots in them, last scale)
-        for u in group:
-            up_a, up_b, lo_a, lo_b = idx[u]
-            for key in ((up_a, lo_a), (up_b, lo_b)):
-                if key not in keys:  # first needed by the unit with the most scales
-                    keys[key] = len(diffs)
-                    diffs.append((*key, M[u]))
-            # a difference at scale i covers slots g0 + i to g1, so a unit's
-            # part of it starts and ends at the same offsets at every scale
-            work.append((u, keys[up_a, lo_a], keys[up_b, lo_b], slice(starts[u] - g0, ends[u] - g1 or None), M[u]))
-        for i in range(1, M[group[0]] + 1):
-            d = [rows[up][g0 + i : g1] - rows[lo][g0 : g1 - i] if last >= i else None for up, lo, last in diffs]
-            row = D[i - 1]
-            for u, ja, jb, slots, last in work:
-                if last < i:
-                    break
-                row[u] = d[ja][slots].dot(d[jb][slots])
-    D *= coefs
-    total = np.zeros(len(M))
-    for term in D:  # scale by scale; padding adds +0.0
-        total += term
+    if coefs.size >= rows[0].size:
+        raise ValueError(f"multi-scale frequency M={coefs.size} exceeds n={rows[0].size - 1}")
+    keys = dict.fromkeys(key for u in units for key in (u[0::2], u[1::2]))  # (up row, lo row), in order
+    total = np.zeros(len(units))
+    for i, c in enumerate(coefs.tolist(), 1):
+        d = {(up, lo): rows[up][i:] - rows[lo][:-i] for up, lo in keys}
+        total += c * np.array([d[u[0::2]].dot(d[u[1::2]]) for u in units])
     return total
-
-
-def _multiscale_pairs(values: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], w: WeightScheme) -> list[float]:
-    """Multi-scale sums of synchronous series, one per ``(k, l)`` in
-    ``pairs``: one unit per pair, whose differences are those of its two
-    series, formed once per scale for all pairs."""
-    n = values[0].size - 1
-    if w.M > n:
-        raise ValueError(f"multi-scale frequency M={w.M} exceeds n={n}")
-    units = np.array([(k, l, k, l, 0, n + 1, w.M) for k, l in pairs])
-    coefs = np.repeat((w.alphas / w.scales)[:, None], len(pairs), axis=1)
-    return _multiscale_sums(values, units, coefs).tolist()
 
 
 def _kernel_pairs(
@@ -235,7 +176,7 @@ def multiscale(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
     Computed scale by scale from prefix differences in O(nM).
     """
     _require_synchronous(a, b, "multiscale")
-    return _multiscale_pairs([a.values, b.values], [(0, 1)], w)[0]
+    return float(_multiscale_sums([a.values, b.values], [(0, 1, 0, 1)], w.alphas / w.scales)[0])
 
 
 def multiscale_adjusted(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
@@ -308,7 +249,7 @@ def generalized_multiscale(a: TickSeries, b: TickSeries, w: WeightScheme, grid: 
     if w.M > N:
         raise ValueError(f"multi-scale frequency M={w.M} exceeds refresh count N={N}")
     rows = [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
-    return float(_multiscale_sums(rows, np.array([(0, 1, 2, 3, 0, N + 1, w.M)]), (w.alphas / w.scales)[:, None])[0])
+    return float(_multiscale_sums(rows, [(0, 1, 2, 3)], w.alphas / w.scales)[0])
 
 
 @dataclass(frozen=True)
@@ -473,8 +414,8 @@ def _estimate_matrix(
         M = _ms_frequency(cfg.c, n)
         values = [s.values for s in data]
         if method == "ms":
-            w = cfg.weights(M)
-            vals = _multiscale_pairs(values, pairs, end_effect_adjust(w, n) if cfg.adjusted else w)
+            w = end_effect_adjust(cfg.weights(M), n) if cfg.adjusted else cfg.weights(M)
+            vals = _multiscale_sums(values, [(k, l, k, l) for k, l in pairs], w.alphas / w.scales).tolist()
         else:
             vals = _kernel_pairs(values, pairs, builtin_kernel(cfg.kernel), M, cfg.adjusted)
         infos = [{"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel} for _ in pairs]

@@ -53,7 +53,7 @@ class SamplingScheme:
     times : array_like
         Observation times, strictly increasing, all within ``[0, horizon]``.
     horizon : float
-        Length ``T`` of the observation window.
+        Length ``T`` of the observation window, finite and positive.
     """
 
     times: np.ndarray
@@ -68,6 +68,8 @@ class SamplingScheme:
             raise ValueError("scheme times must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("scheme times must be strictly increasing")
+        if not np.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon!r}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if t[0] < 0 or t[-1] > self.horizon:

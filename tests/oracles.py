@@ -8,8 +8,8 @@ simpler forms of the same computation instead, pinned bit for bit: the
 one-pair-at-a-time synchronous estimator loop, the multi-scale sum of one
 unit as a scale loop, the row-by-row tick-file loader and the refresh merge
 of one pair, alone and looped over segments.  The scale loop also bounds
-the block sums of the histogram bins, which add in another order, relative
-to the sum of the absolute terms.  The shared stochastic-variance test
+the block and FFT sums of the histogram bins, which add in another order,
+relative to the sum of the absolute terms.  The shared stochastic-variance test
 model lives here too.
 """
 
@@ -34,7 +34,7 @@ def multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs) -> float:
     """``sum_i coefs[i-1] sum_j (up_a[j] - lo_a[j-i]) (up_b[j] - lo_b[j-i])``
     as a scale loop of one ``np.dot`` per scale: the reference, bit for
     bit, for each unit of ``estimators._multiscale_sums``, and within
-    rounding for each bin of ``avar._bin_sums``."""
+    rounding for each bin of ``avar._block_sums`` and ``avar._fft_sums``."""
     import numpy as np
 
     total = 0.0

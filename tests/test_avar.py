@@ -14,8 +14,9 @@ from hficov.avar import (
     AcovMatrix,
     GmsAcovConfig,
     TheoryInputs,
-    _bin_sums,
+    _block_sums,
     _bracket_bins,
+    _fft_sums,
     _union_refresh_count,
     acov_gms_hat,
     acov_matrix_hat,
@@ -505,56 +506,48 @@ def bin_weights(cfg, m_bin):
     return weights_for
 
 
-@settings(max_examples=300)
-@given(binned_pair())
-def test_binned_bracket_equals_sliced_reference(case):
-    # the group path: one unit of _multiscale_sums per bin
-    a, b, edges, m_bin, kernel = case
-    cfg = EstimatorConfig(kernel=kernel)
-    with mock.patch.object(avar_module, "_BLOCK_SLOTS", 0):
-        got = _bracket_bins(a, b, edges, cfg.weights(m_bin), cfg, {})
-    assert np.array_equal(got, sliced_binned_bracket(a, b, edges, bin_weights(cfg, m_bin)))
-
-
-@settings(max_examples=300)
-@given(binned_pair())
-def test_binned_bracket_on_the_block_path_within_rounding_of_sliced_reference(case):
-    # the block sums in another order than a scale loop, so the bound is
-    # relative to the sum of the absolute terms, not to the value
+def within_rounding_of_sliced_reference(case):
+    """Whether each bin of ``_bracket_bins`` is within 1e-12 times the sum
+    of its absolute terms of :func:`sliced_binned_bracket`: both forms sum
+    in another order than a scale loop, and a bound relative to the value
+    cannot hold for a sum near zero."""
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
     got = _bracket_bins(a, b, edges, cfg.weights(m_bin), cfg, {})
     weights_for = bin_weights(cfg, m_bin)
     ref = sliced_binned_bracket(a, b, edges, weights_for)
-    assert np.all(np.abs(got - ref) <= 1e-12 * sliced_binned_bracket(a, b, edges, weights_for, gms_abs_terms))
+    return np.all(np.abs(got - ref) <= 1e-12 * sliced_binned_bracket(a, b, edges, weights_for, gms_abs_terms))
 
 
-@settings(max_examples=200)
-@given(binned_pair(), st.sampled_from([1, 8, 40]))
-def test_binned_bracket_in_small_groups_equals_sliced_reference(case, group_slots):
-    # brackets longer than _BLOCK_SLOTS skeleton slots (a full trading day)
-    # form their differences group by group; tiny groups take that path here
-    a, b, edges, m_bin, kernel = case
-    cfg = EstimatorConfig(kernel=kernel)
-    with mock.patch.object(avar_module, "_BLOCK_SLOTS", 0), mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots):
-        got = _bracket_bins(a, b, edges, cfg.weights(m_bin), cfg, {})
-    assert np.array_equal(got, sliced_binned_bracket(a, b, edges, bin_weights(cfg, m_bin)))
+@settings(max_examples=300)
+@given(binned_pair())
+def test_binned_bracket_by_transform_within_rounding_of_sliced_reference(case):
+    with mock.patch.object(avar_module, "_BLOCK_VALUES", 0):
+        assert within_rounding_of_sliced_reference(case)
+
+
+@settings(max_examples=300)
+@given(binned_pair())
+def test_binned_bracket_on_the_block_path_within_rounding_of_sliced_reference(case):
+    assert within_rounding_of_sliced_reference(case)
 
 
 @st.composite
 def skeleton_bins(draw):
     """Skeleton rows (next a, next b, previous a, previous b) and bins on
     them as ``_bracket_bins`` lays them out: ascending, at least 3 slots,
-    with gaps between them, each with its own M (often below the largest)
-    and coefficients that are zero past it, sometimes also within it."""
+    with gaps between them, each with its own M (often below the largest,
+    sometimes far below its slots, so that the transform cuts it into
+    several windows) and coefficients that are zero past it, sometimes
+    also within it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     starts, n1, M = [], [], []
     s = draw(st.integers(0, 3))
     for _ in range(draw(st.integers(1, 6))):
-        n = draw(st.integers(3, 40))
+        n = draw(st.one_of(st.integers(3, 40), st.integers(41, 300)))
         starts.append(s)
         n1.append(n)
-        M.append(draw(st.integers(1, n - 1)))
+        M.append(draw(st.one_of(st.integers(1, n - 1), st.integers(1, min(4, n - 1)))))
         s += n + draw(st.integers(0, 3))
     S = starts[-1] + n1[-1] + draw(st.integers(0, 3))
     V = rng.standard_normal((4, S)).cumsum(axis=1) * 10.0 ** rng.integers(-4, 3)
@@ -573,24 +566,22 @@ def per_bin_loop(V, starts, n1, M, C):
 
 
 @settings(max_examples=300, deadline=None)
-@given(skeleton_bins(), st.sampled_from([1, 7, 64, 1 << 14]))
-def test_bin_sums_equal_the_scale_loop_per_bin_within_rounding(case, group_slots):
-    # the block path against the scale loop of each bin; the group path on
-    # the same bins has the loop's bits.  A relative bound cannot hold for a
-    # sum near zero, so it is relative to the sum of the absolute terms.
+@given(skeleton_bins())
+def test_bin_sums_equal_the_scale_loop_per_bin_within_rounding(case):
+    # the block and the transform against the scale loop of each bin.  A
+    # relative bound cannot hold for a sum near zero, so it is relative to
+    # the sum of the absolute terms.
     V, starts, n1, M, C = case
-    with mock.patch.object(avar_module, "_GROUP_SLOTS", group_slots):
-        got = _bin_sums(V, starts, n1, C)
     ref, scale = per_bin_loop(V, starts, n1, M, C)
-    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
-    units = np.column_stack((np.broadcast_to([0, 1, 2, 3], (M.size, 4)), starts, n1, M))
-    assert np.array_equal(estimators_module._multiscale_sums(V, units, C), ref)
+    for sums in (_block_sums, _fft_sums):
+        assert np.all(np.abs(sums(V, starts, n1, C) - ref) <= 1e-12 * scale), sums.__name__
 
 
 def test_bin_sums_never_read_products_across_bins_or_past_a_bins_m():
-    # bin 0 sits near 1e154 and bin 1 ramps from -1e154 to 1e154: every lag
-    # product that a bin reads is finite, while the products across the
-    # bin edge, and those of bin 1 (M = 2) at the lags of bin 0 (M = 30),
+    # the block path (the transform's products of levels overflow here).
+    # Bin 0 sits near 1e154 and bin 1 ramps from -1e154 to 1e154: every lag
+    # product that a bin reads is finite, while the products across the bin
+    # edge, and those of bin 1 (M = 2) at the lags of bin 0 (M = 30),
     # overflow
     rng = np.random.default_rng(3)
     n = 40
@@ -601,10 +592,52 @@ def test_bin_sums_never_read_products_across_bins_or_past_a_bins_m():
     C[:, 0] = rng.standard_normal(30)
     C[:2, 1] = 1.0
     ref, scale = per_bin_loop(V, starts, n1, M, C)
-    got = _bin_sums(V, starts, n1, C)
+    got = _block_sums(V, starts, n1, C)
     assert np.all(np.isfinite(ref)) and np.all(np.abs(got - ref) <= 1e-12 * scale)
     with np.errstate(over="ignore"):
         assert np.isinf(((V[0, n + 30 :] - V[2, n : -30]) * (V[1, n + 30 :] - V[3, n : -30])).max())
+
+
+def test_fft_sums_never_mix_bins():
+    # bins side by side and after gaps, whose levels sit about 1e6 apart: a
+    # window that read another bin's slots, or centred a bin on another
+    # one's mean, would miss by far more than the bound.  The long bins take
+    # several windows each, and the M = 3 bin is far below the largest M.
+    rng = np.random.default_rng(5)
+    n1, M = np.array([300, 7, 120, 45, 300, 3]), np.array([30, 2, 64, 10, 3, 2])
+    starts = np.concatenate(([0], np.cumsum(n1[:-1]))) + np.array([0, 0, 0, 5, 5, 6])
+    S = starts[-1] + n1[-1] + 2
+    offset = np.full(S, -3e6)
+    for u, (s, n) in enumerate(zip(starts, n1)):
+        offset[s : s + n] = (-1) ** u * (u + 1) * 1e6
+    nxt = 4.6 + rng.standard_normal((2, S)).cumsum(axis=1) * 1e-3
+    V = np.vstack((nxt, nxt - 1e-4 * rng.standard_normal((2, S)))) + offset
+    C = rng.standard_normal((M.max(), M.size))
+    C[np.arange(C.shape[0])[:, None] >= M] = 0.0
+    ref, scale = per_bin_loop(V, starts, n1, M, C)
+    assert np.all(np.abs(_fft_sums(V, starts, n1, C) - ref) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "n, M",
+    [(3, 1), (3, 2), (4, 1), (5, 2), (255, 1), (256, 1), (257, 1), (4095, 1), (4096, 1), (4097, 1), (4096, 2), (1023, 40), (1025, 64), (4097, 300)],
+)
+def test_fft_sums_on_noiseless_volatile_bins(n, M):
+    # the transform sums products of centred levels, whose size grows with a
+    # window's length, while the multi-scale sum grows with the lag
+    # differences: noiseless, volatile bins whose next and previous rows
+    # nearly agree give the largest ratio of the two.  Lengths sit at and
+    # around powers of two (the transform lengths), next to a 3-slot bin.
+    rng = np.random.default_rng(n * 1000 + M)
+    n1 = np.array([n, 3, n])
+    starts = np.concatenate(([0], np.cumsum(n1[:-1])))
+    nxt = 4.6 + rng.standard_normal((2, n1.sum())).cumsum(axis=1) * 0.05
+    V = np.vstack((nxt, nxt - 0.005 * np.abs(rng.standard_normal((2, n1.sum())))))
+    Mu = np.array([M, min(M, 2), M])
+    C = rng.standard_normal((M, 3)) / np.arange(1, M + 1)[:, None]
+    C[np.arange(M)[:, None] >= Mu] = 0.0
+    ref, scale = per_bin_loop(V, starts, n1, Mu, C)
+    assert np.all(np.abs(_fft_sums(V, starts, n1, C) - ref) <= 1e-12 * scale)
 
 
 @settings(max_examples=300)
@@ -674,13 +707,15 @@ def bracket_pair(draw):
 
 
 @settings(max_examples=300)
-@given(bracket_pair())
-def test_binned_bracket_symmetric_in_its_series(case):
-    # the gms bracket table keys a bracket by its unordered component pair
+@given(bracket_pair(), st.sampled_from([0, avar_module._BLOCK_VALUES]))
+def test_binned_bracket_symmetric_in_its_series(case, block_values):
+    # the gms bracket table keys a bracket by its unordered component pair;
+    # both the block and the transform are symmetric in the two series
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
     w = cfg.weights(m_bin)
-    assert np.array_equal(_bracket_bins(a, b, edges, w, cfg, {}), _bracket_bins(b, a, edges, w, cfg, {}))
+    with mock.patch.object(avar_module, "_BLOCK_VALUES", block_values):
+        assert np.array_equal(_bracket_bins(a, b, edges, w, cfg, {}), _bracket_bins(b, a, edges, w, cfg, {}))
 
 
 def entrywise_acov_gms(data, config):

@@ -156,6 +156,13 @@ def test_load_ticks_horizon_errors_name_file_and_asset(tmp_path, text, horizon, 
     assert str(exc.value) == f"{p}: {message}"
 
 
+def test_load_ticks_nan_horizon_names_the_asset(tmp_path):
+    p = write(tmp_path, HEADER + "A,0.0,0.1\nA,0.5,0.2\n")
+    with pytest.raises(TickFileError) as exc:
+        load_ticks(p, horizon=float("nan"))
+    assert str(exc.value) == f"{p}: asset 'A': horizon must be finite, got nan"
+
+
 @pytest.mark.parametrize("blank", ["", "\n"], ids=["columns", "rows"])  # a blank line needs the row parser
 @pytest.mark.parametrize("field", ["asset", "timestamp"])
 def test_load_ticks_field_over_csv_limit_fails_with_line(tmp_path, capsys, blank, field):

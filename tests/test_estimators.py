@@ -486,58 +486,41 @@ def test_estimate_matrix_sync_clamp_equals_pairwise_loop(adjusted):
 
 @st.composite
 def multiscale_units(draw):
-    """Rows of one length and mixed units on them, in a drawn order: the
-    pairs of p synchronous series (which share rows and span all n + 1
-    slots), the one unit of each of some pairwise refresh skeletons,
-    disjoint bins of one skeleton, one after another, and units on any four
-    rows."""
+    """Rows of one length n + 1 and mixed units on them, in a drawn order:
+    the pairs of p synchronous series (which share rows), sometimes the one
+    unit of a pairwise refresh skeleton of n refresh intervals, and units on
+    any four rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     rows, units = [], []
-    p, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
-    rows += list(rng.standard_normal((p, n + 1)).cumsum(axis=1))
-    M = draw(st.integers(1, n))
-    units += [(k, l, k, l, 0, n + 1, M) for k in range(p) for l in range(k, p)]
-    for _ in range(draw(st.integers(0, 2))):
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
         a = random_series(rng, draw(st.integers(3, 30)), endpoints=False)
         b = random_series(rng, draw(st.integers(3, 30)), endpoints=False)
         try:
             grid = pairwise_refresh(a.scheme, b.scheme)
         except ValueError:
-            continue
-        if len(grid) < 2:
-            continue
-        r = len(rows)
-        rows += [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
-        units.append((r, r + 1, r + 2, r + 3, 0, len(grid), draw(st.integers(1, len(grid) - 1))))
-    r, start = len(rows), 0
-    rows += list(rng.standard_normal((4, 60)).cumsum(axis=1))
+            grid = None
+        if grid is not None and len(grid) >= 2:
+            n = len(grid) - 1
+            rows += [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
+            units.append((0, 1, 2, 3))
+    r, p = len(rows), draw(st.integers(1, 4))
+    rows += list(rng.standard_normal((p, n + 1)).cumsum(axis=1))
+    units += [(r + k, r + l, r + k, r + l) for k in range(p) for l in range(k, p)]
     for _ in range(draw(st.integers(0, 2))):  # any four rows, sharing some with the units above
-        units.append((*draw(st.lists(st.integers(0, len(rows) - 1), min_size=4, max_size=4)), 0, n + 1, M))
-    for n1 in draw(st.lists(st.integers(2, 30), max_size=5)):
-        if start + n1 > 60:
-            break
-        units.append((r, r + 1, r + 2, r + 3, start, n1, draw(st.integers(1, n1 - 1))))
-        start += n1 + draw(st.integers(0, 3))
-    S = max(v.size for v in rows)
-    rows = [np.concatenate([v, rng.standard_normal(S - v.size)]) for v in rows]  # unread padding
-    units = np.array(draw(st.permutations(units)))
-    coefs = rng.standard_normal((units[:, 6].max(), len(units))) * 10.0 ** rng.integers(-3, 3, len(units))
-    coefs[np.arange(coefs.shape[0])[:, None] >= units[:, 6]] = 0.0
-    return rows, units, coefs
+        units.append(tuple(draw(st.lists(st.integers(0, len(rows) - 1), min_size=4, max_size=4))))
+    coefs = rng.standard_normal(draw(st.integers(1, n))) * 10.0 ** rng.integers(-3, 3)
+    return rows, draw(st.permutations(units)), coefs
 
 
 @settings(max_examples=300, deadline=None)
-@given(multiscale_units(), st.sampled_from([1, 8, 1 << 14]))
-def test_multiscale_sums_equal_the_scale_loop_per_unit(case, group_slots):
-    # rows dotted in place in groups that span more or fewer slots than one
-    # unit; every unit has the bits of its own scale loop
+@given(multiscale_units())
+def test_multiscale_sums_equal_the_scale_loop_per_unit(case):
+    # units that share rows share their differences; every unit has the
+    # bits of its own scale loop
     rows, units, coefs = case
-    with mock.patch.object(estimators_module, "_GROUP_SLOTS", group_slots):
-        got = estimators_module._multiscale_sums(rows, units, coefs)
-    want = []
-    for u, (up_a, up_b, lo_a, lo_b, s, n1, M) in enumerate(units):
-        win = slice(s, s + n1)
-        want.append(multiscale_sum_loop(rows[up_a][win], rows[lo_a][win], rows[up_b][win], rows[lo_b][win], coefs[:M, u]))
+    got = estimators_module._multiscale_sums(rows, units, coefs)
+    want = [multiscale_sum_loop(rows[up_a], rows[lo_a], rows[up_b], rows[lo_b], coefs) for up_a, up_b, lo_a, lo_b in units]
     assert np.array_equal(got, np.array(want))
 
 

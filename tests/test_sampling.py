@@ -34,6 +34,13 @@ def test_scheme_rejects_bad_input():
         SamplingScheme(np.array([0.0, 0.5]), -1.0)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+def test_scheme_rejects_a_horizon_that_is_not_finite(horizon):
+    # an infinite horizon used to construct, and hayashi_yoshida then ran on it
+    with pytest.raises(ValueError, match=f"horizon must be finite, got {horizon!r}"):
+        SamplingScheme(np.linspace(0, 1, 11), horizon)
+
+
 # ---------------------------------------------------------------------
 # Tick interpolation
 # ---------------------------------------------------------------------
