@@ -36,6 +36,7 @@ from .estimators import (
     TickSeries,
     _check_c,
     _clamp_frequency,
+    _lag_sums,
     _ms_frequency,
     _noise_covariance,
     _noise_variance,
@@ -390,8 +391,9 @@ def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
     (p, n) increment matrix ``d`` of :func:`_sync_increments`.  With
     ``u = d[:, :-1]``, ``v = d[:, 1:]``, ``S[a, b, c, e] =
     sum_i u_a u_b v_c v_e`` takes one Gram product per component pair a <= b;
-    entry ``((k, l), (r, q))`` is ``n (S[k, r, l, q] + (S[l, r, k, q] +
-    S[k, q, l, r]) / 2)``.  Memory O(p n + p^4); exactly symmetric.
+    entry ``((k, l), (r, q))``, with each pair put in k <= l order (est_kl =
+    est_lk), is ``n (S[k, r, l, q] + (S[l, r, k, q] + S[k, q, l, r]) / 2)``.
+    Memory O(p n + p^4); exactly symmetric.
     """
     p, n = d.shape
     u, v = d[:, :-1], d[:, 1:]
@@ -399,7 +401,7 @@ def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
     for a in range(p):
         for b in range(a, p):
             S[a, b] = S[b, a] = (v * (u[a] * u[b])) @ v.T
-    k, l = (np.array(pairs) - 1).T[:, :, None]
+    k, l = np.sort(np.array(pairs) - 1, axis=1).T[:, :, None]  # each pair in k <= l order
     r, q = k.T, l.T
     e = n * (S[k, r, l, q] + 0.5 * (S[l, r, k, q] + S[k, q, l, r]))
     return 0.5 * (e + e.T)
@@ -434,10 +436,6 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
-# skeleton slots x scales up to which a lag block beats the transform (measured)
-_BLOCK_VALUES = 1 << 17
-
-
 def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig, weights: dict) -> np.ndarray:
     """End-effect adjusted generalized multi-scale bracket increment
     estimates per bin.
@@ -460,10 +458,8 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
 
     Cost: one segmented refresh merge covers all bins (the bin is the
     segment), the ``searchsorted`` bin windows and one set of index maps
-    place every refresh time in the full tick arrays.  A skeleton of S
-    slots at the largest bin frequency M is summed in one lag block when
-    ``S M <= _BLOCK_VALUES``, otherwise by transform; both add in another
-    order than a scale loop over each bin."""
+    place every refresh time in the full tick arrays, and one
+    :func:`hficov.estimators._lag_sums` call sums every bin."""
     ta, tb = a.scheme.times, b.scheme.times
     ia, ib = ta.searchsorted(edges, "right"), tb.searchsorted(edges, "right")
     refresh, bounds = _refresh_merge(ta, tb, ia, ib)
@@ -495,79 +491,8 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
     C = np.zeros((int(M.max()), M.size))  # a_i / i of bin u at scale i is C[i - 1, u]
     C.T[np.arange(C.shape[0]) < M[:, None]] = np.concatenate(coefs)
     C[0], C[1] = c1, c2  # M >= 2
-    sums = (_block_sums if V.shape[1] * C.shape[0] <= _BLOCK_VALUES else _fft_sums)(V, starts, n1, C)
-    out[list(j)] = sums / np.array(factors)
+    out[list(j)] = _lag_sums(V, [(0, 1, 2, 3)], starts, n1, C)[0] / np.array(factors)
     return out
-
-
-def _block_sums(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The multi-scale sum of each bin u on the skeleton rows ``V`` (next a,
-    next b, previous a, previous b),
-    ``sum_i C[i - 1, u] sum_j (V[0, j] - V[2, j - i]) (V[1, j] - V[3, j - i])``
-    over the ``n1[u]`` slots from ``starts[u]`` (j runs over the last
-    ``n1[u] - i`` of them), from one 2-D block of the products of every
-    scale over every slot, summed per (scale, bin) by one
-    ``np.add.reduceat`` in segments inside the bin.  A zero coefficient,
-    such as one past the bin's own M, is not summed and adds exactly 0.
-    """
-    M, S = C.shape[0], V.shape[1]
-    P = np.zeros((2, M + S))
-    P[:, M:] = V[2:]
-    lags = np.ndarray((2, M, S), P.dtype, P, 0, (P.strides[0], P.itemsize, P.itemsize))  # lags[r, M - i, j] = V[2 + r, j - i]
-    flat = np.zeros(M * S + 1)  # the block's products; the last cut may point past them
-    block = flat[:-1].reshape(M, S)  # row t holds scale M - t
-    t, u = np.nonzero(C[::-1])
-    base = t * S + starts[u]
-    cuts = np.column_stack((base + M - t, base + n1[u])).ravel()
-    D = np.zeros(C.shape)  # D[i - 1, u]: the lag-i sum of bin u
-    # products across bin edges and the sums between segments may overflow;
-    # they are never read
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(V[0], lags[0], out=block)
-        block *= V[1] - lags[1]
-        D[M - t - 1, u] = np.add.reduceat(flat, cuts)[::2]
-    return (C * D).sum(axis=0)
-
-
-def _fft_sums(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """:func:`_block_sums` by transform, in O(S log M) rather than O(S M).
-
-    A bin of more than ``15 M`` slots is cut into windows that each sum
-    ``L - 2 M`` of its slots, the transform length L being the power of two
-    at or above ``16 M``; each but a bin's first reads the M slots before it
-    as lag sources only.  With the rows ``X`` of a series centred on the
-    window mean of its next row, ``up`` and ``lo`` the cumulative sums of
-    ``X[0] X[1]`` and ``X[2] X[3]`` from 0, and ``cross[i]`` the lag-i sum
-    of ``X[0, j] X[3, j - i] + X[1, j] X[2, j - i]``, a window of n slots
-    whose first h are lag sources has the lag-i sum
-    ``up[n] - up[i] + lo[n - i] - lo[max(h - i, 0)] - cross[i]``.  Its
-    rounding scales with the centred levels, not the differences, so it
-    grows with a window's length over M, which the windows bound.
-    """
-    M, w = C.shape[0], int(n1.max())
-    L = 1 << (min(w, 15 * M) + M - 1).bit_length()  # no lag up to M wraps around
-    c = L - M if w + M <= L else L - 2 * M  # the slots a window sums over
-    k = -(-n1 // c)  # windows per bin
-    u = np.repeat(np.arange(n1.size), k)  # the bin of each window
-    at = (np.arange(u.size) - np.repeat(np.cumsum(k) - k, k)) * c  # its first summed slot in the bin
-    h = np.where(at > 0, M, 0)[:, None]  # its lag-source slots
-    n = np.minimum(at + c, n1[u])[:, None] - at[:, None] + h  # its slots
-    j = np.arange(n.max())
-    X = V[:, np.minimum((starts[u] + at)[:, None] - h + j, V.shape[1] - 1)]  # (row, window, slot)
-    mean = X[:2].sum(axis=2, where=j < n, keepdims=True) / n
-    X -= np.concatenate((mean, mean))
-    X *= j < n
-    X[:2] *= j >= h
-    up, lo = (np.cumsum(np.pad(x * y, ((0, 0), (1, 0))), axis=1) for x, y in (X[:2], X[2:]))
-    F = np.fft.rfft(X, L)
-    del X  # the spectra take its place
-    F[0] *= F[3].conj()
-    F[0] += F[1] * F[2].conj()
-    cross = np.fft.irfft(F[0], L)[:, 1 : M + 1]
-    r, i = np.arange(u.size)[:, None], np.arange(1, M + 1)
-    # lags past a bin's n1 - 1 read clipped slots; their coefficients are 0
-    lag = up[r, n] - up[:, 1 : M + 1] + lo[r, np.maximum(n - i, 0)] - lo[r, np.maximum(h - i, 0)] - cross
-    return np.bincount(u, np.einsum("wi,iw->w", lag, C[:, u]), n1.size)
 
 
 def acov_gms_hat(
@@ -779,9 +704,9 @@ class AcovMatrix:
         """Plain (unnormalized) covariance estimates of the svec entries."""
         return self.entries / _rate_sq(self.rate, self.n_ref)
 
-    def entry(self, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> float:
-        a = svec_index(self.p, *pair_a)
-        b = svec_index(self.p, *pair_b)
+    def entry(self, pair_a: tuple[int, int], pair_b: tuple[int, int]) -> float:  # a pair in either order: est_kl = est_lk
+        a = svec_index(self.p, *sorted(pair_a))
+        b = svec_index(self.p, *sorted(pair_b))
         return float(self.entries[a, b])
 
 

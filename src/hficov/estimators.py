@@ -16,14 +16,11 @@ The menu, in increasing generality:
 
 ``estimate_matrix`` assembles the full p x p matrix and packs it into the
 half-vectorized (svec) layout used by the asymptotic covariance machinery.
-The multi-scale sums of ``multiscale``, ``generalized_multiscale`` and the
-synchronous ``ms`` matrix go through one core, ``_multiscale_sums``, which
-gives each sum the bits of a scale loop over that sum alone (the histogram
-brackets of the gms asymptotic covariance sum their bins in a lag block or
-by transform, ``hficov.avar._block_sums`` and ``_fft_sums``).  On
-synchronous data ``ms`` and ``kernel`` difference each series once per
-scale or call and share those differences across all pairs; every pair's
-value has the same bits as the one-pair call.
+Every multi-scale sum (``multiscale``, ``generalized_multiscale``, the
+``ms`` and ``gms`` matrices, the gms acov brackets of ``hficov.avar``) goes
+through one core, ``_lag_sums``, within rounding of a scale loop.  On
+synchronous data the ``ms`` and ``kernel`` pairs share each series' work,
+and every pair's value has the same bits as the one-pair call.
 """
 
 from __future__ import annotations
@@ -123,24 +120,103 @@ def _ms_frequency(c: float, n: int) -> int:
     return _clamp_frequency(c * math.sqrt(n), n)
 
 
-def _multiscale_sums(rows: Sequence[np.ndarray], units: Sequence[tuple[int, int, int, int]], coefs: np.ndarray) -> np.ndarray:
-    """The multi-scale sum of each unit ``(up a, up b, lo a, lo b)``, four
-    indices into ``rows`` (value arrays of one length n + 1),
-    ``sum_i coefs[i - 1] sum_j (up_a[j] - lo_a[j - i]) (up_b[j] - lo_b[j - i])``
-    for i = 1..M, ``M = coefs.size`` (``a_i / i`` for weights ``a``).
+# skeleton slots x scales up to which a lag block beats the transform (measured)
+_BLOCK_VALUES = 1 << 17
 
-    At each scale each distinct (up row, lo row) difference is formed once
-    and each unit is one ``ndarray.dot`` of its two, added from 0.0 in scale
-    order: every sum has the bits of a scale loop over that unit alone.
+
+def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The multi-scale sum of each unit ``(up a, up b, lo a, lo b)`` of rows of
+    ``V`` (R rows of S slots) on each bin u, the ``n1[u]`` slots from
+    ``starts[u]``, as a (units, bins) array:
+    ``sum_i C[i - 1, u] sum_j (V[up a][j] - V[lo a][j - i]) (V[up b][j] - V[lo b][j - i])``,
+    j over the bin's last ``n1[u] - i`` slots (``C[i - 1, u]`` is ``a_i / i``,
+    0 past the bin's own M < n1).  Both forms add in another order than a
+    scale loop, within 1e-12 of its sum of absolute terms; a unit's bits
+    depend on its own rows only, not on their indices, the other units or
+    the order of its series.
+
+    *Block*, when ``S M <= _BLOCK_VALUES`` (M = ``C.shape[0]``): a unit's
+    lag products at every scale over every slot, from one strided view of
+    the zero-padded rows, summed per (scale, bin) by one ``np.add.reduceat``
+    in segments inside the bin; a zero coefficient is not summed, so
+    products across bin edges or past a bin's own M are never read.
+
+    *Transform*, in O(S log M).  A bin of more than ``15 M`` slots is cut
+    into windows that each sum ``L - 2 M`` of its slots, L the power of two
+    at or above ``16 M``; each but a bin's first reads the M slots before it
+    as lag sources only.  Each key (up row, lo row) is centred on the window
+    mean of its up row, whose lag-source slots are zeroed, and transformed
+    once for every unit that reads it.  A
+    window's lag-i sum is the sum of its up products after slot i, plus that
+    of its lo products from slot ``max(h - i, 0)`` to ``n - i`` (h lag
+    sources, n slots), less the lag-i cross sums from the keys' spectra.
+    Its rounding scales with the centred levels, not the differences, so it
+    grows with a window's length over M, which the windows bound.
     """
-    if coefs.size >= rows[0].size:
-        raise ValueError(f"multi-scale frequency M={coefs.size} exceeds n={rows[0].size - 1}")
-    keys = dict.fromkeys(key for u in units for key in (u[0::2], u[1::2]))  # (up row, lo row), in order
-    total = np.zeros(len(units))
-    for i, c in enumerate(coefs.tolist(), 1):
-        d = {(up, lo): rows[up][i:] - rows[lo][:-i] for up, lo in keys}
-        total += c * np.array([d[u[0::2]].dot(d[u[1::2]]) for u in units])
-    return total
+    (M, B), S = C.shape, len(V[0])
+    out = np.empty((len(units), B))
+    if S * M <= _BLOCK_VALUES:
+        P = np.zeros((len(V), M + S))
+        P[:, M:] = V
+        lags = np.ndarray((len(V), M, S), P.dtype, P, 0, (P.strides[0], P.itemsize, P.itemsize))  # lags[r, M - i, j] = V[r][j - i]
+        flat = np.zeros(M * S + 1)  # a unit's products; the last cut may point past them
+        block = flat[:-1].reshape(M, S)  # row t holds scale M - t
+        t, u = np.nonzero(C[::-1])
+        base = t * S + starts[u]
+        cuts = np.column_stack((base + M - t, base + n1[u])).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):  # in products and sums never read
+            for row, (up_a, up_b, lo_a, lo_b) in zip(out, units):
+                np.subtract(V[up_a], lags[lo_a], out=block)
+                block *= V[up_b] - lags[lo_b]
+                sums = np.zeros(C.shape)  # sums[i - 1, u]: the lag-i sum of bin u
+                sums[M - t - 1, u] = np.add.reduceat(flat, cuts)[::2]
+                row[:] = (C * sums).sum(axis=0)
+        return out
+    w = int(n1.max())
+    L = 1 << (min(w, 15 * M) + M - 1).bit_length()  # no lag up to M wraps around
+    c = L - M if w + M <= L else L - 2 * M  # the slots a window sums over
+    k = -(-n1 // c)  # windows per bin
+    u = np.repeat(np.arange(B), k)  # the bin of each window
+    at = (np.arange(u.size) - np.repeat(np.cumsum(k) - k, k)) * c  # its first summed slot in the bin
+    h = np.where(at > 0, M, 0)[:, None]  # its lag-source slots
+    n = np.minimum(at + c, n1[u])[:, None] - at[:, None] + h  # its slots
+    j = np.arange(n.max())
+    win = np.minimum((starts[u] + at)[:, None] - h + j, S - 1)  # (window, slot) -> slot of V
+    inside = j < n
+    keys = {}  # (up row, lo row) -> its index
+    pairs = [tuple(keys.setdefault(key, len(keys)) for key in (unit[0::2], unit[1::2])) for unit in units]
+    cols = []  # per key, by window: its up row zeroed in lag-source slots, and its lo row
+    for up, lo in keys:
+        x = V[up][win]
+        mean = x.sum(axis=1, where=inside, keepdims=True) / n
+        cols.append([(x - mean) * (inside & (j >= h)), (V[lo][win] - mean) * inside])
+    r, i = np.arange(u.size)[:, None], np.arange(1, M + 1)
+    tail = np.maximum(n - i, 0)  # slot n - i; lags past a bin's n1 - 1 read clipped slots, whose coefficients are 0
+    edge_sums = []
+    for (up_a, lo_a), (up_b, lo_b) in ((cols[a], cols[b]) for a, b in pairs):
+        head = np.zeros((u.size, M + 1))  # head[:, m]: the lo products before slot m
+        np.cumsum(lo_a[:, :M] * lo_b[:, :M], axis=1, out=head[:, 1:])
+        up = np.einsum("ws,ws->w", up_a, up_b)[:, None] - np.cumsum(up_a[:, :M] * up_b[:, :M], axis=1)
+        lo = np.einsum("ws,ws->w", lo_a, lo_b)[:, None] - np.cumsum(lo_a[r, tail] * lo_b[r, tail], axis=1) - head[r, np.maximum(h - i, 0)]
+        edge_sums.append(up + lo)
+    F = []
+    for key, col in enumerate(cols):
+        F.append([np.fft.rfft(x, L) for x in col])
+        cols[key] = None  # its spectra take its place
+    for row, (a, b), edge in zip(out, pairs, edge_sums):
+        (up_a, lo_a), (up_b, lo_b) = F[a], F[b]
+        G = up_a * lo_b.conj()
+        G += up_b * lo_a.conj()
+        lag = edge - np.fft.irfft(G, L)[:, 1 : M + 1]
+        row[:] = np.bincount(u, np.einsum("wi,iw->w", lag, C[:, u]), B)
+    return out
+
+
+def _whole_row_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, int, int, int]], w: WeightScheme) -> np.ndarray:
+    """:func:`_lag_sums` of ``units`` over whole rows (one bin) at the weights ``w``."""
+    if w.M >= len(V[0]):
+        raise ValueError(f"multi-scale frequency M={w.M} exceeds n={len(V[0]) - 1}")
+    return _lag_sums(V, units, np.zeros(1, int), np.array([len(V[0])]), (w.alphas / w.scales)[:, None])[:, 0]
 
 
 def _kernel_pairs(
@@ -171,12 +247,9 @@ def realized_cov(a: TickSeries, b: TickSeries) -> float:
 
 
 def multiscale(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
-    """Multi-scale covariance ``sum_i (a_i/i) sum_{j>=i} d^i_j a d^i_j b``.
-
-    Computed scale by scale from prefix differences in O(nM).
-    """
+    """Multi-scale covariance ``sum_i (a_i/i) sum_{j>=i} d^i_j a d^i_j b``."""
     _require_synchronous(a, b, "multiscale")
-    return float(_multiscale_sums([a.values, b.values], [(0, 1, 0, 1)], w.alphas / w.scales)[0])
+    return float(_whole_row_sums([a.values, b.values], [(0, 1, 0, 1)], w)[0])
 
 
 def multiscale_adjusted(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
@@ -248,8 +321,8 @@ def generalized_multiscale(a: TickSeries, b: TickSeries, w: WeightScheme, grid: 
     N = len(grid) - 1
     if w.M > N:
         raise ValueError(f"multi-scale frequency M={w.M} exceeds refresh count N={N}")
-    rows = [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
-    return float(_multiscale_sums(rows, [(0, 1, 2, 3)], w.alphas / w.scales)[0])
+    V = [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
+    return float(_whole_row_sums(V, [(0, 1, 2, 3)], w)[0])
 
 
 @dataclass(frozen=True)
@@ -415,7 +488,7 @@ def _estimate_matrix(
         values = [s.values for s in data]
         if method == "ms":
             w = end_effect_adjust(cfg.weights(M), n) if cfg.adjusted else cfg.weights(M)
-            vals = _multiscale_sums(values, [(k, l, k, l) for k, l in pairs], w.alphas / w.scales).tolist()
+            vals = _whole_row_sums(values, [(k, l, k, l) for k, l in pairs], w).tolist()
         else:
             vals = _kernel_pairs(values, pairs, builtin_kernel(cfg.kernel), M, cfg.adjusted)
         infos = [{"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel} for _ in pairs]

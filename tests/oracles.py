@@ -3,14 +3,14 @@
 Most of what is here is written as plain loops from the defining formulas,
 on purpose sharing no code with the package implementations (no prefix
 sums, no convolutions, no vectorization).  The test suite pins the fast
-implementations against these to 1e-12 relative error.  Five oracles are
+implementations against these to 1e-12 relative error.  Four oracles are
 simpler forms of the same computation instead, pinned bit for bit: the
-one-pair-at-a-time synchronous estimator loop, the multi-scale sum of one
-unit as a scale loop, the row-by-row tick-file loader and the refresh merge
-of one pair, alone and looped over segments.  The scale loop also bounds
-the block and FFT sums of the histogram bins, which add in another order,
-relative to the sum of the absolute terms.  The shared stochastic-variance test
-model lives here too.
+one-pair-at-a-time synchronous kernel estimator loop, the row-by-row
+tick-file loader and the refresh merge of one pair, alone and looped over
+segments.  The scale loop of one multi-scale sum bounds every multi-scale
+sum (the synchronous ``ms`` matrix, the point estimates and the histogram
+bins), which all add in another order, relative to the sum of the
+absolute terms.  The shared stochastic-variance test model lives here too.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ def ms_oracle(values_a, values_b, alphas) -> float:
 
 def multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs) -> float:
     """``sum_i coefs[i-1] sum_j (up_a[j] - lo_a[j-i]) (up_b[j] - lo_b[j-i])``
-    as a scale loop of one ``np.dot`` per scale: the reference, bit for
-    bit, for each unit of ``estimators._multiscale_sums``, and within
-    rounding for each bin of ``avar._block_sums`` and ``avar._fft_sums``."""
+    as a scale loop of one ``np.dot`` per scale: the reference, within
+    rounding, for each unit and bin of ``estimators._lag_sums``."""
     import numpy as np
 
     total = 0.0
@@ -141,7 +140,10 @@ def acov_rc_oracle(incs, k, l, r, q) -> float:
     """Adjacent-increment asymptotic covariance estimator, literal loops.
 
     ``incs`` is a list of per-component increment lists; components 1-based.
+    Each pair is taken in k <= l order, since est_kl = est_lk.
     """
+    k, l = sorted((k, l))
+    r, q = sorted((r, q))
     dk, dl, dr, dq = incs[k - 1], incs[l - 1], incs[r - 1], incs[q - 1]
     n = len(dk)
     t1 = sum((dk[i] * dl[i + 1]) * (dr[i] * dq[i + 1]) for i in range(n - 1))
@@ -369,7 +371,9 @@ def default_test_model(p=4, T=1.0):
 def sync_matrix_oracle(data, method, cfg):
     """``estimate_matrix(data, method, cfg)`` for ``ms`` and ``kernel`` one
     pair at a time: each pair differences both series again at every scale
-    or lag.  Returns ``(matrix, per_pair)``."""
+    or lag.  Returns ``(matrix, per_pair, abs_terms)``, the last, for
+    ``ms``, the sum of each entry's absolute terms (the scale of the
+    rounding of any order of its additions), and ``None`` for ``kernel``."""
     import math
 
     import numpy as np
@@ -379,6 +383,7 @@ def sync_matrix_oracle(data, method, cfg):
     p, n = len(data), len(data[0].values) - 1
     M = max(2, min(int(round(cfg.c * math.sqrt(n))), n))
     mat, per_pair = np.zeros((p, p)), {}
+    abs_terms = np.zeros((p, p)) if method == "ms" else None
     for k in range(p):
         for l in range(k, p):
             va, vb = data[k].values, data[l].values
@@ -390,7 +395,10 @@ def sync_matrix_oracle(data, method, cfg):
                     raise ValueError(f"multi-scale frequency M={w.M} exceeds n={n}")
                 val = 0.0
                 for i in range(1, w.M + 1):
-                    val += (w.alphas[i - 1] / i) * float(np.dot(va[i:] - va[:-i], vb[i:] - vb[:-i]))
+                    da, db = va[i:] - va[:-i], vb[i:] - vb[:-i]
+                    val += (w.alphas[i - 1] / i) * float(np.dot(da, db))
+                    abs_terms[k, l] += abs(w.alphas[i - 1] / i) * float(np.sum(np.abs(da * db)))
+                abs_terms[l, k] = abs_terms[k, l]
             else:
                 if not 1 <= M < n:
                     raise ValueError(f"need 1 <= H < n, got H={M}, n={n}")
@@ -403,7 +411,7 @@ def sync_matrix_oracle(data, method, cfg):
                         val += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
             mat[k, l] = mat[l, k] = val
             per_pair[(k, l)] = {"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel}
-    return mat, per_pair
+    return mat, per_pair, abs_terms
 
 
 def load_ticks_oracle(path):

@@ -14,9 +14,7 @@ from hficov.avar import (
     AcovMatrix,
     GmsAcovConfig,
     TheoryInputs,
-    _block_sums,
     _bracket_bins,
-    _fft_sums,
     _union_refresh_count,
     acov_gms_hat,
     acov_matrix_hat,
@@ -32,6 +30,7 @@ from hficov.avar import (
 from hficov.estimators import (
     EstimatorConfig,
     TickSeries,
+    _lag_sums,
     _same_times,
     generalized_multiscale,
     svec_index,
@@ -272,6 +271,18 @@ def test_acov_rc_hat_pair_swap_exact():
     a = acov_rc_hat(data, ((1, 2), (3, 4)))
     b = acov_rc_hat(data, ((3, 4), (1, 2)))
     assert a == b
+
+
+def test_acov_rc_hat_ignores_the_order_within_a_pair():
+    # est_kl = est_lk, so ((2, 1), (3, 4)) is the entry ((1, 2), (3, 4)) of
+    # the matrix, bit for bit, and the matrix takes either order
+    rng = np.random.default_rng(0)
+    data = _sync_data(rng, 4, 200)
+    am = acov_matrix_hat(data, "rc")
+    want = am.entry((1, 2), (3, 4))
+    for pairs in (((1, 2), (3, 4)), ((2, 1), (3, 4)), ((1, 2), (4, 3)), ((2, 1), (4, 3))):
+        assert acov_rc_hat(data, pairs) == want
+        assert am.entry(*pairs) == want
 
 
 def test_acov_rc_hat_matches_oracle():
@@ -522,7 +533,7 @@ def within_rounding_of_sliced_reference(case):
 @settings(max_examples=300)
 @given(binned_pair())
 def test_binned_bracket_by_transform_within_rounding_of_sliced_reference(case):
-    with mock.patch.object(avar_module, "_BLOCK_VALUES", 0):
+    with mock.patch.object(estimators_module, "_BLOCK_VALUES", 0):
         assert within_rounding_of_sliced_reference(case)
 
 
@@ -534,8 +545,11 @@ def test_binned_bracket_on_the_block_path_within_rounding_of_sliced_reference(ca
 
 @st.composite
 def skeleton_bins(draw):
-    """Skeleton rows (next a, next b, previous a, previous b) and bins on
-    them as ``_bracket_bins`` lays them out: ascending, at least 3 slots,
+    """Skeleton rows and units on them, in a drawn order, and bins as
+    ``_bracket_bins`` lays them out.  The rows are levels at a drawn scale;
+    the units are sometimes a bracket's one (next a, next b, previous a,
+    previous b), the pairs of p synchronous series (which share rows),
+    and units on any four rows.  The bins are ascending, at least 3 slots,
     with gaps between them, each with its own M (often below the largest,
     sometimes far below its slots, so that the transform cuts it into
     several windows) and coefficients that are zero past it, sometimes
@@ -550,31 +564,55 @@ def skeleton_bins(draw):
         M.append(draw(st.one_of(st.integers(1, n - 1), st.integers(1, min(4, n - 1)))))
         s += n + draw(st.integers(0, 3))
     S = starts[-1] + n1[-1] + draw(st.integers(0, 3))
-    V = rng.standard_normal((4, S)).cumsum(axis=1) * 10.0 ** rng.integers(-4, 3)
+    p = draw(st.integers(1, 4))
+    units = [(0, 1, 2, 3)] if draw(st.booleans()) else []
+    units += [(4 + k, 4 + l, 4 + k, 4 + l) for k in range(p) for l in range(k, p)]
+    for _ in range(draw(st.integers(0 if units else 1, 2))):
+        units.append(tuple(draw(st.lists(st.integers(0, 3 + p), min_size=4, max_size=4))))
+    V = rng.standard_normal((4 + p, S)).cumsum(axis=1) * 10.0 ** rng.integers(-4, 3)
     C = rng.standard_normal((max(M), len(M))) * 10.0 ** rng.integers(-2, 2, len(M))
     C[np.arange(C.shape[0])[:, None] >= np.array(M)] = 0.0
     if draw(st.booleans()):
         C[rng.random(C.shape) < 0.2] = 0.0
-    return V, np.array(starts), np.array(n1), np.array(M), C
+    return V, draw(st.permutations(units)), np.array(starts), np.array(n1), np.array(M), C
 
 
-def per_bin_loop(V, starts, n1, M, C):
-    """:func:`multiscale_sum_loop` and :func:`abs_terms` of each bin."""
+def per_bin_loop(V, starts, n1, M, C, unit=(0, 1, 2, 3)):
+    """:func:`multiscale_sum_loop` and :func:`abs_terms` of each bin of ``unit``."""
     win = [slice(s, s + n) for s, n in zip(starts, n1)]
-    args = [(V[0, w], V[2, w], V[1, w], V[3, w], C[:m, u]) for u, (w, m) in enumerate(zip(win, M))]
+    ua, ub, la, lb = unit
+    args = [(V[ua, w], V[la, w], V[ub, w], V[lb, w], C[:m, u]) for u, (w, m) in enumerate(zip(win, M))]
     return np.array([multiscale_sum_loop(*x) for x in args]), np.array([abs_terms(*x) for x in args])
+
+
+def lag_sums(V, units, starts, n1, C, form):
+    """:func:`_lag_sums` in the lag block or by transform."""
+    with mock.patch.object(estimators_module, "_BLOCK_VALUES", np.inf if form == "block" else 0):
+        return _lag_sums(V, units, starts, n1, C)
+
+
+def bin_sums(V, starts, n1, C, form):
+    """:func:`lag_sums` of the one bracket unit on four skeleton rows."""
+    return lag_sums(V, [(0, 1, 2, 3)], starts, n1, C, form)[0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(skeleton_bins())
 def test_bin_sums_equal_the_scale_loop_per_bin_within_rounding(case):
-    # the block and the transform against the scale loop of each bin.  A
+    # both forms against the scale loop of each unit on each bin.  A
     # relative bound cannot hold for a sum near zero, so it is relative to
-    # the sum of the absolute terms.
-    V, starts, n1, M, C = case
-    ref, scale = per_bin_loop(V, starts, n1, M, C)
-    for sums in (_block_sums, _fft_sums):
-        assert np.all(np.abs(sums(V, starts, n1, C) - ref) <= 1e-12 * scale), sums.__name__
+    # the sum of the absolute terms.  Units that share rows share their
+    # spectra, yet each unit has the bits of its own call on its own four
+    # rows, also with its two series swapped
+    V, units, starts, n1, M, C = case
+    for form in ("block", "transform"):
+        got = lag_sums(V, units, starts, n1, C, form)
+        for unit, sums in zip(units, got):
+            ref, scale = per_bin_loop(V, starts, n1, M, C, unit)
+            assert np.all(np.abs(sums - ref) <= 1e-12 * scale), form
+            ua, ub, la, lb = unit
+            assert np.array_equal(sums, bin_sums(V[[ua, ub, la, lb]], starts, n1, C, form)), form
+            assert np.array_equal(sums, bin_sums(V[[ub, ua, lb, la]], starts, n1, C, form)), form
 
 
 def test_bin_sums_never_read_products_across_bins_or_past_a_bins_m():
@@ -592,7 +630,7 @@ def test_bin_sums_never_read_products_across_bins_or_past_a_bins_m():
     C[:, 0] = rng.standard_normal(30)
     C[:2, 1] = 1.0
     ref, scale = per_bin_loop(V, starts, n1, M, C)
-    got = _block_sums(V, starts, n1, C)
+    got = bin_sums(V, starts, n1, C, "block")
     assert np.all(np.isfinite(ref)) and np.all(np.abs(got - ref) <= 1e-12 * scale)
     with np.errstate(over="ignore"):
         assert np.isinf(((V[0, n + 30 :] - V[2, n : -30]) * (V[1, n + 30 :] - V[3, n : -30])).max())
@@ -615,7 +653,7 @@ def test_fft_sums_never_mix_bins():
     C = rng.standard_normal((M.max(), M.size))
     C[np.arange(C.shape[0])[:, None] >= M] = 0.0
     ref, scale = per_bin_loop(V, starts, n1, M, C)
-    assert np.all(np.abs(_fft_sums(V, starts, n1, C) - ref) <= 1e-12 * scale)
+    assert np.all(np.abs(bin_sums(V, starts, n1, C, "transform") - ref) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize(
@@ -637,7 +675,7 @@ def test_fft_sums_on_noiseless_volatile_bins(n, M):
     C = rng.standard_normal((M, 3)) / np.arange(1, M + 1)[:, None]
     C[np.arange(M)[:, None] >= Mu] = 0.0
     ref, scale = per_bin_loop(V, starts, n1, Mu, C)
-    assert np.all(np.abs(_fft_sums(V, starts, n1, C) - ref) <= 1e-12 * scale)
+    assert np.all(np.abs(bin_sums(V, starts, n1, C, "transform") - ref) <= 1e-12 * scale)
 
 
 @settings(max_examples=300)
@@ -667,9 +705,8 @@ def _bits(x):
 @pytest.mark.parametrize("L", [*range(1, 71), 127, 128, 129, 1000, 5401])
 def test_batched_dot_has_the_bits_of_ndarray_dot(L):
     # np.matmul of stacked row vectors calls BLAS ddot once per row, as
-    # ndarray.dot does on one row, so the multi-scale sums of
-    # _multiscale_sums may batch their row dots this way without changing a
-    # bit, as the gms acov did before its block path.  matmul adds the ddot
+    # ndarray.dot does on one row, so row dots may be batched this way
+    # without changing a bit, as the gms acov did before its block path.  matmul adds the ddot
     # result to 0.0, so a -0.0 dot comes back as +0.0; a sum that starts
     # from +0.0 cannot tell the two apart.
     rng = np.random.default_rng(L)
@@ -707,14 +744,14 @@ def bracket_pair(draw):
 
 
 @settings(max_examples=300)
-@given(bracket_pair(), st.sampled_from([0, avar_module._BLOCK_VALUES]))
+@given(bracket_pair(), st.sampled_from([0, estimators_module._BLOCK_VALUES]))
 def test_binned_bracket_symmetric_in_its_series(case, block_values):
     # the gms bracket table keys a bracket by its unordered component pair;
     # both the block and the transform are symmetric in the two series
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
     w = cfg.weights(m_bin)
-    with mock.patch.object(avar_module, "_BLOCK_VALUES", block_values):
+    with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
         assert np.array_equal(_bracket_bins(a, b, edges, w, cfg, {}), _bracket_bins(b, a, edges, w, cfg, {}))
 
 
