@@ -146,12 +146,13 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
     at or above ``16 M``; each but a bin's first reads the M slots before it
     as lag sources only.  Each key (up row, lo row) is centred on the window
     mean of its up row, whose lag-source slots are zeroed, and transformed
-    once for every unit that reads it.  A
-    window's lag-i sum is the sum of its up products after slot i, plus that
-    of its lo products from slot ``max(h - i, 0)`` to ``n - i`` (h lag
-    sources, n slots), less the lag-i cross sums from the keys' spectra.
-    Its rounding scales with the centred levels, not the differences, so it
-    grows with a window's length over M, which the windows bound.
+    once for every unit that reads it.  A window's lag-i sum is the sum of
+    its up products after slot i, plus that of its lo products from slot
+    ``max(h - i, 0)`` to ``n - i`` (h lag sources, n slots), less the lag-i
+    cross sums from the keys' spectra.  Its rounding scales with the centred
+    levels, not the differences, so the windows bound their length over M;
+    a window whose absolute lag sums are not 1e12 times a bound on that
+    rounding, as when a series stands still, sums its products lag by lag.
     """
     (M, B), S = C.shape, len(V[0])
     out = np.empty((len(units), B))
@@ -190,6 +191,7 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
         x = V[up][win]
         mean = x.sum(axis=1, where=inside, keepdims=True) / n
         cols.append([(x - mean) * (inside & (j >= h)), (V[lo][win] - mean) * inside])
+    size = [np.linalg.norm(up, axis=1) + np.linalg.norm(lo, axis=1) for up, lo in cols]
     r, i = np.arange(u.size)[:, None], np.arange(1, M + 1)
     tail = np.maximum(n - i, 0)  # slot n - i; lags past a bin's n1 - 1 read clipped slots, whose coefficients are 0
     edge_sums = []
@@ -203,11 +205,17 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
     for key, col in enumerate(cols):
         F.append([np.fft.rfft(x, L) for x in col])
         cols[key] = None  # its spectra take its place
-    for row, (a, b), edge in zip(out, pairs, edge_sums):
+    absC = np.abs(C[:, u])
+    rounding = math.log2(L) * np.finfo(float).eps * absC.sum(axis=0)  # per window, times the keys' |up| + |lo| (2-norms)
+    for row, unit, (a, b), edge in zip(out, units, pairs, edge_sums):
         (up_a, lo_a), (up_b, lo_b) = F[a], F[b]
         G = up_a * lo_b.conj()
         G += up_b * lo_a.conj()
         lag = edge - np.fft.irfft(G, L)[:, 1 : M + 1]
+        for t in np.flatnonzero(1e12 * rounding * (size[a] * size[b]) > np.einsum("wi,iw->w", np.abs(lag), absC)):
+            x = np.array([V[q][win[t, : n[t, 0]]] for q in unit])
+            for i in np.flatnonzero(C[:, u[t]]) + 1:  # the lag-i sum from slot max(h, i)
+                lag[t, i - 1] = np.dot(*(x[:2, i:] - x[2:, :-i])[:, max(h[t, 0] - i, 0) :])
         row[:] = np.bincount(u, np.einsum("wi,iw->w", lag, C[:, u]), B)
     return out
 

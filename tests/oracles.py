@@ -44,6 +44,16 @@ def multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs) -> float:
     return total
 
 
+def abs_terms(up_a, lo_a, up_b, lo_b, coefs) -> float:
+    """``sum_i |coefs[i-1]| sum_j |d_a d_b|`` of :func:`multiscale_sum_loop`:
+    the scale of the rounding of any order of its additions."""
+    import numpy as np
+
+    return sum(
+        abs(c) * float(np.sum(np.abs((up_a[i:] - lo_a[:-i]) * (up_b[i:] - lo_b[:-i])))) for i, c in enumerate(coefs, 1)
+    )
+
+
 def kernel_oracle(values_a, values_b, kern, H, adjusted=False) -> float:
     """Autocovariance-kernel estimator as literal lag sums."""
     n = len(values_a) - 1

@@ -42,7 +42,7 @@ from hficov.citest import ci_test
 from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
-from oracles import acov_rc_oracle, isserlis_mc_oracle, multiscale_sum_loop
+from oracles import abs_terms, acov_rc_oracle, isserlis_mc_oracle, multiscale_sum_loop
 
 
 def series(times, values, T=1.0):
@@ -449,14 +449,6 @@ def sliced_binned_bracket(a, b, edges, weights_for, estimate=generalized_multisc
             continue
         out[j] = estimate(sa, sb, w, grid=grid) / finite_factor
     return out
-
-
-def abs_terms(up_a, lo_a, up_b, lo_b, coefs) -> float:
-    """``sum_i |coefs[i-1]| sum_j |d_a d_b|`` of :func:`multiscale_sum_loop`:
-    the scale of the rounding of any order of its additions."""
-    return sum(
-        abs(c) * float(np.sum(np.abs((up_a[i:] - lo_a[:-i]) * (up_b[i:] - lo_b[:-i])))) for i, c in enumerate(coefs, 1)
-    )
 
 
 def gms_abs_terms(a, b, w, grid):

@@ -21,7 +21,7 @@ from hficov.estimators import (
 from hficov.kernels import builtin_kernel, cubic_weights
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
-from oracles import gms_oracle, hy_oracle, kernel_oracle, ms_oracle, sync_matrix_oracle
+from oracles import abs_terms, gms_oracle, hy_oracle, kernel_oracle, ms_oracle, multiscale_sum_loop, sync_matrix_oracle
 
 
 def series(times, values, T=1.0):
@@ -508,6 +508,69 @@ def test_estimate_matrix_sync_clamp_equals_pairwise_loop(adjusted):
     with pytest.raises(ValueError) as got:
         estimate_matrix(data, "kernel", cfg)
     assert str(got.value) == str(want.value) == "need 1 <= H < n, got H=4, n=4"
+
+
+@st.composite
+def multiscale_units(draw):
+    """Rows of one length n + 1 and mixed units on them, in a drawn order:
+    the pairs of p synchronous series (which share rows), sometimes the one
+    unit of a pairwise refresh skeleton of n refresh intervals, and units on
+    any four rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows, units = [], []
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        a = random_series(rng, draw(st.integers(3, 30)), endpoints=False)
+        b = random_series(rng, draw(st.integers(3, 30)), endpoints=False)
+        try:
+            grid = pairwise_refresh(a.scheme, b.scheme)
+        except ValueError:
+            grid = None
+        if grid is not None and len(grid) >= 2:
+            n = len(grid) - 1
+            rows += [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
+            units.append((0, 1, 2, 3))
+    r, p = len(rows), draw(st.integers(1, 4))
+    rows += list(rng.standard_normal((p, n + 1)).cumsum(axis=1))
+    units += [(r + k, r + l, r + k, r + l) for k in range(p) for l in range(k, p)]
+    for _ in range(draw(st.integers(0, 2))):  # any four rows, sharing some with the units above
+        units.append(tuple(draw(st.lists(st.integers(0, len(rows) - 1), min_size=4, max_size=4))))
+    coefs = rng.standard_normal(draw(st.integers(1, n))) * 10.0 ** rng.integers(-3, 3)
+    return rows, draw(st.permutations(units)), coefs
+
+
+@settings(max_examples=300, deadline=None)
+@given(multiscale_units())
+def test_multiscale_sums_equal_the_scale_loop_per_unit(case):
+    # _lag_sums on one bin of all n + 1 slots, in both forms: every unit
+    # is within 1e-12 of its sum of absolute terms of its own scale loop,
+    # and units that share rows share their spectra, yet each unit has the
+    # bits of its own call on its own four rows
+    rows, units, coefs = case
+    V, starts, n1, C = np.array(rows), np.array([0]), np.array([len(rows[0])]), coefs[:, None]
+    for block_values in (np.inf, 0):
+        with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
+            got = estimators_module._lag_sums(V, units, starts, n1, C)[:, 0]
+            for unit, s in zip(units, got):
+                up_a, up_b, lo_a, lo_b = (V[i] for i in unit)
+                ref = multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs)
+                assert abs(s - ref) <= 1e-12 * abs_terms(up_a, lo_a, up_b, lo_b, coefs), block_values
+                own = estimators_module._lag_sums(V[list(unit)], [(0, 1, 2, 3)], starts, n1, C)[0, 0]
+                assert s == own, block_values
+
+
+@pytest.mark.parametrize("block_values", [0, estimators_module._BLOCK_VALUES])
+@pytest.mark.parametrize("method", ["ms", "gms"])
+def test_a_still_series_has_exactly_zero_multiscale_entries(method, block_values):
+    # its lag differences are all 0, so its variance and its covariances
+    # are too, in both forms: the transform's rounding of centred levels
+    # (0.1 is not its window mean in floating point) must not show
+    rng = np.random.default_rng(4)
+    t = np.linspace(0, 1, 2001)
+    data = [series(t, 4.6 + rng.standard_normal(2001).cumsum() * 1e-3), series(t, np.full(2001, 0.1))]
+    with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
+        est = estimate_matrix(data, method, EstimatorConfig())
+    assert est.matrix[0, 0] > 0 and np.all(est.matrix[1] == 0.0)
 
 
 def test_estimate_matrix_kernel_method():
