@@ -120,8 +120,57 @@ def _ms_frequency(c: float, n: int) -> int:
     return _clamp_frequency(c * math.sqrt(n), n)
 
 
-# skeleton slots x scales up to which a lag block beats the transform (measured)
+# skeleton slots x scales up to which a lag block beats the transform (measured),
+# and the lag differences a block holds at once
 _BLOCK_VALUES = 1 << 17
+
+
+def _lag_block(V: np.ndarray, units: Sequence[tuple[int, ...]], starts: np.ndarray, n1: np.ndarray, h: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The lag block of :func:`_lag_sums`, on bins whose first ``h[u]`` slots
+    are lag sources only (their products are not summed).
+
+    Each bin's rows are laid out after M zeros, so one strided view gives
+    every lag and no bin reads another's slots.  Each key (up row, lo row)
+    forms its lag differences once for every unit that reads it, in steps
+    of as many scales as keep them within ``_BLOCK_VALUES`` values; the
+    first key of each unit is zeroed where a product is not summed (only
+    the first ``max(M, h)`` and the last slots can hold such products), and
+    one ``np.matmul`` of stacked rows (a BLAS dot per row) sums a unit's
+    products per (bin, scale).  A (scale, bin) with a zero coefficient adds
+    exactly 0, whatever its products.
+    """
+    (M, B), w = C.shape, int(n1.max())
+    keys = {}  # (up row, lo row) -> its index
+    pairs = [tuple(keys.setdefault(key, len(keys)) for key in (unit[0::2], unit[1::2])) for unit in units]
+    P = np.zeros((len(V), B, M + w))  # each bin's slots after M zeros
+    for u, (s, n) in enumerate(zip(starts.tolist(), n1.tolist())):
+        P[:, u, M : M + n] = V[:, s : s + n]
+    lags = np.ndarray((len(V), B, M, w), P.dtype, P, 0, (*P.strides[:2], P.itemsize, P.itemsize))  # lags[r, u, M - i, j] = P[r, u, M + j - i]
+    step = np.arange(-M, w) >= 0
+    after = np.ndarray((M, w), bool, step, 0, (1, 1))  # after[M - i, j]: slot j reads no lag source before its bin
+    j = np.arange(w)
+    summed = ((j >= h[:, None]) & (j < n1[:, None]))[:, None]
+    H = max(M, int(h.max()))  # a product before slot H may read a lag source,
+    T = max(H, int(n1.min()))  # and one from slot T on may lie past its bin
+    m = max(1, min(M, _BLOCK_VALUES // (len(keys) * B * w)))  # scales per step
+    D = np.empty((len(keys), B, m, w))
+    sums = np.zeros((len(units), B, M, 1, 1))  # sums[:, u, M - i]: the lag-i sum of bin u
+    first = {a for a, _ in pairs}
+    with np.errstate(over="ignore", invalid="ignore"):  # in products whose coefficients are 0
+        for r0 in range(0, M, m):  # rows r0 .. r1 - 1 of the lag view
+            r1 = min(r0 + m, M)
+            d = D[:, :, : r1 - r0]
+            head = after[r0:r1, :H] & summed[..., :H]
+            for key, (up, lo) in enumerate(keys):
+                np.subtract(P[up, :, None, M:], lags[lo, :, r0:r1], out=d[key])
+                if key in first:
+                    d[key, ..., :H] *= head
+                    if T < w:
+                        d[key, ..., T:] *= summed[..., T:]
+            for (a, b), row in zip(pairs, sums):
+                np.matmul(d[a, :, :, None], d[b, ..., None], out=row[:, r0:r1])
+        C = C.T[:, ::-1]
+        return (np.where(C != 0.0, sums[..., 0, 0], 0.0) * C).sum(axis=2)
 
 
 def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -135,11 +184,8 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
     depend on its own rows only, not on their indices, the other units or
     the order of its series.
 
-    *Block*, when ``S M <= _BLOCK_VALUES`` (M = ``C.shape[0]``): a unit's
-    lag products at every scale over every slot, from one strided view of
-    the zero-padded rows, summed per (scale, bin) by one ``np.add.reduceat``
-    in segments inside the bin; a zero coefficient is not summed, so
-    products across bin edges or past a bin's own M are never read.
+    *Block*, when ``S M <= _BLOCK_VALUES`` (M = ``C.shape[0]``): the
+    :func:`_lag_block` of the bins.
 
     *Transform*, in O(S log M).  A bin of more than ``15 M`` slots is cut
     into windows that each sum ``L - 2 M`` of its slots, L the power of two
@@ -151,28 +197,13 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
     ``max(h - i, 0)`` to ``n - i`` (h lag sources, n slots), less the lag-i
     cross sums from the keys' spectra.  Its rounding scales with the centred
     levels, not the differences, so the windows bound their length over M;
-    a window whose absolute lag sums are not 1e12 times a bound on that
-    rounding, as when a series stands still, sums its products lag by lag.
+    a unit's windows whose absolute lag sums are not 1e12 times a bound on
+    that rounding, as when a series stands still, take one lag block.
     """
     (M, B), S = C.shape, len(V[0])
-    out = np.empty((len(units), B))
     if S * M <= _BLOCK_VALUES:
-        P = np.zeros((len(V), M + S))
-        P[:, M:] = V
-        lags = np.ndarray((len(V), M, S), P.dtype, P, 0, (P.strides[0], P.itemsize, P.itemsize))  # lags[r, M - i, j] = V[r][j - i]
-        flat = np.zeros(M * S + 1)  # a unit's products; the last cut may point past them
-        block = flat[:-1].reshape(M, S)  # row t holds scale M - t
-        t, u = np.nonzero(C[::-1])
-        base = t * S + starts[u]
-        cuts = np.column_stack((base + M - t, base + n1[u])).ravel()
-        with np.errstate(over="ignore", invalid="ignore"):  # in products and sums never read
-            for row, (up_a, up_b, lo_a, lo_b) in zip(out, units):
-                np.subtract(V[up_a], lags[lo_a], out=block)
-                block *= V[up_b] - lags[lo_b]
-                sums = np.zeros(C.shape)  # sums[i - 1, u]: the lag-i sum of bin u
-                sums[M - t - 1, u] = np.add.reduceat(flat, cuts)[::2]
-                row[:] = (C * sums).sum(axis=0)
-        return out
+        return _lag_block(np.asarray(V), units, starts, n1, np.zeros_like(n1), C)
+    out = np.empty((len(units), B))
     w = int(n1.max())
     L = 1 << (min(w, 15 * M) + M - 1).bit_length()  # no lag up to M wraps around
     c = L - M if w + M <= L else L - 2 * M  # the slots a window sums over
@@ -212,11 +243,13 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
         G = up_a * lo_b.conj()
         G += up_b * lo_a.conj()
         lag = edge - np.fft.irfft(G, L)[:, 1 : M + 1]
-        for t in np.flatnonzero(1e12 * rounding * (size[a] * size[b]) > np.einsum("wi,iw->w", np.abs(lag), absC)):
-            x = np.array([V[q][win[t, : n[t, 0]]] for q in unit])
-            for i in np.flatnonzero(C[:, u[t]]) + 1:  # the lag-i sum from slot max(h, i)
-                lag[t, i - 1] = np.dot(*(x[:2, i:] - x[2:, :-i])[:, max(h[t, 0] - i, 0) :])
-        row[:] = np.bincount(u, np.einsum("wi,iw->w", lag, C[:, u]), B)
+        sums = np.einsum("wi,iw->w", lag, C[:, u])
+        t = np.flatnonzero(1e12 * rounding * (size[a] * size[b]) > np.einsum("wi,iw->w", np.abs(lag), absC))
+        if t.size:
+            lo, hi = win[t, 0].min(), (win[t, 0] + n[t, 0]).max()
+            rows = np.array([V[q][lo:hi] for q in unit])
+            sums[t] = _lag_block(rows, [(0, 1, 2, 3)], win[t, 0] - lo, n[t, 0], h[t, 0], C[:, u[t]])[0]
+        row[:] = np.bincount(u, sums, B)
     return out
 
 

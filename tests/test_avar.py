@@ -698,7 +698,7 @@ def _bits(x):
 def test_batched_dot_has_the_bits_of_ndarray_dot(L):
     # np.matmul of stacked row vectors calls BLAS ddot once per row, as
     # ndarray.dot does on one row, so row dots may be batched this way
-    # without changing a bit, as the gms acov did before its block path.  matmul adds the ddot
+    # without changing a bit, as estimators._lag_block does.  matmul adds the ddot
     # result to 0.0, so a -0.0 dot comes back as +0.0; a sum that starts
     # from +0.0 cannot tell the two apart.
     rng = np.random.default_rng(L)

@@ -559,6 +559,27 @@ def test_multiscale_sums_equal_the_scale_loop_per_unit(case):
                 assert s == own, block_values
 
 
+def test_lag_block_skips_the_lag_sources_of_a_window():
+    # the transform hands windows whose first h slots are lag sources only
+    # to the lag block: each bin sums from slot max(h, i) at lag i, a bin
+    # past its own M (zero coefficients) adds nothing, swapping a unit's
+    # series keeps its bits, and so do steps of one scale
+    rng = np.random.default_rng(8)
+    V = 4.6 + rng.standard_normal((4, 420)).cumsum(axis=1) * 1e-3
+    V[2:] -= 1e-4 * rng.standard_normal((2, 420))
+    starts, n1, h = np.array([0, 100, 250]), np.array([120, 150, 130]), np.array([0, 12, 12])
+    C = rng.standard_normal((12, 3)) / np.arange(1, 13)[:, None]
+    C[5:, 2] = 0.0
+    got = estimators_module._lag_block(V, [(0, 1, 2, 3), (1, 0, 3, 2)], starts, n1, h, C)
+    for u, (s, n, g) in enumerate(zip(starts, n1, h)):
+        ua, ub, la, lb = V[:, s : s + n]
+        terms = [c * (ua[max(g, i) :] - la[max(g, i) - i : n - i]) * (ub[max(g, i) :] - lb[max(g, i) - i : n - i]) for i, c in enumerate(C[:, u], 1)]
+        assert abs(got[0, u] - sum(t.sum() for t in terms)) <= 1e-12 * sum(np.abs(t).sum() for t in terms)
+    assert np.array_equal(got[0], got[1])
+    with mock.patch.object(estimators_module, "_BLOCK_VALUES", 0):
+        assert np.array_equal(estimators_module._lag_block(V, [(0, 1, 2, 3)], starts, n1, h, C)[0], got[0])
+
+
 @pytest.mark.parametrize("block_values", [0, estimators_module._BLOCK_VALUES])
 @pytest.mark.parametrize("method", ["ms", "gms"])
 def test_a_still_series_has_exactly_zero_multiscale_entries(method, block_values):
