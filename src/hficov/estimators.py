@@ -18,9 +18,11 @@ The menu, in increasing generality:
 half-vectorized (svec) layout used by the asymptotic covariance machinery.
 Every multi-scale sum (``multiscale``, ``generalized_multiscale``, the
 ``ms`` and ``gms`` matrices, the gms acov brackets of ``hficov.avar``) goes
-through one core, ``_lag_sums``, within rounding of a scale loop.  On
-synchronous data the ``ms`` and ``kernel`` pairs share each series' work,
-and every pair's value has the same bits as the one-pair call.
+through one core, ``_lag_sums``, within rounding of a scale loop.  The
+``kernel`` matrix sums its lags by one transform per series, within
+rounding of the one-pair lag loop, and the ``hy`` matrix forms each series'
+prefix sums once and each pair of tick-time arrays' overlap windows once,
+with the bits of the one-pair call.
 """
 
 from __future__ import annotations
@@ -260,24 +262,74 @@ def _whole_row_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, int, int
     return _lag_sums(V, units, np.zeros(1, int), np.array([len(V[0])]), (w.alphas / w.scales)[:, None])[:, 0]
 
 
+def _fft_length(m: int) -> int:
+    """The least 2^a 3^b 5^c at or above ``m``: a length the FFT takes fast."""
+    best, f5 = 1 << (m - 1).bit_length(), 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << (-(-m // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def _kernel_pairs(
     values: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], kernel: KernelFunction, H: int, adjusted: bool
 ) -> list[float]:
-    """Kernel estimates of synchronous series, one per ``(k, l)`` in ``pairs``,
-    from increments formed once per series and lag weights ``K(h/H)`` formed
-    once per call."""
+    """Kernel estimates of synchronous series, one per ``(k, l)`` in ``pairs``:
+    each pair's lag-0 dot plus its lag sum, from increments formed once per
+    series and weights ``K(h/H)`` formed once per call.
+
+    *Loop*, when the call has no more pairs than series (``kernel_estimator``,
+    a p=1 matrix): two dots per lag.  *Transform*, otherwise, so that every
+    transformed row serves more than one pair: one real FFT per series at a
+    length L > n + H (no lag up to H wraps around) and one of the weights; a
+    pair's lag sum is one dot of the product of its two spectra with the
+    weights' spectrum, so its bits depend on its own two series only, in
+    either order.  The same transform of ``|d|`` and ``|K|`` gives its
+    absolute lag sums; a pair whose sums are not 1e12 times a bound on the
+    rounding (log2 L eps 2 sum|K| |d_k|_2 |d_l|_2), as when a series stands
+    still or two never move within H steps of each other, takes the loop.
+    """
     n = values[0].size - 1
     if not 1 <= H < n:
         raise ValueError(f"need 1 <= H < n, got H={H}, n={n}")
     d = [np.diff(v) for v in values]
-    lags = [(h, wgt) for h in range(1, H + 1) if (wgt := kernel.k(h / H)) != 0.0]
-    out = []
-    for k, l in pairs:
-        da, db = d[k], d[l]
-        total = float(np.dot(da, db)) * ((n - 1) / n if adjusted else 1.0)
+    weights = [kernel.k(h / H) for h in range(1, H + 1)]
+    scale = (n - 1) / n if adjusted else 1.0
+    out = [float(np.dot(d[k], d[l])) * scale for k, l in pairs]
+    looped = range(len(pairs))
+    if len(pairs) > len(values):
+        L = _fft_length(n + H + 1)
+        K = np.array([0.0, *weights])
+
+        def lag_sums(rows, w):
+            """``sum_h w[h] sum_j (r_k[j] r_l[j - h] + r_l[j] r_k[j - h])`` of
+            each pair: each half-spectrum bin but the first and last stands
+            for two, and ``.view(float)`` interleaves real and imaginary parts."""
+            F = [np.fft.rfft(r, L).view(float) for r in rows]
+            W = np.fft.rfft(w, L).real * (4.0 / L)
+            W[0] /= 2.0
+            if L % 2 == 0:
+                W[-1] /= 2.0
+            W = np.repeat(W, 2)
+            return [float(np.dot(F[k] * F[l], W)) for k, l in pairs]
+
+        mags = lag_sums((np.abs(x) for x in d), np.abs(K))
+        norms = [math.sqrt(float(np.dot(x, x))) for x in d]
+        rounding = math.log2(L) * np.finfo(float).eps * 2.0 * float(np.abs(K).sum())
+        looped = []
+        for i, ((k, l), s) in enumerate(zip(pairs, lag_sums(d, K))):
+            if mags[i] > 1e12 * rounding * (norms[k] * norms[l]):
+                out[i] += s
+            else:
+                looped.append(i)
+    lags = [(h, wgt) for h, wgt in enumerate(weights, 1) if wgt != 0.0]
+    for i in looped:
+        da, db = d[pairs[i][0]], d[pairs[i][1]]
         for h, wgt in lags:
-            total += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
-        out.append(total)
+            out[i] += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
     return out
 
 
@@ -310,42 +362,58 @@ def kernel_estimator(
     Realized covariance plus ``K(h/H)``-weighted symmetrized lag-h realized
     autocovariances for h = 1..H (so ``H=1`` degenerates to realized
     covariance).  ``adjusted=True`` multiplies the realized-covariance
-    addend by ``(n-1)/n``, cancelling the ``+2 eta_ab`` noise bias.
+    addend by ``(n-1)/n``, cancelling the ``+2 eta_ab`` noise bias.  One pair
+    sums its lags by two dots per lag; the ``kernel`` matrix of
+    :func:`estimate_matrix` sums them by transform, within rounding.
     """
     _require_synchronous(a, b, "kernel_estimator")
     return _kernel_pairs([a.values, b.values], [(0, 1)], kernel, H, adjusted)[0]
 
 
-def _canonical_pair(a: TickSeries, b: TickSeries) -> tuple[TickSeries, TickSeries]:
-    """Deterministic total ordering so symmetric estimators are bit-exact in
-    their two arguments (full arrays break ties)."""
-    ka = (len(a), a.scheme.times.tobytes(), a.values.tobytes())
-    kb = (len(b), b.scheme.times.tobytes(), b.values.tobytes())
-    return (a, b) if ka <= kb else (b, a)
+def _hy_pairs(data: Sequence[TickSeries], pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """Overlap estimates, one per ``(k, l)`` in ``pairs``: each series'
+    increments and prefix sums are formed once, and the overlap windows once
+    per ordered pair of distinct tick-time arrays (series on equal times
+    share them).  Each pair sums in a total order of its two series (length,
+    then the bytes of the times, then of the values), so the estimate is
+    bit-exact in its two arguments and a pair of a matrix has the bits of the
+    one-pair call."""
+    for k, l in pairs:
+        a, b = data[k], data[l]
+        if len(a) < 2 or len(b) < 2:
+            raise ValueError("hayashi_yoshida needs at least two observations per series")
+        if a.scheme.horizon != b.scheme.horizon:
+            raise ValueError("schemes must share the horizon")
+    shared = {}  # series on equal times share one bytes object of them
+    keys = [(len(s), shared.setdefault(t := s.scheme.times.tobytes(), t), s.values.tobytes()) for s in data]  # the total order
+    d = [s.increments() for s in data]
+    cum = [np.concatenate([[0.0], np.cumsum(x)]) for x in d]
+    windows, out = {}, []  # (times bytes of x, of y) -> the overlap windows
+    for k, l in pairs:
+        x, y = (k, l) if keys[k] <= keys[l] else (l, k)
+        at = keys[x][1], keys[y][1]
+        if at not in windows:
+            # y-interval k = (ty[k], ty[k+1]] overlaps (tx[i], tx[i+1]] iff
+            # ty[k+1] > tx[i] and ty[k] < tx[i+1]; the overlapping k form a range.
+            tx, ty = data[x].scheme.times, data[y].scheme.times
+            k_lo = np.searchsorted(ty[1:], tx[:-1], side="right")
+            k_hi = np.searchsorted(ty[:-1], tx[1:], side="left")
+            windows[at] = k_lo, np.maximum(k_hi, k_lo)
+        lo, hi = windows[at]
+        out.append(float(np.dot(d[x], cum[y][hi] - cum[y][lo])))
+    return out
 
 
 def hayashi_yoshida(a: TickSeries, b: TickSeries) -> float:
     """Overlap-indicator covariance for asynchronous schemes.
 
-    ``sum_{i,j} da_i db_j 1{(t_{i-1}, t_i] and (s_{j-1}, s_j] overlap}``,
-    evaluated by an interval sweep with prefix sums in O((n_a + n_b) log).
-    Exactly symmetric in its arguments, and reduces to realized covariance
-    on a common grid.
+    ``sum_{i,j} da_i db_j 1{(t_{i-1}, t_i] and (s_{j-1}, s_j] overlap}``: for
+    each interval of one series, the prefix sums of the other's increments
+    over the range of intervals it overlaps (two binary searches), in
+    O((n_a + n_b) log).  Exactly symmetric in its arguments, and reduces to
+    realized covariance on a common grid.
     """
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("hayashi_yoshida needs at least two observations per series")
-    if a.scheme.horizon != b.scheme.horizon:
-        raise ValueError("schemes must share the horizon")
-    x, y = _canonical_pair(a, b)
-    tx, ty = x.scheme.times, y.scheme.times
-    dx, dy = x.increments(), y.increments()
-    # b-interval k = (ty[k], ty[k+1]] overlaps (tx[i], tx[i+1]] iff
-    # ty[k+1] > tx[i] and ty[k] < tx[i+1]; the overlapping k form a range.
-    k_lo = np.searchsorted(ty[1:], tx[:-1], side="right")
-    k_hi = np.searchsorted(ty[:-1], tx[1:], side="left")
-    cum = np.concatenate([[0.0], np.cumsum(dy)])
-    spans = cum[np.maximum(k_hi, k_lo)] - cum[k_lo]
-    return float(np.dot(dx, spans))
+    return _hy_pairs([a, b], [(0, 1)])[0]
 
 
 def generalized_multiscale(a: TickSeries, b: TickSeries, w: WeightScheme, grid: SyncGrid | None = None) -> float:
@@ -533,24 +601,21 @@ def _estimate_matrix(
         else:
             vals = _kernel_pairs(values, pairs, builtin_kernel(cfg.kernel), M, cfg.adjusted)
         infos = [{"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel} for _ in pairs]
+    elif method == "hy":
+        vals = _hy_pairs(data, pairs)
+        infos = [{"method": method} for _ in pairs]
     else:
         vals, infos = [], []
         for k, l in pairs:
             a, b = data[k], data[l]
-            info: dict = {"method": method}
-            if method == "hy":
-                val = hayashi_yoshida(a, b)
-            else:
-                grid = pair_grid(k, l) if pair_grid else pairwise_refresh(a.scheme, b.scheme)
-                N = len(grid) - 1
-                M = _ms_frequency(cfg.c, N)
-                info.update(M=M, c=float(cfg.c), kernel=cfg.kernel, refresh_count=N)
-                w = cfg.weights(M)
-                if cfg.adjusted:
-                    w = end_effect_adjust(w, N)
-                val = generalized_multiscale(a, b, w, grid=grid)
-            vals.append(val)
-            infos.append(info)
+            grid = pair_grid(k, l) if pair_grid else pairwise_refresh(a.scheme, b.scheme)
+            N = len(grid) - 1
+            M = _ms_frequency(cfg.c, N)
+            infos.append({"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel, "refresh_count": N})
+            w = cfg.weights(M)
+            if cfg.adjusted:
+                w = end_effect_adjust(w, N)
+            vals.append(generalized_multiscale(a, b, w, grid=grid))
     mat = np.zeros((p, p))
     for (k, l), val in zip(pairs, vals):
         mat[k, l] = mat[l, k] = val

@@ -4,13 +4,14 @@ Most of what is here is written as plain loops from the defining formulas,
 on purpose sharing no code with the package implementations (no prefix
 sums, no convolutions, no vectorization).  The test suite pins the fast
 implementations against these to 1e-12 relative error.  Four oracles are
-simpler forms of the same computation instead, pinned bit for bit: the
-one-pair-at-a-time synchronous kernel estimator loop, the row-by-row
-tick-file loader and the refresh merge of one pair, alone and looped over
-segments.  The scale loop of one multi-scale sum bounds every multi-scale
-sum (the synchronous ``ms`` matrix, the point estimates and the histogram
-bins), which all add in another order, relative to the sum of the
-absolute terms.  The shared stochastic-variance test model lives here too.
+simpler forms of the same computation instead.  Three are pinned bit for
+bit: the row-by-row tick-file loader and the refresh merge of one pair,
+alone and looped over segments.  The others bound sums that add in another
+order, relative to the sum of the absolute terms: the scale loop of one
+multi-scale sum bounds every multi-scale sum (the synchronous ``ms``
+matrix, the point estimates and the histogram bins), and the
+one-pair-at-a-time lag loop bounds the synchronous ``kernel`` matrix.  The
+shared stochastic-variance test model lives here too.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ def kernel_oracle(values_a, values_b, kern, H, adjusted=False) -> float:
         for j in range(h, n):
             acc += da[j] * db[j - h] + db[j] * da[j - h]
         total += w * acc
+    return total
+
+
+def kernel_abs_terms(values_a, values_b, kern, H, adjusted=False) -> float:
+    """The sum of the absolute terms of :func:`kernel_oracle`: the scale of
+    the rounding of any order of its additions."""
+    import numpy as np
+
+    da, db = np.diff(values_a), np.diff(values_b)
+    n = da.size
+    total = float(np.sum(np.abs(da * db))) * ((n - 1) / n if adjusted else 1.0)
+    for h in range(1, H + 1):
+        total += abs(kern.k(h / H)) * float(np.sum(np.abs(da[h:] * db[:-h])) + np.sum(np.abs(db[h:] * da[:-h])))
     return total
 
 
@@ -381,9 +395,9 @@ def default_test_model(p=4, T=1.0):
 def sync_matrix_oracle(data, method, cfg):
     """``estimate_matrix(data, method, cfg)`` for ``ms`` and ``kernel`` one
     pair at a time: each pair differences both series again at every scale
-    or lag.  Returns ``(matrix, per_pair, abs_terms)``, the last, for
-    ``ms``, the sum of each entry's absolute terms (the scale of the
-    rounding of any order of its additions), and ``None`` for ``kernel``."""
+    or lag.  Returns ``(matrix, per_pair, abs_terms)``, the last the sum of
+    each entry's absolute terms (the scale of the rounding of any order of
+    its additions)."""
     import math
 
     import numpy as np
@@ -393,7 +407,7 @@ def sync_matrix_oracle(data, method, cfg):
     p, n = len(data), len(data[0].values) - 1
     M = max(2, min(int(round(cfg.c * math.sqrt(n))), n))
     mat, per_pair = np.zeros((p, p)), {}
-    abs_terms = np.zeros((p, p)) if method == "ms" else None
+    abs_terms = np.zeros((p, p))
     for k in range(p):
         for l in range(k, p):
             va, vb = data[k].values, data[l].values
@@ -419,6 +433,7 @@ def sync_matrix_oracle(data, method, cfg):
                     wgt = kern.k(h / M)
                     if wgt != 0.0:
                         val += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
+                abs_terms[k, l] = abs_terms[l, k] = kernel_abs_terms(va, vb, kern, M, cfg.adjusted)
             mat[k, l] = mat[l, k] = val
             per_pair[(k, l)] = {"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel}
     return mat, per_pair, abs_terms

@@ -21,7 +21,16 @@ from hficov.estimators import (
 from hficov.kernels import builtin_kernel, cubic_weights
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
-from oracles import abs_terms, gms_oracle, hy_oracle, kernel_oracle, ms_oracle, multiscale_sum_loop, sync_matrix_oracle
+from oracles import (
+    abs_terms,
+    gms_oracle,
+    hy_oracle,
+    kernel_abs_terms,
+    kernel_oracle,
+    ms_oracle,
+    multiscale_sum_loop,
+    sync_matrix_oracle,
+)
 
 
 def series(times, values, T=1.0):
@@ -263,6 +272,46 @@ def test_hy_refresh_path_agrees():
         assert refresh == pytest.approx(sweep, rel=1e-12, abs=1e-15)
 
 
+@st.composite
+def hy_inputs(draw):
+    """Series on synchronous and Poisson schemes, some sharing one times
+    array object, some on equal but distinct arrays, some on their own
+    times; now and then a series of one observation or another horizon."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["sync", "poisson", "shared", "copy"] + ["single", "horizon"] * (draw(st.integers(0, 7)) == 0)))
+        m = draw(st.integers(2, 40))
+        if kind in ("shared", "copy") and data:
+            t = data[draw(st.integers(0, len(data) - 1))].scheme.times
+            t = t if kind == "shared" else t.copy()
+        elif kind == "poisson":
+            t = np.unique(rng.uniform(0, 1, m))
+        elif kind == "single":
+            t = rng.uniform(0, 1, 1)
+        else:
+            t = np.linspace(0, 1, m)
+        data.append(series(t, rng.standard_normal(t.size).cumsum(), T=2.0 if kind == "horizon" else 1.0))
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(hy_inputs())
+def test_hy_matrix_has_the_bits_of_the_pairwise_calls(data):
+    # the matrix shares each series' increments and each pair of tick-time
+    # arrays' overlap windows, yet every entry has the bits of the one-pair
+    # call, and a bad input raises the error of the first pair that has it
+    p = len(data)
+    try:
+        want = np.array([[hayashi_yoshida(data[min(k, l)], data[max(k, l)]) for l in range(p)] for k in range(p)])
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            estimate_matrix(data, "hy")
+        assert str(got.value) == str(err)
+        return
+    assert np.array_equal(estimate_matrix(data, "hy").matrix, want)
+
+
 def test_hy_needs_two_observations():
     single = series([0.5], [1.0])
     with pytest.raises(ValueError):
@@ -485,10 +534,9 @@ def test_estimate_matrix_sync_equals_pairwise_loop(p, method, kernel, adjusted):
     cfg = EstimatorConfig(kernel=kernel, adjusted=adjusted)
     est = estimate_matrix(data, method, cfg)
     mat, per_pair, abs_terms = sync_matrix_oracle(data, method, cfg)
-    if method == "ms":  # the multi-scale sums add in another order than a scale loop
-        assert np.all(np.abs(est.matrix - mat) <= 1e-12 * abs_terms)
-    else:
-        np.testing.assert_array_equal(est.matrix, mat)
+    # the multi-scale sums add in another order than a scale loop, and the
+    # kernel lag sums (by transform at p > 1) than a lag loop
+    assert np.all(np.abs(est.matrix - mat) <= 1e-12 * abs_terms)
     assert est.per_pair == per_pair
 
 
@@ -601,6 +649,54 @@ def test_estimate_matrix_kernel_method():
     est = estimate_matrix(data, "kernel", EstimatorConfig(kernel="parzen", adjusted=True))
     assert est.matrix.shape == (2, 2)
     assert est.per_pair[(0, 1)]["kernel"] == "parzen"
+
+
+@st.composite
+def kernel_rows(draw):
+    """Levels of p synchronous series of n increments and a bandwidth H < n:
+    random walks, mostly-zero increments, series that stand still, and
+    series that move only every H + 1 steps at the same times, so that two
+    of them never move within H lags of each other."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(2, 150))
+    H = draw(st.integers(1, n - 1))
+    rows, kinds = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["walk", "sparse", "still", "apart"]))
+        d = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 1)
+        if kind == "sparse":
+            d *= rng.uniform(size=n) < 0.05
+        elif kind == "still":
+            d[:] = 0.0
+        elif kind == "apart":
+            d[np.arange(n) % (H + 1) != 0] = 0.0
+        rows.append(0.1 + np.concatenate([[0.0], d.cumsum()]))
+        kinds.append(kind)
+    return rows, kinds, H
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_rows(), st.sampled_from(["cubic", "parzen"]), st.booleans())
+def test_kernel_pairs_equal_the_oracle_in_both_forms(case, kernel, adjusted):
+    # the transform (more pairs than series: each pair and its swap) and the
+    # lag loop (one pair on its two rows) are within 1e-12 of the sum of
+    # absolute terms of the literal lag sums; the transform is bit-exact in
+    # the pair, and where no lag term is nonzero (a still series, or two that
+    # never move within H lags) both forms have the bits of the lag-0 term
+    rows, kinds, H = case
+    kern = builtin_kernel(kernel)
+    pairs = [(k, l) for k in range(len(rows)) for l in range(k, len(rows))]
+    both = estimators_module._kernel_pairs(rows, pairs + [(l, k) for k, l in pairs], kern, H, adjusted)
+    n = len(rows[0]) - 1
+    for (k, l), fast, swapped in zip(pairs, both, both[len(pairs) :]):
+        loop = estimators_module._kernel_pairs([rows[k], rows[l]], [(0, 1)], kern, H, adjusted)[0]
+        ref = kernel_oracle(list(rows[k]), list(rows[l]), kern, H, adjusted)
+        bound = 1e-12 * kernel_abs_terms(rows[k], rows[l], kern, H, adjusted)
+        assert fast == swapped
+        assert abs(fast - ref) <= bound and abs(loop - ref) <= bound
+        if "still" in (kinds[k], kinds[l]) or kinds[k] == kinds[l] == "apart":
+            lag0 = float(np.dot(np.diff(rows[k]), np.diff(rows[l]))) * ((n - 1) / n if adjusted else 1.0)
+            assert fast == loop == lag0
 
 
 def test_hy_refresh_path_disjoint_supports():
