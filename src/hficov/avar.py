@@ -436,13 +436,14 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     return edges
 
 
-def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: WeightScheme, cfg: EstimatorConfig, weights: dict) -> np.ndarray:
+def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, m_bin: int, plan: _AcovPlan) -> np.ndarray:
     """End-effect adjusted generalized multi-scale bracket increment
     estimates per bin.
 
     Bin j holds the ticks in ``(edges[j], edges[j+1]]`` and is estimated on
-    the refresh merge of those ticks, with the weights ``w_bin`` (rebuilt at
-    ``M = N`` when the bin has fewer refresh intervals N than ``w_bin.M``).
+    the refresh merge of those ticks, with the weights ``plan.weights(M)``
+    at ``M = m_bin``, or at ``M = N`` when the bin has fewer refresh
+    intervals N than ``m_bin``.
     A bin with fewer than 3 ticks of either series or fewer than 2 refresh
     intervals contributes 0.
 
@@ -451,10 +452,7 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
     ``(N + 1 - sum_i a_i i) / N`` is far from 1 (about ``1 - M/N``); each
     bin estimate is divided by it, which makes the synchronous-case bracket
     exactly unbiased, and a bin whose factor is not positive contributes 0.
-    ``weights`` caches, by ``M``, the weights and their coefficients
-    ``a_i / i`` and, by ``N``, the two coefficients that the end-effect
-    adjustment changes and the factor; calls may share it only when
-    ``w_bin`` is ``cfg.weights(w_bin.M)``.
+    The coefficients and factors come from :meth:`_AcovPlan.bin_coefficients`.
 
     Cost: one segmented refresh merge covers all bins (the bin is the
     segment), the ``searchsorted`` bin windows and one set of index maps
@@ -468,15 +466,7 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, w_bin: Weight
     bins = []
     for j in np.flatnonzero((ia[1:] - ia[:-1] >= 3) & (ib[1:] - ib[:-1] >= 3) & (n_bin >= 2)).tolist():
         N = int(n_bin[j])
-        M = w_bin.M if N >= w_bin.M else N
-        if M not in weights:
-            w = w_bin if M == w_bin.M else cfg.weights(M)
-            weights[M] = w, w.alphas / w.scales, {}
-        w, coefs, by_n = weights[M]
-        if N not in by_n:
-            adj = _end_adjusted(w.alphas, N)
-            by_n[N] = adj[0], adj[1] / 2, (N + 1 - float(np.sum(adj * w.scales))) / N
-        c1, c2, finite_factor = by_n[N]
+        coefs, c1, c2, finite_factor = plan.bin_coefficients(min(m_bin, N), N)
         if finite_factor > 0:
             bins.append((j, int(bounds[j]), N + 1, coefs, c1, c2, finite_factor))
     if not bins:
@@ -533,9 +523,9 @@ class _AcovPlan:
     * the shared timestamps per component pair, with their indices;
     * the entries of :func:`hficov.estimators.noise_moments`, per component
       and per ordered component pair (a repeated component included);
-    * the weight schemes and their :func:`kernel_constants` by ``M``, and
-      the end-adjusted bin coefficients and finite-sample factor by
-      ``(M, N)`` (see :func:`_bracket_bins`);
+    * the weight schemes, their :func:`kernel_constants` and their
+      coefficients ``a_i / i`` by ``M``, and the end-adjusted bin
+      coefficients and finite-sample factor by ``(M, N)``;
     * the :func:`_bracket_bins` arrays, keyed by unordered 0-based
       component pair, bin-edge bytes and bin frequency (the bracket is
       symmetric in its two series).
@@ -550,8 +540,6 @@ class _AcovPlan:
             kernel=getattr(config, "kernel", "cubic"), c=getattr(config, "c", 1.0)
         )
         self.est_cfg = EstimatorConfig(kernel=self.cfg.kernel, c=self.cfg.c)
-        self.brackets: dict = {}
-        self.bin_weights: dict = {}
         self._built: dict = {}
 
     def _once(self, key, build):
@@ -568,6 +556,19 @@ class _AcovPlan:
 
     def constants(self, M: int) -> KernelConstants:
         return self._once(("constants", M), lambda: kernel_constants(self.weights(M)))
+
+    def bin_coefficients(self, M: int, N: int) -> tuple[np.ndarray, float, float, float]:
+        """The coefficients ``a_i / i`` of ``weights(M)``, the first two of
+        them after the end-effect adjustment at ``N``, and the finite-sample
+        factor ``(N + 1 - sum_i a_i i) / N`` of the adjusted weights (see
+        :func:`_bracket_bins`)."""
+        w = self.weights(M)
+
+        def adjusted():
+            adj = _end_adjusted(w.alphas, N)
+            return adj[0], adj[1] / 2, (N + 1 - float(np.sum(adj * w.scales))) / N
+
+        return self._once(("coefs", M), lambda: w.alphas / w.scales), *self._once(("adjusted", M, N), adjusted)
 
     def shared(self, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Timestamps shared by components k and l, and their indices in each."""
@@ -587,12 +588,10 @@ class _AcovPlan:
             H[x, y] = H[y, x] = cov
         return H
 
-    def bracket(self, k: int, l: int, edges: np.ndarray, w_bin: WeightScheme) -> np.ndarray:
+    def bracket(self, k: int, l: int, edges: np.ndarray, m_bin: int) -> np.ndarray:
         """The per-bin brackets of components k and l (see :func:`_bracket_bins`)."""
-        key = (min(k, l), max(k, l), edges.tobytes(), w_bin.M)
-        if key not in self.brackets:
-            self.brackets[key] = _bracket_bins(self.data[k], self.data[l], edges, w_bin, self.est_cfg, self.bin_weights)
-        return self.brackets[key]
+        key = ("bracket", min(k, l), max(k, l), edges.tobytes(), m_bin)
+        return self._once(key, lambda: _bracket_bins(self.data[k], self.data[l], edges, m_bin, self))
 
     def entries(self, pairs_list) -> list[float]:
         """:func:`acov_gms_hat` of each item of ``pairs_list``, in order."""
@@ -614,10 +613,10 @@ def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
     T = glob.horizon
 
     M12, M34, _, w_glob, lasa, c_eff = _gms_skeleton(g12, g34, glob, plan.weights, cfg.c)
-    w_bin = plan.weights(max(2, int(round(N ** 0.6))))
+    m_bin = max(2, int(round(N ** 0.6)))
 
     def bracket(x: int, y: int, edges: np.ndarray) -> np.ndarray:
-        return plan.bracket(idx[x], idx[y], edges, w_bin)
+        return plan.bracket(idx[x], idx[y], edges, m_bin)
 
     # half-bin split: products of bracket estimates on the same data are
     # biased upward by the estimates' covariance, so each bin is halved (in

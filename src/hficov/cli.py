@@ -2,7 +2,9 @@
 
 Every command writes a schema-stable JSON report (``--out``, default
 stdout) and exits 0 on success, 2 on usage errors, 1 on runtime failures.
-``COVEST_THREADS`` caps the worker count used by replicate loops.
+``COVEST_THREADS`` caps the worker count used by replicate loops, not BLAS
+threads: OpenBLAS splits an ``np.dot`` of more than 10 000 values over
+threads, so set ``OPENBLAS_NUM_THREADS=1`` when timing or sharing the CPUs.
 """
 
 from __future__ import annotations

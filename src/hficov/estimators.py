@@ -19,10 +19,10 @@ half-vectorized (svec) layout used by the asymptotic covariance machinery.
 Every multi-scale sum (``multiscale``, ``generalized_multiscale``, the
 ``ms`` and ``gms`` matrices, the gms acov brackets of ``hficov.avar``) goes
 through one core, ``_lag_sums``, within rounding of a scale loop.  The
-``kernel`` matrix sums its lags by one transform per series, within
-rounding of the one-pair lag loop, and the ``hy`` matrix forms each series'
-prefix sums once and each pair of tick-time arrays' overlap windows once,
-with the bits of the one-pair call.
+``kernel`` matrix filters each series' increments once by one direct
+convolution, and the ``hy`` matrix forms each series' prefix sums once and
+each pair of tick-time arrays' overlap windows once; both have the bits of
+the one-pair call.
 """
 
 from __future__ import annotations
@@ -262,75 +262,26 @@ def _whole_row_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, int, int
     return _lag_sums(V, units, np.zeros(1, int), np.array([len(V[0])]), (w.alphas / w.scales)[:, None])[:, 0]
 
 
-def _fft_length(m: int) -> int:
-    """The least 2^a 3^b 5^c at or above ``m``: a length the FFT takes fast."""
-    best, f5 = 1 << (m - 1).bit_length(), 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            best = min(best, f35 << (-(-m // f35) - 1).bit_length())
-            f35 *= 3
-        f5 *= 5
-    return best
-
-
 def _kernel_pairs(
     values: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], kernel: KernelFunction, H: int, adjusted: bool
 ) -> list[float]:
     """Kernel estimates of synchronous series, one per ``(k, l)`` in ``pairs``:
-    each pair's lag-0 dot plus its lag sum, from increments formed once per
-    series and weights ``K(h/H)`` formed once per call.
-
-    *Loop*, when the call has no more pairs than series (``kernel_estimator``,
-    a p=1 matrix): two dots per lag.  *Transform*, otherwise, so that every
-    transformed row serves more than one pair: one real FFT per series at a
-    length L > n + H (no lag up to H wraps around) and one of the weights; a
-    pair's lag sum is one dot of the product of its two spectra with the
-    weights' spectrum, so its bits depend on its own two series only, in
-    either order.  The same transform of ``|d|`` and ``|K|`` gives its
-    absolute lag sums; a pair whose sums are not 1e12 times a bound on the
-    rounding (log2 L eps 2 sum|K| |d_k|_2 |d_l|_2), as when a series stands
-    still or two never move within H steps of each other, takes the loop.
+    ``d_k . d_l`` (times ``(n-1)/n`` if ``adjusted``) plus
+    ``d_k . f_l + d_l . f_k``, where ``f_x[j] = sum_h K(h/H) d_x[j - h]`` is
+    one direct convolution of the increments of series x, formed once per
+    series.  Each entry depends on its own two series only, in either order,
+    so a pair of a matrix has the bits of the one-pair call; a zero product
+    adds exactly 0, so where no lag term is nonzero (a still series, or two
+    that never move within H lags) an entry is its lag-0 term.
     """
     n = values[0].size - 1
     if not 1 <= H < n:
         raise ValueError(f"need 1 <= H < n, got H={H}, n={n}")
     d = [np.diff(v) for v in values]
-    weights = [kernel.k(h / H) for h in range(1, H + 1)]
+    K = np.array([0.0, *(kernel.k(h / H) for h in range(1, H + 1))])
+    f = [np.convolve(x, K)[:n] for x in d]
     scale = (n - 1) / n if adjusted else 1.0
-    out = [float(np.dot(d[k], d[l])) * scale for k, l in pairs]
-    looped = range(len(pairs))
-    if len(pairs) > len(values):
-        L = _fft_length(n + H + 1)
-        K = np.array([0.0, *weights])
-
-        def lag_sums(rows, w):
-            """``sum_h w[h] sum_j (r_k[j] r_l[j - h] + r_l[j] r_k[j - h])`` of
-            each pair: each half-spectrum bin but the first and last stands
-            for two, and ``.view(float)`` interleaves real and imaginary parts."""
-            F = [np.fft.rfft(r, L).view(float) for r in rows]
-            W = np.fft.rfft(w, L).real * (4.0 / L)
-            W[0] /= 2.0
-            if L % 2 == 0:
-                W[-1] /= 2.0
-            W = np.repeat(W, 2)
-            return [float(np.dot(F[k] * F[l], W)) for k, l in pairs]
-
-        mags = lag_sums((np.abs(x) for x in d), np.abs(K))
-        norms = [math.sqrt(float(np.dot(x, x))) for x in d]
-        rounding = math.log2(L) * np.finfo(float).eps * 2.0 * float(np.abs(K).sum())
-        looped = []
-        for i, ((k, l), s) in enumerate(zip(pairs, lag_sums(d, K))):
-            if mags[i] > 1e12 * rounding * (norms[k] * norms[l]):
-                out[i] += s
-            else:
-                looped.append(i)
-    lags = [(h, wgt) for h, wgt in enumerate(weights, 1) if wgt != 0.0]
-    for i in looped:
-        da, db = d[pairs[i][0]], d[pairs[i][1]]
-        for h, wgt in lags:
-            out[i] += wgt * float(np.dot(da[h:], db[:-h]) + np.dot(db[h:], da[:-h]))
-    return out
+    return [float(np.dot(d[k], d[l])) * scale + float(np.dot(d[k], f[l]) + np.dot(d[l], f[k])) for k, l in pairs]
 
 
 def realized_cov(a: TickSeries, b: TickSeries) -> float:
@@ -362,9 +313,10 @@ def kernel_estimator(
     Realized covariance plus ``K(h/H)``-weighted symmetrized lag-h realized
     autocovariances for h = 1..H (so ``H=1`` degenerates to realized
     covariance).  ``adjusted=True`` multiplies the realized-covariance
-    addend by ``(n-1)/n``, cancelling the ``+2 eta_ab`` noise bias.  One pair
-    sums its lags by two dots per lag; the ``kernel`` matrix of
-    :func:`estimate_matrix` sums them by transform, within rounding.
+    addend by ``(n-1)/n``, cancelling the ``+2 eta_ab`` noise bias.  The lag
+    sums are one direct convolution of each series' increments with the
+    weights, and the ``kernel`` matrix of :func:`estimate_matrix` has the
+    bits of this call.
     """
     _require_synchronous(a, b, "kernel_estimator")
     return _kernel_pairs([a.values, b.values], [(0, 1)], kernel, H, adjusted)[0]

@@ -744,8 +744,9 @@ SCENARIOS: dict[str, Callable[..., dict]] = {
 def mc_validate(scenario: str, replicates: int | None = None, seed: int = 20260808, **overrides) -> dict:
     """Run a named Monte Carlo validation scenario and return its report.
 
-    Reports carry every check with value, target and pass flag, plus the
-    seed and timing, and rerun byte-identically for the same arguments.
+    Reports carry every check with value, target and pass flag, the seed,
+    and the wall-clock ``elapsed_s``; without that one field (the CLI writes
+    it to stderr) they rerun byte-identically for the same arguments.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; available: {sorted(SCENARIOS)}")

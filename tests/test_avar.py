@@ -14,6 +14,7 @@ from hficov.avar import (
     AcovMatrix,
     GmsAcovConfig,
     TheoryInputs,
+    _AcovPlan,
     _bracket_bins,
     _union_refresh_count,
     acov_gms_hat,
@@ -501,7 +502,7 @@ def binned_pair(draw):
 
 
 def bin_weights(cfg, m_bin):
-    """The bin weights of ``_bracket_bins`` at ``w_bin = cfg.weights(m_bin)``."""
+    """The bin weights of ``_bracket_bins`` at bin frequency ``m_bin``."""
 
     def weights_for(n_bin):
         return cfg.weights(max(2, min(m_bin, n_bin))) if n_bin >= 2 else None
@@ -516,7 +517,7 @@ def within_rounding_of_sliced_reference(case):
     cannot hold for a sum near zero."""
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
-    got = _bracket_bins(a, b, edges, cfg.weights(m_bin), cfg, {})
+    got = _bracket_bins(a, b, edges, m_bin, _AcovPlan([a, b], cfg))
     weights_for = bin_weights(cfg, m_bin)
     ref = sliced_binned_bracket(a, b, edges, weights_for)
     return np.all(np.abs(got - ref) <= 1e-12 * sliced_binned_bracket(a, b, edges, weights_for, gms_abs_terms))
@@ -742,9 +743,9 @@ def test_binned_bracket_symmetric_in_its_series(case, block_values):
     # both the block and the transform are symmetric in the two series
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
-    w = cfg.weights(m_bin)
     with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
-        assert np.array_equal(_bracket_bins(a, b, edges, w, cfg, {}), _bracket_bins(b, a, edges, w, cfg, {}))
+        ab = _bracket_bins(a, b, edges, m_bin, _AcovPlan([a, b], cfg))
+        assert np.array_equal(ab, _bracket_bins(b, a, edges, m_bin, _AcovPlan([b, a], cfg)))
 
 
 def entrywise_acov_gms(data, config):
@@ -819,7 +820,7 @@ def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
     cfg = EstimatorConfig()
     for bins in (1, 2, 7, 30):
         calls.clear()
-        out = _bracket_bins(data[0], data[1], np.linspace(0.0, 1.0, bins + 1), cfg.weights(4), cfg, {})
+        out = _bracket_bins(data[0], data[1], np.linspace(0.0, 1.0, bins + 1), 4, _AcovPlan(data, cfg))
         assert np.count_nonzero(out) > bins // 2  # most bins are estimated
         assert calls == {"_refresh_merge": 1, "_index_maps": 1}
 

@@ -535,7 +535,7 @@ def test_estimate_matrix_sync_equals_pairwise_loop(p, method, kernel, adjusted):
     est = estimate_matrix(data, method, cfg)
     mat, per_pair, abs_terms = sync_matrix_oracle(data, method, cfg)
     # the multi-scale sums add in another order than a scale loop, and the
-    # kernel lag sums (by transform at p > 1) than a lag loop
+    # kernel lag sums (by convolution) than a lag loop
     assert np.all(np.abs(est.matrix - mat) <= 1e-12 * abs_terms)
     assert est.per_pair == per_pair
 
@@ -677,26 +677,26 @@ def kernel_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_rows(), st.sampled_from(["cubic", "parzen"]), st.booleans())
-def test_kernel_pairs_equal_the_oracle_in_both_forms(case, kernel, adjusted):
-    # the transform (more pairs than series: each pair and its swap) and the
-    # lag loop (one pair on its two rows) are within 1e-12 of the sum of
-    # absolute terms of the literal lag sums; the transform is bit-exact in
-    # the pair, and where no lag term is nonzero (a still series, or two that
-    # never move within H lags) both forms have the bits of the lag-0 term
+def test_kernel_pairs_have_the_one_pair_bits(case, kernel, adjusted):
+    # one call holds each pair and its swap: every entry has the bits of its
+    # swap, of the one-pair call and of kernel_estimator, lies within 1e-12 of
+    # the sum of absolute terms of the literal lag sums, and where no lag term
+    # is nonzero (a still series, or two that never move within H lags) has
+    # the bits of the lag-0 term
     rows, kinds, H = case
     kern = builtin_kernel(kernel)
     pairs = [(k, l) for k in range(len(rows)) for l in range(k, len(rows))]
     both = estimators_module._kernel_pairs(rows, pairs + [(l, k) for k, l in pairs], kern, H, adjusted)
     n = len(rows[0]) - 1
-    for (k, l), fast, swapped in zip(pairs, both, both[len(pairs) :]):
-        loop = estimators_module._kernel_pairs([rows[k], rows[l]], [(0, 1)], kern, H, adjusted)[0]
+    t = np.linspace(0.0, 1.0, n + 1)
+    for (k, l), got, swapped in zip(pairs, both, both[len(pairs) :]):
+        one = estimators_module._kernel_pairs([rows[k], rows[l]], [(0, 1)], kern, H, adjusted)[0]
+        assert got == swapped == one == kernel_estimator(series(t, rows[k]), series(t, rows[l]), kern, H, adjusted)
         ref = kernel_oracle(list(rows[k]), list(rows[l]), kern, H, adjusted)
-        bound = 1e-12 * kernel_abs_terms(rows[k], rows[l], kern, H, adjusted)
-        assert fast == swapped
-        assert abs(fast - ref) <= bound and abs(loop - ref) <= bound
+        assert abs(got - ref) <= 1e-12 * kernel_abs_terms(rows[k], rows[l], kern, H, adjusted)
         if "still" in (kinds[k], kinds[l]) or kinds[k] == kinds[l] == "apart":
             lag0 = float(np.dot(np.diff(rows[k]), np.diff(rows[l]))) * ((n - 1) / n if adjusted else 1.0)
-            assert fast == loop == lag0
+            assert got == lag0
 
 
 def test_hy_refresh_path_disjoint_supports():
