@@ -45,7 +45,7 @@ from .estimators import (
     svec_pairs,
 )
 from .kernels import KernelConstants, WeightScheme, _end_adjusted, kernel_constants
-from .sampling import SyncGrid, _index_maps, _refresh_merge, global_refresh, pairwise_refresh
+from .sampling import SyncGrid, _pair_grid, _refresh_merge, _StampUnion, global_refresh, pairwise_refresh
 from .timefuncs import (
     StepFunction,
     SyncOverlap,
@@ -429,16 +429,15 @@ def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
     """Time points where the step function first reaches j/K of its total."""
     total = step.total
     levels = np.arange(1, K + 1) * total / K
-    idx = np.searchsorted(step.values, levels * (1 - 1e-12), side="left")
-    idx = np.clip(idx, 0, step.breakpoints.size - 1)
+    idx = np.minimum(np.searchsorted(step.values, levels * (1 - 1e-12), side="left"), step.breakpoints.size - 1)
     edges = np.concatenate([[0.0], step.breakpoints[idx]])
     edges[-1] = T
     return edges
 
 
-def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, m_bin: int, plan: _AcovPlan) -> np.ndarray:
+def _bracket_bins(k: int, l: int, edges: np.ndarray, m_bin: int, plan: _AcovPlan) -> np.ndarray:
     """End-effect adjusted generalized multi-scale bracket increment
-    estimates per bin.
+    estimates per bin, of components k and l of ``plan.data``.
 
     Bin j holds the ticks in ``(edges[j], edges[j+1]]`` and is estimated on
     the refresh merge of those ticks, with the weights ``plan.weights(M)``
@@ -454,13 +453,16 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, m_bin: int, p
     exactly unbiased, and a bin whose factor is not positive contributes 0.
     The coefficients and factors come from :meth:`_AcovPlan.bin_coefficients`.
 
-    Cost: one segmented refresh merge covers all bins (the bin is the
-    segment), the ``searchsorted`` bin windows and one set of index maps
-    place every refresh time in the full tick arrays, and one
-    :func:`hficov.estimators._lag_sums` call sums every bin."""
-    ta, tb = a.scheme.times, b.scheme.times
-    ia, ib = ta.searchsorted(edges, "right"), tb.searchsorted(edges, "right")
-    refresh, bounds = _refresh_merge(ta, tb, ia, ib)
+    Cost: no merge and no tick search; everything is read off the pair's
+    stamp union (:meth:`_AcovPlan.union`).  One ``searchsorted`` of the
+    K + 1 edges in its stamps and a gather from its tick counts give the
+    bin windows, one :meth:`hficov.sampling._StampUnion.fire` pass the
+    refresh times of all bins (the bin is the segment), gathers from the
+    same counts the index maps, and one :func:`hficov.estimators._lag_sums`
+    call sums every bin."""
+    a, b, union = plan.data[k], plan.data[l], plan.union(k, l)
+    ia, ib = union.count.take(union.stamps.searchsorted(edges, "right"), axis=1)
+    pos, bounds = union.fire(ia, ib)
     n_bin = bounds[1:] - bounds[:-1] - 1
     out = np.zeros(edges.size - 1)
     bins = []
@@ -473,7 +475,7 @@ def _bracket_bins(a: TickSeries, b: TickSeries, edges: np.ndarray, m_bin: int, p
         return out
     j, lo, n1, coefs, c1, c2, factors = zip(*bins)
     s0 = lo[0]
-    nxt, prv = _index_maps((ta, tb), refresh[s0 : lo[-1] + n1[-1]])
+    nxt, prv = union.maps(pos[s0 : lo[-1] + n1[-1]])
     V = np.empty((4, nxt.shape[1]))  # next a, next b, previous a, previous b
     for row, x, i in zip(V, (a, b, a, b), (*nxt, *prv)):
         x.values.take(i, out=row)
@@ -508,10 +510,15 @@ def acov_gms_hat(
 
     Cost: at most eight brackets per entry, each one pass over its bins
     (:func:`_bracket_bins`), summed in a lag block or, for a large bracket,
-    by transform; either differs from a scale loop per bin by rounding.  :func:`acov_matrix_hat` and
+    by transform; either differs from a scale loop per bin by rounding.
+    Each entry merges its two pairwise grids once more for its global grid,
+    whose index maps it never reads.  :func:`acov_matrix_hat` and
     :func:`hficov.citest.ci_test` evaluate all their entries on one
-    per-call plan, which builds each pairwise refresh grid, shared-stamp
-    array, noise moment, weight scheme and bracket once for all entries.
+    per-call plan, which builds each component pair's stamp union once and
+    reads every pairwise grid, bracket front end, shared stamp and overlap
+    count of that pair off it; noise moments, weight schemes and brackets
+    are also built once for all entries.  No front end runs a binary search
+    over ticks.
     """
     return _gms_entry(data, pairs, _AcovPlan(data, config))
 
@@ -519,8 +526,10 @@ def acov_gms_hat(
 class _AcovPlan:
     """What the gms entries of one acov call share, each built on first use:
 
-    * the pairwise refresh grid per ordered component pair;
-    * the shared timestamps per component pair, with their indices;
+    * the stamp union (:class:`hficov.sampling._StampUnion`) per component
+      pair, built once and read in either order;
+    * the pairwise refresh grid per ordered component pair, read off the
+      union;
     * the entries of :func:`hficov.estimators.noise_moments`, per component
       and per ordered component pair (a repeated component included);
     * the weight schemes, their :func:`kernel_constants` and their
@@ -547,9 +556,15 @@ class _AcovPlan:
             self._built[key] = build()
         return self._built[key]
 
+    def union(self, k: int, l: int) -> _StampUnion:
+        """Stamp union of components k and l, in that order."""
+        if k > l:
+            return self._once(("union", k, l), lambda: self.union(l, k).flipped())
+        return self._once(("union", k, l), lambda: _StampUnion(self.data[k].scheme.times, self.data[l].scheme.times))
+
     def grid(self, k: int, l: int) -> SyncGrid:
         """Pairwise refresh grid of components k and l, in that order."""
-        return self._once(("grid", k, l), lambda: pairwise_refresh(self.data[k].scheme, self.data[l].scheme))
+        return self._once(("grid", k, l), lambda: _pair_grid(self.union(k, l), self.data[k].scheme, self.data[l].scheme))
 
     def weights(self, M: int) -> WeightScheme:
         return self._once(("weights", M), lambda: self.est_cfg.weights(M))
@@ -570,28 +585,25 @@ class _AcovPlan:
 
         return self._once(("coefs", M), lambda: w.alphas / w.scales), *self._once(("adjusted", M, N), adjusted)
 
-    def shared(self, k: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Timestamps shared by components k and l, and their indices in each."""
-        lo, hi = sorted((k, l))
-        t, i_lo, i_hi = self._once(
-            ("shared", lo, hi),
-            lambda: np.intersect1d(self.data[lo].scheme.times, self.data[hi].scheme.times, return_indices=True),
-        )
-        return (t, i_lo, i_hi) if k <= l else (t, i_hi, i_lo)
-
     def noise(self, idx: Sequence[int]) -> np.ndarray:
-        """``noise_moments([data[v] for v in idx]).h_hat``."""
+        """``noise_moments([data[v] for v in idx]).h_hat``; a pair's shared
+        timestamps and their indices are read off its stamp union."""
         H = np.diag([self._once(("noise", v), lambda: _noise_variance(self.data[v])) for v in idx])
         for x, y in itertools.combinations(range(len(idx)), 2):
             k, l = idx[x], idx[y]
-            cov = self._once(("noise", k, l), lambda: _noise_covariance(self.data[k], self.data[l], self.shared(k, l)))
-            H[x, y] = H[y, x] = cov
+
+            def build():
+                union = self.union(k, l)
+                both = np.flatnonzero(union.both)
+                return _noise_covariance(self.data[k], self.data[l], (union.stamps[both], *union.count.take(both, axis=1)))
+
+            H[x, y] = H[y, x] = self._once(("noise", k, l), build)
         return H
 
     def bracket(self, k: int, l: int, edges: np.ndarray, m_bin: int) -> np.ndarray:
         """The per-bin brackets of components k and l (see :func:`_bracket_bins`)."""
         key = ("bracket", min(k, l), max(k, l), edges.tobytes(), m_bin)
-        return self._once(key, lambda: _bracket_bins(self.data[k], self.data[l], edges, m_bin, self))
+        return self._once(key, lambda: _bracket_bins(k, l, edges, m_bin, self))
 
     def entries(self, pairs_list) -> list[float]:
         """:func:`acov_gms_hat` of each item of ``pairs_list``, in order."""
@@ -635,8 +647,7 @@ def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
 
     if not cfg.include_noise_terms:
         return first
-    shared = [plan.shared(idx[x], idx[y])[0] for x, y in ((0, 2), (0, 3), (1, 2), (1, 3))]
-    ov = _sync_overlap(glob, M12, M34, shared)
+    ov = _sync_overlap(glob, M12, M34, [plan.union(idx[x], idx[y]) for x, y in ((0, 2), (0, 3), (1, 2), (1, 3))])
     if ov.all_zero():
         return first
 

@@ -426,7 +426,9 @@ def _noise_variance(s: TickSeries) -> float:
 
 def _noise_covariance(a: TickSeries, b: TickSeries, shared: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
     """The off-diagonal entry ``-mean(d_i(a) d_{i+1}(b))`` of
-    :func:`noise_moments`, from ``np.intersect1d(ta, tb, return_indices=True)``."""
+    :func:`noise_moments`, from the stamps shared by a and b and their
+    indices in each, as ``np.intersect1d(ta, tb, return_indices=True)``
+    gives them."""
     stamps, ia, ib = shared
     if stamps.size < 3:
         return 0.0

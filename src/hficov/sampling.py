@@ -9,13 +9,24 @@ primitives defined here:
 * the refresh-time recursion, which collapses two (or, applied twice, four)
   irregular observation schemes onto a common synchronous skeleton.
 
+Both are read off the stamp union of two schemes (:class:`_StampUnion`): one
+merge sorts and labels their distinct stamps, the refresh rule then fires on
+its run structure segment by segment, and each scheme's next and previous
+tick at a union stamp is a cumulative count of its labels, so no binary
+search is needed.  The histogram asymptotic covariance builds one union per
+component pair and reads its pairwise grids, bracket bins and overlap counts
+off it.
+
 All containers are immutable after construction and safe to share across
-workers.
+workers (a :class:`SyncGrid` fills its index maps and interpolated times in
+on first read, with the same values every time).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -98,7 +109,9 @@ class SyncGrid:
 
     ``next_idx[l, i]`` / ``prev_idx[l, i]`` give, for refresh time ``i`` and
     source scheme ``l``, the index of the next/previous tick of that scheme,
-    so ``t_l^-(tau_i) <= tau_i <= t_l^+(tau_i)`` by construction.
+    so ``t_l^-(tau_i) <= tau_i <= t_l^+(tau_i)`` by construction.  ``maps``
+    holds them as ``(next_idx, prev_idx)``; left ``None``, they are computed
+    on first read.
 
     For a grid built by :func:`global_refresh`, ``pair_grids`` holds the two
     pairwise grids.
@@ -106,8 +119,7 @@ class SyncGrid:
 
     refresh_times: np.ndarray
     source_schemes: tuple[SamplingScheme, ...]
-    next_idx: np.ndarray
-    prev_idx: np.ndarray
+    maps: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
     pair_grids: tuple["SyncGrid", ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -125,22 +137,137 @@ class SyncGrid:
     def horizon(self) -> float:
         return self.source_schemes[0].horizon
 
+    def _filled_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.maps is None:
+            object.__setattr__(self, "maps", _index_maps([s.times for s in self.source_schemes], self.refresh_times))
+        return self.maps
+
     @property
+    def next_idx(self) -> np.ndarray:
+        return self._filled_maps()[0]
+
+    @property
+    def prev_idx(self) -> np.ndarray:
+        return self._filled_maps()[1]
+
+    @cached_property
     def next_times(self) -> np.ndarray:
         """``next_times[l, i]``: next tick ``t_l^+(tau_i)`` of source scheme ``l``."""
         return np.array([s.times[i] for s, i in zip(self.source_schemes, self.next_idx)])
 
-    @property
+    @cached_property
     def prev_times(self) -> np.ndarray:
         """``prev_times[l, i]``: previous tick ``t_l^-(tau_i)`` of source scheme ``l``."""
         return np.array([s.times[i] for s, i in zip(self.source_schemes, self.prev_idx)])
 
 
+class _StampUnion:
+    """The sorted distinct stamps of two increasing time arrays ``a`` and
+    ``b``, built by one merge, and what the refresh rule and the tick rule
+    read off it.
+
+    * ``stamps``: the union, of size U; each stamp is a-only, b-only or both;
+    * ``count[l, i]``: the number of ticks of array l (0 = a, 1 = b) at union
+      positions below i (i = 0..U), so the next tick at or after union
+      stamp i is ``count[l, i]`` and the previous tick at or before it
+      ``count[l, i + 1] - 1``;
+    * ``ticks[l]``: the union position of each tick of array l; ``first[l][c]``
+      is that of tick c or U past the last tick, ``last[l][c]`` that of
+      tick c - 1 or -1 before the first;
+    * the labels the refresh rule reads: ``both`` (the stamp is in both
+      arrays) and ``change`` (an a-only stamp next to a b-only one).
+
+    :meth:`flipped` gives the same union with the roles of a and b swapped.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray) -> None:
+        t = np.concatenate((a, b))
+        order = np.argsort(t, kind="stable")  # linear: two sorted runs
+        t = t[order]
+        new = np.empty(t.size, dtype=bool)
+        new[0] = True
+        np.not_equal(t[1:], t[:-1], out=new[1:])  # a stamp occurs at most twice
+        pos = np.empty(t.size, dtype=np.int32)  # int32 index arrays halve the union's memory
+        pos[order] = np.cumsum(new, dtype=np.int32) - 1
+        self.stamps = t[new]
+        U = self.stamps.size
+        self.sizes = (a.size, b.size)
+        sentinel = np.array([-1, U], dtype=np.int32)
+        padded = [np.concatenate((sentinel[:1], p, sentinel[1:])) for p in (pos[: a.size], pos[a.size :])]
+        self.ticks = tuple(p[1:-1] for p in padded)
+        self.first = tuple(p[1:] for p in padded)
+        self.last = tuple(p[:-1] for p in padded)
+        count = np.zeros((2, U + 1), dtype=np.int32)
+        count[0, self.ticks[0] + 1] = 1
+        count[1, self.ticks[1] + 1] = 1
+        label = count[0, 1:] + 2 * count[1, 1:]  # 1 = a, 2 = b, 3 = both
+        self.count = np.cumsum(count, axis=1, out=count)
+        self.both = label == 3
+        self.change = np.zeros(U, dtype=bool)
+        self.change[1:] = label[1:] + label[:-1] == 3
+
+    def flipped(self) -> "_StampUnion":
+        """This union with ``b`` as the first array and ``a`` as the second."""
+        out = copy.copy(self)
+        for name in ("sizes", "ticks", "first", "last", "count"):
+            setattr(out, name, getattr(self, name)[::-1])
+        return out
+
+    def fire(self, cuts_a: np.ndarray, cuts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Union positions of the refresh times of K segments, concatenated,
+        and the K + 1 bounds of each segment's share.
+
+        ``cuts_a`` and ``cuts_b`` (length K + 1, nondecreasing) split the
+        arrays into the segments ``a[cuts_a[j]:cuts_a[j+1]]`` and
+        ``b[cuts_b[j]:cuts_b[j+1]]``, which must lie in one time window,
+        below every stamp of segment j + 1; a segment is then a range of
+        union positions.  Its tau_0 is the later of the two arrays' first
+        stamps in it and its last candidate the earlier of their last
+        stamps; it has no refresh time when one array has no tick in it or
+        tau_0 lies after that candidate.  Between them the refresh rule of
+        :func:`_refresh_merge` fires on the union's labels, with each run of
+        label changes restarted at the segment's first stamp after tau_0.
+        Time is linear in the union size, with about 30 numpy calls.
+        """
+        first_a, first_b = self.first[0][cuts_a], self.first[1][cuts_b]
+        q0 = np.maximum(first_a[:-1], first_b[:-1])
+        last = np.minimum(self.last[0][cuts_a[1:]], self.last[1][cuts_b[1:]])
+        live = q0 <= last  # false also when one array has no tick in the segment
+        q0, last = q0[live], last[live]
+        # marks at each live segment's first stamp after tau_0; their cumsum
+        # is the segment id of every union position (0 before the first)
+        starts = np.zeros(self.stamps.size + 1, dtype=np.int32)
+        starts[q0 + 1] = 1
+        starts = starts[:-1]
+        end = np.concatenate(([-1], last)).take(np.cumsum(starts, dtype=np.int32))
+        pos = np.arange(starts.size, dtype=np.int32)
+        # a run of label changes starts where no change happens, or at a mark
+        run_start = np.maximum.accumulate(np.where(self.change & (starts == 0), 0, pos))
+        odd = ((pos - run_start) & 1).astype(bool)
+        fired = (self.both | (self.change & odd)) & (pos <= end)
+        fired[q0] = True
+        pos = np.flatnonzero(fired)
+        # a segment's refresh times lie at or after its first union position
+        return pos, pos.searchsorted(np.minimum(first_a, first_b))
+
+    def maps(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tick rule at the nonempty increasing union positions ``pos``,
+        as :func:`_index_maps` gives it for ``stamps[pos]`` into ``(a, b)``,
+        with the same :class:`InterpolationError`."""
+        nxt, prv = self.count.take(pos, axis=1), self.count.take(pos + 1, axis=1) - 1
+        for l, n in enumerate(self.sizes):
+            if prv[l, 0] < 0:
+                raise InterpolationError("previous", float(self.stamps[pos[0]]))
+            if nxt[l, -1] >= n:
+                raise InterpolationError("next", float(self.stamps[pos[-1]]))
+        return nxt, prv
+
+
 def _refresh_merge(
     a: np.ndarray, b: np.ndarray, cuts_a: np.ndarray | None = None, cuts_b: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refresh times of two nonempty increasing time arrays, as a merge,
-    segment by segment.
+    """Refresh times of two nonempty increasing time arrays, segment by
+    segment: the union of their stamps, then :meth:`_StampUnion.fire`.
 
     ``cuts_a`` and ``cuts_b`` (length K + 1, nondecreasing) split the arrays
     into K segments ``a[cuts_a[j]:cuts_a[j+1]]`` and ``b[cuts_b[j]:cuts_b[j+1]]``;
@@ -164,38 +291,9 @@ def _refresh_merge(
     """
     if cuts_a is None or cuts_b is None:
         cuts_a, cuts_b = np.array([0, a.size]), np.array([0, b.size])
-    lo_a, hi_a, lo_b, hi_b = cuts_a[:-1], cuts_a[1:], cuts_b[:-1], cuts_b[1:]
-    # first and last ticks per segment; an empty segment reads a neighbour's and is dead
-    tau0 = np.maximum(a[np.minimum(lo_a, a.size - 1)], b[np.minimum(lo_b, b.size - 1)])
-    last = np.minimum(a[hi_a - 1], b[hi_b - 1])
-    live = (hi_a > lo_a) & (hi_b > lo_b) & (tau0 <= last)
-    tau0[~live] = np.inf  # a dead segment keeps no stamp
-    seg_a = np.repeat(np.arange(live.size), hi_a - lo_a)
-    seg_b = np.repeat(np.arange(live.size), hi_b - lo_b)
-    a, b = a[lo_a[0] : hi_a[-1]], b[lo_b[0] : hi_b[-1]]
-    keep_a, keep_b = a > tau0[seg_a], b > tau0[seg_b]
-    stamps = np.concatenate([a[keep_a], b[keep_b]])
-    order = np.argsort(stamps, kind="stable")  # linear: two sorted runs
-    stamps = stamps[order]
-    seg = np.concatenate([seg_a[keep_a], seg_b[keep_b]])[order]
-    label = np.where(order < np.count_nonzero(keep_a), 1, 2)  # 1 = a, 2 = b, 3 = both
-    first = np.ones(stamps.size, dtype=bool)
-    first[1:] = stamps[1:] != stamps[:-1]  # a stamp occurs at most twice
-    if stamps.size:
-        label = np.bitwise_or.reduceat(label, np.flatnonzero(first))
-    stamps, seg = stamps[first], seg[first]
-
-    # a label change: a-only next to b-only, in one segment
-    change = np.zeros(stamps.size, dtype=bool)
-    change[1:] = (label[1:] + label[:-1] == 3) & (seg[1:] == seg[:-1])
-    pos = np.arange(stamps.size)
-    run_start = np.maximum.accumulate(np.where(change, 0, pos))
-    fire = ((label == 3) | (change & ((pos - run_start) % 2 == 1))) & (stamps <= last[seg])
-    # tau_0 first in each segment: a stable sort on the segment keeps it there
-    seg = np.concatenate([np.flatnonzero(live), seg[fire]])
-    order = np.argsort(seg, kind="stable")
-    refresh = np.concatenate([tau0[live], stamps[fire]])[order]
-    return refresh, np.searchsorted(seg[order], np.arange(live.size + 1))
+    union = _StampUnion(a, b)
+    pos, bounds = union.fire(cuts_a, cuts_b)
+    return union.stamps[pos], bounds
 
 
 def _index_maps(times: Sequence[np.ndarray], refresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,27 +319,29 @@ def pairwise_refresh(scheme_a: SamplingScheme, scheme_b: SamplingScheme) -> Sync
     The recursion collapses simultaneous ticks into a single refresh time and
     stops as soon as either scheme runs out of later ticks.
     """
+    return _pair_grid(_StampUnion(scheme_a.times, scheme_b.times), scheme_a, scheme_b)
+
+
+def _pair_grid(union: _StampUnion, scheme_a: SamplingScheme, scheme_b: SamplingScheme) -> SyncGrid:
+    """:func:`pairwise_refresh` read off the union of the two schemes' stamps."""
     if scheme_a.horizon != scheme_b.horizon:
         raise ValueError("schemes must share the horizon")
-    refresh, _ = _refresh_merge(scheme_a.times, scheme_b.times)
-    if refresh.size == 0:
+    pos, _ = union.fire(np.array([0, len(scheme_a)]), np.array([0, len(scheme_b)]))
+    if pos.size == 0:
         raise ValueError("schemes produce no refresh times (disjoint tick ranges)")
-    nxt, prv = _index_maps([scheme_a.times, scheme_b.times], refresh)
-    return SyncGrid(refresh, (scheme_a, scheme_b), nxt, prv)
+    return SyncGrid(union.stamps[pos], (scheme_a, scheme_b), union.maps(pos))
 
 
 def global_refresh(grid_ab: SyncGrid, grid_cd: SyncGrid) -> SyncGrid:
     """Refresh times of two pairwise refresh sequences ("refresh times of
     refresh times"), i.e. the synchronous skeleton of all four schemes.
 
-    Index maps are provided into the four underlying schemes; the two
-    pairwise grids are kept as ``pair_grids``.
+    Index maps into the four underlying schemes are computed on first read;
+    the two pairwise grids are kept as ``pair_grids``.
     """
     if grid_ab.horizon != grid_cd.horizon:
         raise ValueError("grids must share the horizon")
     refresh, _ = _refresh_merge(grid_ab.refresh_times, grid_cd.refresh_times)
     if refresh.size == 0:
         raise ValueError("pairwise grids produce no common refresh times")
-    schemes = grid_ab.source_schemes + grid_cd.source_schemes
-    nxt, prv = _index_maps([s.times for s in schemes], refresh)
-    return SyncGrid(refresh, schemes, nxt, prv, pair_grids=(grid_ab, grid_cd))
+    return SyncGrid(refresh, grid_ab.source_schemes + grid_cd.source_schemes, pair_grids=(grid_ab, grid_cd))

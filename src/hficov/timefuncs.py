@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import WeightScheme
-from .sampling import SamplingScheme, SyncGrid
+from .sampling import SamplingScheme, SyncGrid, _StampUnion
 
 __all__ = [
     "StepFunction",
@@ -377,11 +377,20 @@ def _shared_step(shared: np.ndarray, horizon: float, N: int) -> StepFunction:
     return _cum_step(shared, np.full(shared.size, 1.0 / N))
 
 
+def _ranks(x: np.ndarray, size: int) -> np.ndarray:
+    """``r[v]``: the number of entries of ``x`` below ``v``, for v = 0..size,
+    of integers ``x`` in ``[0, size)``."""
+    r = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(x, minlength=size), out=r[1:])
+    return r
+
+
 def _match_ranges(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For nondecreasing ``x`` and ``y``, the half-open column ranges
-    ``[lo_r, hi_r)`` of the ``y`` entries equal to ``x[r]``.  Both bounds
-    are nondecreasing in ``r``."""
-    return np.searchsorted(y, x, side="left"), np.searchsorted(y, x, side="right")
+    """For nondecreasing nonnegative integers ``x`` and ``y``, the half-open
+    column ranges ``[lo_r, hi_r)`` of the ``y`` entries equal to ``x[r]``.
+    Both bounds are nondecreasing in ``r``."""
+    r = _ranks(y, int(max(x[-1], y[-1])) + 1)
+    return r.take(x), r.take(x + 1)
 
 
 def _overlap_count(
@@ -394,15 +403,19 @@ def _overlap_count(
 ) -> int:
     """Number of (j, k, r, q) with ``t_a^+(tau_j) = t_b^+(ttau_k)`` and
     ``t_am^-(tau_{j-r}) = t_bm^-(ttau_{k-q})``, ``1 <= r <= j ^ m_12``,
-    ``1 <= q <= k ^ m_34``, for the nondecreasing interpolation arrays of
-    two pairwise grids.
+    ``1 <= q <= k ^ m_34``, for the interpolation arrays of two pairwise
+    grids, each stamp given as its nonnegative integer position in a union
+    of the compared schemes' stamps (so the arrays are nondecreasing and
+    equal stamps have equal positions).
 
     Matches of row ``r`` form the column range ``[lo_r, hi_r)``.  The
     plus-matches (j, k) are enumerated (O(N): an interpolation array holds
     a value at most twice), and the minus-matches in the rectangle of rows
     ``[j - j^m_12, j)`` and columns ``[k - k^m_34, k)`` are counted as
     ``sum_r min(hi_r, q1) - sum_r max(lo_r, q0)`` over the rows whose range
-    meets the column window, each sum a prefix-sum difference.
+    meets the column window, each sum a prefix-sum difference.  Every
+    lookup is a rank in a count array, so time is linear in the lengths and
+    the union size.
     """
     lo_p, hi_p = _match_ranges(a_plus, b_plus)
     width = hi_p - lo_p
@@ -414,13 +427,16 @@ def _overlap_count(
     q0, q1 = k - np.minimum(k, m_34), k
 
     lo, hi = _match_ranges(a_minus, b_minus)
+    # ranks of the column bounds: rank_hi[v] rows have hi_r < v; lo_r, hi_r <= n
+    n = b_minus.size
+    rank_hi, rank_lo = _ranks(hi, n + 1), _ranks(lo, n + 1)
     # rows whose range meets [q0, q1): hi_r > q0 and lo_r < q1
-    b = np.maximum(r0, np.searchsorted(hi, q0, side="right"))
-    e = np.maximum(b, np.minimum(r1, np.searchsorted(lo, q1, side="left")))
+    b = np.maximum(r0, rank_hi[q0 + 1])
+    e = np.maximum(b, np.minimum(r1, rank_lo[q1]))
     cum_hi = np.concatenate([[0], np.cumsum(hi)])
     cum_lo = np.concatenate([[0], np.cumsum(lo)])
-    s = np.clip(np.searchsorted(hi, q1, side="left"), b, e)  # hi_r < q1 before s
-    t = np.clip(np.searchsorted(lo, q0, side="right"), b, e)  # lo_r <= q0 before t
+    s = np.clip(rank_hi[q1], b, e)  # hi_r < q1 before s
+    t = np.clip(rank_lo[q0 + 1], b, e)  # lo_r <= q0 before t
     inside = cum_hi[s] - cum_hi[b] + q1 * (e - s)
     outside = q0 * (t - b) + cum_lo[e] - cum_lo[t]
     return int(np.sum(inside - outside))
@@ -441,32 +457,39 @@ def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:
     if len(glob.source_schemes) != 4 or len(glob.pair_grids) != 2:
         raise ValueError("sync_overlap requires a 4-scheme global refresh grid")
     s1, s2, s3, s4 = (s.times for s in glob.source_schemes)
-    shared = [np.intersect1d(x, y) for x, y in ((s1, s3), (s1, s4), (s2, s3), (s2, s4))]
-    return _sync_overlap(glob, m_12, m_34, shared)
+    unions = [_StampUnion(x, y) for x, y in ((s1, s3), (s1, s4), (s2, s3), (s2, s4))]
+    return _sync_overlap(glob, m_12, m_34, unions)
 
 
-def _sync_overlap(glob: SyncGrid, m_12: int, m_34: int, shared: Sequence[np.ndarray]) -> SyncOverlap:
-    """:func:`sync_overlap` with the shared timestamps of source schemes
-    (1, 3), (1, 4), (2, 3) and (2, 4) given, in that order."""
+def _sync_overlap(glob: SyncGrid, m_12: int, m_34: int, unions: Sequence[_StampUnion]) -> SyncOverlap:
+    """:func:`sync_overlap` with the stamp unions of source schemes (1, 3),
+    (1, 4), (2, 3) and (2, 4) given, in that order and orientation."""
     grid_12, grid_34 = glob.pair_grids
     N = len(glob) - 1  # refresh increment count, as elsewhere
     M = min(m_12, m_34)
     if M < 1:
         raise ValueError("multi-scale frequencies must be >= 1")
 
-    s_13, s_14, s_23, s_24 = (_shared_step(x, glob.horizon, N) for x in shared)
+    s_13, s_14, s_23, s_24 = (_shared_step(u.stamps[u.both], glob.horizon, N) for u in unions)
 
-    tp = grid_12.next_times, grid_34.next_times
-    tm = grid_12.prev_times, grid_34.prev_times
+    def ticks(x: int, y: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """Union positions of the next (``side="next"``) or previous ticks
+        of source schemes x (1, 2) and y (3, 4) at the two pairwise grids'
+        refresh times."""
+        u = unions[2 * (x - 1) + (y - 3)]
+        idx_12, idx_34 = (grid_12.next_idx, grid_34.next_idx) if side == "next" else (grid_12.prev_idx, grid_34.prev_idx)
+        return u.ticks[0].take(idx_12[x - 1]), u.ticks[1].take(idx_34[y - 3])
 
     def eq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x[:, None] == y[None, :]
 
-    def s_hat(a_plus, b_plus, a_minus, b_minus) -> float:
-        count = _overlap_count(a_plus, b_plus, a_minus, b_minus, m_12, m_34)
+    def s_hat(plus, minus) -> float:
+        count = _overlap_count(*ticks(*plus, "next"), *ticks(*minus, "prev"), m_12, m_34)
         return count / (2.0 * N * M) if count else 0.0
 
-    def s_tilde(a_plus, b_plus, c_plus, d_plus, a_minus, b_minus, c_minus, d_minus) -> float:
+    def s_tilde(p, q) -> float:
+        (a_plus, b_plus), (c_plus, d_plus) = ticks(*p, "next"), ticks(*q, "next")
+        (a_minus, b_minus), (c_minus, d_minus) = ticks(*p, "prev"), ticks(*q, "prev")
         n12, n34 = a_plus.size, b_plus.size
         j = np.arange(min(m_12, n12))
         k = np.arange(min(m_34, n34))
@@ -478,20 +501,10 @@ def _sync_overlap(glob: SyncGrid, m_12: int, m_34: int, shared: Sequence[np.ndar
 
     # 13/24 pairing: next ticks of (1, 3) with previous ticks of (2, 4), plus
     # the mirrored (2, 4)/(1, 3) bracket.
-    hat_13_24 = s_hat(tp[0][0], tp[1][0], tm[0][1], tm[1][1]) + s_hat(
-        tp[0][1], tp[1][1], tm[0][0], tm[1][0]
-    )
-    hat_14_23 = s_hat(tp[0][0], tp[1][1], tm[0][1], tm[1][0]) + s_hat(
-        tp[0][1], tp[1][0], tm[0][0], tm[1][1]
-    )
-    tilde_13_24 = s_tilde(
-        tp[0][0], tp[1][0], tp[0][1], tp[1][1],
-        tm[0][0], tm[1][0], tm[0][1], tm[1][1],
-    )
-    tilde_14_23 = s_tilde(
-        tp[0][0], tp[1][1], tp[0][1], tp[1][0],
-        tm[0][0], tm[1][1], tm[0][1], tm[1][0],
-    )
+    hat_13_24 = s_hat((1, 3), (2, 4)) + s_hat((2, 4), (1, 3))
+    hat_14_23 = s_hat((1, 4), (2, 3)) + s_hat((2, 3), (1, 4))
+    tilde_13_24 = s_tilde((1, 3), (2, 4))
+    tilde_14_23 = s_tilde((1, 4), (2, 3))
 
     return SyncOverlap(
         s_13=s_13,

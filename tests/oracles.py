@@ -517,14 +517,12 @@ def refresh_merge_oracle(a, b):
 
 def segmented_merge_oracle(a, b, cuts_a, cuts_b):
     """``sampling._refresh_merge(a, b, cuts_a, cuts_b)`` as a loop of
-    one-segment merges: ``(times, bounds)``, each segment's refresh times in
-    turn, none for a segment with no tick in one array."""
+    :func:`refresh_merge_oracle` merges: ``(times, bounds)``, each segment's
+    refresh times in turn, none for a segment with no tick in one array."""
     import numpy as np
-
-    from hficov.sampling import _refresh_merge
 
     parts = []
     for j in range(len(cuts_a) - 1):
         seg_a, seg_b = a[cuts_a[j] : cuts_a[j + 1]], b[cuts_b[j] : cuts_b[j + 1]]
-        parts.append(_refresh_merge(seg_a, seg_b)[0] if seg_a.size and seg_b.size else np.empty(0))
+        parts.append(refresh_merge_oracle(seg_a, seg_b) if seg_a.size and seg_b.size else np.empty(0))
     return np.concatenate(parts), np.cumsum([0] + [x.size for x in parts])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import hficov.avar as avar_module
 import hficov.estimators as estimators_module
+import hficov.sampling as sampling_module
 from hficov.avar import (
     AcovMatrix,
     GmsAcovConfig,
@@ -517,7 +518,7 @@ def within_rounding_of_sliced_reference(case):
     cannot hold for a sum near zero."""
     a, b, edges, m_bin, kernel = case
     cfg = EstimatorConfig(kernel=kernel)
-    got = _bracket_bins(a, b, edges, m_bin, _AcovPlan([a, b], cfg))
+    got = _bracket_bins(0, 1, edges, m_bin, _AcovPlan([a, b], cfg))
     weights_for = bin_weights(cfg, m_bin)
     ref = sliced_binned_bracket(a, b, edges, weights_for)
     return np.all(np.abs(got - ref) <= 1e-12 * sliced_binned_bracket(a, b, edges, weights_for, gms_abs_terms))
@@ -740,12 +741,12 @@ def bracket_pair(draw):
 @given(bracket_pair(), st.sampled_from([0, estimators_module._BLOCK_VALUES]))
 def test_binned_bracket_symmetric_in_its_series(case, block_values):
     # the gms bracket table keys a bracket by its unordered component pair;
-    # both the block and the transform are symmetric in the two series
+    # both the block and the transform are symmetric in the two series, and
+    # (1, 0) reads the pair's stamp union with its arrays swapped
     a, b, edges, m_bin, kernel = case
-    cfg = EstimatorConfig(kernel=kernel)
+    plan = _AcovPlan([a, b], EstimatorConfig(kernel=kernel))
     with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
-        ab = _bracket_bins(a, b, edges, m_bin, _AcovPlan([a, b], cfg))
-        assert np.array_equal(ab, _bracket_bins(b, a, edges, m_bin, _AcovPlan([b, a], cfg)))
+        assert np.array_equal(_bracket_bins(0, 1, edges, m_bin, plan), _bracket_bins(1, 0, edges, m_bin, plan))
 
 
 def entrywise_acov_gms(data, config):
@@ -796,9 +797,10 @@ def test_acov_matrix_hat_gms_equals_entrywise_reference(p, sampling, kernel, bin
 
 
 def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
-    # a bracket is one refresh merge and one set of index maps, whatever its
-    # bin count, and one acov_matrix_hat or ci_test call builds each
-    # pairwise refresh grid once
+    # a bracket reads its pair's stamp union: no merge, no argsort and no
+    # index-map search, whatever its bin count; one acov_matrix_hat or
+    # ci_test call builds each component pair's union once and reads every
+    # pairwise refresh grid off it
     rng = np.random.default_rng(44)
     data = []
     for _ in range(4):  # shared stamps, as in the "shared" case above
@@ -809,31 +811,36 @@ def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
     def counted(module, name, key=None):
         real = getattr(module, name)
 
-        def wrapper(*args):
-            calls[key(*args) if key else name] += 1
-            return real(*args)
+        def wrapper(*args, **kwargs):
+            calls[(name, key(*args)) if key else name] += 1
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(sampling_module, "_index_maps")
+    counted(sampling_module, "_refresh_merge")
     counted(avar_module, "_refresh_merge")
-    counted(avar_module, "_index_maps")
+    counted(np, "argsort")
+    counted(avar_module, "_StampUnion", key=lambda a, b: (id(a), id(b)))
     cfg = EstimatorConfig()
     for bins in (1, 2, 7, 30):
+        plan = _AcovPlan(data, cfg)
+        plan.union(0, 1)
         calls.clear()
-        out = _bracket_bins(data[0], data[1], np.linspace(0.0, 1.0, bins + 1), 4, _AcovPlan(data, cfg))
+        out = _bracket_bins(0, 1, np.linspace(0.0, 1.0, bins + 1), 4, plan)
         assert np.count_nonzero(out) > bins // 2  # most bins are estimated
-        assert calls == {"_refresh_merge": 1, "_index_maps": 1}
+        assert calls == {}
 
+    counted(avar_module, "_pair_grid", key=lambda u, a, b: (id(a), id(b)))
     for module in (avar_module, estimators_module):
-        counted(module, "pairwise_refresh", key=lambda a, b: (id(a), id(b)))
-    calls.clear()
-    acov_matrix_hat(data, "gms")
-    grids = {k: v for k, v in calls.items() if isinstance(k, tuple)}
-    assert len(grids) == 10 and set(grids.values()) == {1}
-    calls.clear()
-    ci_test(data[0], data[1], data[2], method="gms")
-    grids = {k: v for k, v in calls.items() if isinstance(k, tuple)}
-    assert len(grids) == 6 and set(grids.values()) == {1}
+        counted(module, "pairwise_refresh")
+    for run, n_pairs in ((lambda: acov_matrix_hat(data, "gms"), 10), (lambda: ci_test(*data[:3], method="gms"), 6)):
+        calls.clear()
+        run()
+        for name in ("_StampUnion", "_pair_grid"):
+            built = [v for k, v in calls.items() if k[0] == name]
+            assert len(built) == n_pairs and set(built) == {1}
+        assert calls["pairwise_refresh"] == 0 and calls["_index_maps"] == 0
 
 
 # ---------------------------------------------------------------------

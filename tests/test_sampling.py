@@ -8,6 +8,7 @@ from hficov.sampling import (
     SamplingScheme,
     _index_maps,
     _refresh_merge,
+    _StampUnion,
     global_refresh,
     pairwise_refresh,
     tick_interpolation,
@@ -212,6 +213,63 @@ def test_segmented_refresh_merge_equals_loop_of_merges(case):
     expect_times, expect_bounds = segmented_merge_oracle(a, b, cuts_a, cuts_b)
     assert np.array_equal(times, expect_times)
     assert np.array_equal(bounds, expect_bounds)
+
+
+def assert_maps_equal_index_maps(union, a, b, pos):
+    """The union's tick rule at union positions ``pos`` is ``_index_maps`` at
+    their stamps, or raises the same ``InterpolationError``."""
+    try:
+        expect = _index_maps([a, b], union.stamps[pos])
+    except InterpolationError as exc:
+        with pytest.raises(InterpolationError) as got:
+            union.maps(pos)
+        assert (got.value.side, got.value.s) == (exc.side, exc.s)
+        return
+    nxt, prv = union.maps(pos)
+    assert np.array_equal(nxt, expect[0]) and np.array_equal(prv, expect[1])
+
+
+def assert_union_equals_oracles(a, b, cuts_a, cuts_b):
+    """Refresh times, bounds and index maps read off the stamp union of a
+    and b, in either orientation, against the loop of one-segment merges
+    and the binary-search tick rule."""
+    expect_times, expect_bounds = segmented_merge_oracle(a, b, cuts_a, cuts_b)
+    union = _StampUnion(a, b)
+    for u, x, y, cx, cy in ((union, a, b, cuts_a, cuts_b), (union.flipped(), b, a, cuts_b, cuts_a)):
+        pos, bounds = u.fire(cx, cy)
+        assert np.array_equal(u.stamps[pos], expect_times)
+        assert np.array_equal(bounds, expect_bounds)
+        everywhere = np.arange(u.stamps.size)
+        # the refresh times, and every union stamp from the start, the middle
+        # and to the end: stamps before one array's first tick or after its
+        # last have no previous or next tick
+        for at in (pos, everywhere, everywhere[everywhere.size // 2 :], everywhere[: everywhere.size // 2 + 1]):
+            if at.size:
+                assert_maps_equal_index_maps(u, x, y, at)
+
+
+# a run of label changes across the cut at 0.55: three stamps after the
+# first tau_0, then 0.8 (b) after 0.5 (a); 0.8 fires only if the run goes on
+@example((np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.98]), np.array([0.2, 0.4, 0.6, 0.8, 0.95, 1.0]),
+          np.array([0, 3, 6]), np.array([0, 2, 6])))
+# a stamp shared at the cut 0.4, an empty segment, a segment with no tick
+# of b and a segment whose merge is empty after tau_0 = 0.9
+@example((_A, _B, *_cut(_A, _B, np.array([0.0, 0.4, 0.4, 0.5, 1.0]))))
+@settings(max_examples=300)
+@given(segmented_pair())
+def test_stamp_union_refresh_and_maps_equal_merge_and_search_oracles(case):
+    assert_union_equals_oracles(*case)
+
+
+def test_stamp_union_on_a_long_bracket_with_shared_stamps():
+    # about 1.1e5 ticks per array on a grid of 4e5 steps (about 30% of
+    # them shared) and 19 bins, as in a full-day acov bracket
+    rng = np.random.default_rng(11)
+    grid = np.arange(400_001) / 400_000
+    a, b = (np.unique(rng.choice(grid, 135_000)) for _ in range(2))
+    edges = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 18)), [1.0]])
+    assert a.size > 100_000 and np.intersect1d(a, b).size > 20_000
+    assert_union_equals_oracles(a, b, *_cut(a, b, edges))
 
 
 def test_segmented_refresh_merge_hand_case():

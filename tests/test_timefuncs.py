@@ -356,10 +356,16 @@ def coarse_quad(draw, jitter=False):
 
 
 def _brackets(glob):
-    """The four (plus, plus, minus, minus) argument sets of the s_hat counts."""
+    """The four (plus, plus, minus, minus) argument sets of the s_hat counts,
+    each stamp as its position among all stamps of the four schemes."""
     g12, g34 = glob.pair_grids
-    tp = [[g.source_schemes[l].times[g.next_idx[l]] for l in (0, 1)] for g in (g12, g34)]
-    tm = [[g.source_schemes[l].times[g.prev_idx[l]] for l in (0, 1)] for g in (g12, g34)]
+    stamps = np.unique(np.concatenate([s.times for s in glob.source_schemes]))
+
+    def ticks(g, l, idx):
+        return np.searchsorted(stamps, g.source_schemes[l].times[idx])
+
+    tp = [[ticks(g, l, g.next_idx[l]) for l in (0, 1)] for g in (g12, g34)]
+    tm = [[ticks(g, l, g.prev_idx[l]) for l in (0, 1)] for g in (g12, g34)]
     return [
         (tp[0][x], tp[1][y], tm[0][1 - x], tm[1][1 - y])
         for x, y in ((0, 0), (1, 1), (0, 1), (1, 0))
