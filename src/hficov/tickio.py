@@ -2,9 +2,10 @@
 
 Input format: one long CSV with header ``asset_id,timestamp,log_price``,
 timestamps in seconds from session start and strictly increasing per
-asset; rows of different assets may interleave.  Files are parsed by
-columns; a row-by-row parser locates faults, so validation failures report
-the offending line number.
+asset; rows of different assets may interleave.  A plain file is parsed
+by columns in one numeric pass, the asset ids taken from the bytes read to
+check it; a row-by-row parser reads every other file and locates faults, so
+validation failures report the offending line number.
 """
 
 from __future__ import annotations
@@ -53,36 +54,28 @@ def load_ticks(path: str | Path, horizon: float | None = None) -> tuple[list[str
 
 
 # The column parse reads printable ASCII without the quote character, tab
-# and line ends, and no blank lines (loadtxt warns about them).  Any other
-# file goes to the row parser.
+# and line ends.  Any other file goes to the row parser.
 _PLAIN = bytes([9, 10, 13, *range(32, 127)]).replace(b'"', b"")
-_BLANK_LINES = (b"\n\n", b"\n\r", b"\r\r")
 
 
 def _parse_columns(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarray]] | None:
     """Parse the file column by column, or return ``None`` when the row
     parser must decide (a fault to locate, or syntax only it reads)."""
-    # the raw bytes are released before loadtxt reads the file again, so
-    # the parse never holds them and the parsed columns at once
-    commas = _plain_commas(path.read_bytes())
-    if commas is None:
+    # the asset ids come from the bytes of the plain-file check; those bytes
+    # are released before loadtxt parses the two numeric columns, so the
+    # parse never holds them and the parsed columns at once
+    assets = _asset_index(path.read_bytes())
+    if assets is None:
         return None
-    kw = dict(delimiter=",", skiprows=1, comments=None)
+    names, key = assets
     try:
         with open(path) as fh:
-            assets = np.loadtxt(fh, dtype=str, usecols=0, ndmin=1, **kw)
-            fh.seek(0)
-            num = np.loadtxt(fh, dtype=float, usecols=(1, 2), ndmin=2, **kw)
+            num = np.loadtxt(fh, dtype=float, usecols=(1, 2), ndmin=2, delimiter=",", skiprows=1, comments=None)
     except ValueError:
         return None
-    # every row read has at least three fields; with the header's two
-    # commas, this count leaves exactly three per row
-    if commas != 2 * (assets.size + 1) or not np.isfinite(num).all():
+    if len(num) != key.size or not np.isfinite(num).all():
         return None
     # group rows by asset, assets in first-appearance order, rows in file order
-    names, first, inv = np.unique(np.char.strip(assets), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    key = np.argsort(order)[inv]
     perm = np.argsort(key, kind="stable")
     cuts = np.cumsum(np.bincount(key))[:-1]
     t, v = num[perm, 0], num[perm, 1]
@@ -90,34 +83,80 @@ def _parse_columns(path: Path) -> tuple[list[str], list[np.ndarray], list[np.nda
     step[cuts - 1] = np.inf
     if not (step > 0).all():
         return None
-    return [str(a) for a in names[order]], np.split(t, cuts), np.split(v, cuts)
+    return names, np.split(t, cuts), np.split(v, cuts)
 
 
-def _plain_commas(data: bytes) -> int | None:
-    """The comma count of a file the column parse reads: the header, then at
-    least one line, only ``_PLAIN`` bytes and no blank line; else ``None``."""
+def _asset_index(data: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The asset ids of a file the column parse reads: ``(names, key)``,
+    the names in first-appearance order and each row's index in ``names``.
+    ``None`` unless the file has the header, then at least one line,
+    only ``_PLAIN`` bytes, no blank line, no lone ``\\r``, exactly two commas
+    per line and no field over ``csv.field_size_limit()``."""
+    n = len(data)
     end = data.find(b"\n")
+    # a blank line has no comma, so the comma rule below rejects it
     if (
-        not 0 <= end < len(data) - 1
+        not 0 <= end < n - 1
         or [h.strip() for h in data[:end].split(b",")] != [h.encode() for h in _HEADER]
         or data.translate(None, _PLAIN)
-        or any(blank in data for blank in _BLANK_LINES)
-        or _has_long_field(data)
+        # text-mode loadtxt ends a line at a lone \r, the byte scan does not
+        or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
     ):
         return None
-    return data.count(b",")
+    marks = _line_marks(data)
+    if marks is None:
+        return None
+    ends, commas = marks
+    # line i holds commas 2i and 2i+1 and no other
+    if commas.size != 2 * ends.size or not ((commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()):
+        return None
+    starts = ends[:-1] + 1
+    widths = commas[2::2] - starts
+    rows, w = starts.size, max(int(widths.max()), 1)
+    # one fixed-width id per row: only while those bytes fit in the file's size
+    if rows * w > n:
+        return None
+    # each row's w bytes from its line start, those past the id zeroed; a
+    # line that starts in the last w bytes reads a zero-padded copy of them
+    tail = n - w
+    k = np.searchsorted(starts, tail, side="right")
+    window = np.lib.stride_tricks.sliding_window_view
+    raw = np.empty((rows, w), np.uint8)
+    raw[:k] = window(np.frombuffer(data, np.uint8), w)[starts[:k]]
+    raw[k:] = window(np.frombuffer(data[tail:] + bytes(w), np.uint8), w)[starts[k:] - tail]
+    raw[np.arange(w) >= widths[:, None]] = 0
+    # the ids of a run of equal rows are stripped and looked up once, at its head
+    ids = raw.view(f"S{w}")[:, 0]
+    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    names, first, inv = np.unique(np.char.strip(ids[heads]), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return [a.decode() for a in names[order]], np.repeat(np.argsort(order)[inv], np.diff(heads, append=rows))
 
 
-def _has_long_field(data: bytes) -> bool:
-    """Whether a field of a plain file is longer than ``csv.field_size_limit()``,
-    which the row parser rejects."""
+def _line_marks(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The line ends of ``data`` (the last one at ``len(data)`` when the file
+    has no final newline) and its comma positions, or ``None`` when a field
+    is longer than ``csv.field_size_limit()``, which the row parser rejects."""
     limit = csv.field_size_limit()
-    # such a field covers a whole aligned block of `step` bytes, so only a
-    # block without a comma and a line end needs the exact search
+    n = len(data)
+    pos = np.int32 if n < 2**31 else np.int64
+    buf = np.frombuffer(data, np.uint8)
+    ends, commas = [], []
+    # the scan walks aligned blocks of `step` bytes, so its masks stay small
+    # next to the file; a field over the limit covers a whole block, so only
+    # a block without a comma and a line end needs the exact search
     step = (limit + 1) // 2
-    if all(data.find(b",", i, i + step) >= 0 or data.find(b"\n", i, i + step) >= 0 for i in range(0, len(data), step)):
-        return False
-    return re.search(rb"[^,\r\n]{%d}" % (limit + 1), data) is not None
+    bare = False
+    for i in range(0, n, step):
+        block = buf[i : i + step]
+        ends.append((np.flatnonzero(block == 10) + i).astype(pos))
+        commas.append((np.flatnonzero(block == 44) + i).astype(pos))
+        bare = bare or not (ends[-1].size or commas[-1].size)
+    if bare and re.search(rb"[^,\r\n]{%d}" % (limit + 1), data) is not None:
+        return None
+    if data[-1] != ord("\n"):
+        ends.append(np.array([n], pos))
+    return np.concatenate(ends), np.concatenate(commas)
 
 
 def _parse_rows(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:

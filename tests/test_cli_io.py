@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,7 +138,19 @@ def test_load_ticks_column_parse_reads_plain_files(tmp_path):
     assert ids == ["A", "B"]
     np.testing.assert_array_equal(np.concatenate(times), [0.0, 1.0, 0.5, 1.5])
     np.testing.assert_array_equal(np.concatenate(prices), [0.1, 0.2, 1.0, 1.1])
-    for text in ('A,0.0,"0.1"\n', "A,0.0,0.1\n\n", "A,0.0,0.1\n   \n", "A,0.0,0.1,\n", "A,0.0,nan\n", "A,1e0,0\nA,1.0,0\n"):
+    # the last line is shorter than the longest id
+    ids, times, prices = tickio._parse_columns(write(tmp_path, HEADER + " LONGER ,0.0,0.1\nA,0,1"))
+    assert ids == ["LONGER", "A"] and np.concatenate(times).tolist() == [0.0, 0.0]
+    for text in (
+        'A,0.0,"0.1"\n',
+        "A,0.0,0.1\n\n",
+        "A,0.0,0.1\n   \n",
+        "A,0.0,0.1,\n",
+        "A,0.0,nan\n",
+        "A,1e0,0\nA,1.0,0\n",
+        # a lone \r, which text-mode loadtxt reads as a line end
+        "A,0.0,0.1\nA,1.0,0.2\r",
+    ):
         assert tickio._parse_columns(write(tmp_path, HEADER + text)) is None
 
 
@@ -202,7 +215,7 @@ def tick_files(draw):
     faulty = bool(faults)
     quoted = draw(st.integers(0, 3)) == 0
     messy = draw(st.integers(0, 3)) == 0
-    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "mixed"]))
 
     def field(text):
         if quoted and draw(st.booleans()):
@@ -231,7 +244,13 @@ def tick_files(draw):
             t = repr(clock[asset]) if kind == "tick" else draw(_TOKENS)
             px = draw(_TOKENS if kind == "token" else _FINITE)
             lines.append(",".join([field(asset), field(t), field(px)]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+    # the end of each line; "mixed" swaps one "\n" for "\r" or "\r\n"
+    ends = [newline] * len(lines)
+    if newline == "mixed":
+        ends = ["\n"] * len(lines)
+        ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(["\r", "\r\n"]))
+    ends[-1] = draw(st.sampled_from(["", ends[-1]]))
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 @settings(max_examples=400)
@@ -261,6 +280,69 @@ def test_load_ticks_matches_row_oracle(text):
         np.testing.assert_array_equal(s.scheme.times, np.array(t))
         np.testing.assert_array_equal(s.values, np.array(v))
         assert s.scheme.horizon == T
+
+
+def _assert_oracle_rows(got, oracle):
+    got_ids, got_times, got_prices = got
+    ids, times, prices = oracle
+    assert got_ids == ids
+    for gt, gv, t, v in zip(got_times, got_prices, times, prices, strict=True):
+        np.testing.assert_array_equal(gt, np.array(t))
+        np.testing.assert_array_equal(gv, np.array(v))
+
+
+def _traced_peak(fn):
+    """``fn()`` and the ``tracemalloc`` peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_ticks_column_parse_crosses_scan_blocks(tmp_path):
+    # over 1 MiB, so a block-wise byte scan crosses block edges; ids of 1-4
+    # bytes interleave, CRLF line ends, no final newline
+    rng = np.random.default_rng(5)
+    names = ["a", "bb", "ccc", "dddd"]
+    pick = rng.integers(0, 4, 40_000)
+    steps = rng.uniform(0.5, 1.5, pick.size)
+    clock = np.zeros(4)
+    lines = []
+    for k, dt, px in zip(pick, steps, rng.standard_normal(pick.size)):
+        clock[k] += dt
+        lines.append(f"{names[k]},{float(clock[k])!r},{float(px)!r}")
+    p = tmp_path / "ticks.csv"
+    p.write_bytes("\r\n".join([HEADER[:-1], *lines]).encode())
+    assert p.stat().st_size > 2**20
+    got = tickio._parse_columns(p)
+    assert got is not None
+    _assert_oracle_rows(got, load_ticks_oracle(p))
+
+
+def test_load_ticks_long_asset_id_stays_small(tmp_path):
+    # one 10 000-byte id among 2 000 one-byte ones: a fixed-width id column
+    # would hold 2 001 ids of 10 000 characters (hundreds of MB)
+    rows = "".join(f"A,{i}.0,0.5\n" for i in range(2000))
+    p = write(tmp_path, HEADER + rows + "B" * 10_000 + ",0.5,1.0\n")
+    (ids, series), peak = _traced_peak(lambda: load_ticks(p))
+    assert peak < 2 * 2**20
+    _assert_oracle_rows((ids, [s.scheme.times for s in series], [s.values for s in series]), load_ticks_oracle(p))
+
+
+def test_load_ticks_peak_memory_is_a_multiple_of_the_file(tmp_path):
+    # 100 000 rows of 10 assets; the column parse holds the raw
+    # bytes, then the parsed columns, never both (2.25x the file measured
+    # on the 6.2 MB benchmark file before the one-pass loader)
+    rng = np.random.default_rng(3)
+    times = np.arange(1, 10_001) * 5e-5
+    data = [TickSeries(SamplingScheme(times, 1.0), 4.6 + rng.standard_normal(times.size).cumsum() * 1e-4) for _ in range(10)]
+    p = tmp_path / "ticks.csv"
+    write_ticks(p, [f"A{k}" for k in range(10)], data)
+    (ids, series), peak = _traced_peak(lambda: load_ticks(p))
+    assert len(ids) == 10 and sum(len(s) for s in series) == 100_000
+    assert peak <= 2.25 * p.stat().st_size
 
 
 def test_roundtrip_preserves_estimates(tmp_path):
@@ -324,6 +406,7 @@ def test_cli_simulate_estimate_acov_citest(tmp_path):
     assert np.asarray(rep["estimates"]["matrix"]).shape == (3, 3)
     assert len(rep["estimates"]["svec"]) == 6
     assert "min_eigenvalue" in rep["diagnostics"]
+    timings = [rep["timings"]]
 
     out3 = tmp_path / "acov.json"
     rc = main(["acov", "--input", str(ticks), "--method", "rc", "--out", str(out3)])
@@ -332,6 +415,7 @@ def test_cli_simulate_estimate_acov_citest(tmp_path):
     assert np.asarray(rep["acov"]["entries"]).shape == (6, 6)
     assert len(rep["standard_errors"]) == 6
     assert all(s >= 0 for s in rep["standard_errors"])
+    timings.append(rep["timings"])
 
     out4 = tmp_path / "ci.json"
     rc = main(
@@ -341,6 +425,9 @@ def test_cli_simulate_estimate_acov_citest(tmp_path):
     assert rc == 0
     rep = json.loads(out4.read_text())
     assert "p_value" in rep["test"] and "z" in rep["test"]
+    timings.append(rep["timings"])
+    for t in timings:
+        assert 0 <= t["load_s"] <= t["total_s"]
 
 
 def test_cli_gms_on_async_data(tmp_path):
