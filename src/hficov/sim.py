@@ -2,9 +2,13 @@
 
 The generator covers constant-volatility and square-root stochastic-variance
 models with leverage, Euler-discretized on a caller-given grid (exact for
-constant volatility).  Observation schemes are equidistant or Poisson;
-microstructure noise is added i.i.d. per scheme and correlated across
-components only at exactly shared timestamps.
+constant volatility).  The variance recursion has one home,
+:func:`_sv_recursion`, which steps many independent paths as the columns of
+one buffer: the components of one :func:`simulate_paths` call, or a chunk
+of Monte Carlo replicates of the CI-test scenarios.  Observation schemes
+are equidistant or Poisson; microstructure noise is added i.i.d. per
+scheme and correlated across components only at exactly shared
+timestamps.
 
 :func:`mc_validate` runs named Monte Carlo scenarios that compare empirical
 estimator moments, rates, coverage and test levels against the closed-form
@@ -205,8 +209,10 @@ def simulate_paths(model: ItoModelConfig, rng: np.random.Generator | int, times:
 
     ``times`` must be strictly increasing, start at 0 and end at T.  For
     constant volatility the Euler scheme is exact in distribution on any
-    grid.  Variance processes are full-truncated at zero.  Memory is
-    O(m p) for m grid steps.
+    grid.  Variance processes are full-truncated at zero and stepped all
+    p components at once by :func:`_sv_recursion`, one numpy row per step
+    (about 3 us a step whatever p is: some 9 ms for a lone 3000-step
+    path).  Memory is O(m p) for m grid steps.
     """
     rng = np.random.default_rng(rng)
     T, p = model.T, model.p
@@ -225,34 +231,61 @@ def simulate_paths(model: ItoModelConfig, rng: np.random.Generator | int, times:
         x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
         return SimulatedPaths(times, x, (sig @ sig.T) * T)
 
-    vbar = model.sv_vbar if model.sv_vbar is not None else 1e-4
-    v0 = model.sv_v0 if model.sv_v0 is not None else vbar
-    rho = model.sv_rho_lev
-    z_price = rng.standard_normal((m, p))
-    z_vol = rho * z_price + math.sqrt(1.0 - rho**2) * rng.standard_normal((m, p))
-    sqdt = np.sqrt(dt)[:, None]
     v = np.empty((m + 1, p))
-    kappa, xi = model.sv_kappa, model.sv_xi
-    dt_list, sqdt_list = dt.tolist(), sqdt[:, 0].tolist()
-    # the recursion is elementwise: one component at a time on Python floats
-    # gives the bits of whole-row numpy steps without their per-step overhead.
-    # The conditional truncation is max(vi, 0.0) without a builtin call (it
-    # keeps vi for -0.0 and NaN too), and sqrt/append are bound to locals.
-    sqrt = math.sqrt
-    for l in range(p):
-        vi = v0
-        col = [vi]
-        append = col.append
-        for dt_i, sqdt_i, z_i in zip(dt_list, sqdt_list, z_vol[:, l].tolist()):
-            vp = 0.0 if vi < 0.0 else vi
-            vi = vi + kappa * (vbar - vp) * dt_i + xi * sqrt(vp) * sqdt_i * z_i
-            append(vi)
-        v[:, l] = col
-    vols = np.sqrt(np.maximum(v[:-1], 0.0))  # left endpoint per block
-    dx = vols * (z_price * sqdt)
-    x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
+    z_price = _sv_normals(model, rng, v[1:])
+    _sv_recursion(model, dt, v)
+    vols, x = _sv_prices(v, z_price, np.sqrt(dt)[:, None])
     icov = np.diag(np.einsum("mi,m->i", vols**2, dt))
-    return SimulatedPaths(times, x, icov)
+    return SimulatedPaths(times, x.T, icov)
+
+
+def _sv_normals(model: ItoModelConfig, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Draw the price normals of ``out``'s shape, then a second block, and
+    write the leverage-correlated variance normals ``rho z_price +
+    sqrt(1 - rho^2) z2`` into ``out``; returns the price normals."""
+    rho = model.sv_rho_lev
+    z_price = rng.standard_normal(out.shape)
+    np.multiply(rho, z_price, out=out)
+    out += math.sqrt(1.0 - rho**2) * rng.standard_normal(out.shape)
+    return z_price
+
+
+def _sv_recursion(model: ItoModelConfig, dt: np.ndarray, v: np.ndarray) -> None:
+    """Step the square-root variance of ``model`` down the columns of the
+    (m + 1, k) array ``v`` in place, one independent path per column.
+
+    Row i + 1 holds the variance normal of step i on entry and the variance
+    after it on return; row 0 is set to v0.  A step is ``vp = max(v, 0)``,
+    then ``v + ((kappa (vbar - vp)) dt_i) + (((xi sqrt(vp)) sqrt(dt_i)) z_i)``
+    in that order, one row per numpy call into four scratch rows; no call
+    writes over its own input, which costs numpy twice the time on a single
+    column.  ``np.maximum`` keeps NaN, as ``0 if v < 0 else v`` does, and
+    may turn -0.0 into 0.0, which moves no bit of the next row.
+    """
+    vbar = model.sv_vbar if model.sv_vbar is not None else 1e-4
+    kappa, xi = model.sv_kappa, model.sv_xi
+    v[0] = model.sv_v0 if model.sv_v0 is not None else vbar
+    vp, drift, a, b = np.empty((4,) + v.shape[1:])
+    for row, z, dt_i, sqdt_i in zip(v[:-1], v[1:], dt.tolist(), np.sqrt(dt).tolist()):
+        np.maximum(row, 0.0, out=vp)
+        np.subtract(vbar, vp, out=a)
+        np.multiply(kappa, a, out=b)
+        np.multiply(b, dt_i, out=a)
+        np.add(row, a, out=drift)
+        np.sqrt(vp, out=a)
+        np.multiply(xi, a, out=b)
+        np.multiply(b, sqdt_i, out=a)
+        np.multiply(a, z, out=b)
+        np.add(drift, b, out=z)
+
+
+def _sv_prices(v: np.ndarray, z_price: np.ndarray, sqdt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left-endpoint volatilities of the variance rows ``v`` (m + 1 of
+    them) and the price path that they and the price normals drive from 0,
+    with time along axis 0."""
+    vols = np.sqrt(np.maximum(v[:-1], 0.0))
+    dx = vols * (z_price * sqdt)
+    return vols, np.concatenate([np.zeros((1,) + dx.shape[1:]), np.cumsum(dx, axis=0)])
 
 
 def _snap_scheme(scheme: SamplingScheme, grid: np.ndarray) -> tuple[SamplingScheme, np.ndarray]:
@@ -321,26 +354,27 @@ def _draw_noise(schemes: Sequence[SamplingScheme], noise: NoiseConfig, rng: np.r
     )
     if not shared_any:
         return [sd[l] * rng.standard_normal(len(schemes[l])) for l in range(p)]
-    # general case: group observations by exact timestamp
+    # general case: the stamps of the union grouped by the set of components
+    # observed there, one Cholesky factor and one product per group
     all_t = np.unique(np.concatenate([s.times for s in schemes]))
     pos = [np.searchsorted(all_t, s.times) for s in schemes]
     present = np.zeros((all_t.size, p), dtype=bool)
     for l in range(p):
         present[pos[l], l] = True
-    eps = [np.zeros(len(s)) for s in schemes]
+    sets, group = np.unique(present, axis=0, return_inverse=True)
+    group = group.reshape(-1)  # numpy 2.0 gives the inverse an axis of its own
     z = rng.standard_normal((all_t.size, p))
-    for ti in range(all_t.size):
-        comps = np.nonzero(present[ti])[0]
-        if comps.size == 1:
-            val = sd[comps[0]] * z[ti, comps[0]]
-            l = comps[0]
-            eps[l][np.searchsorted(schemes[l].times, all_t[ti])] = val
+    eps = [np.empty(len(s)) for s in schemes]
+    for g, members in enumerate(sets):
+        comps = np.flatnonzero(members)
+        rows = group == g
+        if len(comps) == 1:
+            vals = sd[comps[0]] * z[rows, comps[0]][:, None]
         else:
-            sub = H[np.ix_(comps, comps)]
-            chol = np.linalg.cholesky(sub + 1e-18 * np.eye(comps.size))
-            vals = chol @ z[ti, comps]
-            for v, l in zip(vals, comps):
-                eps[l][np.searchsorted(schemes[l].times, all_t[ti])] = v
+            chol = np.linalg.cholesky(H[np.ix_(comps, comps)] + 1e-18 * np.eye(len(comps)))
+            vals = z[np.ix_(rows, comps)] @ chol.T
+        for j, l in enumerate(comps):
+            eps[l][rows[pos[l]]] = vals[:, j]
     return eps
 
 
@@ -659,6 +693,13 @@ def scenario_gms_acov_async(replicates: int = 2000, seed: int = 20260808, n: int
 
 _CI_VBAR_Z = 2.25e-4  # long-run spot variance of the factor process
 _CI_VOL_ORTH = 0.012  # constant volatility of the orthogonal parts
+# the most bytes of the variance buffer of one chunk of CI-test replicates
+# (174 replicates at 3000 steps).  A recursion step costs the same for 1 to
+# 200 columns, so each chunk adds one recursion's time: `mc` (100
+# replicates, 2-CPU x86) took 0.26-0.27 s in one chunk (4 MiB), 0.29-0.30 s
+# in two (2 MiB) and 0.30-0.32 s in three (1 MiB), against 0.32-0.33 s one
+# replicate at a time, for a peak RSS 1.5, 0.2 and -0.2 MB above it
+_SV_BUFFER_BYTES = 1 << 22
 
 
 def _ci_study(alt_corr: float, replicates: int, seed: int, n: int) -> tuple[float, dict]:
@@ -668,6 +709,12 @@ def _ci_study(alt_corr: float, replicates: int, seed: int, n: int) -> tuple[floa
     asymptotic variances are genuinely random); the orthogonal parts are
     constant-volatility Brownian paths, correlated with each other by
     ``alt_corr`` (0 under the null).
+
+    Replicates run in the fewest chunks of even size whose (n + 1, chunk)
+    variance buffer fits ``_SV_BUFFER_BYTES``: each draws its variance
+    normals into its column, one :func:`_sv_recursion` steps them all, then
+    each draws its price normals again from its saved generator state and
+    goes on.  Every generator keeps the draw order of a replicate run alone.
     """
     T = 1.0
     rho1, rho2 = 0.7, 0.9
@@ -678,24 +725,48 @@ def _ci_study(alt_corr: float, replicates: int, seed: int, n: int) -> tuple[floa
     corr_pd = np.array([[1.0, alt_corr], [alt_corr, 1.0]])
     chol = np.linalg.cholesky(corr_pd)
     times = np.linspace(0.0, T, n + 1)
+    steps = np.diff(times)
+    sqdt = np.sqrt(steps)
     sch = SamplingScheme(times, T)
     dt = T / n
     outcome = np.zeros(replicates, dtype=np.int8)  # 0 keep, 1 reject, 2 inconclusive
 
-    def one(i, rng):
-        z_path = simulate_paths(zmodel, rng, times=times).x[0]
-        base = rng.standard_normal((n, 2)) @ chol.T * math.sqrt(dt)
-        zperp = np.concatenate([[0.0], np.cumsum(sp * base[:, 0])])
-        zdag = np.concatenate([[0.0], np.cumsum(sd * base[:, 1])])
-        x1 = rho1 * z_path + zperp
-        x2 = rho2 * z_path + zdag
-        res = ci_test(TickSeries(sch, x1), TickSeries(sch, x2), TickSeries(sch, z_path), method="rc")
-        if res.inconclusive:
-            outcome[i] = 2
-        elif res.p_value < 0.05:
-            outcome[i] = 1
+    def run_chunk(lo: int, rngs: list[np.random.Generator]) -> None:
+        v = np.empty((n + 1, len(rngs)))
+        states = [None] * len(rngs)
 
-    _replicate_map(one, _spawn_rngs(seed, replicates))
+        def draw(j, rng):
+            before = rng.bit_generator.state
+            _sv_normals(zmodel, rng, v[1:, j])
+            states[j] = before, rng.bit_generator.state
+
+        def rest(j, rng):
+            before, after = states[j]
+            rng.bit_generator.state = before
+            z_price = rng.standard_normal(n)
+            rng.bit_generator.state = after
+            z_path = _sv_prices(v[:, j], z_price, sqdt)[1]
+            base = rng.standard_normal((n, 2)) @ chol.T * math.sqrt(dt)
+            zperp = np.concatenate([[0.0], np.cumsum(sp * base[:, 0])])
+            zdag = np.concatenate([[0.0], np.cumsum(sd * base[:, 1])])
+            x1 = rho1 * z_path + zperp
+            x2 = rho2 * z_path + zdag
+            res = ci_test(TickSeries(sch, x1), TickSeries(sch, x2), TickSeries(sch, z_path), method="rc")
+            if res.inconclusive:
+                outcome[lo + j] = 2
+            elif res.p_value < 0.05:
+                outcome[lo + j] = 1
+
+        _replicate_map(draw, rngs)
+        _sv_recursion(zmodel, steps, v)
+        _replicate_map(rest, rngs)
+
+    # one chunk's buffer is freed before the next one's is taken
+    rngs = _spawn_rngs(seed, replicates)
+    chunks = -(-replicates // max(1, _SV_BUFFER_BYTES // (8 * (n + 1))))
+    chunk = -(-replicates // chunks)
+    for lo in range(0, replicates, chunk):
+        run_chunk(lo, rngs[lo : lo + chunk])
     inconclusive = int(np.sum(outcome == 2))
     rate = int(np.sum(outcome == 1)) / max(replicates - inconclusive, 1)
     return rate, {"inconclusive": inconclusive}

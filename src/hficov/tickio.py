@@ -62,12 +62,13 @@ def _parse_columns(path: Path) -> tuple[list[str], list[np.ndarray], list[np.nda
     """Parse the file column by column, or return ``None`` when the row
     parser must decide (a fault to locate, or syntax only it reads)."""
     # the asset ids come from the bytes of the plain-file check; those bytes
-    # are released before loadtxt parses the two numeric columns, so the
-    # parse never holds them and the parsed columns at once
-    assets = _asset_index(path.read_bytes())
-    if assets is None:
+    # are released before the ids are grouped and before loadtxt parses the
+    # two numeric columns, so the parse never holds them and the parsed
+    # columns at once
+    ids = _row_ids(path.read_bytes())
+    if ids is None:
         return None
-    names, key = assets
+    names, key = _asset_index(ids)
     try:
         with open(path) as fh:
             num = np.loadtxt(fh, dtype=float, usecols=(1, 2), ndmin=2, delimiter=",", skiprows=1, comments=None)
@@ -79,39 +80,44 @@ def _parse_columns(path: Path) -> tuple[list[str], list[np.ndarray], list[np.nda
     perm = np.argsort(key, kind="stable")
     cuts = np.cumsum(np.bincount(key))[:-1]
     t, v = num[perm, 0], num[perm, 1]
-    step = np.diff(t)
-    step[cuts - 1] = np.inf
-    if not (step > 0).all():
+    # strictly increasing times within each asset
+    rising = t[1:] > t[:-1]
+    rising[cuts - 1] = True
+    if not rising.all():
         return None
     return names, np.split(t, cuts), np.split(v, cuts)
 
 
-def _asset_index(data: bytes) -> tuple[list[str], np.ndarray] | None:
-    """The asset ids of a file the column parse reads: ``(names, key)``,
-    the names in first-appearance order and each row's index in ``names``.
+def _asset_index(ids: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``(names, key)`` of the rows' ids: the stripped names in
+    first-appearance order and each row's index in ``names``."""
+    # the ids of a run of equal rows are stripped and looked up once, at its head
+    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    names, first, inv = np.unique(np.char.strip(ids[heads]), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return [a.decode() for a in names[order]], np.repeat(np.argsort(order)[inv], np.diff(heads, append=ids.size))
+
+
+def _row_ids(data: bytes) -> np.ndarray | None:
+    """Each row's asset id as one fixed-width ``S<w>`` array, unstripped.
     ``None`` unless the file has the header, then at least one line,
     only ``_PLAIN`` bytes, no blank line, no lone ``\\r``, exactly two commas
-    per line and no field over ``csv.field_size_limit()``."""
+    per line and no field over ``csv.field_size_limit()``, and unless the
+    ids fit in the file's size at the width of the longest."""
     n = len(data)
     end = data.find(b"\n")
     # a blank line has no comma, so the comma rule below rejects it
     if (
         not 0 <= end < n - 1
         or [h.strip() for h in data[:end].split(b",")] != [h.encode() for h in _HEADER]
-        or data.translate(None, _PLAIN)
         # text-mode loadtxt ends a line at a lone \r, the byte scan does not
         or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
     ):
         return None
-    marks = _line_marks(data)
-    if marks is None:
+    spans = _id_spans(data)
+    if spans is None:
         return None
-    ends, commas = marks
-    # line i holds commas 2i and 2i+1 and no other
-    if commas.size != 2 * ends.size or not ((commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()):
-        return None
-    starts = ends[:-1] + 1
-    widths = commas[2::2] - starts
+    starts, widths = spans
     rows, w = starts.size, max(int(widths.max()), 1)
     # one fixed-width id per row: only while those bytes fit in the file's size
     if rows * w > n:
@@ -125,29 +131,44 @@ def _asset_index(data: bytes) -> tuple[list[str], np.ndarray] | None:
     raw[:k] = window(np.frombuffer(data, np.uint8), w)[starts[:k]]
     raw[k:] = window(np.frombuffer(data[tail:] + bytes(w), np.uint8), w)[starts[k:] - tail]
     raw[np.arange(w) >= widths[:, None]] = 0
-    # the ids of a run of equal rows are stripped and looked up once, at its head
-    ids = raw.view(f"S{w}")[:, 0]
-    heads = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    names, first, inv = np.unique(np.char.strip(ids[heads]), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return [a.decode() for a in names[order]], np.repeat(np.argsort(order)[inv], np.diff(heads, append=rows))
+    return raw.view(f"S{w}")[:, 0]
+
+
+def _id_spans(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each row's line start and the width of its first field, or ``None``
+    when :func:`_line_marks` rejects the file or a line does not hold
+    exactly two commas.  The positions are freed before the ids are
+    gathered."""
+    marks = _line_marks(data)
+    if marks is None:
+        return None
+    ends, commas = marks
+    # line i holds commas 2i and 2i+1 and no other
+    if commas.size != 2 * ends.size or not ((commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()):
+        return None
+    starts = ends[:-1] + 1
+    return starts, commas[2::2] - starts
 
 
 def _line_marks(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The line ends of ``data`` (the last one at ``len(data)`` when the file
-    has no final newline) and its comma positions, or ``None`` when a field
-    is longer than ``csv.field_size_limit()``, which the row parser rejects."""
+    has no final newline) and its comma positions, or ``None`` when a byte
+    is not in ``_PLAIN`` or a field is longer than ``csv.field_size_limit()``,
+    which the row parser rejects."""
     limit = csv.field_size_limit()
     n = len(data)
     pos = np.int32 if n < 2**31 else np.int64
     buf = np.frombuffer(data, np.uint8)
     ends, commas = [], []
-    # the scan walks aligned blocks of `step` bytes, so its masks stay small
-    # next to the file; a field over the limit covers a whole block, so only
-    # a block without a comma and a line end needs the exact search
+    # the scan walks aligned blocks of `step` bytes, so its masks and byte
+    # check copies stay small next to the file; a field over the limit covers
+    # a whole block, so only a block without a comma and a line end needs
+    # the exact search
     step = (limit + 1) // 2
     bare = False
     for i in range(0, n, step):
+        if data[i : i + step].translate(None, _PLAIN):
+            return None
         block = buf[i : i + step]
         ends.append((np.flatnonzero(block == 10) + i).astype(pos))
         commas.append((np.flatnonzero(block == 44) + i).astype(pos))
@@ -156,7 +177,8 @@ def _line_marks(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if data[-1] != ord("\n"):
         ends.append(np.array([n], pos))
-    return np.concatenate(ends), np.concatenate(commas)
+    ends = np.concatenate(ends)  # frees the blocks before the commas are joined
+    return ends, np.concatenate(commas)
 
 
 def _parse_rows(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:

@@ -3,15 +3,17 @@
 Most of what is here is written as plain loops from the defining formulas,
 on purpose sharing no code with the package implementations (no prefix
 sums, no convolutions, no vectorization).  The test suite pins the fast
-implementations against these to 1e-12 relative error.  Four oracles are
-simpler forms of the same computation instead.  Three are pinned bit for
-bit: the row-by-row tick-file loader and the refresh merge of one pair,
-alone and looped over segments.  The others bound sums that add in another
-order, relative to the sum of the absolute terms: the scale loop of one
-multi-scale sum bounds every multi-scale sum (the synchronous ``ms``
-matrix, the point estimates and the histogram bins), and the
-one-pair-at-a-time lag loop bounds the synchronous ``kernel`` matrix.  The
-shared stochastic-variance test model lives here too.
+implementations against these to 1e-12 relative error.  Other oracles are
+simpler forms of the same computation instead.  These are pinned bit for
+bit: the row-by-row tick-file loader, the refresh merge of one pair, alone
+and looped over segments, and the CI-test Monte Carlo study one replicate
+at a time.  The others bound sums that add in another order, relative to
+the sum of the absolute terms: the scale loop of one multi-scale sum
+bounds every multi-scale sum (the synchronous ``ms`` matrix, the point
+estimates and the histogram bins), the one-pair-at-a-time lag loop bounds
+the synchronous ``kernel`` matrix, and the stamp-by-stamp noise draw
+bounds the grouped one (and pins its single-component stamps bit for
+bit).  The shared stochastic-variance test model lives here too.
 """
 
 from __future__ import annotations
@@ -526,3 +528,82 @@ def segmented_merge_oracle(a, b, cuts_a, cuts_b):
         seg_a, seg_b = a[cuts_a[j] : cuts_a[j + 1]], b[cuts_b[j] : cuts_b[j + 1]]
         parts.append(refresh_merge_oracle(seg_a, seg_b) if seg_a.size and seg_b.size else np.empty(0))
     return np.concatenate(parts), np.cumsum([0] + [x.size for x in parts])
+
+
+def ci_study_oracle(alt_corr, replicates, seed, n):
+    """``sim._ci_study`` one replicate after another, as it ran before the
+    replicates were stepped together: each replicate draws its factor path
+    as ``simulate_paths`` did, its square-root variance stepped on Python
+    floats, and then its orthogonal parts.  Returns ``(rate, extra)``."""
+    import math
+
+    import numpy as np
+
+    from hficov.citest import ci_test
+    from hficov.estimators import TickSeries
+    from hficov.sampling import SamplingScheme
+    from hficov.sim import _CI_VBAR_Z, _CI_VOL_ORTH
+
+    T = 1.0
+    rho1, rho2 = 0.7, 0.9
+    kappa, vbar, xi, rho, v0 = 5.0, _CI_VBAR_Z, 2e-3, -0.5, _CI_VBAR_Z
+    chol = np.linalg.cholesky(np.array([[1.0, alt_corr], [alt_corr, 1.0]]))
+    times = np.linspace(0.0, T, n + 1)
+    sch = SamplingScheme(times, T)
+    steps = np.diff(times)
+    sqdt = np.sqrt(steps)
+    outcome = np.zeros(replicates, dtype=np.int8)  # 0 keep, 1 reject, 2 inconclusive
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
+        rng = np.random.default_rng(ss)
+        z_price = rng.standard_normal(n)
+        z_vol = rho * z_price + math.sqrt(1.0 - rho**2) * rng.standard_normal(n)
+        vi = v0
+        v = [vi]
+        for dt_i, sqdt_i, z_i in zip(steps.tolist(), sqdt.tolist(), z_vol.tolist()):
+            vp = 0.0 if vi < 0.0 else vi
+            vi = vi + kappa * (vbar - vp) * dt_i + xi * math.sqrt(vp) * sqdt_i * z_i
+            v.append(vi)
+        vols = np.sqrt(np.maximum(np.array(v[:-1]), 0.0))
+        z_path = np.concatenate([[0.0], np.cumsum(vols * (z_price * sqdt))])
+        base = rng.standard_normal((n, 2)) @ chol.T * math.sqrt(T / n)
+        x1 = rho1 * z_path + np.concatenate([[0.0], np.cumsum(_CI_VOL_ORTH * base[:, 0])])
+        x2 = rho2 * z_path + np.concatenate([[0.0], np.cumsum(_CI_VOL_ORTH * base[:, 1])])
+        res = ci_test(TickSeries(sch, x1), TickSeries(sch, x2), TickSeries(sch, z_path), method="rc")
+        if res.inconclusive:
+            outcome[i] = 2
+        elif res.p_value < 0.05:
+            outcome[i] = 1
+    inconclusive = int(np.sum(outcome == 2))
+    rate = int(np.sum(outcome == 1)) / max(replicates - inconclusive, 1)
+    return rate, {"inconclusive": inconclusive}
+
+
+def draw_noise_oracle(schemes, noise, rng):
+    """The general case of ``sim._draw_noise`` stamp by stamp: one normal
+    row per stamp of the union of the schemes, drawn at once, and per stamp
+    the Cholesky factor of the noise covariance of the components observed
+    there (the noise standard deviation where one component is)."""
+    import numpy as np
+
+    p = len(schemes)
+    H = noise.H
+    sd = np.sqrt(np.diag(H))
+    all_t = np.unique(np.concatenate([s.times for s in schemes]))
+    pos = [np.searchsorted(all_t, s.times) for s in schemes]
+    present = np.zeros((all_t.size, p), dtype=bool)
+    for l in range(p):
+        present[pos[l], l] = True
+    eps = [np.zeros(len(s)) for s in schemes]
+    z = rng.standard_normal((all_t.size, p))
+    for ti in range(all_t.size):
+        comps = np.nonzero(present[ti])[0]
+        if comps.size == 1:
+            l = comps[0]
+            eps[l][np.searchsorted(schemes[l].times, all_t[ti])] = sd[l] * z[ti, l]
+        else:
+            sub = H[np.ix_(comps, comps)]
+            chol = np.linalg.cholesky(sub + 1e-18 * np.eye(comps.size))
+            vals = chol @ z[ti, comps]
+            for v, l in zip(vals, comps):
+                eps[l][np.searchsorted(schemes[l].times, all_t[ti])] = v
+    return eps

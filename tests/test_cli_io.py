@@ -333,8 +333,10 @@ def test_load_ticks_long_asset_id_stays_small(tmp_path):
 
 def test_load_ticks_peak_memory_is_a_multiple_of_the_file(tmp_path):
     # 100 000 rows of 10 assets; the column parse holds the raw
-    # bytes, then the parsed columns, never both (2.25x the file measured
-    # on the 6.2 MB benchmark file before the one-pass loader)
+    # bytes, then the parsed columns, never both.  The peak is the file
+    # plus its line and comma positions: 1.60x this 3.4 MB file (1.62x the
+    # 6.2 MB benchmark file, whose whole-file byte check once took 2.00x),
+    # and the bound leaves 0.1x for other numpy versions
     rng = np.random.default_rng(3)
     times = np.arange(1, 10_001) * 5e-5
     data = [TickSeries(SamplingScheme(times, 1.0), 4.6 + rng.standard_normal(times.size).cumsum() * 1e-4) for _ in range(10)]
@@ -342,7 +344,7 @@ def test_load_ticks_peak_memory_is_a_multiple_of_the_file(tmp_path):
     write_ticks(p, [f"A{k}" for k in range(10)], data)
     (ids, series), peak = _traced_peak(lambda: load_ticks(p))
     assert len(ids) == 10 and sum(len(s) for s in series) == 100_000
-    assert peak <= 2.25 * p.stat().st_size
+    assert peak <= 1.7 * p.stat().st_size
 
 
 def test_roundtrip_preserves_estimates(tmp_path):

@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hficov import citest, sim
+from hficov.citest import ci_test
 from hficov.estimators import TickSeries, realized_cov
 from hficov.sampling import SamplingScheme
 from hficov.sim import (
@@ -18,7 +24,7 @@ from hficov.sim import (
     simulate_paths,
 )
 
-from oracles import default_test_model, sv_paths_oracle
+from oracles import ci_study_oracle, default_test_model, draw_noise_oracle, sv_paths_oracle
 
 
 CONST2 = ItoModelConfig(p=2, sigma_const=np.linalg.cholesky(np.array([[4e-4, 1e-4], [1e-4, 2e-4]])))
@@ -80,8 +86,6 @@ def test_ito_model_rejects_bad_parameters(field, value):
 
 def test_simulate_paths_memory_linear_in_p():
     # paths keep O(m p) floats: no (m, p, p) volatility tensor
-    import tracemalloc
-
     p, m = 10, 50_000
     times = np.linspace(0.0, 1.0, m + 1)
     # bounds in floats per (step, component): 6 for constant volatility, 12 for SV
@@ -270,6 +274,33 @@ def test_observe_partially_shared_noise_correlated_only_at_shared():
     assert abs(off_corr) < 0.12
 
 
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_draw_noise_equals_the_stamp_loop(p):
+    # each stamp of a 2001-point grid is in each scheme with probability 1/2,
+    # so every set of components shares some stamps
+    rng = np.random.default_rng(p)
+    grid = np.linspace(0.0, 1.0, 2001)
+    schemes = [SamplingScheme(grid[rng.random(grid.size) < 0.5], 1.0) for _ in range(p)]
+    a = rng.standard_normal((p, p))
+    noise = NoiseConfig(1e-6 * (a @ a.T + 0.1 * np.eye(p)))
+    got = sim._draw_noise(schemes, noise, np.random.default_rng(7))
+    want = draw_noise_oracle(schemes, noise, np.random.default_rng(7))
+    union = np.unique(np.concatenate([s.times for s in schemes]))
+    z = np.abs(np.random.default_rng(7).standard_normal((union.size, p)))
+    counts = np.zeros(union.size, dtype=int)
+    for s in schemes:
+        counts[np.searchsorted(union, s.times)] += 1
+    for l, s in enumerate(schemes):
+        at = np.searchsorted(union, s.times)
+        alone = counts[at] == 1
+        # a stamp of one component keeps its bits; a shared one moves by
+        # rounding only, against a bound on the sum of its absolute terms
+        np.testing.assert_array_equal(got[l][alone], want[l][alone])
+        scale = np.sqrt(noise.H[l, l]) * z[at[~alone]].sum(axis=1)
+        assert np.all(np.abs(got[l][~alone] - want[l][~alone]) <= 1e-15 * scale)
+        assert alone.any() and (~alone).any()
+
+
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-grid", "distinct-grids"])
 def test_observe_rejects_noise_of_wrong_dimension(shared):
     # unchecked, a 1x1 H broadcasts to two perfectly correlated noise series
@@ -317,3 +348,50 @@ def test_covest_threads_reproduces_serial(monkeypatch):
     for report in serial + threaded:
         report.pop("elapsed_s")
     assert serial == threaded
+
+
+def _ci_run(scenario, seed, study=None):
+    """``mc_validate(scenario)`` at 110 replicates, with ``_ci_study``
+    replaced by ``study`` if given: the report as JSON and the sorted digests
+    of the three series of every ``ci_test`` call."""
+    seen = []
+
+    def record(x1, x2, z, **kw):
+        seen.append(hashlib.sha256(b"".join(s.values.tobytes() for s in (x1, x2, z))).hexdigest())
+        return ci_test(x1, x2, z, **kw)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(sim, "ci_test", record))
+        stack.enter_context(mock.patch.object(citest, "ci_test", record))
+        if study is not None:
+            stack.enter_context(mock.patch.object(sim, "_ci_study", study))
+        report = mc_validate(scenario, replicates=110, seed=seed)
+    report.pop("elapsed_s")
+    return json.dumps(report, sort_keys=True), sorted(seen)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_ci_scenarios_equal_the_replicate_loop(monkeypatch, threads):
+    # three chunks, of 37, 37 and 36 replicates, give every replicate's
+    # series and every report byte of the replicate-at-a-time loop
+    monkeypatch.setattr(sim, "_SV_BUFFER_BYTES", 40 * 8 * 3001)
+    monkeypatch.setenv("COVEST_THREADS", threads)
+    for scenario in ("ci_size", "ci_power"):
+        for seed in (4, 11):
+            assert _ci_run(scenario, seed) == _ci_run(scenario, seed, ci_study_oracle)
+
+
+def test_ci_size_holds_one_chunk_of_variance_paths(monkeypatch):
+    # in chunks of 50 replicates, 400 replicates peak where 100 do, up to
+    # the generators of 300 more (about 0.25 MiB); 50 more columns would
+    # add 1.2 MB, 300 more 7.2 MB
+    monkeypatch.setattr(sim, "_SV_BUFFER_BYTES", 50 * 8 * 3001)
+    peaks = []
+    for replicates in (100, 400):
+        tracemalloc.start()
+        try:
+            mc_validate("ci_size", replicates=replicates, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**19, peaks
