@@ -380,7 +380,11 @@ def acov_rc_hat(data: Sequence[TickSeries], pairs) -> float:
     is exactly invariant under pair swap; the one-dimensional case reduces to
     ``2 n sum_i d_i^2 d_{i+1}^2``.  The leading factor ``n`` (rather than
     ``n/T``) makes the estimator consistent for the ``T int ...`` limit at
-    every horizon.
+    every horizon.  The entry comes from the Gram product of the p(p+1)/2
+    increment products of all components that :func:`acov_matrix_hat`
+    takes (O(p^4 n) time, O(p n + p^4) memory), so it has that matrix's
+    bits; it differs from the term-by-term sum by rounding, within 1e-12 of
+    the sum of its absolute terms.
     """
     _pair_components(pairs, len(data))
     return float(_acov_entries(data, "rc", pairs, None)[0][0, 1])
@@ -388,22 +392,36 @@ def acov_rc_hat(data: Sequence[TickSeries], pairs) -> float:
 
 def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
     """:func:`acov_rc_hat` for every two of the 1-based ``pairs``, from the
-    (p, n) increment matrix ``d`` of :func:`_sync_increments`.  With
-    ``u = d[:, :-1]``, ``v = d[:, 1:]``, ``S[a, b, c, e] =
-    sum_i u_a u_b v_c v_e`` takes one Gram product per component pair a <= b;
-    entry ``((k, l), (r, q))``, with each pair put in k <= l order (est_kl =
-    est_lk), is ``n (S[k, r, l, q] + (S[l, r, k, q] + S[k, q, l, r]) / 2)``.
-    Memory O(p n + p^4); exactly symmetric.
+    (p, n) increment matrix ``d`` of :func:`_sync_increments`.  The
+    q = p(p+1)/2 product rows ``P[slot(a, b)] = d_a d_b`` (a <= b, in svec
+    order) give ``G = sum_i P[:, i] P[:, i+1]^T``, which holds ``S[a, b, c,
+    e] = sum_i d_i(a) d_i(b) d_{i+1}(c) d_{i+1}(e)`` at ``G[slot(a, b),
+    slot(c, e)]``; entry ``((k, l), (r, q))``, with each pair put in k <= l
+    order (est_kl = est_lk), is ``n (S[k, r, l, q] + (S[l, r, k, q] +
+    S[k, q, l, r]) / 2)``.  G takes one matrix product per chunk of at most
+    ``max(2, p n // q)`` columns, so the product rows never hold more values
+    than ``d``: memory O(p n + q^2).  Consecutive chunks share one column, so
+    each adjacent pair (i, i+1) counts once.  G adds in BLAS order, so an
+    entry differs from its term-by-term sum by rounding (within 1e-12 of
+    the sum of its absolute terms); the q x q result is exactly symmetric.
+    Each chunk's product is one BLAS call, which OpenBLAS splits over
+    threads unless capped.
     """
     p, n = d.shape
-    u, v = d[:, :-1], d[:, 1:]
-    S = np.empty((p, p, p, p))
-    for a in range(p):
-        for b in range(a, p):
-            S[a, b] = S[b, a] = (v * (u[a] * u[b])) @ v.T
+    ka, kb = np.triu_indices(p)
+    slot = np.empty((p, p), dtype=np.intp)
+    slot[ka, kb] = slot[kb, ka] = np.arange(ka.size)
+    w = max(2, p * n // ka.size)
+    P, G = np.empty((ka.size, w)), np.zeros((ka.size, ka.size))
+    for s in range(0, n - 1, w - 1):
+        c = d[:, s : s + w]
+        m = c.shape[1]
+        for a in range(p):  # rows slot(a, a..p-1) = d_a d_a..p-1
+            np.multiply(c[a:], c[a], out=P[slot[a, a] : slot[a, a] + p - a, :m])
+        G += P[:, : m - 1] @ P[:, 1:m].T
     k, l = np.sort(np.array(pairs) - 1, axis=1).T[:, :, None]  # each pair in k <= l order
     r, q = k.T, l.T
-    e = n * (S[k, r, l, q] + 0.5 * (S[l, r, k, q] + S[k, q, l, r]))
+    e = n * (G[slot[k, r], slot[l, q]] + 0.5 * (G[slot[l, r], slot[k, q]] + G[slot[k, q], slot[l, r]]))
     return 0.5 * (e + e.T)
 
 

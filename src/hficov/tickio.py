@@ -69,6 +69,7 @@ def _parse_columns(path: Path) -> tuple[list[str], list[np.ndarray], list[np.nda
     if ids is None:
         return None
     names, key = _asset_index(ids)
+    del ids
     try:
         with open(path) as fh:
             num = np.loadtxt(fh, dtype=float, usecols=(1, 2), ndmin=2, delimiter=",", skiprows=1, comments=None)
@@ -79,6 +80,7 @@ def _parse_columns(path: Path) -> tuple[list[str], list[np.ndarray], list[np.nda
     # group rows by asset, assets in first-appearance order, rows in file order
     perm = np.argsort(key, kind="stable")
     cuts = np.cumsum(np.bincount(key))[:-1]
+    del key  # before the columns are gathered
     t, v = num[perm, 0], num[perm, 1]
     # strictly increasing times within each asset
     rising = t[1:] > t[:-1]
@@ -114,71 +116,96 @@ def _row_ids(data: bytes) -> np.ndarray | None:
         or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n"))
     ):
         return None
-    spans = _id_spans(data)
+    step = (csv.field_size_limit() + 1) // 2
+    spans = _id_spans(data, step)
     if spans is None:
         return None
-    starts, widths = spans
-    rows, w = starts.size, max(int(widths.max()), 1)
+    starts, w = spans
+    rows = starts.size
     # one fixed-width id per row: only while those bytes fit in the file's size
     if rows * w > n:
         return None
-    # each row's w bytes from its line start, those past the id zeroed; a
-    # line that starts in the last w bytes reads a zero-padded copy of them
+    # each row's w bytes from its line start; a line that starts in the last
+    # w bytes reads a zero-padded copy of them.  The gather takes as many rows
+    # at a time as fill one scan block at 8 bytes each, so numpy's intp copy
+    # of their int32 starts stays small (as does searchsorted's, given an int)
     tail = n - w
-    k = np.searchsorted(starts, tail, side="right")
+    k = int(np.searchsorted(starts, starts.dtype.type(tail), side="right"))
     window = np.lib.stride_tricks.sliding_window_view
+    head = window(np.frombuffer(data, np.uint8), w)
     raw = np.empty((rows, w), np.uint8)
-    raw[:k] = window(np.frombuffer(data, np.uint8), w)[starts[:k]]
+    b = max(step // 8, 1)
+    for i in range(0, k, b):
+        raw[i : min(i + b, k)] = head[starts[i : min(i + b, k)]]
     raw[k:] = window(np.frombuffer(data[tail:] + bytes(w), np.uint8), w)[starts[k:] - tail]
-    raw[np.arange(w) >= widths[:, None]] = 0
+    # an id ends at its line's first comma: zero that comma and the bytes after it
+    keep = raw != 44
+    for j in range(1, w):
+        keep[:, j] &= keep[:, j - 1]
+    raw *= keep
     return raw.view(f"S{w}")[:, 0]
 
 
-def _id_spans(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each row's line start and the width of its first field, or ``None``
-    when :func:`_line_marks` rejects the file or a line does not hold
-    exactly two commas.  The positions are freed before the ids are
-    gathered."""
-    marks = _line_marks(data)
+def _id_spans(data: bytes, step: int) -> tuple[np.ndarray, int] | None:
+    """Each row's line start and the width of the widest first field, or
+    ``None`` when :func:`_line_marks` rejects the file.  The first commas
+    are freed before the ids are gathered."""
+    marks = _line_marks(data, step)
     if marks is None:
         return None
-    ends, commas = marks
-    # line i holds commas 2i and 2i+1 and no other
-    if commas.size != 2 * ends.size or not ((commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()):
-        return None
-    starts = ends[:-1] + 1
-    return starts, commas[2::2] - starts
+    ends, firsts = marks
+    # in place: each row's line start, then the width of its id
+    starts = ends[:-1]
+    starts += 1
+    widths = firsts[1:]
+    widths -= starts
+    return starts, max(int(widths.max()), 1)
 
 
-def _line_marks(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+def _line_marks(data: bytes, step: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The line ends of ``data`` (the last one at ``len(data)`` when the file
-    has no final newline) and its comma positions, or ``None`` when a byte
-    is not in ``_PLAIN`` or a field is longer than ``csv.field_size_limit()``,
-    which the row parser rejects."""
+    has no final newline) and the first comma of each line, or ``None`` when
+    a byte is not in ``_PLAIN``, a line does not hold exactly two commas or a
+    field is longer than ``csv.field_size_limit()``, which the row parser
+    rejects."""
     limit = csv.field_size_limit()
     n = len(data)
     pos = np.int32 if n < 2**31 else np.int64
     buf = np.frombuffer(data, np.uint8)
-    ends, commas = [], []
-    # the scan walks aligned blocks of `step` bytes, so its masks and byte
-    # check copies stay small next to the file; a field over the limit covers
-    # a whole block, so only a block without a comma and a line end needs
-    # the exact search
-    step = (limit + 1) // 2
-    bare = False
-    for i in range(0, n, step):
+    # the scans walk aligned blocks of `step` bytes, so their masks and byte
+    # check copies stay small next to the file.  The first checks the bytes
+    # and counts the line ends, which sizes the arrays the second fills
+    blocks = range(0, n, step)
+    lines = int(data[-1] != ord("\n"))
+    for i in blocks:
         if data[i : i + step].translate(None, _PLAIN):
             return None
+        lines += int(np.count_nonzero(buf[i : i + step] == 10))
+    ends, firsts = np.empty(lines, pos), np.empty(lines, pos)
+    # the commas and line ends in file order: line j's are marks 3j, 3j + 1
+    # and 3j + 2.  With every mark 3j + 2 a line end, as many as the file
+    # holds, every other mark is a comma.  A field over the limit covers a
+    # whole block, so only a block without marks needs the exact search
+    nm = 0  # marks before the block
+    bare = False
+    for i in blocks:
         block = buf[i : i + step]
-        ends.append((np.flatnonzero(block == 10) + i).astype(pos))
-        commas.append((np.flatnonzero(block == 44) + i).astype(pos))
-        bare = bare or not (ends[-1].size or commas[-1].size)
+        at = block == 10
+        at |= block == 44
+        m = np.flatnonzero(at)
+        e, f = m[(2 - nm) % 3 :: 3], m[(-nm) % 3 :: 3]
+        if nm + m.size > 3 * lines or not (block[e] == 10).all():
+            return None
+        ends[nm // 3 : nm // 3 + e.size] = e + i
+        firsts[(nm + 2) // 3 : (nm + 2) // 3 + f.size] = f + i
+        nm += m.size
+        bare = bare or not m.size
+    if nm != 3 * lines - (data[-1] != ord("\n")):
+        return None
     if bare and re.search(rb"[^,\r\n]{%d}" % (limit + 1), data) is not None:
         return None
-    if data[-1] != ord("\n"):
-        ends.append(np.array([n], pos))
-    ends = np.concatenate(ends)  # frees the blocks before the commas are joined
-    return ends, np.concatenate(commas)
+    ends[nm // 3 :] = n
+    return ends, firsts
 
 
 def _parse_rows(path: Path) -> tuple[list[str], list[np.ndarray], list[np.ndarray]]:

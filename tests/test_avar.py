@@ -359,8 +359,34 @@ def test_acov_matrix_hat_rc_equals_entrywise_reference(data):
     np.testing.assert_allclose(e, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("p", [2, 3, 10])
+def test_acov_matrix_hat_rc_chunk_boundaries(p):
+    # the product rows are summed in chunks of w = max(2, p n // q) columns;
+    # consecutive chunks share a column, so a chunk covers w - 1 of the n - 1
+    # adjacent pairs.  n = 1 and 2, then n - 1 a multiple of w - 1 (two
+    # chunks or more) and one off on either side
+    q = p * (p + 1) // 2
+    per_chunk = lambda n: max(2, p * n // q) - 1
+    n0 = max(n for n in range(3, 500) if (n - 1) % per_chunk(n) == 0 and n - 1 >= 2 * per_chunk(n))
+    rng = np.random.default_rng(p)
+    plist = svec_pairs(p)
+    for n in (1, 2, n0 - 1, n0, n0 + 1):
+        t = np.linspace(0.0, 1.0, n + 1)
+        d = rng.standard_normal((p, n)) * 0.01
+        data = [series(t, np.concatenate([[0.0], np.cumsum(x)])) for x in d]
+        # the reference on |d|: the sum of the entry's absolute terms
+        mags = [series(t, np.concatenate([[0.0], np.cumsum(np.abs(s.increments()))])) for s in data]
+        e = acov_matrix_hat(data, "rc").entries
+        ref = np.array([[entrywise_acov_rc(data, (a, b)) for b in plist] for a in plist])
+        scale = np.array([[entrywise_acov_rc(mags, (a, b)) for b in plist] for a in plist])
+        assert np.array_equal(e, e.T)
+        assert np.all(np.abs(e - ref) <= 1e-12 * scale), n
+
+
 def test_acov_matrix_hat_rc_memory_without_product_columns():
-    # p=10, n=2e4: the increments take 1.6 MB; the two q x n product-column matrices would take 17.6 MB
+    # p=10, n=2e4: the increments take 1.5 MiB and one chunk of product rows
+    # as much (3.2 MiB in all); chunks twice as wide peak at 4.7 MiB, and
+    # the two q x n product-column matrices would take 17.6 MB
     data = _sync_data(np.random.default_rng(15), 10, 20_000)
     tracemalloc.start()
     try:
@@ -368,7 +394,7 @@ def test_acov_matrix_hat_rc_memory_without_product_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 4 * 2**20
 
 
 # ---------------------------------------------------------------------
