@@ -403,7 +403,9 @@ def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
     than ``d``: memory O(p n + q^2).  Consecutive chunks share one column, so
     each adjacent pair (i, i+1) counts once.  G adds in BLAS order, so an
     entry differs from its term-by-term sum by rounding (within 1e-12 of
-    the sum of its absolute terms); the q x q result is exactly symmetric.
+    the sum of its absolute terms).  The q x q result is exactly symmetric
+    as it stands: swapping the two pairs maps the first G slot of an entry
+    onto itself and the two G slots of its second addend onto each other.
     Each chunk's product is one BLAS call, which OpenBLAS splits over
     threads unless capped.
     """
@@ -421,8 +423,7 @@ def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
         G += P[:, : m - 1] @ P[:, 1:m].T
     k, l = np.sort(np.array(pairs) - 1, axis=1).T[:, :, None]  # each pair in k <= l order
     r, q = k.T, l.T
-    e = n * (G[slot[k, r], slot[l, q]] + 0.5 * (G[slot[l, r], slot[k, q]] + G[slot[k, q], slot[l, r]]))
-    return 0.5 * (e + e.T)
+    return n * (G[slot[k, r], slot[l, q]] + 0.5 * (G[slot[l, r], slot[k, q]] + G[slot[k, q], slot[l, r]]))
 
 
 @dataclass(frozen=True)
@@ -605,17 +606,13 @@ class _AcovPlan:
 
     def noise(self, idx: Sequence[int]) -> np.ndarray:
         """``noise_moments([data[v] for v in idx]).h_hat``; a pair's shared
-        timestamps and their indices are read off its stamp union."""
+        timestamps are read off its stamp union (:meth:`union`)."""
         H = np.diag([self._once(("noise", v), lambda: _noise_variance(self.data[v])) for v in idx])
         for x, y in itertools.combinations(range(len(idx)), 2):
             k, l = idx[x], idx[y]
-
-            def build():
-                union = self.union(k, l)
-                both = np.flatnonzero(union.both)
-                return _noise_covariance(self.data[k], self.data[l], (union.stamps[both], *union.count.take(both, axis=1)))
-
-            H[x, y] = H[y, x] = self._once(("noise", k, l), build)
+            H[x, y] = H[y, x] = self._once(
+                ("noise", k, l), lambda: _noise_covariance(self.data[k], self.data[l], self.union(k, l))
+            )
         return H
 
     def bracket(self, k: int, l: int, edges: np.ndarray, m_bin: int) -> np.ndarray:
@@ -801,7 +798,7 @@ def _union_refresh_count(data: Sequence[TickSeries], comps: tuple[int, ...]) -> 
     uniq = sorted(set(comps))
     times = data[uniq[0] - 1].scheme.times
     for v in uniq[1:]:
-        times, _ = _refresh_merge(times, data[v - 1].scheme.times)
+        times = _refresh_merge(times, data[v - 1].scheme.times)
         if times.size == 0:
             raise ValueError("schemes produce no refresh times (disjoint tick ranges)")
     return times.size - 1

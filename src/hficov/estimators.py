@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import KernelFunction, WeightScheme, builtin_kernel, cubic_weights, end_effect_adjust, weights_from_kernel
-from .sampling import SamplingScheme, SyncGrid, pairwise_refresh
+from .sampling import SamplingScheme, SyncGrid, _StampUnion, pairwise_refresh
 
 __all__ = [
     "TickSeries",
@@ -411,8 +411,8 @@ def noise_moments(data: Sequence[TickSeries]) -> NoiseMoments:
     H = np.diag([_noise_variance(s) for s in data])
     for k in range(p):
         for l in range(k + 1, p):
-            shared = np.intersect1d(data[k].scheme.times, data[l].scheme.times, return_indices=True)
-            H[k, l] = H[l, k] = _noise_covariance(data[k], data[l], shared)
+            union = _StampUnion(data[k].scheme.times, data[l].scheme.times)
+            H[k, l] = H[l, k] = _noise_covariance(data[k], data[l], union)
     return NoiseMoments(H)
 
 
@@ -424,14 +424,15 @@ def _noise_variance(s: TickSeries) -> float:
     return float(np.dot(d, d)) / (2.0 * s.n_increments)
 
 
-def _noise_covariance(a: TickSeries, b: TickSeries, shared: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+def _noise_covariance(a: TickSeries, b: TickSeries, union: _StampUnion) -> float:
     """The off-diagonal entry ``-mean(d_i(a) d_{i+1}(b))`` of
-    :func:`noise_moments`, from the stamps shared by a and b and their
-    indices in each, as ``np.intersect1d(ta, tb, return_indices=True)``
-    gives them."""
-    stamps, ia, ib = shared
-    if stamps.size < 3:
+    :func:`noise_moments`, on the stamps shared by a and b: the "both"
+    stamps of ``union``, the stamp union of a's and b's times in that
+    order, whose tick counts there are their indices in a and in b."""
+    both = np.flatnonzero(union.both)
+    if both.size < 3:
         return 0.0
+    ia, ib = union.count.take(both, axis=1)
     da = np.diff(a.values[ia])
     db = np.diff(b.values[ib])
     return -float(np.mean(da[:-1] * db[1:]))

@@ -9,13 +9,17 @@ primitives defined here:
 * the refresh-time recursion, which collapses two (or, applied twice, four)
   irregular observation schemes onto a common synchronous skeleton.
 
-Both are read off the stamp union of two schemes (:class:`_StampUnion`): one
-merge sorts and labels their distinct stamps, the refresh rule then fires on
-its run structure segment by segment, and each scheme's next and previous
-tick at a union stamp is a cumulative count of its labels, so no binary
-search is needed.  The histogram asymptotic covariance builds one union per
-component pair and reads its pairwise grids, bracket bins and overlap counts
-off it.
+Both have one home, the stamp union of two time arrays
+(:class:`_StampUnion`): one merge sorts and labels their distinct stamps,
+the refresh rule then fires on its run structure segment by segment, and
+each array's next and previous tick at a union stamp is a cumulative count
+of its labels, so no binary search is needed.  The tick rule at times that
+are not stamps of a scheme (:func:`tick_interpolation`, the index maps of a
+global grid) reads the union of the scheme with those times.  The stamps
+two schemes share are the union's "both" stamps: the noise moments read
+them there.  The histogram asymptotic covariance builds one union per
+component pair and reads its pairwise grids, bracket bins, shared stamps
+and overlap counts off it.
 
 All containers are immutable after construction and safe to share across
 workers (a :class:`SyncGrid` fills its index maps and interpolated times in
@@ -99,7 +103,7 @@ def tick_interpolation(scheme: SamplingScheme, s: float) -> tuple[float, float]:
     """
     if not 0.0 <= s <= scheme.horizon:
         raise ValueError(f"s={s!r} outside [0, {scheme.horizon}]")
-    nxt, prv = _index_maps([scheme.times], np.array([s], dtype=float))
+    nxt, prv = _tick_maps([scheme.times], np.array([s], dtype=float))
     return float(scheme.times[prv[0, 0]]), float(scheme.times[nxt[0, 0]])
 
 
@@ -139,7 +143,7 @@ class SyncGrid:
 
     def _filled_maps(self) -> tuple[np.ndarray, np.ndarray]:
         if self.maps is None:
-            object.__setattr__(self, "maps", _index_maps([s.times for s in self.source_schemes], self.refresh_times))
+            object.__setattr__(self, "maps", _tick_maps([s.times for s in self.source_schemes], self.refresh_times))
         return self.maps
 
     @property
@@ -163,8 +167,9 @@ class SyncGrid:
 
 class _StampUnion:
     """The sorted distinct stamps of two increasing time arrays ``a`` and
-    ``b``, built by one merge, and what the refresh rule and the tick rule
-    read off it.
+    ``b``, built by one merge, and the one home of what is read off it: the
+    tick rule (:meth:`maps`), the refresh rule (:meth:`fire`,
+    :meth:`refresh`) and the stamps the arrays share (``both``).
 
     * ``stamps``: the union, of size U; each stamp is a-only, b-only or both;
     * ``count[l, i]``: the number of ticks of array l (0 = a, 1 = b) at union
@@ -175,7 +180,8 @@ class _StampUnion:
       is that of tick c or U past the last tick, ``last[l][c]`` that of
       tick c - 1 or -1 before the first;
     * the labels the refresh rule reads: ``both`` (the stamp is in both
-      arrays) and ``change`` (an a-only stamp next to a b-only one).
+      arrays, so ``count[:, flatnonzero(both)]`` indexes the shared stamps
+      in a and b) and ``change`` (an a-only stamp next to a b-only one).
 
     :meth:`flipped` gives the same union with the roles of a and b swapped.
     """
@@ -214,20 +220,30 @@ class _StampUnion:
         return out
 
     def fire(self, cuts_a: np.ndarray, cuts_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Union positions of the refresh times of K segments, concatenated,
-        and the K + 1 bounds of each segment's share.
+        """The refresh rule: union positions of the refresh times of K
+        segments, concatenated, and the K + 1 bounds of each segment's share.
 
         ``cuts_a`` and ``cuts_b`` (length K + 1, nondecreasing) split the
         arrays into the segments ``a[cuts_a[j]:cuts_a[j+1]]`` and
         ``b[cuts_b[j]:cuts_b[j+1]]``, which must lie in one time window,
-        below every stamp of segment j + 1; a segment is then a range of
-        union positions.  Its tau_0 is the later of the two arrays' first
-        stamps in it and its last candidate the earlier of their last
-        stamps; it has no refresh time when one array has no tick in it or
-        tau_0 lies after that candidate.  Between them the refresh rule of
-        :func:`_refresh_merge` fires on the union's labels, with each run of
-        label changes restarted at the segment's first stamp after tau_0.
-        Time is linear in the union size, with about 30 numpy calls.
+        below every stamp of segment j + 1 (bins of one partition of time);
+        a segment is then a range of union positions.
+
+        Each segment is merged on its own: tau_0 is the larger first tick;
+        tau_i is the larger of the two first ticks strictly after tau_{i-1}.
+        Over the union of the stamps after tau_0, each labelled a-only,
+        b-only or both, a refresh fires at every "both" stamp, and at a
+        single-label stamp whose label differs from the previous stamp's
+        when the previous stamp did not fire (tau_0 counts as fired).
+        Inside a run of consecutive label changes the fire flag therefore
+        alternates, starting with "no" at the run's first stamp; runs end
+        at segment bounds, and each segment starts a new one at its first
+        stamp after tau_0.  Fires after the earlier of the segment's two
+        last ticks are dropped: from there on one array has no tick at or
+        after the candidate, so next-tick interpolation would be undefined.
+        A segment with no tick in one array, or whose tau_0 lies after that
+        cut, has no refresh times.  Time is linear in the union size, with
+        about 30 numpy calls.
         """
         first_a, first_b = self.first[0][cuts_a], self.first[1][cuts_b]
         q0 = np.maximum(first_a[:-1], first_b[:-1])
@@ -250,10 +266,18 @@ class _StampUnion:
         # a segment's refresh times lie at or after its first union position
         return pos, pos.searchsorted(np.minimum(first_a, first_b))
 
+    def refresh(self) -> np.ndarray:
+        """Union positions of the refresh times of the whole arrays:
+        :meth:`fire` on one segment."""
+        return self.fire(np.array([0, self.sizes[0]]), np.array([0, self.sizes[1]]))[0]
+
     def maps(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The tick rule at the nonempty increasing union positions ``pos``,
-        as :func:`_index_maps` gives it for ``stamps[pos]`` into ``(a, b)``,
-        with the same :class:`InterpolationError`."""
+        """The tick rule at the nonempty increasing union positions ``pos``:
+        next-/previous-tick indices ``min{i: t_i >= s}`` and
+        ``max{i: t_i <= s}`` of ``s = stamps[pos]`` into ``a`` (row 0) and
+        ``b`` (row 1).  Raises :class:`InterpolationError` for the first
+        stamp with no previous tick or the last with no next tick, checking
+        ``a`` before ``b``."""
         nxt, prv = self.count.take(pos, axis=1), self.count.take(pos + 1, axis=1) - 1
         for l, n in enumerate(self.sizes):
             if prv[l, 0] < 0:
@@ -263,53 +287,23 @@ class _StampUnion:
         return nxt, prv
 
 
-def _refresh_merge(
-    a: np.ndarray, b: np.ndarray, cuts_a: np.ndarray | None = None, cuts_b: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refresh times of two nonempty increasing time arrays, segment by
-    segment: the union of their stamps, then :meth:`_StampUnion.fire`.
-
-    ``cuts_a`` and ``cuts_b`` (length K + 1, nondecreasing) split the arrays
-    into K segments ``a[cuts_a[j]:cuts_a[j+1]]`` and ``b[cuts_b[j]:cuts_b[j+1]]``;
-    by default each array is one segment.  Segment j of both arrays must lie
-    in one time window, below every stamp of segment j + 1 (bins of one
-    partition of time).  Returns the refresh times of all segments,
-    concatenated, and the K + 1 bounds of each segment's share.
-
-    Each segment is merged on its own: tau_0 is the larger first tick;
-    tau_i is the larger of the two first ticks strictly after tau_{i-1}.
-    Over the union of the stamps after tau_0, each labelled a-only, b-only
-    or both, a refresh fires at every "both" stamp, and at a single-label
-    stamp whose label differs from the previous stamp's when the previous
-    stamp did not fire (tau_0 counts as fired).  Inside a run of consecutive
-    label changes the fire flag therefore alternates, starting with "no" at
-    the run's first stamp; runs end at segment bounds.  Fires after
-    ``min(a[-1], b[-1])`` of the segment are dropped: from there on one
-    array has no tick at or after the candidate, so next-tick interpolation
-    would be undefined.  A segment with no tick in one array, or whose
-    tau_0 lies after that cut, has no refresh times.
-    """
-    if cuts_a is None or cuts_b is None:
-        cuts_a, cuts_b = np.array([0, a.size]), np.array([0, b.size])
+def _refresh_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Refresh times of two nonempty increasing time arrays, read off the
+    union of their stamps (:meth:`_StampUnion.refresh`)."""
     union = _StampUnion(a, b)
-    pos, bounds = union.fire(cuts_a, cuts_b)
-    return union.stamps[pos], bounds
+    return union.stamps[union.refresh()]
 
 
-def _index_maps(times: Sequence[np.ndarray], refresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tick rule: next-/previous-tick indices ``min{i: t_i >= tau}`` and
-    ``max{i: t_i <= tau}`` of the nonempty increasing ``refresh`` times into
-    each increasing time array.  Raises :class:`InterpolationError` for the
-    first time with no previous tick or the last with no next tick."""
-    nxt = np.empty((len(times), refresh.size), dtype=np.int64)
+def _tick_maps(times: Sequence[np.ndarray], query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tick rule of the nonempty increasing ``query`` times into each
+    increasing time array, one int32 row per array: :meth:`_StampUnion.maps`
+    of the union of the array with the query times, at the query times'
+    union positions.  Raises :class:`InterpolationError` as it does."""
+    nxt = np.empty((len(times), query.size), dtype=np.int32)
     prv = np.empty_like(nxt)
     for l, t in enumerate(times):
-        nxt[l] = np.searchsorted(t, refresh, side="left")
-        prv[l] = np.searchsorted(t, refresh, side="right") - 1
-        if prv[l, 0] < 0:
-            raise InterpolationError("previous", float(refresh[0]))
-        if nxt[l, -1] >= t.size:
-            raise InterpolationError("next", float(refresh[-1]))
+        union = _StampUnion(t, query)
+        (nxt[l], _), (prv[l], _) = union.maps(union.ticks[1])
     return nxt, prv
 
 
@@ -326,7 +320,7 @@ def _pair_grid(union: _StampUnion, scheme_a: SamplingScheme, scheme_b: SamplingS
     """:func:`pairwise_refresh` read off the union of the two schemes' stamps."""
     if scheme_a.horizon != scheme_b.horizon:
         raise ValueError("schemes must share the horizon")
-    pos, _ = union.fire(np.array([0, len(scheme_a)]), np.array([0, len(scheme_b)]))
+    pos = union.refresh()
     if pos.size == 0:
         raise ValueError("schemes produce no refresh times (disjoint tick ranges)")
     return SyncGrid(union.stamps[pos], (scheme_a, scheme_b), union.maps(pos))
@@ -341,7 +335,7 @@ def global_refresh(grid_ab: SyncGrid, grid_cd: SyncGrid) -> SyncGrid:
     """
     if grid_ab.horizon != grid_cd.horizon:
         raise ValueError("grids must share the horizon")
-    refresh, _ = _refresh_merge(grid_ab.refresh_times, grid_cd.refresh_times)
+    refresh = _refresh_merge(grid_ab.refresh_times, grid_cd.refresh_times)
     if refresh.size == 0:
         raise ValueError("pairwise grids produce no common refresh times")
     return SyncGrid(refresh, grid_ab.source_schemes + grid_cd.source_schemes, pair_grids=(grid_ab, grid_cd))

@@ -408,14 +408,16 @@ def _overlap_count(
     of the compared schemes' stamps (so the arrays are nondecreasing and
     equal stamps have equal positions).
 
-    Matches of row ``r`` form the column range ``[lo_r, hi_r)``.  The
-    plus-matches (j, k) are enumerated (O(N): an interpolation array holds
-    a value at most twice), and the minus-matches in the rectangle of rows
-    ``[j - j^m_12, j)`` and columns ``[k - k^m_34, k)`` are counted as
-    ``sum_r min(hi_r, q1) - sum_r max(lo_r, q0)`` over the rows whose range
-    meets the column window, each sum a prefix-sum difference.  Every
-    lookup is a rank in a count array, so time is linear in the lengths and
-    the union size.
+    A pairwise grid has a tick of each series in every ``(tau_{j-1},
+    tau_j]``, so its previous-tick arrays strictly increase and its
+    next-tick arrays hold a value at most twice.  The plus-matches (j, k)
+    are enumerated (O(N)).  Each minus row matches at most one column, and
+    the m-th matched row pairs with the m-th matched column; with ``row[v]``
+    and ``col[v]`` the numbers of matched rows and columns below v, the
+    minus-matches in the rectangle of rows ``[j - j^m_12, j)`` and columns
+    ``[k - k^m_34, k)`` are the m in ``[max(row[r0], col[q0]), min(row[j],
+    col[k]))``.  Every lookup is a rank in a count array, so time is linear
+    in the lengths and the union size.
     """
     lo_p, hi_p = _match_ranges(a_plus, b_plus)
     width = hi_p - lo_p
@@ -423,23 +425,12 @@ def _overlap_count(
     k = lo_p[j] + np.arange(j.size) - np.repeat(np.cumsum(width) - width, width)
     keep = (j > 0) & (k > 0)
     j, k = j[keep], k[keep]
-    r0, r1 = j - np.minimum(j, m_12), j
-    q0, q1 = k - np.minimum(k, m_34), k
+    r0, q0 = j - np.minimum(j, m_12), k - np.minimum(k, m_34)
 
     lo, hi = _match_ranges(a_minus, b_minus)
-    # ranks of the column bounds: rank_hi[v] rows have hi_r < v; lo_r, hi_r <= n
-    n = b_minus.size
-    rank_hi, rank_lo = _ranks(hi, n + 1), _ranks(lo, n + 1)
-    # rows whose range meets [q0, q1): hi_r > q0 and lo_r < q1
-    b = np.maximum(r0, rank_hi[q0 + 1])
-    e = np.maximum(b, np.minimum(r1, rank_lo[q1]))
-    cum_hi = np.concatenate([[0], np.cumsum(hi)])
-    cum_lo = np.concatenate([[0], np.cumsum(lo)])
-    s = np.clip(rank_hi[q1], b, e)  # hi_r < q1 before s
-    t = np.clip(rank_lo[q0 + 1], b, e)  # lo_r <= q0 before t
-    inside = cum_hi[s] - cum_hi[b] + q1 * (e - s)
-    outside = q0 * (t - b) + cum_lo[e] - cum_lo[t]
-    return int(np.sum(inside - outside))
+    rows = np.flatnonzero(hi > lo)
+    row, col = _ranks(rows, a_minus.size), _ranks(lo[rows], b_minus.size)
+    return int(np.sum(np.maximum(0, np.minimum(row[j], col[k]) - np.maximum(row[r0], col[q0]))))
 
 
 def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:

@@ -518,9 +518,10 @@ def refresh_merge_oracle(a, b):
 
 
 def segmented_merge_oracle(a, b, cuts_a, cuts_b):
-    """``sampling._refresh_merge(a, b, cuts_a, cuts_b)`` as a loop of
-    :func:`refresh_merge_oracle` merges: ``(times, bounds)``, each segment's
-    refresh times in turn, none for a segment with no tick in one array."""
+    """``sampling._StampUnion(a, b).fire(cuts_a, cuts_b)``, read as stamps,
+    as a loop of :func:`refresh_merge_oracle` merges: ``(times, bounds)``,
+    each segment's refresh times in turn, none for a segment with no tick
+    in one array."""
     import numpy as np
 
     parts = []
@@ -528,6 +529,47 @@ def segmented_merge_oracle(a, b, cuts_a, cuts_b):
         seg_a, seg_b = a[cuts_a[j] : cuts_a[j + 1]], b[cuts_b[j] : cuts_b[j + 1]]
         parts.append(refresh_merge_oracle(seg_a, seg_b) if seg_a.size and seg_b.size else np.empty(0))
     return np.concatenate(parts), np.cumsum([0] + [x.size for x in parts])
+
+
+def index_maps_oracle(times, query):
+    """The tick rule by binary search: next-/previous-tick indices
+    ``min{i: t_i >= s}`` and ``max{i: t_i <= s}`` of the nonempty increasing
+    ``query`` times into each increasing time array.  Raises
+    ``sampling.InterpolationError`` for the first time with no previous
+    tick or the last with no next tick, array by array."""
+    import numpy as np
+
+    from hficov.sampling import InterpolationError
+
+    nxt = np.empty((len(times), query.size), dtype=np.int64)
+    prv = np.empty_like(nxt)
+    for l, t in enumerate(times):
+        nxt[l] = np.searchsorted(t, query, side="left")
+        prv[l] = np.searchsorted(t, query, side="right") - 1
+        if prv[l, 0] < 0:
+            raise InterpolationError("previous", float(query[0]))
+        if nxt[l, -1] >= t.size:
+            raise InterpolationError("next", float(query[-1]))
+    return nxt, prv
+
+
+def noise_moments_oracle(data):
+    """``estimators.noise_moments(data).h_hat`` with each pair's shared
+    stamps and their indices found by ``np.intersect1d``."""
+    import numpy as np
+
+    p = len(data)
+    H = np.zeros((p, p))
+    for k, s in enumerate(data):
+        d = np.diff(s.values)
+        H[k, k] = float(np.dot(d, d)) / (2.0 * d.size)
+    for k in range(p):
+        for l in range(k + 1, p):
+            stamps, ia, ib = np.intersect1d(data[k].scheme.times, data[l].scheme.times, return_indices=True)
+            if stamps.size >= 3:
+                da, db = np.diff(data[k].values[ia]), np.diff(data[l].values[ib])
+                H[k, l] = H[l, k] = -float(np.mean(da[:-1] * db[1:]))
+    return H
 
 
 def ci_study_oracle(alt_corr, replicates, seed, n):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hficov.avar as avar_module
@@ -35,6 +35,7 @@ from hficov.estimators import (
     _lag_sums,
     _same_times,
     generalized_multiscale,
+    noise_moments,
     svec_index,
     svec_pack,
     svec_pairs,
@@ -44,7 +45,7 @@ from hficov.citest import ci_test
 from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
-from oracles import abs_terms, acov_rc_oracle, isserlis_mc_oracle, multiscale_sum_loop
+from oracles import abs_terms, acov_rc_oracle, isserlis_mc_oracle, multiscale_sum_loop, noise_moments_oracle
 
 
 def series(times, values, T=1.0):
@@ -718,6 +719,41 @@ def test_union_refresh_count_equals_chained_grids(data, extra):
     assert _union_refresh_count(data, comps) == expect
 
 
+def assert_noise_read_off_the_union(data):
+    """``noise_moments`` and the acov plan's noise moments both read each
+    pair's shared stamps off its stamp union, with the bits of the
+    ``np.intersect1d`` reference."""
+    h = noise_moments(data).h_hat
+    assert np.array_equal(h, noise_moments_oracle(data))
+    assert np.array_equal(_AcovPlan(data, None).noise(range(len(data))), h)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(3, 40).flatmap(
+        lambda g: st.sampled_from([0.0, 9.7e3]).flatmap(
+            lambda off: st.lists(coarse_series(g, off), min_size=2, max_size=4)
+        )
+    )
+)
+def test_noise_moments_equal_intersect_reference_on_coarse_grids(data):
+    assume(all(len(s) >= 2 for s in data))
+    assert_noise_read_off_the_union(data)
+
+
+@pytest.mark.parametrize("shared", [0, 1, 2, 3, 4])
+def test_noise_moments_equal_intersect_reference_by_shared_count(shared):
+    # series 0 on k/20, series 1 on the midpoints and on ``shared`` of
+    # series 0's stamps, series 2 equal to series 0 but for its last stamp
+    rng = np.random.default_rng(shared)
+    t0 = np.arange(21) / 20
+    t1 = np.sort(np.concatenate([(np.arange(20) + 0.5) / 20, t0[[2, 7, 11, 15][:shared]]]))
+    t2 = np.concatenate([t0[:-1], [0.99]])
+    data = [series(t, rng.standard_normal(t.size).cumsum()) for t in (t0, t1, t2)]
+    assert np.intersect1d(t0, t1).size == shared
+    assert_noise_read_off_the_union(data)
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
@@ -843,7 +879,7 @@ def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(sampling_module, "_index_maps")
+    counted(sampling_module, "_tick_maps")
     counted(sampling_module, "_refresh_merge")
     counted(avar_module, "_refresh_merge")
     counted(np, "argsort")
@@ -866,7 +902,7 @@ def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
         for name in ("_StampUnion", "_pair_grid"):
             built = [v for k, v in calls.items() if k[0] == name]
             assert len(built) == n_pairs and set(built) == {1}
-        assert calls["pairwise_refresh"] == 0 and calls["_index_maps"] == 0
+        assert calls["pairwise_refresh"] == 0 and calls["_tick_maps"] == 0
 
 
 # ---------------------------------------------------------------------

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 from hficov.sampling import (
     InterpolationError,
     SamplingScheme,
-    _index_maps,
     _refresh_merge,
     _StampUnion,
+    _tick_maps,
     global_refresh,
     pairwise_refresh,
     tick_interpolation,
 )
 
-from oracles import refresh_merge_oracle, refresh_oracle, segmented_merge_oracle
+from oracles import index_maps_oracle, refresh_merge_oracle, refresh_oracle, segmented_merge_oracle
 
 
 def sch(*times, T=1.0):
@@ -162,9 +162,40 @@ def test_global_refresh_equals_oracle_twice(pair_ab, pair_cd):
 @given(coarse_pair())
 def test_refresh_merge_one_segment_equals_pair_merge(pair):
     a, b = (s.times for s in pair)
-    times, bounds = _refresh_merge(a, b)
-    assert np.array_equal(times, refresh_merge_oracle(a, b))
-    assert bounds.tolist() == [0, times.size]
+    assert np.array_equal(_refresh_merge(a, b), refresh_merge_oracle(a, b))
+    union = _StampUnion(a, b)
+    pos, bounds = union.fire(np.array([0, a.size]), np.array([0, b.size]))
+    assert np.array_equal(union.refresh(), pos)
+    assert bounds.tolist() == [0, pos.size]
+
+
+@given(coarse_pair())
+def test_pairwise_grid_previous_ticks_increase_and_next_ticks_repeat_at_most_twice(pair):
+    # a pairwise grid has a tick of each series in every (tau_{j-1}, tau_j]:
+    # the overlap count of timefuncs._overlap_count relies on both
+    assume(refresh_oracle(*[list(s.times) for s in pair]))
+    grid = pairwise_refresh(*pair)
+    assert np.all(np.diff(grid.prev_idx, axis=1) > 0)
+    for nxt in grid.next_idx:
+        assert np.bincount(nxt).max() <= 2
+
+
+@given(coarse_pair(), st.lists(st.integers(-1, 81), min_size=1, max_size=12, unique=True))
+def test_tick_maps_equal_search_oracle(pair, query):
+    # query times on a grid finer than the schemes' (on and between their
+    # stamps, before the first and after the last), the same error when a
+    # query time has no previous or next tick
+    times = [s.times for s in pair]
+    query = np.array(sorted(query)) / 80
+    try:
+        expect = index_maps_oracle(times, query)
+    except InterpolationError as exc:
+        with pytest.raises(InterpolationError) as got:
+            _tick_maps(times, query)
+        assert (got.value.side, got.value.s) == (exc.side, exc.s)
+        return
+    nxt, prv = _tick_maps(times, query)
+    assert np.array_equal(nxt, expect[0]) and np.array_equal(prv, expect[1])
 
 
 def _cut(a, b, cuts):
@@ -209,17 +240,19 @@ _A, _B = np.array([0.1, 0.4, 0.5, 0.9]), np.array([0.2, 0.4, 0.9, 1.0])
 @given(segmented_pair())
 def test_segmented_refresh_merge_equals_loop_of_merges(case):
     a, b, cuts_a, cuts_b = case
-    times, bounds = _refresh_merge(a, b, cuts_a, cuts_b)
+    union = _StampUnion(a, b)
+    pos, bounds = union.fire(cuts_a, cuts_b)
+    times = union.stamps[pos]
     expect_times, expect_bounds = segmented_merge_oracle(a, b, cuts_a, cuts_b)
     assert np.array_equal(times, expect_times)
     assert np.array_equal(bounds, expect_bounds)
 
 
 def assert_maps_equal_index_maps(union, a, b, pos):
-    """The union's tick rule at union positions ``pos`` is ``_index_maps`` at
-    their stamps, or raises the same ``InterpolationError``."""
+    """The union's tick rule at union positions ``pos`` is the binary-search
+    tick rule at their stamps, or raises the same ``InterpolationError``."""
     try:
-        expect = _index_maps([a, b], union.stamps[pos])
+        expect = index_maps_oracle([a, b], union.stamps[pos])
     except InterpolationError as exc:
         with pytest.raises(InterpolationError) as got:
             union.maps(pos)
@@ -277,9 +310,10 @@ def test_segmented_refresh_merge_hand_case():
     # tau_0 = 0.2, and 0.8 lies past min(0.7, 0.8); cut at 0.45, each half
     # has its own tau_0 (0.2, 0.6) and its own last tick (0.3, 0.7)
     a, b = np.array([0.1, 0.3, 0.5, 0.7]), np.array([0.2, 0.4, 0.6, 0.8])
-    assert _refresh_merge(a, b)[0].tolist() == [0.2, 0.4, 0.6]
-    times, bounds = _refresh_merge(a, b, np.array([0, 2, 4]), np.array([0, 2, 4]))
-    assert times.tolist() == [0.2, 0.6] and bounds.tolist() == [0, 1, 2]
+    assert _refresh_merge(a, b).tolist() == [0.2, 0.4, 0.6]
+    union = _StampUnion(a, b)
+    pos, bounds = union.fire(np.array([0, 2, 4]), np.array([0, 2, 4]))
+    assert union.stamps[pos].tolist() == [0.2, 0.6] and bounds.tolist() == [0, 1, 2]
 
 
 def test_refresh_count_bounded_by_min_scheme_size():
@@ -317,12 +351,15 @@ def test_refresh_index_maps_bracket_refresh_times():
 
 
 def test_index_maps_raise_interpolation_error_with_side_and_time():
-    t = np.array([0.2, 0.5, 0.7])
+    t = sch(0.2, 0.5, 0.7)
     with pytest.raises(InterpolationError) as exc:
-        _index_maps([t], np.array([0.1, 0.3]))
+        tick_interpolation(t, 0.1)
     assert (exc.value.side, exc.value.s) == ("previous", 0.1)
     with pytest.raises(InterpolationError) as exc:
-        _index_maps([t, np.array([0.0, 1.0])], np.array([0.3, 0.6, 0.9]))
+        tick_interpolation(t, 0.9)
+    assert (exc.value.side, exc.value.s) == ("next", 0.9)
+    with pytest.raises(InterpolationError) as exc:
+        _tick_maps([t.times, np.array([0.0, 1.0])], np.array([0.3, 0.6, 0.9]))
     assert (exc.value.side, exc.value.s) == ("next", 0.9)
 
 

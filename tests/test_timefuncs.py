@@ -380,6 +380,14 @@ def test_overlap_count_equals_dense_reference(case):
         assert _overlap_count(*args, m12, m34) == dense_overlap_count(*args, m12, m34)
 
 
+def test_overlap_count_of_a_rectangle_that_holds_no_minus_match():
+    # the plus-match (1, 2) has row window [0, 1) and column window [1, 2);
+    # the one minus-match (row 1, column 0) lies past the rows and before
+    # the columns, so its rank ranges cross and the count must clamp to 0
+    args = np.array([0, 5]), np.array([0, 3, 5]), np.array([0, 2]), np.array([2, 3, 4])
+    assert _overlap_count(*args, 1, 1) == dense_overlap_count(*args, 1, 1) == 0
+
+
 @given(coarse_quad())
 def test_sync_overlap_equals_counts_oracle_on_coarse_grids(case):
     assume(case is not None and len(case[0]) > 1)
