@@ -24,6 +24,7 @@ see the notes in that module.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -390,13 +391,27 @@ def acov_rc_hat(data: Sequence[TickSeries], pairs) -> float:
     return float(_acov_entries(data, "rc", pairs, None)[0][0, 1])
 
 
+@functools.lru_cache(maxsize=32)
+def _svec_slots(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The svec layout of p components as read-only tables: the 0-based row
+    of each of the q = p(p+1)/2 slots, and the (p, p) matrix whose entries
+    (a, b) and (b, a) hold the slot of 0-based (a, b), ``svec_index(p, a +
+    1, b + 1)`` for a <= b.  Cached, so every call at one p shares them."""
+    ka, kb = np.triu_indices(p)
+    slot = np.empty((p, p), dtype=np.intp)
+    slot[ka, kb] = slot[kb, ka] = np.arange(ka.size)
+    for table in (ka, slot):
+        table.flags.writeable = False
+    return ka, slot
+
+
 def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
     """:func:`acov_rc_hat` for every two of the 1-based ``pairs``, from the
     (p, n) increment matrix ``d`` of :func:`_sync_increments`.  The
     q = p(p+1)/2 product rows ``P[slot(a, b)] = d_a d_b`` (a <= b, in svec
-    order) give ``G = sum_i P[:, i] P[:, i+1]^T``, which holds ``S[a, b, c,
-    e] = sum_i d_i(a) d_i(b) d_{i+1}(c) d_{i+1}(e)`` at ``G[slot(a, b),
-    slot(c, e)]``; entry ``((k, l), (r, q))``, with each pair put in k <= l
+    order; ``slot`` is the cached table of :func:`_svec_slots`) give ``G =
+    sum_i P[:, i] P[:, i+1]^T``, which holds ``S[a, b, c, e] = sum_i d_i(a)
+    d_i(b) d_{i+1}(c) d_{i+1}(e)`` at ``G[slot(a, b), slot(c, e)]``; entry ``((k, l), (r, q))``, with each pair put in k <= l
     order (est_kl = est_lk), is ``n (S[k, r, l, q] + (S[l, r, k, q] +
     S[k, q, l, r]) / 2)``.  G takes one matrix product per chunk of at most
     ``max(2, p n // q)`` columns, so the product rows never hold more values
@@ -410,9 +425,7 @@ def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
     threads unless capped.
     """
     p, n = d.shape
-    ka, kb = np.triu_indices(p)
-    slot = np.empty((p, p), dtype=np.intp)
-    slot[ka, kb] = slot[kb, ka] = np.arange(ka.size)
+    ka, slot = _svec_slots(p)
     w = max(2, p * n // ka.size)
     P, G = np.empty((ka.size, w)), np.zeros((ka.size, ka.size))
     for s in range(0, n - 1, w - 1):

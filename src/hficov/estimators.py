@@ -83,8 +83,10 @@ class TickSeries:
 
 
 def _same_times(schemes: Sequence[SamplingScheme]) -> bool:
-    """Whether all schemes observe at exactly the same times."""
-    return all(np.array_equal(s.times, schemes[0].times) for s in schemes[1:])
+    """Whether all schemes observe at exactly the same times (a scheme whose
+    times are the first scheme's array is not compared)."""
+    t = schemes[0].times
+    return all(s.times is t or np.array_equal(s.times, t) for s in schemes[1:])
 
 
 def _sync_increments(data: Sequence[TickSeries], error: str) -> np.ndarray:
@@ -135,11 +137,12 @@ def _lag_block(V: np.ndarray, units: Sequence[tuple[int, ...]], starts: np.ndarr
     every lag and no bin reads another's slots.  Each key (up row, lo row)
     forms its lag differences once for every unit that reads it, in steps
     of as many scales as keep them within ``_BLOCK_VALUES`` values; the
-    first key of each unit is zeroed where a product is not summed (only
-    the first ``max(M, h)`` and the last slots can hold such products), and
-    one ``np.matmul`` of stacked rows (a BLAS dot per row) sums a unit's
-    products per (bin, scale).  A (scale, bin) with a zero coefficient adds
-    exactly 0, whatever its products.
+    first key of each unit forms its differences by one masked subtract
+    into a zeroed buffer, so it is 0 where a product is not summed (at a
+    slot that reads a lag source before its bin, lies in its first h or
+    past its last slot), and one ``np.matmul`` of stacked rows (a BLAS dot
+    per row) sums a unit's products per (bin, scale).  A (scale, bin) with
+    a zero coefficient adds exactly 0, whatever its products.
     """
     (M, B), w = C.shape, int(n1.max())
     keys = {}  # (up row, lo row) -> its index
@@ -152,8 +155,6 @@ def _lag_block(V: np.ndarray, units: Sequence[tuple[int, ...]], starts: np.ndarr
     after = np.ndarray((M, w), bool, step, 0, (1, 1))  # after[M - i, j]: slot j reads no lag source before its bin
     j = np.arange(w)
     summed = ((j >= h[:, None]) & (j < n1[:, None]))[:, None]
-    H = max(M, int(h.max()))  # a product before slot H may read a lag source,
-    T = max(H, int(n1.min()))  # and one from slot T on may lie past its bin
     m = max(1, min(M, _BLOCK_VALUES // (len(keys) * B * w)))  # scales per step
     D = np.empty((len(keys), B, m, w))
     sums = np.zeros((len(units), B, M, 1, 1))  # sums[:, u, M - i]: the lag-i sum of bin u
@@ -162,13 +163,11 @@ def _lag_block(V: np.ndarray, units: Sequence[tuple[int, ...]], starts: np.ndarr
         for r0 in range(0, M, m):  # rows r0 .. r1 - 1 of the lag view
             r1 = min(r0 + m, M)
             d = D[:, :, : r1 - r0]
-            head = after[r0:r1, :H] & summed[..., :H]
+            mask = after[r0:r1] & summed
             for key, (up, lo) in enumerate(keys):
-                np.subtract(P[up, :, None, M:], lags[lo, :, r0:r1], out=d[key])
                 if key in first:
-                    d[key, ..., :H] *= head
-                    if T < w:
-                        d[key, ..., T:] *= summed[..., T:]
+                    d[key] = 0.0
+                np.subtract(P[up, :, None, M:], lags[lo, :, r0:r1], out=d[key], where=mask if key in first else True)
             for (a, b), row in zip(pairs, sums):
                 np.matmul(d[a, :, :, None], d[b, ..., None], out=row[:, r0:r1])
         C = C.T[:, ::-1]
@@ -322,14 +321,32 @@ def kernel_estimator(
     return _kernel_pairs([a.values, b.values], [(0, 1)], kernel, H, adjusted)[0]
 
 
-def _hy_pairs(data: Sequence[TickSeries], pairs: Sequence[tuple[int, int]]) -> list[float]:
+def _overlap_windows(tx: np.ndarray, ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each interval i of the times ``tx``, the range ``[lo[i], hi[i])``
+    of the intervals of ``ty`` that it overlaps: y-interval k = (ty[k],
+    ty[k+1]] overlaps (tx[i], tx[i+1]] iff ty[k+1] > tx[i] and ty[k] <
+    tx[i+1], and the overlapping k form a range."""
+    k_lo = np.searchsorted(ty[1:], tx[:-1], side="right")
+    k_hi = np.searchsorted(ty[:-1], tx[1:], side="left")
+    return k_lo, np.maximum(k_hi, k_lo)
+
+
+def _hy_pairs(data: Sequence[TickSeries], pairs: Sequence[tuple[int, int]], windows: dict | None = None) -> list[float]:
     """Overlap estimates, one per ``(k, l)`` in ``pairs``: each series'
     increments and prefix sums are formed once, and the overlap windows once
     per ordered pair of distinct tick-time arrays (series on equal times
     share them).  Each pair sums in a total order of its two series (length,
     then the bytes of the times, then of the values), so the estimate is
     bit-exact in its two arguments and a pair of a matrix has the bits of the
-    one-pair call."""
+    one-pair call.
+
+    ``windows``, if given, holds the :func:`_overlap_windows` of earlier
+    calls, keyed by the pair ``(tx.tobytes(), ty.tobytes())`` of the time
+    arrays in summing order, and gets this call's new ones: callers whose
+    schemes stay fixed (Monte Carlo replicates) find each pair's windows
+    once.  A pair's bits do not depend on whether its windows were found or
+    looked up.  Threads may share one dict: each entry depends on its key
+    alone, so a race at most finds the same windows twice."""
     for k, l in pairs:
         a, b = data[k], data[l]
         if len(a) < 2 or len(b) < 2:
@@ -340,17 +357,13 @@ def _hy_pairs(data: Sequence[TickSeries], pairs: Sequence[tuple[int, int]]) -> l
     keys = [(len(s), shared.setdefault(t := s.scheme.times.tobytes(), t), s.values.tobytes()) for s in data]  # the total order
     d = [s.increments() for s in data]
     cum = [np.concatenate([[0.0], np.cumsum(x)]) for x in d]
-    windows, out = {}, []  # (times bytes of x, of y) -> the overlap windows
+    windows = {} if windows is None else windows
+    out = []
     for k, l in pairs:
         x, y = (k, l) if keys[k] <= keys[l] else (l, k)
         at = keys[x][1], keys[y][1]
         if at not in windows:
-            # y-interval k = (ty[k], ty[k+1]] overlaps (tx[i], tx[i+1]] iff
-            # ty[k+1] > tx[i] and ty[k] < tx[i+1]; the overlapping k form a range.
-            tx, ty = data[x].scheme.times, data[y].scheme.times
-            k_lo = np.searchsorted(ty[1:], tx[:-1], side="right")
-            k_hi = np.searchsorted(ty[:-1], tx[1:], side="left")
-            windows[at] = k_lo, np.maximum(k_hi, k_lo)
+            windows[at] = _overlap_windows(data[x].scheme.times, data[y].scheme.times)
         lo, hi = windows[at]
         out.append(float(np.dot(d[x], cum[y][hi] - cum[y][lo])))
     return out

@@ -40,12 +40,12 @@ from .estimators import (
     EstimatorConfig,
     TickSeries,
     _estimate_matrix,
+    _hy_pairs,
     _ms_frequency,
     _same_times,
     _sync_increments,
     end_effect_adjust,
     generalized_multiscale,
-    hayashi_yoshida,
     kernel_estimator,
     multiscale,
     multiscale_adjusted,
@@ -212,21 +212,36 @@ def simulate_paths(model: ItoModelConfig, rng: np.random.Generator | int, times:
     grid.  Variance processes are full-truncated at zero and stepped all
     p components at once by :func:`_sv_recursion`, one numpy row per step
     (about 3 us a step whatever p is: some 9 ms for a lone 3000-step
-    path).  Memory is O(m p) for m grid steps.
+    path).  Memory is O(m p) for m grid steps.  It is :func:`_simulate`
+    of the grid's :func:`_grid_steps`.
     """
     rng = np.random.default_rng(rng)
-    T, p = model.T, model.p
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or abs(times[-1] - T) > 1e-12:
+    return _simulate(model, rng, times, *_grid_steps(model, times))
+
+
+def _grid_steps(model: ItoModelConfig, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steps ``dt`` of the float simulation grid ``times``, after
+    checking that it spans ``[0, T]`` and strictly increases, and
+    ``sqrt(dt)[:, None]``."""
+    if times[0] != 0.0 or abs(times[-1] - model.T) > 1e-12:
         raise ValueError("simulation times must span [0, T]")
     dt = np.diff(times)
     if not np.all(dt > 0.0):
         raise ValueError("simulation times must be strictly increasing")
-    m = dt.size
+    return dt, np.sqrt(dt)[:, None]
 
+
+def _simulate(model: ItoModelConfig, rng: np.random.Generator, times: np.ndarray, dt: np.ndarray, sqdt: np.ndarray) -> SimulatedPaths:
+    """:func:`simulate_paths` on the grid ``times`` whose
+    :func:`_grid_steps` are ``dt`` and ``sqdt``.  Scenarios whose grid is
+    fixed form the steps once and call it for every replicate; threads may
+    share them, since nothing here writes to them."""
+    T, p = model.T, model.p
+    m = dt.size
     if not model.stochastic_vol:
         sig = model.sigma_const
-        dw = rng.standard_normal((m, p)) * np.sqrt(dt)[:, None]
+        dw = rng.standard_normal((m, p)) * sqdt
         dx = dw @ sig.T
         x = np.concatenate([np.zeros((1, p)), np.cumsum(dx, axis=0)]).T
         return SimulatedPaths(times, x, (sig @ sig.T) * T)
@@ -234,7 +249,7 @@ def simulate_paths(model: ItoModelConfig, rng: np.random.Generator | int, times:
     v = np.empty((m + 1, p))
     z_price = _sv_normals(model, rng, v[1:])
     _sv_recursion(model, dt, v)
-    vols, x = _sv_prices(v, z_price, np.sqrt(dt)[:, None])
+    vols, x = _sv_prices(v, z_price, sqdt)
     icov = np.diag(np.einsum("mi,m->i", vols**2, dt))
     return SimulatedPaths(times, x.T, icov)
 
@@ -476,10 +491,11 @@ def scenario_rc_clt(replicates: int = 2000, seed: int = 20260808, n: int = 5000)
     est = np.empty((replicates, q))
     hit = np.zeros((replicates, q), dtype=bool)
     zcrit = 1.959963984540054
-    snapped = [_snap_scheme(SamplingScheme(times, T), times)] * p
+    steps = _grid_steps(model, times)
+    snapped = [_snap_scheme(SamplingScheme(times, T), times)] * p  # one scheme object for all series
     pairs = svec_pairs(p)
     def one(i, rng):
-        paths = simulate_paths(model, rng, times=times)
+        paths = _simulate(model, rng, times, *steps)
         data = _observe_snapped(paths, snapped, None, rng)
         # the estimate and its acov share one increment matrix
         incs = _sync_increments(data, "rc_clt observes on one grid")
@@ -518,6 +534,7 @@ def scenario_ms_kernel_equivalence(replicates: int = 200, seed: int = 20260808, 
     model = ItoModelConfig(p=2, T=T, sigma_const=sig)
     noise = NoiseConfig(H)
     times = np.linspace(0.0, T, n + 1)
+    steps = _grid_steps(model, times)
     snapped = [_snap_scheme(SamplingScheme(times, T), times)] * 2
     M = _ms_frequency(1.0, n)
     w = cubic_weights(M)
@@ -527,7 +544,7 @@ def scenario_ms_kernel_equivalence(replicates: int = 200, seed: int = 20260808, 
     k_adj = np.empty(replicates)
     raw_gap = np.empty(replicates)
     def one(i, rng):
-        paths = simulate_paths(model, rng, times=times)
+        paths = _simulate(model, rng, times, *steps)
         data = _observe_snapped(paths, snapped, noise, rng)
         a, b = data
         ms_raw = multiscale(a, b, w)
@@ -569,11 +586,13 @@ def _rate_study(kind: str, replicates: int, seed: int, ns: Sequence[int]) -> dic
         N = len(grid) - 1
         w = end_effect_adjust(cubic_weights(_ms_frequency(1.0, N)), N)
         snapped = [_snap_scheme(sch, union) for sch in schemes]
+        steps = _grid_steps(model, union)
+        windows: dict = {}  # the overlap windows of this n's two schemes
         def one(i, rng):
-            paths = simulate_paths(model, rng, times=union)
+            paths = _simulate(model, rng, union, *steps)
             data = _observe_snapped(paths, snapped, noise, rng)
             if kind == "hy":
-                v = hayashi_yoshida(data[0], data[1])
+                v = _hy_pairs(data, [(0, 1)], windows)[0]
             else:
                 v = generalized_multiscale(data[0], data[1], w, grid=grid)
             errs[i] = v - truth
@@ -626,11 +645,12 @@ def scenario_hy_acov(replicates: int = 1000, seed: int = 20260808, n: int = 1200
     est12 = np.empty(replicates)
     est34 = np.empty(replicates)
     snapped = [_snap_scheme(sch, union) for sch in schemes]
+    steps = _grid_steps(model, union)
+    windows: dict = {}  # the overlap windows of the fixed schemes, for every replicate
     def one(i, rng):
-        paths = simulate_paths(model, rng, times=union)
+        paths = _simulate(model, rng, union, *steps)
         data = _observe_snapped(paths, snapped, None, rng)
-        est12[i] = hayashi_yoshida(data[0], data[1])
-        est34[i] = hayashi_yoshida(data[2], data[3])
+        est12[i], est34[i] = _hy_pairs(data, [(0, 1), (2, 3)], windows)
 
     _replicate_map(one, _spawn_rngs(seed, replicates))
     emp = N * float(np.cov(est12, est34)[0, 1])
@@ -664,9 +684,10 @@ def scenario_gms_acov_async(replicates: int = 2000, seed: int = 20260808, n: int
     est34 = np.empty(replicates)
     data_first: dict = {}
     snapped = [_snap_scheme(sch, union) for sch in schemes]
+    steps = _grid_steps(model, union)
 
     def one(i, rng):
-        paths = simulate_paths(model, rng, times=union)
+        paths = _simulate(model, rng, union, *steps)
         data = _observe_snapped(paths, snapped, noise, rng)
         if i == 0:
             data_first[0] = data

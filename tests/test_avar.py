@@ -17,6 +17,7 @@ from hficov.avar import (
     TheoryInputs,
     _AcovPlan,
     _bracket_bins,
+    _svec_slots,
     _union_refresh_count,
     acov_gms_hat,
     acov_matrix_hat,
@@ -113,6 +114,19 @@ def test_svec_roundtrip_and_order():
         for pos, (k, l) in enumerate(svec_pairs(p)):
             assert svec_index(p, k, l) == pos
             assert v[pos] == m[k - 1, l - 1]
+
+
+def test_svec_slots_are_the_svec_layout_read_only():
+    for p in range(1, 13):
+        ka, slot = _svec_slots(p)
+        assert _svec_slots(p)[1] is slot  # one cached table per p
+        for k, l in svec_pairs(p):
+            assert slot[k - 1, l - 1] == slot[l - 1, k - 1] == svec_index(p, k, l)
+            assert ka[svec_index(p, k, l)] == k - 1
+        assert ka.size == p * (p + 1) // 2
+        for table in (ka, slot):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
 
 
 def test_svec_p5_counts():

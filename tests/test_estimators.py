@@ -312,6 +312,27 @@ def test_hy_matrix_has_the_bits_of_the_pairwise_calls(data):
     assert np.array_equal(estimate_matrix(data, "hy").matrix, want)
 
 
+def test_hy_pairs_with_one_windows_dict_has_the_bits_of_fresh_calls():
+    # Monte Carlo replicates share one windows dict over fixed schemes; each
+    # call's estimates are those of a call that finds its own windows, also
+    # where equal lengths or identical times leave the values to pick the
+    # summing order of a pair
+    rng = np.random.default_rng(4)
+    poisson = [np.unique(np.concatenate([[0.0], rng.uniform(0, 1, 30), [1.0]])) for _ in range(3)]
+    assert poisson[0].size == poisson[2].size  # two schemes of one length
+    schemes = [SamplingScheme(t, 1.0) for t in (*poisson, poisson[0], poisson[0].copy())]
+    pairs = [(0, 1), (0, 2), (2, 0), (0, 3), (3, 4), (4, 0), (1, 4)]
+    windows = {}
+    for _ in range(20):
+        data = [TickSeries(s, rng.standard_normal(len(s)).cumsum()) for s in schemes]
+        got = estimators_module._hy_pairs(data, pairs, windows)
+        assert got == estimators_module._hy_pairs(data, pairs)
+        assert got == [hayashi_yoshida(data[k], data[l]) for k, l in pairs]
+    # one entry per pair of distinct time arrays in summing order, (0, 1) or
+    # (1, 0) and (0, 2) or (2, 0), and one for the equal times of 0, 3 and 4
+    assert len(windows) == 3
+
+
 def test_hy_needs_two_observations():
     single = series([0.5], [1.0])
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hficov import citest, sim
+from hficov import citest, estimators, sim
 from hficov.citest import ci_test
 from hficov.estimators import TickSeries, realized_cov
 from hficov.sampling import SamplingScheme
@@ -340,8 +340,16 @@ def test_rc_clt_differences_each_series_once_per_replicate():
     assert incs.call_count == 4 * 100
 
 
+def test_hy_acov_finds_the_overlap_windows_once_per_scenario():
+    # two pairs of fixed schemes: each pair's windows once, not once per replicate
+    with mock.patch.object(estimators, "_overlap_windows", side_effect=estimators._overlap_windows) as windows:
+        mc_validate("hy_acov", replicates=100, n=200)
+    assert windows.call_count == 2
+
+
 def test_covest_threads_reproduces_serial(monkeypatch):
-    runs = [("hy_acov", 150, {"n": 250}), ("ci_size", 100, {})]
+    # worker threads share the scenarios' grid steps and overlap windows
+    runs = [("hy_acov", 150, {"n": 250}), ("ci_size", 100, {}), ("rate_hy", 100, {"ns": (300, 600)}), ("rc_clt", 100, {"n": 500})]
     serial = [mc_validate(name, replicates=r, seed=9, **kw) for name, r, kw in runs]
     monkeypatch.setenv("COVEST_THREADS", "3")
     threaded = [mc_validate(name, replicates=r, seed=9, **kw) for name, r, kw in runs]

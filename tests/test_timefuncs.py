@@ -355,6 +355,18 @@ def coarse_quad(draw, jitter=False):
     return glob, draw(st.integers(1, 6)), draw(st.integers(1, 6))
 
 
+@st.composite
+def long_quad(draw):
+    """Four schemes of 10 to 120 ticks on a grid k/g of [0, 1], g from 40 to
+    150, drawn by numpy from a drawn seed, and the multi-scale frequencies:
+    long enough that many minus-matches lie below a column."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = int(rng.integers(40, 151))
+    schemes = [sch(np.sort(rng.choice(g + 1, rng.integers(10, min(120, g + 1) + 1), replace=False)) / g) for _ in range(4)]
+    glob = global_refresh(pairwise_refresh(*schemes[:2]), pairwise_refresh(*schemes[2:]))
+    return glob, draw(st.integers(1, 10)), draw(st.integers(1, 10))
+
+
 def _brackets(glob):
     """The four (plus, plus, minus, minus) argument sets of the s_hat counts,
     each stamp as its position among all stamps of the four schemes."""
@@ -372,7 +384,7 @@ def _brackets(glob):
     ]
 
 
-@given(st.booleans().flatmap(lambda jitter: coarse_quad(jitter)))
+@given(st.one_of(st.booleans().flatmap(lambda jitter: coarse_quad(jitter)), long_quad()))
 def test_overlap_count_equals_dense_reference(case):
     assume(case is not None)
     glob, m12, m34 = case
