@@ -16,13 +16,16 @@ The menu, in increasing generality:
 
 ``estimate_matrix`` assembles the full p x p matrix and packs it into the
 half-vectorized (svec) layout used by the asymptotic covariance machinery.
-Every multi-scale sum (``multiscale``, ``generalized_multiscale``, the
-``ms`` and ``gms`` matrices, the gms acov brackets of ``hficov.avar``) goes
-through one core, ``_lag_sums``, within rounding of a scale loop.  The
-``kernel`` matrix filters each series' increments once by one direct
-convolution, and the ``hy`` matrix forms each series' prefix sums once and
-each pair of tick-time arrays' overlap windows once; both have the bits of
-the one-pair call.
+The ``kernel`` matrix and every multi-scale sum over whole rows
+(``multiscale``, the ``ms`` matrix, and ``generalized_multiscale`` where
+the skeleton rows are the series' own levels, as on synchronous schemes)
+filter each series' increments once by one direct convolution,
+``_autocov_pairs``; a multi-scale sum then subtracts its end effects in
+closed form.  The other multi-scale sums (asynchronous ``gms`` pairs, the
+gms acov brackets of ``hficov.avar``) go through ``_lag_sums``.  Both are
+within rounding of a scale loop.  The ``hy`` matrix forms each series'
+prefix sums once and each pair of tick-time arrays' overlap windows once.
+Each pair of these matrices has the bits of the one-pair call.
 """
 
 from __future__ import annotations
@@ -183,7 +186,9 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
     0 past the bin's own M < n1).  Both forms add in another order than a
     scale loop, within 1e-12 of its sum of absolute terms; a unit's bits
     depend on its own rows only, not on their indices, the other units or
-    the order of its series.
+    the order of its series.  It sums the asynchronous gms pairs and the
+    gms acov brackets; whole-row sums on the series' own levels (``ms``,
+    synchronous gms pairs) take :func:`_multiscale_pairs` instead.
 
     *Block*, when ``S M <= _BLOCK_VALUES`` (M = ``C.shape[0]``): the
     :func:`_lag_block` of the bins.
@@ -254,33 +259,70 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
     return out
 
 
-def _whole_row_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, int, int, int]], w: WeightScheme) -> np.ndarray:
-    """:func:`_lag_sums` of ``units`` over whole rows (one bin) at the weights ``w``."""
-    if w.M >= len(V[0]):
-        raise ValueError(f"multi-scale frequency M={w.M} exceeds n={len(V[0]) - 1}")
-    return _lag_sums(V, units, np.zeros(1, int), np.array([len(V[0])]), (w.alphas / w.scales)[:, None])[:, 0]
+def _autocov_pairs(d: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], weights: np.ndarray) -> list[float]:
+    """Weighted sums of increment autocovariances of synchronous series, one
+    per ``(k, l)`` in ``pairs``: ``weights[0] d_k . d_l`` plus
+    ``d_k . f_l + d_l . f_k``, where ``f_x[j] = sum_{h>=1} weights[h] d_x[j - h]``
+    is one direct convolution of the increments ``d[x]``, formed once per
+    series.  Each entry depends on its own two series only, in either order,
+    so a pair of a matrix has the bits of the one-pair call; a zero product
+    adds exactly 0, so where no lag term is nonzero (a still series, or two
+    that never move within the lags) an entry is its lag-0 term.
+    """
+    n = d[0].size
+    lags = np.concatenate([[0.0], weights[1:]])
+    f = [np.convolve(x, lags)[:n] for x in d]
+    lag0 = float(weights[0])
+    return [float(np.dot(d[k], d[l])) * lag0 + float(np.dot(d[k], f[l]) + np.dot(d[l], f[k])) for k, l in pairs]
 
 
 def _kernel_pairs(
     values: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], kernel: KernelFunction, H: int, adjusted: bool
 ) -> list[float]:
     """Kernel estimates of synchronous series, one per ``(k, l)`` in ``pairs``:
-    ``d_k . d_l`` (times ``(n-1)/n`` if ``adjusted``) plus
-    ``d_k . f_l + d_l . f_k``, where ``f_x[j] = sum_h K(h/H) d_x[j - h]`` is
-    one direct convolution of the increments of series x, formed once per
-    series.  Each entry depends on its own two series only, in either order,
-    so a pair of a matrix has the bits of the one-pair call; a zero product
-    adds exactly 0, so where no lag term is nonzero (a still series, or two
-    that never move within H lags) an entry is its lag-0 term.
+    the :func:`_autocov_pairs` of their increments at the weights ``K(h/H)``
+    for h = 1..H and ``(n-1)/n`` (``adjusted``) or 1 at lag 0.
     """
     n = values[0].size - 1
     if not 1 <= H < n:
         raise ValueError(f"need 1 <= H < n, got H={H}, n={n}")
-    d = [np.diff(v) for v in values]
-    K = np.array([0.0, *(kernel.k(h / H) for h in range(1, H + 1))])
-    f = [np.convolve(x, K)[:n] for x in d]
     scale = (n - 1) / n if adjusted else 1.0
-    return [float(np.dot(d[k], d[l])) * scale + float(np.dot(d[k], f[l]) + np.dot(d[l], f[k])) for k, l in pairs]
+    K = np.array([scale, *(kernel.k(h / H) for h in range(1, H + 1))])
+    return _autocov_pairs([np.diff(v) for v in values], pairs, K)
+
+
+def _multiscale_pairs(values: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], w: WeightScheme) -> list[float]:
+    """Multi-scale sums of synchronous series over whole rows, one per
+    ``(k, l)`` in ``pairs``, at the weights ``w`` (``C_i = a_i / i``).
+
+    A sum is a kernel sum of increment autocovariances less its end effects
+    (Zhang 2006; Barndorff-Nielsen, Hansen, Lunde and Shephard 2008): with
+    ``W_h = sum_{i>h} C_i (i - h)`` for h = 0..M-1 and W = 0 from M on, it
+    is the :func:`_autocov_pairs` at the weights W, less
+    ``E = sum_{s,t} x_s y_t (W[max(s, t)] + W[n + 1 - min(s, t)])`` over the
+    1-based increments x, y of the pair.  E reads only the first and last
+    M - 1 increments: grouped by ``m = max(s, t)`` (``min``, at the tail),
+    it is ``sum_m W[m] (x_m Y_m + y_m X_m - x_m y_m)`` with X, Y the prefix
+    (suffix) sums of x, y, so it costs O(M) per pair, also where the head
+    and the tail overlap (M near n).  Each entry has the bits of its swap
+    and of the one-pair call, and a still series gives exactly 0.
+    """
+    d = [np.diff(v) for v in values]
+    n, M = d[0].size, w.M
+    if M > n:
+        raise ValueError(f"multi-scale frequency M={M} exceeds n={n}")
+    W = np.cumsum(np.cumsum((w.alphas / w.scales)[::-1]))[::-1]  # W[h] = sum_{k>h} sum_{i>=k} C_i
+    sums = _autocov_pairs(d, pairs, W)
+    head = [(x[: M - 1], np.cumsum(x[: M - 1])) for x in d]  # prefix sums
+    tail = [(x[n - M + 1 :], np.cumsum(x[n - M + 1 :][::-1])[::-1]) for x in d]  # suffix sums
+    out = []
+    for (k, l), s in zip(pairs, sums):
+        E = 0.0
+        for ends, W_e in ((head, W[1:M]), (tail, W[M - 1 : 0 : -1])):
+            (x, X), (y, Y) = ends[k], ends[l]
+            E += np.dot(W_e, x * Y + y * X - x * y)
+        out.append(s - float(E))
+    return out
 
 
 def realized_cov(a: TickSeries, b: TickSeries) -> float:
@@ -290,9 +332,14 @@ def realized_cov(a: TickSeries, b: TickSeries) -> float:
 
 
 def multiscale(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
-    """Multi-scale covariance ``sum_i (a_i/i) sum_{j>=i} d^i_j a d^i_j b``."""
+    """Multi-scale covariance ``sum_i (a_i/i) sum_{j>=i} d^i_j a d^i_j b``.
+
+    Summed as a kernel sum of increment autocovariances less closed-form end
+    effects (:func:`_multiscale_pairs`); the ``ms`` matrix of
+    :func:`estimate_matrix` has the bits of this call.
+    """
     _require_synchronous(a, b, "multiscale")
-    return float(_whole_row_sums([a.values, b.values], [(0, 1, 0, 1)], w)[0])
+    return _multiscale_pairs([a.values, b.values], [(0, 1)], w)[0]
 
 
 def multiscale_adjusted(a: TickSeries, b: TickSeries, w: WeightScheme) -> float:
@@ -314,8 +361,9 @@ def kernel_estimator(
     covariance).  ``adjusted=True`` multiplies the realized-covariance
     addend by ``(n-1)/n``, cancelling the ``+2 eta_ab`` noise bias.  The lag
     sums are one direct convolution of each series' increments with the
-    weights, and the ``kernel`` matrix of :func:`estimate_matrix` has the
-    bits of this call.
+    weights (:func:`_autocov_pairs`, which the multi-scale sums over whole
+    rows share), and the ``kernel`` matrix of :func:`estimate_matrix` has
+    the bits of this call.
     """
     _require_synchronous(a, b, "kernel_estimator")
     return _kernel_pairs([a.values, b.values], [(0, 1)], kernel, H, adjusted)[0]
@@ -386,17 +434,23 @@ def generalized_multiscale(a: TickSeries, b: TickSeries, w: WeightScheme, grid: 
 
     ``sum_{i<=M} (a_i/i) sum_{j>=i} (a(t_a^+(tau_j)) - a(t_a^-(tau_{j-i})))
     * (b(t_b^+(tau_j)) - b(t_b^-(tau_{j-i})))`` with next-/previous-tick
-    interpolation into each scheme.  On synchronous schemes the
-    interpolations are identities and the estimator coincides with
-    :func:`multiscale`.
+    interpolation into each scheme.  Where every refresh time is a tick of
+    both schemes (next equals previous tick, as on synchronous schemes) the
+    skeleton rows are the series' own levels and the sum is the whole-row
+    :func:`multiscale` sum, with its bits; other skeletons go through
+    :func:`_lag_sums`.
     """
     if grid is None:
         grid = pairwise_refresh(a.scheme, b.scheme)
     N = len(grid) - 1
     if w.M > N:
         raise ValueError(f"multi-scale frequency M={w.M} exceeds refresh count N={N}")
-    V = [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
-    return float(_whole_row_sums(V, [(0, 1, 2, 3)], w)[0])
+    up, lo = grid.next_idx, grid.prev_idx
+    if np.array_equal(up, lo):  # the skeleton rows are the series' own levels
+        return _multiscale_pairs([a.values[up[0]], b.values[up[1]]], [(0, 1)], w)[0]
+    V = [a.values[up[0]], b.values[up[1]], a.values[lo[0]], b.values[lo[1]]]
+    C = (w.alphas / w.scales)[:, None]
+    return float(_lag_sums(V, [(0, 1, 2, 3)], np.zeros(1, int), np.array([N + 1]), C)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -565,7 +619,7 @@ def _estimate_matrix(
         values = [s.values for s in data]
         if method == "ms":
             w = end_effect_adjust(cfg.weights(M), n) if cfg.adjusted else cfg.weights(M)
-            vals = _whole_row_sums(values, [(k, l, k, l) for k, l in pairs], w).tolist()
+            vals = _multiscale_pairs(values, pairs, w)
         else:
             vals = _kernel_pairs(values, pairs, builtin_kernel(cfg.kernel), M, cfg.adjusted)
         infos = [{"method": method, "M": M, "c": float(cfg.c), "kernel": cfg.kernel} for _ in pairs]

@@ -70,9 +70,9 @@ def _parse_columns(path: Path) -> tuple[list[str], list[np.ndarray], list[np.nda
         return None
     names, key = _asset_index(ids)
     del ids
+    # loadtxt reads a path in chunks, but walks an open file line by line
     try:
-        with open(path) as fh:
-            num = np.loadtxt(fh, dtype=float, usecols=(1, 2), ndmin=2, delimiter=",", skiprows=1, comments=None)
+        num = np.loadtxt(path, dtype=float, usecols=(1, 2), ndmin=2, delimiter=",", skiprows=1, comments=None)
     except ValueError:
         return None
     if len(num) != key.size or not np.isfinite(num).all():

@@ -18,7 +18,7 @@ from hficov.estimators import (
     noise_moments,
     realized_cov,
 )
-from hficov.kernels import builtin_kernel, cubic_weights
+from hficov.kernels import builtin_kernel, cubic_weights, end_effect_adjust
 from hficov.sampling import SamplingScheme, pairwise_refresh
 
 from oracles import (
@@ -718,6 +718,31 @@ def test_kernel_pairs_have_the_one_pair_bits(case, kernel, adjusted):
         if "still" in (kinds[k], kinds[l]) or kinds[k] == kinds[l] == "apart":
             lag0 = float(np.dot(np.diff(rows[k]), np.diff(rows[l]))) * ((n - 1) / n if adjusted else 1.0)
             assert got == lag0
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_rows(), st.data(), st.sampled_from(["cubic", "parzen"]), st.booleans())
+def test_multiscale_pairs_equal_the_scale_loop(case, data, kernel, adjusted):
+    # whole-row multi-scale sums as kernel sums less closed-form edges, at
+    # every M up to n (past n/2 the head and tail edges overlap): every entry
+    # lies within 1e-12 of the sum of absolute terms of the scale loop, has
+    # the bits of its swap and of the one-pair multiscale call, and a still
+    # series gives exactly 0
+    rows, kinds, _ = case
+    n = len(rows[0]) - 1
+    w = EstimatorConfig(kernel=kernel).weights(data.draw(st.integers(2, n)))
+    if adjusted:
+        w = end_effect_adjust(w, n)
+    C = w.alphas / w.scales
+    pairs = [(k, l) for k in range(len(rows)) for l in range(k, len(rows))]
+    both = estimators_module._multiscale_pairs(rows, pairs + [(l, k) for k, l in pairs], w)
+    t = np.linspace(0.0, 1.0, n + 1)
+    for (k, l), got, swapped in zip(pairs, both, both[len(pairs) :]):
+        assert got == swapped == multiscale(series(t, rows[k]), series(t, rows[l]), w)
+        a, b = rows[k], rows[l]
+        assert abs(got - multiscale_sum_loop(a, a, b, b, C)) <= 1e-12 * abs_terms(a, a, b, b, C)
+        if "still" in (kinds[k], kinds[l]):
+            assert got == 0.0
 
 
 def test_hy_refresh_path_disjoint_supports():
