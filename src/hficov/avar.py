@@ -491,7 +491,8 @@ def _bracket_bins(k: int, l: int, edges: np.ndarray, m_bin: int, plan: _AcovPlan
     bin windows, one :meth:`hficov.sampling._StampUnion.fire` pass the
     refresh times of all bins (the bin is the segment), gathers from the
     same counts the index maps, and one :func:`hficov.estimators._lag_sums`
-    call sums every bin."""
+    call on the bracket's four skeleton rows (next a, next b, previous a,
+    previous b) sums every bin."""
     a, b, union = plan.data[k], plan.data[l], plan.union(k, l)
     ia, ib = union.count.take(union.stamps.searchsorted(edges, "right"), axis=1)
     pos, bounds = union.fire(ia, ib)
@@ -515,7 +516,7 @@ def _bracket_bins(k: int, l: int, edges: np.ndarray, m_bin: int, plan: _AcovPlan
     C = np.zeros((int(M.max()), M.size))  # a_i / i of bin u at scale i is C[i - 1, u]
     C.T[np.arange(C.shape[0]) < M[:, None]] = np.concatenate(coefs)
     C[0], C[1] = c1, c2  # M >= 2
-    out[list(j)] = _lag_sums(V, [(0, 1, 2, 3)], starts, n1, C)[0] / np.array(factors)
+    out[list(j)] = _lag_sums(V, starts, n1, C) / np.array(factors)
     return out
 
 
@@ -541,8 +542,9 @@ def acov_gms_hat(
     disjoint schemes every one of them is exactly zero.
 
     Cost: at most eight brackets per entry, each one pass over its bins
-    (:func:`_bracket_bins`), summed in a lag block or, for a large bracket,
-    by transform; either differs from a scale loop per bin by rounding.
+    (:func:`_bracket_bins`) and one lag sum of its four skeleton rows,
+    summed in a lag block or, for a large bracket, by transform; either
+    differs from a scale loop per bin by rounding.
     Each entry merges its two pairwise grids once more for its global grid,
     whose index maps it never reads.  :func:`acov_matrix_hat` and
     :func:`hficov.citest.ci_test` evaluate all their entries on one
@@ -840,9 +842,10 @@ def standardize(z_value: float, target: float, avar: float, rate: str, n: float)
 
     ``avar`` must be on the matching ``r_n^2`` normalization (as produced by
     :func:`lincomb_avar` on an :class:`AcovMatrix` with ``n_ref = n``).
-    Raises on a nonpositive variance estimate rather than flooring it.
+    Raises on a nonpositive or non-finite variance estimate rather than
+    flooring it or returning a statistic that reads as not significant.
     """
-    if avar <= 0.0:
-        raise ValueError(f"nonpositive asymptotic variance estimate ({avar!r})")
+    if not (math.isfinite(avar) and avar > 0.0):
+        raise ValueError(f"asymptotic variance estimate must be finite and positive, got {avar!r}")
     r = math.sqrt(_rate_sq(rate, n))
     return float(r * (z_value - target) / math.sqrt(avar))

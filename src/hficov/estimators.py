@@ -132,63 +132,57 @@ def _ms_frequency(c: float, n: int) -> int:
 _BLOCK_VALUES = 1 << 17
 
 
-def _lag_block(V: np.ndarray, units: Sequence[tuple[int, ...]], starts: np.ndarray, n1: np.ndarray, h: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _lag_block(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, h: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The lag block of :func:`_lag_sums`, on bins whose first ``h[u]`` slots
     are lag sources only (their products are not summed).
 
     Each bin's rows are laid out after M zeros, so one strided view gives
-    every lag and no bin reads another's slots.  Each key (up row, lo row)
-    forms its lag differences once for every unit that reads it, in steps
-    of as many scales as keep them within ``_BLOCK_VALUES`` values; the
-    first key of each unit forms its differences by one masked subtract
-    into a zeroed buffer, so it is 0 where a product is not summed (at a
-    slot that reads a lag source before its bin, lies in its first h or
-    past its last slot), and one ``np.matmul`` of stacked rows (a BLAS dot
-    per row) sums a unit's products per (bin, scale).  A (scale, bin) with
-    a zero coefficient adds exactly 0, whatever its products.
+    every lag and no bin reads another's slots.  Series a (rows 0, 2) and
+    series b (rows 1, 3) form their lag differences in steps of as many
+    scales as keep both within ``_BLOCK_VALUES`` values; series a forms
+    them by one masked subtract into a zeroed buffer, so it is 0 where a
+    product is not summed (at a slot that reads a lag source before its
+    bin, lies in its first h or past its last slot), and one ``np.matmul``
+    of stacked rows (a BLAS dot per row) sums the products per (bin,
+    scale).  A (scale, bin) with a zero coefficient adds exactly 0,
+    whatever its products.
     """
     (M, B), w = C.shape, int(n1.max())
-    keys = {}  # (up row, lo row) -> its index
-    pairs = [tuple(keys.setdefault(key, len(keys)) for key in (unit[0::2], unit[1::2])) for unit in units]
-    P = np.zeros((len(V), B, M + w))  # each bin's slots after M zeros
+    P = np.zeros((4, B, M + w))  # each bin's slots after M zeros
     for u, (s, n) in enumerate(zip(starts.tolist(), n1.tolist())):
         P[:, u, M : M + n] = V[:, s : s + n]
-    lags = np.ndarray((len(V), B, M, w), P.dtype, P, 0, (*P.strides[:2], P.itemsize, P.itemsize))  # lags[r, u, M - i, j] = P[r, u, M + j - i]
+    lags = np.ndarray((4, B, M, w), P.dtype, P, 0, (*P.strides[:2], P.itemsize, P.itemsize))  # lags[r, u, M - i, j] = P[r, u, M + j - i]
     step = np.arange(-M, w) >= 0
     after = np.ndarray((M, w), bool, step, 0, (1, 1))  # after[M - i, j]: slot j reads no lag source before its bin
     j = np.arange(w)
     summed = ((j >= h[:, None]) & (j < n1[:, None]))[:, None]
-    m = max(1, min(M, _BLOCK_VALUES // (len(keys) * B * w)))  # scales per step
-    D = np.empty((len(keys), B, m, w))
-    sums = np.zeros((len(units), B, M, 1, 1))  # sums[:, u, M - i]: the lag-i sum of bin u
-    first = {a for a, _ in pairs}
+    m = max(1, min(M, _BLOCK_VALUES // (2 * B * w)))  # scales per step
+    D = np.empty((2, B, m, w))
+    sums = np.zeros((B, M, 1, 1))  # sums[u, M - i]: the lag-i sum of bin u
     with np.errstate(over="ignore", invalid="ignore"):  # in products whose coefficients are 0
         for r0 in range(0, M, m):  # rows r0 .. r1 - 1 of the lag view
             r1 = min(r0 + m, M)
-            d = D[:, :, : r1 - r0]
-            mask = after[r0:r1] & summed
-            for key, (up, lo) in enumerate(keys):
-                if key in first:
-                    d[key] = 0.0
-                np.subtract(P[up, :, None, M:], lags[lo, :, r0:r1], out=d[key], where=mask if key in first else True)
-            for (a, b), row in zip(pairs, sums):
-                np.matmul(d[a, :, :, None], d[b, ..., None], out=row[:, r0:r1])
+            a, b = D[:, :, : r1 - r0]
+            a[...] = 0.0
+            np.subtract(P[0, :, None, M:], lags[2, :, r0:r1], out=a, where=after[r0:r1] & summed)
+            np.subtract(P[1, :, None, M:], lags[3, :, r0:r1], out=b)
+            np.matmul(a[:, :, None], b[..., None], out=sums[:, r0:r1])
         C = C.T[:, ::-1]
-        return (np.where(C != 0.0, sums[..., 0, 0], 0.0) * C).sum(axis=2)
+        return (np.where(C != 0.0, sums[..., 0, 0], 0.0) * C).sum(axis=1)
 
 
-def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The multi-scale sum of each unit ``(up a, up b, lo a, lo b)`` of rows of
-    ``V`` (R rows of S slots) on each bin u, the ``n1[u]`` slots from
-    ``starts[u]``, as a (units, bins) array:
-    ``sum_i C[i - 1, u] sum_j (V[up a][j] - V[lo a][j - i]) (V[up b][j] - V[lo b][j - i])``,
+def _lag_sums(V: np.ndarray, starts: np.ndarray, n1: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The multi-scale sum of one bracket on each bin u, the ``n1[u]`` slots
+    from ``starts[u]`` of its rows ``V = (up a, up b, lo a, lo b)`` (4 rows
+    of S slots), as a (bins,) array:
+    ``sum_i C[i - 1, u] sum_j (V[0][j] - V[2][j - i]) (V[1][j] - V[3][j - i])``,
     j over the bin's last ``n1[u] - i`` slots (``C[i - 1, u]`` is ``a_i / i``,
     0 past the bin's own M < n1).  Both forms add in another order than a
-    scale loop, within 1e-12 of its sum of absolute terms; a unit's bits
-    depend on its own rows only, not on their indices, the other units or
-    the order of its series.  It sums the asynchronous gms pairs and the
-    gms acov brackets; whole-row sums on the series' own levels (``ms``,
-    synchronous gms pairs) take :func:`_multiscale_pairs` instead.
+    scale loop, within 1e-12 of its sum of absolute terms; swapping the two
+    series (``V[[1, 0, 3, 2]]``) keeps the bits.  It sums the asynchronous
+    gms pairs and the gms acov brackets; whole-row sums on the series' own
+    levels (``ms``, synchronous gms pairs) take :func:`_multiscale_pairs`
+    instead.
 
     *Block*, when ``S M <= _BLOCK_VALUES`` (M = ``C.shape[0]``): the
     :func:`_lag_block` of the bins.
@@ -196,20 +190,19 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
     *Transform*, in O(S log M).  A bin of more than ``15 M`` slots is cut
     into windows that each sum ``L - 2 M`` of its slots, L the power of two
     at or above ``16 M``; each but a bin's first reads the M slots before it
-    as lag sources only.  Each key (up row, lo row) is centred on the window
-    mean of its up row, whose lag-source slots are zeroed, and transformed
-    once for every unit that reads it.  A window's lag-i sum is the sum of
-    its up products after slot i, plus that of its lo products from slot
-    ``max(h - i, 0)`` to ``n - i`` (h lag sources, n slots), less the lag-i
-    cross sums from the keys' spectra.  Its rounding scales with the centred
-    levels, not the differences, so the windows bound their length over M;
-    a unit's windows whose absolute lag sums are not 1e12 times a bound on
-    that rounding, as when a series stands still, take one lag block.
+    as lag sources only.  Each series (up row, lo row) is centred on the
+    window mean of its up row, whose lag-source slots are zeroed, and
+    transformed once.  A window's lag-i sum is the sum of its up products
+    after slot i, plus that of its lo products from slot ``max(h - i, 0)``
+    to ``n - i`` (h lag sources, n slots), less the lag-i cross sums from
+    the two series' spectra.  Its rounding scales with the centred levels,
+    not the differences, so the windows bound their length over M; the
+    windows whose absolute lag sums are not 1e12 times a bound on that
+    rounding, as when a series stands still, take one lag block.
     """
-    (M, B), S = C.shape, len(V[0])
+    (M, B), S = C.shape, V.shape[1]
     if S * M <= _BLOCK_VALUES:
-        return _lag_block(np.asarray(V), units, starts, n1, np.zeros_like(n1), C)
-    out = np.empty((len(units), B))
+        return _lag_block(V, starts, n1, np.zeros_like(n1), C)
     w = int(n1.max())
     L = 1 << (min(w, 15 * M) + M - 1).bit_length()  # no lag up to M wraps around
     c = L - M if w + M <= L else L - 2 * M  # the slots a window sums over
@@ -221,42 +214,33 @@ def _lag_sums(V: Sequence[np.ndarray], units: Sequence[tuple[int, ...]], starts:
     j = np.arange(n.max())
     win = np.minimum((starts[u] + at)[:, None] - h + j, S - 1)  # (window, slot) -> slot of V
     inside = j < n
-    keys = {}  # (up row, lo row) -> its index
-    pairs = [tuple(keys.setdefault(key, len(keys)) for key in (unit[0::2], unit[1::2])) for unit in units]
-    cols = []  # per key, by window: its up row zeroed in lag-source slots, and its lo row
-    for up, lo in keys:
+
+    def centred(up, lo):  # a series' rows by window, less the window mean of its up row, whose lag-source slots are zeroed
         x = V[up][win]
         mean = x.sum(axis=1, where=inside, keepdims=True) / n
-        cols.append([(x - mean) * (inside & (j >= h)), (V[lo][win] - mean) * inside])
-    size = [np.linalg.norm(up, axis=1) + np.linalg.norm(lo, axis=1) for up, lo in cols]
+        return (x - mean) * (inside & (j >= h)), (V[lo][win] - mean) * inside
+
+    (up_a, lo_a), (up_b, lo_b) = centred(0, 2), centred(1, 3)
+    size = (np.linalg.norm(up_a, axis=1) + np.linalg.norm(lo_a, axis=1)) * (np.linalg.norm(up_b, axis=1) + np.linalg.norm(lo_b, axis=1))
     r, i = np.arange(u.size)[:, None], np.arange(1, M + 1)
     tail = np.maximum(n - i, 0)  # slot n - i; lags past a bin's n1 - 1 read clipped slots, whose coefficients are 0
-    edge_sums = []
-    for (up_a, lo_a), (up_b, lo_b) in ((cols[a], cols[b]) for a, b in pairs):
-        head = np.zeros((u.size, M + 1))  # head[:, m]: the lo products before slot m
-        np.cumsum(lo_a[:, :M] * lo_b[:, :M], axis=1, out=head[:, 1:])
-        up = np.einsum("ws,ws->w", up_a, up_b)[:, None] - np.cumsum(up_a[:, :M] * up_b[:, :M], axis=1)
-        lo = np.einsum("ws,ws->w", lo_a, lo_b)[:, None] - np.cumsum(lo_a[r, tail] * lo_b[r, tail], axis=1) - head[r, np.maximum(h - i, 0)]
-        edge_sums.append(up + lo)
-    F = []
-    for key, col in enumerate(cols):
-        F.append([np.fft.rfft(x, L) for x in col])
-        cols[key] = None  # its spectra take its place
+    head = np.zeros((u.size, M + 1))  # head[:, m]: the lo products before slot m
+    np.cumsum(lo_a[:, :M] * lo_b[:, :M], axis=1, out=head[:, 1:])
+    up = np.einsum("ws,ws->w", up_a, up_b)[:, None] - np.cumsum(up_a[:, :M] * up_b[:, :M], axis=1)
+    lo = np.einsum("ws,ws->w", lo_a, lo_b)[:, None] - np.cumsum(lo_a[r, tail] * lo_b[r, tail], axis=1) - head[r, np.maximum(h - i, 0)]
+    edge = up + lo
+    up_a, lo_a, up_b, lo_b = (np.fft.rfft(x, L) for x in (up_a, lo_a, up_b, lo_b))
+    G = up_a * lo_b.conj()
+    G += up_b * lo_a.conj()
+    lag = edge - np.fft.irfft(G, L)[:, 1 : M + 1]
+    sums = np.einsum("wi,iw->w", lag, C[:, u])
     absC = np.abs(C[:, u])
-    rounding = math.log2(L) * np.finfo(float).eps * absC.sum(axis=0)  # per window, times the keys' |up| + |lo| (2-norms)
-    for row, unit, (a, b), edge in zip(out, units, pairs, edge_sums):
-        (up_a, lo_a), (up_b, lo_b) = F[a], F[b]
-        G = up_a * lo_b.conj()
-        G += up_b * lo_a.conj()
-        lag = edge - np.fft.irfft(G, L)[:, 1 : M + 1]
-        sums = np.einsum("wi,iw->w", lag, C[:, u])
-        t = np.flatnonzero(1e12 * rounding * (size[a] * size[b]) > np.einsum("wi,iw->w", np.abs(lag), absC))
-        if t.size:
-            lo, hi = win[t, 0].min(), (win[t, 0] + n[t, 0]).max()
-            rows = np.array([V[q][lo:hi] for q in unit])
-            sums[t] = _lag_block(rows, [(0, 1, 2, 3)], win[t, 0] - lo, n[t, 0], h[t, 0], C[:, u[t]])[0]
-        row[:] = np.bincount(u, sums, B)
-    return out
+    rounding = math.log2(L) * np.finfo(float).eps * absC.sum(axis=0)  # per window, times the series' |up| + |lo| (2-norms)
+    t = np.flatnonzero(1e12 * rounding * size > np.einsum("wi,iw->w", np.abs(lag), absC))
+    if t.size:
+        lo, hi = win[t, 0].min(), (win[t, 0] + n[t, 0]).max()
+        sums[t] = _lag_block(V[:, lo:hi], win[t, 0] - lo, n[t, 0], h[t, 0], C[:, u[t]])
+    return np.bincount(u, sums, B)
 
 
 def _autocov_pairs(d: Sequence[np.ndarray], pairs: Sequence[tuple[int, int]], weights: np.ndarray) -> list[float]:
@@ -448,9 +432,9 @@ def generalized_multiscale(a: TickSeries, b: TickSeries, w: WeightScheme, grid: 
     up, lo = grid.next_idx, grid.prev_idx
     if np.array_equal(up, lo):  # the skeleton rows are the series' own levels
         return _multiscale_pairs([a.values[up[0]], b.values[up[1]]], [(0, 1)], w)[0]
-    V = [a.values[up[0]], b.values[up[1]], a.values[lo[0]], b.values[lo[1]]]
+    V = np.array([a.values[up[0]], b.values[up[1]], a.values[lo[0]], b.values[lo[1]]])
     C = (w.alphas / w.scales)[:, None]
-    return float(_lag_sums(V, [(0, 1, 2, 3)], np.zeros(1, int), np.array([N + 1]), C)[0, 0])
+    return float(_lag_sums(V, np.zeros(1, int), np.array([N + 1]), C)[0])
 
 
 @dataclass(frozen=True)

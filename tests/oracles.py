@@ -36,7 +36,7 @@ def ms_oracle(values_a, values_b, alphas) -> float:
 def multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs) -> float:
     """``sum_i coefs[i-1] sum_j (up_a[j] - lo_a[j-i]) (up_b[j] - lo_b[j-i])``
     as a scale loop of one ``np.dot`` per scale: the reference, within
-    rounding, for each unit and bin of ``estimators._lag_sums``."""
+    rounding, for each bin of ``estimators._lag_sums``."""
     import numpy as np
 
     total = 0.0

@@ -35,6 +35,7 @@ from hficov.estimators import (
     TickSeries,
     _lag_sums,
     _same_times,
+    estimate_matrix,
     generalized_multiscale,
     noise_moments,
     svec_index,
@@ -580,15 +581,14 @@ def test_binned_bracket_on_the_block_path_within_rounding_of_sliced_reference(ca
 
 @st.composite
 def skeleton_bins(draw):
-    """Skeleton rows and units on them, in a drawn order, and bins as
-    ``_bracket_bins`` lays them out.  The rows are levels at a drawn scale;
-    the units are sometimes a bracket's one (next a, next b, previous a,
-    previous b), the pairs of p synchronous series (which share rows),
-    and units on any four rows.  The bins are ascending, at least 3 slots,
-    with gaps between them, each with its own M (often below the largest,
-    sometimes far below its slots, so that the transform cuts it into
-    several windows) and coefficients that are zero past it, sometimes
-    also within it."""
+    """The four rows of one bracket (up a, up b, lo a, lo b) and bins as
+    ``_bracket_bins`` lays them out.  The rows are levels at a drawn scale:
+    four rows of their own, those of two synchronous series (up and lo rows
+    alike), or any four of six rows, repeats included.  The bins are
+    ascending, at least 3 slots, with gaps between them, each with its own
+    M (often below the largest, sometimes far below its slots, so that the
+    transform cuts it into several windows) and coefficients that are zero
+    past it, sometimes also within it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     starts, n1, M = [], [], []
     s = draw(st.integers(0, 3))
@@ -599,55 +599,61 @@ def skeleton_bins(draw):
         M.append(draw(st.one_of(st.integers(1, n - 1), st.integers(1, min(4, n - 1)))))
         s += n + draw(st.integers(0, 3))
     S = starts[-1] + n1[-1] + draw(st.integers(0, 3))
-    p = draw(st.integers(1, 4))
-    units = [(0, 1, 2, 3)] if draw(st.booleans()) else []
-    units += [(4 + k, 4 + l, 4 + k, 4 + l) for k in range(p) for l in range(k, p)]
-    for _ in range(draw(st.integers(0 if units else 1, 2))):
-        units.append(tuple(draw(st.lists(st.integers(0, 3 + p), min_size=4, max_size=4))))
-    V = rng.standard_normal((4 + p, S)).cumsum(axis=1) * 10.0 ** rng.integers(-4, 3)
+    series_pair = st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda kl: [*kl, *kl])
+    rows = draw(st.one_of(st.just([0, 1, 2, 3]), series_pair, st.lists(st.integers(0, 5), min_size=4, max_size=4)))
+    V = rng.standard_normal((6, S)).cumsum(axis=1)[rows] * 10.0 ** rng.integers(-4, 3)
     C = rng.standard_normal((max(M), len(M))) * 10.0 ** rng.integers(-2, 2, len(M))
     C[np.arange(C.shape[0])[:, None] >= np.array(M)] = 0.0
     if draw(st.booleans()):
         C[rng.random(C.shape) < 0.2] = 0.0
-    return V, draw(st.permutations(units)), np.array(starts), np.array(n1), np.array(M), C
+    return V, np.array(starts), np.array(n1), np.array(M), C
 
 
-def per_bin_loop(V, starts, n1, M, C, unit=(0, 1, 2, 3)):
-    """:func:`multiscale_sum_loop` and :func:`abs_terms` of each bin of ``unit``."""
+@st.composite
+def refresh_skeleton(draw):
+    """The skeleton rows (next a, next b, previous a, previous b) of the
+    pairwise refresh times of two random schemes as one bin of all its
+    slots, at a drawn M up to its refresh count, with coefficients at a
+    drawn scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    t = [np.sort(rng.uniform(0, 1, draw(st.integers(3, 30)))) for _ in range(2)]
+    a, b = (series(x, rng.standard_normal(x.size).cumsum() * 0.1) for x in t)
+    try:
+        grid = pairwise_refresh(a.scheme, b.scheme)
+    except ValueError:
+        grid = None
+    assume(grid is not None and len(grid) >= 2)
+    V = np.array([a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]])
+    M = draw(st.integers(1, len(grid) - 1))
+    C = rng.standard_normal((M, 1)) * 10.0 ** rng.integers(-3, 3)
+    return V, np.array([0]), np.array([len(grid)]), np.array([M]), C
+
+
+def per_bin_loop(V, starts, n1, M, C):
+    """:func:`multiscale_sum_loop` and :func:`abs_terms` of each bin."""
     win = [slice(s, s + n) for s, n in zip(starts, n1)]
-    ua, ub, la, lb = unit
-    args = [(V[ua, w], V[la, w], V[ub, w], V[lb, w], C[:m, u]) for u, (w, m) in enumerate(zip(win, M))]
+    args = [(V[0, w], V[2, w], V[1, w], V[3, w], C[:m, u]) for u, (w, m) in enumerate(zip(win, M))]
     return np.array([multiscale_sum_loop(*x) for x in args]), np.array([abs_terms(*x) for x in args])
 
 
-def lag_sums(V, units, starts, n1, C, form):
-    """:func:`_lag_sums` in the lag block or by transform."""
-    with mock.patch.object(estimators_module, "_BLOCK_VALUES", np.inf if form == "block" else 0):
-        return _lag_sums(V, units, starts, n1, C)
-
-
 def bin_sums(V, starts, n1, C, form):
-    """:func:`lag_sums` of the one bracket unit on four skeleton rows."""
-    return lag_sums(V, [(0, 1, 2, 3)], starts, n1, C, form)[0]
+    """:func:`_lag_sums` of the bracket rows ``V``, in the lag block or by transform."""
+    with mock.patch.object(estimators_module, "_BLOCK_VALUES", np.inf if form == "block" else 0):
+        return _lag_sums(V, starts, n1, C)
 
 
-@settings(max_examples=300, deadline=None)
-@given(skeleton_bins())
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(skeleton_bins(), refresh_skeleton()))
 def test_bin_sums_equal_the_scale_loop_per_bin_within_rounding(case):
-    # both forms against the scale loop of each unit on each bin.  A
-    # relative bound cannot hold for a sum near zero, so it is relative to
-    # the sum of the absolute terms.  Units that share rows share their
-    # spectra, yet each unit has the bits of its own call on its own four
-    # rows, also with its two series swapped
-    V, units, starts, n1, M, C = case
+    # both forms against the scale loop on each bin.  A relative bound
+    # cannot hold for a sum near zero, so it is relative to the sum of the
+    # absolute terms.  Swapping the bracket's two series keeps the bits
+    V, starts, n1, M, C = case
+    ref, scale = per_bin_loop(V, starts, n1, M, C)
     for form in ("block", "transform"):
-        got = lag_sums(V, units, starts, n1, C, form)
-        for unit, sums in zip(units, got):
-            ref, scale = per_bin_loop(V, starts, n1, M, C, unit)
-            assert np.all(np.abs(sums - ref) <= 1e-12 * scale), form
-            ua, ub, la, lb = unit
-            assert np.array_equal(sums, bin_sums(V[[ua, ub, la, lb]], starts, n1, C, form)), form
-            assert np.array_equal(sums, bin_sums(V[[ub, ua, lb, la]], starts, n1, C, form)), form
+        got = bin_sums(V, starts, n1, C, form)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale), form
+        assert np.array_equal(got, bin_sums(V[[1, 0, 3, 2]], starts, n1, C, form)), form
 
 
 def test_bin_sums_never_read_products_across_bins_or_past_a_bins_m():
@@ -872,6 +878,24 @@ def test_acov_matrix_hat_gms_equals_entrywise_reference(p, sampling, kernel, bin
     assert am.n_ref == n_ref
 
 
+@pytest.mark.parametrize("block_values", [0, estimators_module._BLOCK_VALUES])
+def test_a_still_series_has_exactly_zero_gms_entries_on_asynchronous_schemes(block_values):
+    # Poisson schemes, so the pair's skeleton and its brackets go through
+    # _lag_sums: in the lag block, or by transform (block_values 0), whose
+    # guard hands the still series' windows to the lag block.  Its lag
+    # differences are all 0, so its estimates and every acov entry that
+    # reads it are too
+    rng = np.random.default_rng(6)
+    t = [np.unique(np.round(np.sort(rng.uniform(0, 1, 2000)) * 6e4)) / 6e4 for _ in range(2)]
+    data = [series(t[0], 4.6 + rng.standard_normal(t[0].size).cumsum() * 1e-3), series(t[1], np.full(t[1].size, 0.1))]
+    with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
+        est = estimate_matrix(data, "gms", EstimatorConfig())
+        am = acov_matrix_hat(data, "gms")
+    assert est.matrix[0, 0] > 0 and np.all(est.matrix[1] == 0.0) and np.all(est.matrix[:, 1] == 0.0)
+    still = [a for a, kl in enumerate(svec_pairs(2)) if 2 in kl]  # the svec slots that read series 2 (1-based)
+    assert am.entries[0, 0] > 0 and np.all(am.entries[still] == 0.0) and np.all(am.entries[:, still] == 0.0)
+
+
 def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
     # a bracket reads its pair's stamp union: no merge, no argsort and no
     # index-map search, whatever its bin count; one acov_matrix_hat or
@@ -983,6 +1007,10 @@ def test_standardize_formula_and_guard():
         standardize(1.0, 0.0, avar=0.0, rate="sqrt_n", n=100)
     with pytest.raises(ValueError):
         standardize(1.0, 0.0, avar=-1.0, rate="n_quarter", n=100)
+    # a nan would come back as nan and an inf as 0.0, "not significant"
+    for avar in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=repr(avar)):
+            standardize(1.0, 0.0, avar=avar, rate="sqrt_n", n=100)
 
 
 def test_lincomb_feasible_clt_coverage():

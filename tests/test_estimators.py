@@ -368,19 +368,16 @@ def test_gms_synchronous_equals_multiscale():
     st.sampled_from(["cubic", "parzen"]),
     st.booleans(),
     st.sampled_from([0.2, 0.5, 1.0, 3.0, 30.0]),
-    st.sampled_from([0, estimators_module._BLOCK_VALUES]),
     st.integers(0, 2**16),
 )
-def test_gms_synchronous_matrix_equals_ms(p, n, kernel, adjusted, c, block_values, seed):
+def test_gms_synchronous_matrix_equals_ms(p, n, kernel, adjusted, c, seed):
     # on synchronous schemes the refresh skeleton is the common grid, and
-    # each pair's multi-scale sum has the bits of its ms sum, in the lag
-    # block and by transform (block_values 0)
+    # each pair's multi-scale sum has the bits of its ms sum
     rng = np.random.default_rng(seed)
     t = np.linspace(0, 1, n + 1)
     data = [series(t, rng.standard_normal(n + 1).cumsum() * 0.01 + 1e-3 * rng.standard_normal(n + 1)) for _ in range(p)]
     cfg = EstimatorConfig(kernel=kernel, adjusted=adjusted, c=c)
-    with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
-        ms, gms = estimate_matrix(data, "ms", cfg), estimate_matrix(data, "gms", cfg)
+    ms, gms = estimate_matrix(data, "ms", cfg), estimate_matrix(data, "gms", cfg)
     assert np.array_equal(ms.matrix, gms.matrix)
 
 
@@ -579,87 +576,35 @@ def test_estimate_matrix_sync_clamp_equals_pairwise_loop(adjusted):
     assert str(got.value) == str(want.value) == "need 1 <= H < n, got H=4, n=4"
 
 
-@st.composite
-def multiscale_units(draw):
-    """Rows of one length n + 1 and mixed units on them, in a drawn order:
-    the pairs of p synchronous series (which share rows), sometimes the one
-    unit of a pairwise refresh skeleton of n refresh intervals, and units on
-    any four rows."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    rows, units = [], []
-    n = draw(st.integers(1, 40))
-    if draw(st.booleans()):
-        a = random_series(rng, draw(st.integers(3, 30)), endpoints=False)
-        b = random_series(rng, draw(st.integers(3, 30)), endpoints=False)
-        try:
-            grid = pairwise_refresh(a.scheme, b.scheme)
-        except ValueError:
-            grid = None
-        if grid is not None and len(grid) >= 2:
-            n = len(grid) - 1
-            rows += [a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]]
-            units.append((0, 1, 2, 3))
-    r, p = len(rows), draw(st.integers(1, 4))
-    rows += list(rng.standard_normal((p, n + 1)).cumsum(axis=1))
-    units += [(r + k, r + l, r + k, r + l) for k in range(p) for l in range(k, p)]
-    for _ in range(draw(st.integers(0, 2))):  # any four rows, sharing some with the units above
-        units.append(tuple(draw(st.lists(st.integers(0, len(rows) - 1), min_size=4, max_size=4))))
-    coefs = rng.standard_normal(draw(st.integers(1, n))) * 10.0 ** rng.integers(-3, 3)
-    return rows, draw(st.permutations(units)), coefs
-
-
-@settings(max_examples=300, deadline=None)
-@given(multiscale_units())
-def test_multiscale_sums_equal_the_scale_loop_per_unit(case):
-    # _lag_sums on one bin of all n + 1 slots, in both forms: every unit
-    # is within 1e-12 of its sum of absolute terms of its own scale loop,
-    # and units that share rows share their spectra, yet each unit has the
-    # bits of its own call on its own four rows
-    rows, units, coefs = case
-    V, starts, n1, C = np.array(rows), np.array([0]), np.array([len(rows[0])]), coefs[:, None]
-    for block_values in (np.inf, 0):
-        with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
-            got = estimators_module._lag_sums(V, units, starts, n1, C)[:, 0]
-            for unit, s in zip(units, got):
-                up_a, up_b, lo_a, lo_b = (V[i] for i in unit)
-                ref = multiscale_sum_loop(up_a, lo_a, up_b, lo_b, coefs)
-                assert abs(s - ref) <= 1e-12 * abs_terms(up_a, lo_a, up_b, lo_b, coefs), block_values
-                own = estimators_module._lag_sums(V[list(unit)], [(0, 1, 2, 3)], starts, n1, C)[0, 0]
-                assert s == own, block_values
-
-
 def test_lag_block_skips_the_lag_sources_of_a_window():
     # the transform hands windows whose first h slots are lag sources only
     # to the lag block: each bin sums from slot max(h, i) at lag i, a bin
-    # past its own M (zero coefficients) adds nothing, swapping a unit's
-    # series keeps its bits, and so do steps of one scale
+    # past its own M (zero coefficients) adds nothing, swapping the
+    # bracket's series keeps its bits, and so do steps of one scale
     rng = np.random.default_rng(8)
     V = 4.6 + rng.standard_normal((4, 420)).cumsum(axis=1) * 1e-3
     V[2:] -= 1e-4 * rng.standard_normal((2, 420))
     starts, n1, h = np.array([0, 100, 250]), np.array([120, 150, 130]), np.array([0, 12, 12])
     C = rng.standard_normal((12, 3)) / np.arange(1, 13)[:, None]
     C[5:, 2] = 0.0
-    got = estimators_module._lag_block(V, [(0, 1, 2, 3), (1, 0, 3, 2)], starts, n1, h, C)
+    got = estimators_module._lag_block(V, starts, n1, h, C)
     for u, (s, n, g) in enumerate(zip(starts, n1, h)):
         ua, ub, la, lb = V[:, s : s + n]
         terms = [c * (ua[max(g, i) :] - la[max(g, i) - i : n - i]) * (ub[max(g, i) :] - lb[max(g, i) - i : n - i]) for i, c in enumerate(C[:, u], 1)]
-        assert abs(got[0, u] - sum(t.sum() for t in terms)) <= 1e-12 * sum(np.abs(t).sum() for t in terms)
-    assert np.array_equal(got[0], got[1])
+        assert abs(got[u] - sum(t.sum() for t in terms)) <= 1e-12 * sum(np.abs(t).sum() for t in terms)
+    assert np.array_equal(got, estimators_module._lag_block(V[[1, 0, 3, 2]], starts, n1, h, C))
     with mock.patch.object(estimators_module, "_BLOCK_VALUES", 0):
-        assert np.array_equal(estimators_module._lag_block(V, [(0, 1, 2, 3)], starts, n1, h, C)[0], got[0])
+        assert np.array_equal(estimators_module._lag_block(V, starts, n1, h, C), got)
 
 
-@pytest.mark.parametrize("block_values", [0, estimators_module._BLOCK_VALUES])
 @pytest.mark.parametrize("method", ["ms", "gms"])
-def test_a_still_series_has_exactly_zero_multiscale_entries(method, block_values):
-    # its lag differences are all 0, so its variance and its covariances
-    # are too, in both forms: the transform's rounding of centred levels
-    # (0.1 is not its window mean in floating point) must not show
+def test_a_still_series_has_exactly_zero_multiscale_entries(method):
+    # on synchronous schemes both sum whole rows: the still series'
+    # increments are all 0, so its variance and its covariances are too
     rng = np.random.default_rng(4)
     t = np.linspace(0, 1, 2001)
     data = [series(t, 4.6 + rng.standard_normal(2001).cumsum() * 1e-3), series(t, np.full(2001, 0.1))]
-    with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
-        est = estimate_matrix(data, method, EstimatorConfig())
+    est = estimate_matrix(data, method, EstimatorConfig())
     assert est.matrix[0, 0] > 0 and np.all(est.matrix[1] == 0.0)
 
 
