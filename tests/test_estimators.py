@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hficov.estimators as estimators_module
+from hficov.avar import acov_matrix_hat
 from hficov.estimators import (
     EstimatorConfig,
     TickSeries,
@@ -17,6 +18,7 @@ from hficov.estimators import (
     multiscale_adjusted,
     noise_moments,
     realized_cov,
+    svec_pairs,
 )
 from hficov.kernels import builtin_kernel, cubic_weights, end_effect_adjust
 from hficov.sampling import SamplingScheme, pairwise_refresh
@@ -576,6 +578,49 @@ def test_estimate_matrix_sync_clamp_equals_pairwise_loop(adjusted):
     assert str(got.value) == str(want.value) == "need 1 <= H < n, got H=4, n=4"
 
 
+@st.composite
+def multiscale_bracket(draw):
+    """The four rows (up a, up b, lo a, lo b) of one bracket on one bin of
+    all its n + 1 slots, and coefficients at a drawn scale: the skeleton
+    rows of the pairwise refresh times of two random schemes, or those of
+    two synchronous series (up and lo rows alike), or any four of p rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    V = None
+    if draw(st.booleans()):
+        a = random_series(rng, draw(st.integers(3, 30)), endpoints=False)
+        b = random_series(rng, draw(st.integers(3, 30)), endpoints=False)
+        try:
+            grid = pairwise_refresh(a.scheme, b.scheme)
+        except ValueError:
+            grid = None
+        if grid is not None and len(grid) >= 2:
+            V = np.array([a.values[grid.next_idx[0]], b.values[grid.next_idx[1]], a.values[grid.prev_idx[0]], b.values[grid.prev_idx[1]]])
+    if V is None:
+        p, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+        k, l = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        rows = draw(st.one_of(st.just([k, l, k, l]), st.lists(st.integers(0, p - 1), min_size=4, max_size=4)))
+        V = rng.standard_normal((p, n + 1)).cumsum(axis=1)[rows]
+    coefs = rng.standard_normal(draw(st.integers(1, V.shape[1] - 1))) * 10.0 ** rng.integers(-3, 3)
+    return V, coefs
+
+
+@settings(max_examples=300, deadline=None)
+@given(multiscale_bracket())
+def test_multiscale_sums_equal_the_scale_loop_per_unit(case):
+    # _lag_sums on one bin of all n + 1 slots, in both forms: the bracket
+    # is within 1e-12 of the sum of absolute terms of its scale loop, and
+    # swapping its two series keeps the bits
+    V, coefs = case
+    starts, n1, C = np.array([0]), np.array([V.shape[1]]), coefs[:, None]
+    ref = multiscale_sum_loop(V[0], V[2], V[1], V[3], coefs)
+    bound = 1e-12 * abs_terms(V[0], V[2], V[1], V[3], coefs)
+    for block_values in (np.inf, 0):
+        with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
+            got = estimators_module._lag_sums(V, starts, n1, C)
+            assert got.shape == (1,) and abs(got[0] - ref) <= bound, block_values
+            assert np.array_equal(got, estimators_module._lag_sums(V[[1, 0, 3, 2]], starts, n1, C)), block_values
+
+
 def test_lag_block_skips_the_lag_sources_of_a_window():
     # the transform hands windows whose first h slots are lag sources only
     # to the lag block: each bin sums from slot max(h, i) at lag i, a bin
@@ -597,15 +642,24 @@ def test_lag_block_skips_the_lag_sources_of_a_window():
         assert np.array_equal(estimators_module._lag_block(V, starts, n1, h, C), got)
 
 
+@pytest.mark.parametrize("block_values", [0, estimators_module._BLOCK_VALUES])
 @pytest.mark.parametrize("method", ["ms", "gms"])
-def test_a_still_series_has_exactly_zero_multiscale_entries(method):
-    # on synchronous schemes both sum whole rows: the still series'
-    # increments are all 0, so its variance and its covariances are too
+def test_a_still_series_has_exactly_zero_multiscale_entries(method, block_values):
+    # on synchronous schemes both estimates sum whole rows: the still
+    # series' increments are all 0, so its variance and its covariances are
+    # too.  The acov brackets go through _lag_sums, all by transform at
+    # block_values 0, whose guard hands the still series' windows to the
+    # lag block: the transform's rounding of centred levels (0.1 is not its
+    # window mean in floating point) must not show in its acov entries
     rng = np.random.default_rng(4)
     t = np.linspace(0, 1, 2001)
     data = [series(t, 4.6 + rng.standard_normal(2001).cumsum() * 1e-3), series(t, np.full(2001, 0.1))]
-    est = estimate_matrix(data, method, EstimatorConfig())
+    with mock.patch.object(estimators_module, "_BLOCK_VALUES", block_values):
+        est = estimate_matrix(data, method, EstimatorConfig())
+        am = acov_matrix_hat(data, method)
     assert est.matrix[0, 0] > 0 and np.all(est.matrix[1] == 0.0)
+    still = [a for a, kl in enumerate(svec_pairs(2)) if 2 in kl]  # the svec slots that read series 2 (1-based)
+    assert am.entries[0, 0] > 0 and np.all(am.entries[still] == 0.0) and np.all(am.entries[:, still] == 0.0)
 
 
 def test_estimate_matrix_kernel_method():
