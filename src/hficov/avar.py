@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,12 +47,12 @@ from .estimators import (
     svec_pairs,
 )
 from .kernels import KernelConstants, WeightScheme, _end_adjusted, kernel_constants
-from .sampling import SyncGrid, _pair_grid, _refresh_merge, _StampUnion, global_refresh, pairwise_refresh
+from .sampling import SyncGrid, _global_refresh_chunk, _pair_grid, _refresh_merge, _StampUnion, global_refresh, pairwise_refresh
 from .timefuncs import (
     StepFunction,
     SyncOverlap,
     TimeCovariationBundle,
-    _sync_overlap,
+    _sync_overlaps,
     sync_overlap,
     time_covariations,
     weighted_lasa_function,
@@ -443,9 +444,10 @@ def _rc_acov(d: np.ndarray, pairs) -> np.ndarray:
 class GmsAcovConfig:
     """Tuning for the histogram asymptotic-covariance estimator.
 
-    ``bins`` overrides the default ``K_N = max(2, round(N^(1/5)))``;
-    ``include_noise_terms=False`` hard-zeroes the synchronous-overlap noise
-    addends (they already evaluate to 0 on fully asynchronous schemes).
+    ``bins``, an integer of at least 2, overrides the default ``K_N =
+    max(2, round(N^(1/5)))``; ``include_noise_terms=False`` hard-zeroes the
+    synchronous-overlap noise addends (they already evaluate to 0 on fully
+    asynchronous schemes).
     """
 
     kernel: str = "cubic"
@@ -455,6 +457,9 @@ class GmsAcovConfig:
 
     def __post_init__(self) -> None:
         _check_c(self.c)
+        b = self.bins
+        if b is not None and (isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 2):
+            raise ValueError(f"bins must be None or an integer >= 2, got {b!r}")
 
 
 def _bin_edges_from_step(step: StepFunction, K: int, T: float) -> np.ndarray:
@@ -545,16 +550,17 @@ def acov_gms_hat(
     (:func:`_bracket_bins`) and one lag sum of its four skeleton rows,
     summed in a lag block or, for a large bracket, by transform; either
     differs from a scale loop per bin by rounding.
-    Each entry merges its two pairwise grids once more for its global grid,
-    whose index maps it never reads.  :func:`acov_matrix_hat` and
-    :func:`hficov.citest.ci_test` evaluate all their entries on one
-    per-call plan, which builds each component pair's stamp union once and
-    reads every pairwise grid, bracket front end, shared stamp and overlap
-    count of that pair off it; noise moments, weight schemes and brackets
-    are also built once for all entries.  No front end runs a binary search
-    over ticks.
+    :func:`acov_matrix_hat` and :func:`hficov.citest.ci_test` evaluate all
+    their entries on one per-call plan, which builds each component pair's
+    stamp union once and reads every pairwise grid, bracket front end,
+    shared stamp and overlap count of that pair off it; noise moments,
+    weight schemes and brackets are also built once for all entries.  The
+    plan takes its entries in chunks of a fixed value budget: one merge
+    gives every global grid of a chunk and one pass its overlap counts
+    (:meth:`_AcovPlan.fronts`).  This function is the plan's one-entry
+    call.  No front end runs a binary search over ticks.
     """
-    return _gms_entry(data, pairs, _AcovPlan(data, config))
+    return _AcovPlan(data, config).entries([pairs])[0]
 
 
 class _AcovPlan:
@@ -571,10 +577,16 @@ class _AcovPlan:
       coefficients and finite-sample factor by ``(M, N)``;
     * the :func:`_bracket_bins` arrays, keyed by unordered 0-based
       component pair, bin-edge bytes and bin frequency (the bracket is
-      symmetric in its two series).
+      symmetric in its two series);
+    * the sorted stamps of all components, and each pairwise grid's refresh
+      times as positions in them: the integer keys of the chunked global
+      merge.
 
-    Components are 0-based indices into ``data``.  A plan lives for one
-    call; nothing is kept across calls.
+    The entries themselves are evaluated chunk by chunk (:meth:`fronts`):
+    each chunk's global grids and overlap counts are built together, then
+    each entry is finished on its own, and nothing of an entry outlives its
+    chunk.  Components are 0-based indices into ``data``.  A plan lives for
+    one call; nothing is kept across calls.
     """
 
     def __init__(self, data: Sequence[TickSeries], config: EstimatorConfig | GmsAcovConfig | None) -> None:
@@ -635,26 +647,81 @@ class _AcovPlan:
         key = ("bracket", min(k, l), max(k, l), edges.tobytes(), m_bin)
         return self._once(key, lambda: _bracket_bins(k, l, edges, m_bin, self))
 
+    def rank(self, grid: SyncGrid) -> np.ndarray:
+        """Positions of the refresh times of ``grid``, a pairwise grid of
+        this plan, in :meth:`stamps` (the keys of
+        :func:`hficov.sampling._global_refresh_chunk`)."""
+        return self._once(("rank", id(grid)), lambda: self.stamps().searchsorted(grid.refresh_times))
+
+    def stamps(self) -> np.ndarray:
+        """The sorted distinct stamps of all components."""
+        return self._once("stamps", lambda: np.unique(np.concatenate([d.scheme.times for d in self.data])))
+
     def entries(self, pairs_list) -> list[float]:
         """:func:`acov_gms_hat` of each item of ``pairs_list``, in order."""
-        return [_gms_entry(self.data, pairs, self) for pairs in pairs_list]
+        return [_gms_entry(front, self) for chunk in self.fronts(pairs_list) for front in chunk]
+
+    def fronts(self, pairs_list):
+        """The front ends of each item of ``pairs_list``, chunk by chunk: a
+        list per chunk of ``(idx, glob, skeleton, ov)``, with the 0-based
+        components, the global grid, the :func:`_gms_skeleton` and the
+        :class:`hficov.timefuncs.SyncOverlap` (``None`` without noise
+        terms).
+
+        A chunk holds as many consecutive items as fit ``_CHUNK_VALUES``,
+        counting for each item the values of its overlap-count pass: eight
+        gathered tick arrays per pairwise grid and the positions of its
+        four cross unions, twice.  Its global grids come from one merge
+        (:func:`hficov.sampling._global_refresh_chunk`) and its overlap
+        counts from one pass (:func:`hficov.timefuncs._sync_overlaps`).  An
+        item larger than the budget forms a chunk of one, which merges and
+        counts on its own arrays, with nothing shifted or stacked.  Each
+        item's front end is checked in order before any overlap is counted,
+        so an item fails with the error it would have alone."""
+        chunk, size = [], 0
+        for pairs in pairs_list:
+            idx = _pair_components(pairs, len(self.data))
+            g12, g34 = self.grid(idx[0], idx[1]), self.grid(idx[2], idx[3])
+            unions = [self.union(idx[x], idx[y]) for x, y in _CROSS]
+            values = 8 * (len(g12) + len(g34)) + 2 * sum(u.stamps.size for u in unions)
+            if chunk and size + values > _CHUNK_VALUES:
+                yield self._front(chunk)
+                chunk, size = [], 0
+            chunk.append((idx, g12, g34, unions))
+            size += values
+        if chunk:
+            yield self._front(chunk)
+
+    def _front(self, chunk) -> list:
+        """:meth:`fronts` of one chunk of ``(idx, g12, g34, unions)``."""
+        out = []
+        for (idx, g12, g34, _), glob in zip(chunk, _global_refresh_chunk([c[1:3] for c in chunk], self.stamps, self.rank)):
+            if len(glob) - 1 < 8:
+                raise ValueError("too few global refresh times for the histogram estimator")
+            out.append((idx, glob, _gms_skeleton(g12, g34, glob, self.weights, self.cfg.c)))
+        if not self.cfg.include_noise_terms:
+            return [(*front, None) for front in out]
+        ovs = _sync_overlaps([(glob, skel[0], skel[1], c[3]) for (_, glob, skel), c in zip(out, chunk)])
+        return [(*front, ov) for front, ov in zip(out, ovs)]
 
 
-def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
-    """:func:`acov_gms_hat` on the grids, moments, weights and brackets of ``plan``."""
+# the four cross pairs of an entry's components (k, l, r, q): kr, kq, lr, lq
+_CROSS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+# values one chunk of gms entries may hold in its batched front ends; an
+# entry of the benchmark's synchronous n = 2000 pair counts about 48 000,
+# so it stays alone, where stacking would cost more than it saves
+_CHUNK_VALUES = 1 << 16
+
+
+def _gms_entry(front, plan: _AcovPlan) -> float:
+    """:func:`acov_gms_hat` of one entry's front end (:meth:`_AcovPlan.fronts`)
+    on the weights and brackets of ``plan``."""
     cfg = plan.cfg
-    idx = _pair_components(pairs, len(data))
-    g12, g34 = plan.grid(idx[0], idx[1]), plan.grid(idx[2], idx[3])
-    glob = global_refresh(g12, g34)
+    idx, glob, (*_, w_glob, lasa, c_eff), ov = front
     N = len(glob) - 1
-    if N < 8:
-        raise ValueError("too few global refresh times for the histogram estimator")
     K = cfg.bins if cfg.bins is not None else max(2, int(round(N ** 0.2)))
-    if K < 2:
-        raise ValueError("need at least 2 bins")
     T = glob.horizon
-
-    M12, M34, _, w_glob, lasa, c_eff = _gms_skeleton(g12, g34, glob, plan.weights, cfg.c)
     m_bin = max(2, int(round(N ** 0.6)))
 
     def bracket(x: int, y: int, edges: np.ndarray) -> np.ndarray:
@@ -675,10 +742,7 @@ def _gms_entry(data: Sequence[TickSeries], pairs, plan: _AcovPlan) -> float:
         per_bin = np.where(denom > 0, cross / denom, 0.0)
     first = 2.0 * c_eff * T * float(np.sum(per_bin)) * lasa.total / K
 
-    if not cfg.include_noise_terms:
-        return first
-    ov = _sync_overlap(glob, M12, M34, [plan.union(idx[x], idx[y]) for x, y in ((0, 2), (0, 3), (1, 2), (1, 3))])
-    if ov.all_zero():
+    if ov is None or ov.all_zero():
         return first
 
     def binned_integral(step: StepFunction, xy: tuple[int, int]) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -331,11 +331,49 @@ def global_refresh(grid_ab: SyncGrid, grid_cd: SyncGrid) -> SyncGrid:
     refresh times"), i.e. the synchronous skeleton of all four schemes.
 
     Index maps into the four underlying schemes are computed on first read;
-    the two pairwise grids are kept as ``pair_grids``.
+    the two pairwise grids are kept as ``pair_grids``.  This is the
+    one-pair call of :func:`_global_refresh_chunk`.
     """
-    if grid_ab.horizon != grid_cd.horizon:
-        raise ValueError("grids must share the horizon")
-    refresh = _refresh_merge(grid_ab.refresh_times, grid_cd.refresh_times)
-    if refresh.size == 0:
-        raise ValueError("pairwise grids produce no common refresh times")
-    return SyncGrid(refresh, grid_ab.source_schemes + grid_cd.source_schemes, pair_grids=(grid_ab, grid_cd))
+    return next(_global_refresh_chunk([(grid_ab, grid_cd)]))
+
+
+def _global_refresh_chunk(
+    pairs: Sequence[tuple[SyncGrid, SyncGrid]],
+    stamps: Callable[[], np.ndarray] | None = None,
+    ranks: Callable[[SyncGrid], np.ndarray] | None = None,
+) -> Iterator[SyncGrid]:
+    """:func:`global_refresh` of each pair of pairwise grids, in order, from
+    one stamp union and one :meth:`_StampUnion.fire` pass with a segment
+    per pair; the segments restart the refresh rule, so each is its pair's
+    whole-array refresh.
+
+    A lone pair is merged on its refresh times.  With more pairs, each
+    grid's refresh times are keyed by ``ranks(grid)``, their integer
+    positions in ``stamps()`` (a sorted array that holds every refresh
+    time of every grid, of size U), and pair e's keys are shifted by e U,
+    so every key of pair e lies below every key of pair e + 1; the refresh
+    keys are read back off ``stamps()``.  Keys are integers and the times
+    are gathered, never computed, so every refresh time keeps its bits.
+    Raises, at the first pair that has one, for grids that do not share
+    the horizon or produce no common refresh times.
+    """
+    if len(pairs) == 1:
+        keys = [(g_ab.refresh_times, g_cd.refresh_times) for g_ab, g_cd in pairs]
+    else:
+        times_of = stamps()
+        U = times_of.size
+        keys = [(ranks(g_ab) + e * U, ranks(g_cd) + e * U) for e, (g_ab, g_cd) in enumerate(pairs)]
+    a, b = (np.concatenate(side) for side in zip(*keys))
+    cuts_a, cuts_b = (np.cumsum([0] + [x.size for x in side]) for side in zip(*keys))
+    union = _StampUnion(a, b)
+    pos, bounds = union.fire(cuts_a, cuts_b)
+    refresh = union.stamps[pos]
+    for e, (g_ab, g_cd) in enumerate(pairs):
+        if g_ab.horizon != g_cd.horizon:
+            raise ValueError("grids must share the horizon")
+        times = refresh[bounds[e] : bounds[e + 1]]
+        if times.size == 0:
+            raise ValueError("pairwise grids produce no common refresh times")
+        if len(pairs) > 1:
+            times = times_of[times - e * U]
+        yield SyncGrid(times, g_ab.source_schemes + g_cd.source_schemes, pair_grids=(g_ab, g_cd))

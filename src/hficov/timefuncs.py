@@ -393,6 +393,30 @@ def _match_ranges(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return r.take(x), r.take(x + 1)
 
 
+def _overlap_terms(
+    a_plus: np.ndarray,
+    b_plus: np.ndarray,
+    a_minus: np.ndarray,
+    b_minus: np.ndarray,
+    reach_a: np.ndarray,
+    reach_b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows j of the plus-matches (j, k) of :func:`_overlap_count` and
+    the number of minus-matches in each one's rectangle of rows ``[j -
+    reach_a[j], j)`` and columns ``[k - reach_b[k], k)``.  A rectangle of
+    reach 0 is empty and counts 0."""
+    lo_p, hi_p = _match_ranges(a_plus, b_plus)
+    width = hi_p - lo_p
+    j = np.repeat(np.arange(a_plus.size), width)
+    k = lo_p[j] + np.arange(j.size) - np.repeat(np.cumsum(width) - width, width)
+    r0, q0 = j - reach_a[j], k - reach_b[k]
+
+    lo, hi = _match_ranges(a_minus, b_minus)
+    rows = np.flatnonzero(hi > lo)
+    row, col = _ranks(rows, a_minus.size), _ranks(lo[rows], b_minus.size)
+    return j, np.maximum(0, np.minimum(row[j], col[k]) - np.maximum(row[r0], col[q0]))
+
+
 def _overlap_count(
     a_plus: np.ndarray,
     b_plus: np.ndarray,
@@ -416,21 +440,49 @@ def _overlap_count(
     and ``col[v]`` the numbers of matched rows and columns below v, the
     minus-matches in the rectangle of rows ``[j - j^m_12, j)`` and columns
     ``[k - k^m_34, k)`` are the m in ``[max(row[r0], col[q0]), min(row[j],
-    col[k]))``.  Every lookup is a rank in a count array, so time is linear
-    in the lengths and the union size.
+    col[k]))`` (:func:`_overlap_terms`).  Every lookup is a rank in a count
+    array, so time is linear in the lengths and the union size.
     """
-    lo_p, hi_p = _match_ranges(a_plus, b_plus)
-    width = hi_p - lo_p
-    j = np.repeat(np.arange(a_plus.size), width)
-    k = lo_p[j] + np.arange(j.size) - np.repeat(np.cumsum(width) - width, width)
-    keep = (j > 0) & (k > 0)
-    j, k = j[keep], k[keep]
-    r0, q0 = j - np.minimum(j, m_12), k - np.minimum(k, m_34)
+    reach_a = np.minimum(np.arange(a_plus.size), m_12)
+    reach_b = np.minimum(np.arange(b_plus.size), m_34)
+    return int(np.sum(_overlap_terms(a_plus, b_plus, a_minus, b_minus, reach_a, reach_b)[1]))
 
-    lo, hi = _match_ranges(a_minus, b_minus)
-    rows = np.flatnonzero(hi > lo)
-    row, col = _ranks(rows, a_minus.size), _ranks(lo[rows], b_minus.size)
-    return int(np.sum(np.maximum(0, np.minimum(row[j], col[k]) - np.maximum(row[r0], col[q0]))))
+
+def _overlap_counts(problems: Sequence[tuple], m_12: Sequence[int], m_34: Sequence[int]) -> list[int]:
+    """:func:`_overlap_count` of each problem ``(a_plus, b_plus, a_minus,
+    b_minus, plus_size, minus_size)`` at ``m_12[i]`` and ``m_34[i]``, in
+    one pass over all of them; ``plus_size`` and ``minus_size`` bound the
+    union positions of the plus and the minus arrays.
+
+    The problems are stacked: problem i's rows, columns and union positions
+    are shifted past those of the problems before it, so no match crosses
+    two problems, and its rows and columns keep their own reach (row j of
+    problem i reaches ``min(j - start_i, m_12[i])`` rows back).  Matched
+    minus rows and columns then number consecutively across problems, so
+    the rank rule of :func:`_overlap_count` holds on the stack as it
+    stands.  Each plus-match belongs to the problem of its row, and one
+    ``bincount`` splits the sum.  Counts are integers, so they keep their
+    bits."""
+    a_plus, b_plus, a_minus, b_minus, plus_size, minus_size = zip(*problems)
+    na, nb = np.array([x.size for x in a_plus]), np.array([x.size for x in b_plus])
+
+    def stack(arrays, sizes, lengths):
+        return np.concatenate(arrays) + np.repeat(np.cumsum(sizes) - sizes, lengths)
+
+    def reach(lengths, m):  # each row's index in its own problem, capped at the problem's m
+        return np.minimum(np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths), np.repeat(m, lengths))
+
+    plus_size, minus_size = np.array(plus_size), np.array(minus_size)
+    j, terms = _overlap_terms(
+        stack(a_plus, plus_size, na),
+        stack(b_plus, plus_size, nb),
+        stack(a_minus, minus_size, na),
+        stack(b_minus, minus_size, nb),
+        reach(na, m_12),
+        reach(nb, m_34),
+    )
+    problem = np.repeat(np.arange(na.size), na)
+    return np.bincount(problem[j], weights=terms, minlength=na.size).astype(np.int64).tolist()
 
 
 def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:
@@ -449,61 +501,83 @@ def sync_overlap(glob: SyncGrid, m_12: int, m_34: int) -> SyncOverlap:
         raise ValueError("sync_overlap requires a 4-scheme global refresh grid")
     s1, s2, s3, s4 = (s.times for s in glob.source_schemes)
     unions = [_StampUnion(x, y) for x, y in ((s1, s3), (s1, s4), (s2, s3), (s2, s4))]
-    return _sync_overlap(glob, m_12, m_34, unions)
+    return _sync_overlaps([(glob, m_12, m_34, unions)])[0]
 
 
-def _sync_overlap(glob: SyncGrid, m_12: int, m_34: int, unions: Sequence[_StampUnion]) -> SyncOverlap:
-    """:func:`sync_overlap` with the stamp unions of source schemes (1, 3),
-    (1, 4), (2, 3) and (2, 4) given, in that order and orientation."""
-    grid_12, grid_34 = glob.pair_grids
-    N = len(glob) - 1  # refresh increment count, as elsewhere
-    M = min(m_12, m_34)
-    if M < 1:
-        raise ValueError("multi-scale frequencies must be >= 1")
+def _sync_overlaps(items: Sequence[tuple]) -> list[SyncOverlap]:
+    """:func:`sync_overlap` of each item ``(glob, m_12, m_34, unions)``, with
+    the stamp unions of source schemes (1, 3), (1, 4), (2, 3) and (2, 4)
+    given, in that order and orientation.
 
-    s_13, s_14, s_23, s_24 = (_shared_step(u.stamps[u.both], glob.horizon, N) for u in unions)
+    Each item gathers the union positions of the next and previous ticks
+    of its four scheme pairs at the two pairwise grids' refresh times once;
+    its four ``s_hat`` counts and two ``s_tilde`` sums read those eight
+    array pairs.  The ``s_hat`` counts of all items take one stacked pass
+    (:func:`_overlap_counts`).  A lone item counts its four problems one by
+    one, with nothing stacked: stacking saves numpy calls on short arrays
+    and costs copies on long ones, and the acov plan hands over a lone
+    item exactly when it is too large to share a chunk."""
+    problems, m12s, m34s, gathered = [], [], [], []
+    for glob, m_12, m_34, unions in items:
+        if min(m_12, m_34) < 1:
+            raise ValueError("multi-scale frequencies must be >= 1")
+        grid_12, grid_34 = glob.pair_grids
+        # nxt[u] / prv[u]: union positions of the next / previous ticks of
+        # pair u's two schemes at the refresh times of grids 12 and 34
+        nxt, prv = (
+            [(u.ticks[0].take(rows_12[x]), u.ticks[1].take(rows_34[y])) for u, (x, y) in zip(unions, _PAIRS)]
+            for rows_12, rows_34 in ((grid_12.next_idx, grid_34.next_idx), (grid_12.prev_idx, grid_34.prev_idx))
+        )
+        # s_hat of pair u: next ticks of u with previous ticks of the
+        # complementary pair 3 - u, in the order (1,3)/(2,4), (2,4)/(1,3),
+        # (1,4)/(2,3), (2,3)/(1,4)
+        for u in (0, 3, 1, 2):
+            problems.append((*nxt[u], *prv[3 - u], unions[u].stamps.size, unions[3 - u].stamps.size))
+        m12s += [m_12] * 4
+        m34s += [m_34] * 4
+        gathered.append((nxt, prv))
+    if len(items) == 1:
+        counts = [_overlap_count(*p[:4], m_12, m_34) for p, m_12, m_34 in zip(problems, m12s, m34s)]
+    else:
+        counts = _overlap_counts(problems, m12s, m34s)
 
-    def ticks(x: int, y: int, side: str) -> tuple[np.ndarray, np.ndarray]:
-        """Union positions of the next (``side="next"``) or previous ticks
-        of source schemes x (1, 2) and y (3, 4) at the two pairwise grids'
-        refresh times."""
-        u = unions[2 * (x - 1) + (y - 3)]
-        idx_12, idx_34 = (grid_12.next_idx, grid_34.next_idx) if side == "next" else (grid_12.prev_idx, grid_34.prev_idx)
-        return u.ticks[0].take(idx_12[x - 1]), u.ticks[1].take(idx_34[y - 3])
+    out = []
+    for i, ((glob, m_12, m_34, unions), (nxt, prv)) in enumerate(zip(items, gathered)):
+        N = len(glob) - 1  # refresh increment count, as elsewhere
+        M = min(m_12, m_34)
+        s_13, s_14, s_23, s_24 = (_shared_step(u.stamps[u.both], glob.horizon, N) for u in unions)
 
-    def eq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x[:, None] == y[None, :]
+        def s_hat(count: int) -> float:
+            return count / (2.0 * N * M) if count else 0.0
 
-    def s_hat(plus, minus) -> float:
-        count = _overlap_count(*ticks(*plus, "next"), *ticks(*minus, "prev"), m_12, m_34)
-        return count / (2.0 * N * M) if count else 0.0
+        def s_tilde(p: int, q: int) -> float:
+            """Matches of both pairs among the first m_12 x m_34 next ticks
+            and among the last m_12 x m_34 previous ticks."""
+            (a_plus, b_plus), (c_plus, d_plus), (a_minus, b_minus), (c_minus, d_minus) = nxt[p], nxt[q], prv[p], prv[q]
+            J, K = min(m_12, a_plus.size), min(m_34, b_plus.size)
+            front = np.logical_and(_eq(a_plus[:J], b_plus[:K]), _eq(c_plus[:J], d_plus[:K])).sum()
+            back = np.logical_and(_eq(a_minus[-J:], b_minus[-K:]), _eq(c_minus[-J:], d_minus[-K:])).sum()
+            return (front + back) / (2.0 * M)
 
-    def s_tilde(p, q) -> float:
-        (a_plus, b_plus), (c_plus, d_plus) = ticks(*p, "next"), ticks(*q, "next")
-        (a_minus, b_minus), (c_minus, d_minus) = ticks(*p, "prev"), ticks(*q, "prev")
-        n12, n34 = a_plus.size, b_plus.size
-        j = np.arange(min(m_12, n12))
-        k = np.arange(min(m_34, n34))
-        front = np.logical_and(eq(a_plus[j], b_plus[k]), eq(c_plus[j], d_plus[k])).sum()
-        jb = n12 - 1 - j
-        kb = n34 - 1 - k
-        back = np.logical_and(eq(a_minus[jb], b_minus[kb]), eq(c_minus[jb], d_minus[kb])).sum()
-        return (front + back) / (2.0 * M)
+        c = counts[4 * i : 4 * i + 4]
+        out.append(
+            SyncOverlap(
+                s_13=s_13,
+                s_14=s_14,
+                s_23=s_23,
+                s_24=s_24,
+                s_hat_13_24=float(s_hat(c[0]) + s_hat(c[1])),
+                s_hat_14_23=float(s_hat(c[2]) + s_hat(c[3])),
+                s_tilde_13_24=float(s_tilde(0, 3)),
+                s_tilde_14_23=float(s_tilde(1, 2)),
+            )
+        )
+    return out
 
-    # 13/24 pairing: next ticks of (1, 3) with previous ticks of (2, 4), plus
-    # the mirrored (2, 4)/(1, 3) bracket.
-    hat_13_24 = s_hat((1, 3), (2, 4)) + s_hat((2, 4), (1, 3))
-    hat_14_23 = s_hat((1, 4), (2, 3)) + s_hat((2, 3), (1, 4))
-    tilde_13_24 = s_tilde((1, 3), (2, 4))
-    tilde_14_23 = s_tilde((1, 4), (2, 3))
 
-    return SyncOverlap(
-        s_13=s_13,
-        s_14=s_14,
-        s_23=s_23,
-        s_24=s_24,
-        s_hat_13_24=float(hat_13_24),
-        s_hat_14_23=float(hat_14_23),
-        s_tilde_13_24=float(tilde_13_24),
-        s_tilde_14_23=float(tilde_14_23),
-    )
+# the scheme pairs (1, 3), (1, 4), (2, 3), (2, 4) as rows of grids 12 and 34
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _eq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[:, None] == y[None, :]

@@ -274,6 +274,27 @@ def sync_counts_oracle(schemes, m_12, m_34):
     return hat_13_24, hat_14_23, tilde_13_24, tilde_14_23
 
 
+def overlap_count_args(glob):
+    """The four (plus, plus, minus, minus) argument sets of the s_hat counts
+    of a global grid, in the order (1,3)/(2,4), (2,4)/(1,3), (1,4)/(2,3),
+    (2,3)/(1,4), each stamp as its position among all stamps of the four
+    schemes (not among one scheme pair's, as the package encodes them)."""
+    import numpy as np
+
+    g12, g34 = glob.pair_grids
+    stamps = np.unique(np.concatenate([s.times for s in glob.source_schemes]))
+
+    def ticks(g, l, idx):
+        return np.searchsorted(stamps, g.source_schemes[l].times[idx])
+
+    tp = [[ticks(g, l, g.next_idx[l]) for l in (0, 1)] for g in (g12, g34)]
+    tm = [[ticks(g, l, g.prev_idx[l]) for l in (0, 1)] for g in (g12, g34)]
+    return [
+        (tp[0][x], tp[1][y], tm[0][1 - x], tm[1][1 - y])
+        for x, y in ((0, 0), (1, 1), (0, 1), (1, 0))
+    ]
+
+
 def _ov(lo1, hi1, lo2, hi2) -> float:
     return max(0.0, min(hi1, hi2) - max(lo1, lo2))
 

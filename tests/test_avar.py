@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -45,9 +46,18 @@ from hficov.estimators import (
 )
 from hficov.citest import ci_test
 from hficov.kernels import cubic_weights, end_effect_adjust, kernel_constants
-from hficov.sampling import SamplingScheme, pairwise_refresh
+from hficov.sampling import SamplingScheme, global_refresh, pairwise_refresh
+from hficov.timefuncs import _overlap_count
 
-from oracles import abs_terms, acov_rc_oracle, isserlis_mc_oracle, multiscale_sum_loop, noise_moments_oracle
+from oracles import (
+    abs_terms,
+    acov_rc_oracle,
+    isserlis_mc_oracle,
+    multiscale_sum_loop,
+    noise_moments_oracle,
+    overlap_count_args,
+    sync_counts_oracle,
+)
 
 
 def series(times, values, T=1.0):
@@ -454,8 +464,64 @@ def test_acov_gms_hat_consistent_for_sync_theory():
 def test_acov_gms_hat_needs_enough_refresh_times():
     rng = np.random.default_rng(12)
     data = [series(np.sort(rng.uniform(0, 1, 5)), rng.standard_normal(5)) for _ in range(4)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="too few global refresh times for the histogram estimator"):
         acov_gms_hat(data, ((1, 2), (3, 4)))
+
+
+def _ticks_on(grid_steps, *stamps):
+    """Series on the stamps k / grid_steps, with unit normal values."""
+    rng = np.random.default_rng(len(stamps))
+    return [series(np.array(k) / grid_steps, rng.standard_normal(len(k))) for k in stamps]
+
+
+# Pair (1, 3) refreshes only in [31, 40] / 60 and pair (2, 3) only in
+# [5, 21] / 60: series 2 has no tick in (21, 46) / 60 and series 3 none
+# after 40 / 60.  Every pairwise grid and the three-way grid are nonempty
+# and the entry ((1, 3), (1, 3)) has 9 refresh increments, but the global
+# grid of ((1, 3), (2, 3)) is empty.
+_DISJOINT_GLOBAL = _ticks_on(60, range(31, 56), [*range(5, 22), *range(46, 61)], range(4, 41))
+# every pair refreshes, but at most 7 times
+_SHORT_GLOBAL = _ticks_on(
+    40, [4, 8, 10, 21, 27, 29], [8, 12, 13, 17, 22, 25, 26, 28, 29, 35], [11, 13, 14, 15, 17, 19, 21, 22, 27]
+)
+
+
+@pytest.mark.parametrize("chunk_values", [0, avar_module._CHUNK_VALUES, 1 << 40])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_DISJOINT_GLOBAL, "pairwise grids produce no common refresh times"),
+        (_SHORT_GLOBAL, "too few global refresh times for the histogram estimator"),
+    ],
+    ids=["no-common-refresh", "too-few"],
+)
+def test_gms_entry_errors_hold_in_every_chunk(data, message, chunk_values):
+    # an entry fails with its own error whether it is evaluated alone
+    # (budget 0), in a chunk of a few or with every entry in one chunk,
+    # from each caller that evaluates gms entries
+    with mock.patch.object(avar_module, "_CHUNK_VALUES", chunk_values):
+        for run in (
+            lambda: acov_gms_hat(data, ((1, 3), (2, 3))),
+            lambda: acov_matrix_hat(data, "gms"),
+            lambda: ci_test(*data, method="gms"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                run()
+
+
+@pytest.mark.parametrize("bins", [2.5, 3.0, True, 1, np.int64(1)])
+def test_gms_acov_config_rejects_bins_that_are_not_integers_of_at_least_2(bins):
+    # unchecked, 2.5 and 3.0 fail inside the first entry with a TypeError,
+    # True and 1 at the first entry's bin count
+    with pytest.raises(ValueError, match=re.escape(f"bins must be None or an integer >= 2, got {bins!r}")):
+        GmsAcovConfig(bins=bins)
+
+
+def test_gms_acov_config_accepts_numpy_integer_bins():
+    rng = np.random.default_rng(45)
+    data = [series(np.sort(rng.uniform(0, 1, 300)), rng.standard_normal(300).cumsum() * 0.01) for _ in range(2)]
+    got = acov_matrix_hat(data, "gms", GmsAcovConfig(bins=np.int64(3)))
+    assert np.array_equal(got.entries, acov_matrix_hat(data, "gms", GmsAcovConfig(bins=3)).entries)
 
 
 def sliced_binned_bracket(a, b, edges, weights_for, estimate=generalized_multiscale):
@@ -921,6 +987,79 @@ def test_gms_acov_builds_per_bracket_and_per_pair_work_once(monkeypatch):
             built = [v for k, v in calls.items() if k[0] == name]
             assert len(built) == n_pairs and set(built) == {1}
         assert calls["pairwise_refresh"] == 0 and calls["_tick_maps"] == 0
+
+
+@st.composite
+def chunked_entries(draw):
+    """2 to 5 schemes of 10 to 120 ticks on a grid k/g of [0, 1], g from 40
+    to 150 (shared stamps are frequent), drawn by numpy from a drawn seed,
+    and 2 to 6 entries ``((k, l), (r, q))`` of their 1-based components:
+    components and entries may repeat, and ``(r, q) = (k, l)`` is drawn
+    often.  Only entries whose global grid has at least 9 refresh times are
+    kept; ``None`` when none is."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = int(rng.integers(40, 151))
+    p = draw(st.integers(2, 5))
+    data = []
+    for _ in range(p):
+        t = np.sort(rng.choice(g + 1, rng.integers(10, min(120, g + 1) + 1), replace=False)) / g
+        data.append(series(t, rng.standard_normal(t.size)))
+    pair = st.tuples(st.integers(1, p), st.integers(1, p))
+    entries = []
+    for _ in range(draw(st.integers(2, 6))):
+        kl = draw(pair)
+        entry = (kl, draw(st.one_of(st.just(kl), pair)))
+        try:
+            grids = [pairwise_refresh(data[a - 1].scheme, data[b - 1].scheme) for a, b in entry]
+            if len(global_refresh(*grids)) >= 9:
+                entries.append(entry)
+        except ValueError:
+            pass
+    return (data, entries) if entries else None
+
+
+def _chunked_fronts(data, entries, budget, config):
+    with mock.patch.object(avar_module, "_CHUNK_VALUES", budget):
+        return [front for chunk in _AcovPlan(data, config).fronts(entries) for front in chunk]
+
+
+@given(chunked_entries(), st.integers(0, 30_000))
+def test_chunked_global_grids_equal_global_refresh(case, budget):
+    # budgets below one entry give chunks of one; others split the list
+    assume(case is not None)
+    data, entries = case
+    fronts = _chunked_fronts(data, entries, budget, GmsAcovConfig(include_noise_terms=False))
+    for entry, (_, glob, _, _) in zip(entries, fronts, strict=True):
+        grids = [pairwise_refresh(data[a - 1].scheme, data[b - 1].scheme) for a, b in entry]
+        assert np.array_equal(glob.refresh_times, global_refresh(*grids).refresh_times)
+
+
+@settings(max_examples=40)
+@given(chunked_entries(), st.integers(0, 30_000))
+def test_chunked_overlap_counts_equal_the_per_problem_count_and_the_oracle(case, budget):
+    assume(case is not None)
+    data, entries = case
+    for (idx, glob, (m12, m34, *_), ov) in _chunked_fronts(data, entries, budget, GmsAcovConfig()):
+        N, M = len(glob) - 1, min(m12, m34)
+        s = [c / (2.0 * N * M) if c else 0.0 for c in (_overlap_count(*a, m12, m34) for a in overlap_count_args(glob))]
+        got = (ov.s_hat_13_24, ov.s_hat_14_23, ov.s_tilde_13_24, ov.s_tilde_14_23)
+        assert got[:2] == (s[0] + s[1], s[2] + s[3])
+        expect = sync_counts_oracle([list(data[v].scheme.times) for v in idx], m12, m34)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+def test_gms_fronts_chunk_consecutive_entries_within_the_budget():
+    # synchronous schemes: every entry counts 8 (N12 + 1 + N34 + 1) + 2 x
+    # (its four cross unions' stamps) = 24 x 241 values
+    rng = np.random.default_rng(46)
+    t = np.linspace(0, 1, 241)
+    data = [series(t, 0.01 * rng.standard_normal(t.size).cumsum()) for _ in range(3)]
+    entries = [((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 1), (3, 3)), ((2, 2), (1, 3)), ((1, 2), (1, 2))]
+    plan = _AcovPlan(data, GmsAcovConfig())
+    for budget, lens in ((0, [1] * 5), (24 * 241 * 5 // 2, [2, 2, 1]), (24 * 241 * 5, [5])):
+        with mock.patch.object(avar_module, "_CHUNK_VALUES", budget):
+            assert [len(chunk) for chunk in plan.fronts(entries)] == lens
+            assert plan.entries(entries) == [acov_gms_hat(data, e) for e in entries]
 
 
 # ---------------------------------------------------------------------

@@ -516,6 +516,17 @@ def test_cli_estimate_rejects_c_not_finite_positive(tmp_path, capsys, c):
     assert err.startswith("error: c must be finite and positive") and err.count("\n") == 1
 
 
+def test_cli_acov_rejects_bins_below_2(tmp_path, capsys):
+    # unchecked, --bins 1 fails only at the first acov entry, after the estimate
+    ticks = tmp_path / "sync.csv"
+    main(["simulate", "--assets", "2", "--n", "200", "--seed", "5", "--ticks-out", str(ticks), "--out", str(tmp_path / "s.json")])
+    capsys.readouterr()
+    rc = main(["acov", "--input", str(ticks), "--method", "gms", "--bins", "1", "--out", str(tmp_path / "a.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: bins must be None or an integer >= 2, got 1\n"
+
+
 def test_cli_simulate_rejects_zero_assets(tmp_path, capsys):
     rc = main(["simulate", "--assets", "0", "--n", "50", "--ticks-out", str(tmp_path / "t.csv")])
     assert rc == 1

@@ -16,7 +16,7 @@ from hficov.timefuncs import (
     weighted_lasa_function,
 )
 
-from oracles import lasa_oracle, sync_counts_oracle, timecov_oracle, wlasa_oracle
+from oracles import lasa_oracle, overlap_count_args, sync_counts_oracle, timecov_oracle, wlasa_oracle
 
 
 def sch(times, T=1.0):
@@ -367,28 +367,11 @@ def long_quad(draw):
     return glob, draw(st.integers(1, 10)), draw(st.integers(1, 10))
 
 
-def _brackets(glob):
-    """The four (plus, plus, minus, minus) argument sets of the s_hat counts,
-    each stamp as its position among all stamps of the four schemes."""
-    g12, g34 = glob.pair_grids
-    stamps = np.unique(np.concatenate([s.times for s in glob.source_schemes]))
-
-    def ticks(g, l, idx):
-        return np.searchsorted(stamps, g.source_schemes[l].times[idx])
-
-    tp = [[ticks(g, l, g.next_idx[l]) for l in (0, 1)] for g in (g12, g34)]
-    tm = [[ticks(g, l, g.prev_idx[l]) for l in (0, 1)] for g in (g12, g34)]
-    return [
-        (tp[0][x], tp[1][y], tm[0][1 - x], tm[1][1 - y])
-        for x, y in ((0, 0), (1, 1), (0, 1), (1, 0))
-    ]
-
-
 @given(st.one_of(st.booleans().flatmap(lambda jitter: coarse_quad(jitter)), long_quad()))
 def test_overlap_count_equals_dense_reference(case):
     assume(case is not None)
     glob, m12, m34 = case
-    for args in _brackets(glob):
+    for args in overlap_count_args(glob):
         assert _overlap_count(*args, m12, m34) == dense_overlap_count(*args, m12, m34)
 
 
